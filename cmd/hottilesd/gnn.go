@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -70,16 +69,9 @@ func (s *server) handleGNN(w http.ResponseWriter, r *http.Request) {
 		}
 		layers = n
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxUpload))
-	if err != nil {
+	body, ok := s.readUpload(w, r)
+	if !ok {
 		gnnErrors.Inc()
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("hottilesd: upload exceeds %d bytes", s.cfg.maxUpload),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "hottilesd: reading upload: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	hash := s.planHash(body)

@@ -15,6 +15,7 @@ import (
 
 	hottiles "repro"
 	"repro/internal/gen"
+	"repro/internal/hotcore"
 	"repro/internal/obs"
 	"repro/internal/planstore"
 )
@@ -172,6 +173,47 @@ func TestUploadTooLarge413(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	// Without a Content-Length (chunked upload) the limit trips mid-read.
+	chunked := io.MultiReader(bytes.NewReader(matrixBytes(t, 1, 256, 2000)))
+	resp, err = ts.Client().Post(ts.URL+"/plan", "text/plain", chunked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("chunked upload: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestPlanHashCoversWireVersion pins the spill-safety rule: the content
+// address covers the plan wire version, so plans cached under another
+// layout are never found, and a chunked upload hashes like a sized one.
+func TestPlanHashCoversWireVersion(t *testing.T) {
+	cfg := testConfig()
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload := matrixBytes(t, 1, 64, 200)
+	cur := s.planHash(upload)
+	if cur != planKey(&cfg, hotcore.PlanWireVersion, upload) {
+		t.Fatal("planHash does not use the current wire version")
+	}
+	if planKey(&cfg, hotcore.PlanWireVersion-1, upload) == cur {
+		t.Fatal("plan hash ignores the wire version")
+	}
+
+	ts := httptest.NewServer(s.mux)
+	defer ts.Close()
+	resp, err := ts.Client().Post(ts.URL+"/plan", "text/plain", io.MultiReader(bytes.NewReader(upload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Plan-Hash") != cur {
+		t.Fatalf("chunked upload: status %d, hash %q, want 200 and %q",
+			resp.StatusCode, resp.Header.Get("X-Plan-Hash"), cur)
 	}
 }
 

@@ -91,6 +91,9 @@ func TestRequestIDCorrelation(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	// The client can read the whole body before the middleware records
+	// the request; Close waits for the handler to return.
+	ts.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /plan: %d", resp.StatusCode)
 	}
@@ -202,11 +205,11 @@ func TestPostmortemCapturesErrorAndSlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(s2.mux)
-	defer ts2.Close()
 
 	resp2 := postPlan(t, ts2.Client(), ts2.URL, matrixBytes(t, 23, 512, 4000))
 	io.Copy(io.Discard, resp2.Body)
 	resp2.Body.Close()
+	ts2.Close() // wait for the middleware to record the request
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp2.StatusCode)
 	}

@@ -8,13 +8,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
 	"time"
 
 	hottiles "repro"
+	"repro/internal/hotcore"
+	"repro/internal/mm"
 	"repro/internal/obs"
 	"repro/internal/planstore"
 )
@@ -89,17 +90,49 @@ func newServer(cfg config) (*server, error) {
 	return s, nil
 }
 
-// planHash is the content address of a plan: the preprocessing
-// configuration followed by the exact MatrixMarket bytes. Two uploads of
-// the same file under the same daemon configuration always collapse onto
-// one cache entry (and one in-flight build).
+// planHash is the content address of a plan: the plan wire version and
+// the preprocessing configuration, followed by the exact MatrixMarket
+// bytes. Two uploads of the same file under the same daemon configuration
+// always collapse onto one cache entry (and one in-flight build), and a
+// -store-dir spill written under another wire version is never looked up.
 func (s *server) planHash(matrix []byte) string {
+	return planKey(&s.cfg, hotcore.PlanWireVersion, matrix)
+}
+
+// planKey is planHash for an explicit wire version.
+func planKey(cfg *config, wireVersion int, matrix []byte) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "arch=%s tile=%dx%d k=%d strategy=%s kernel=%s ops=%g seed=%d\n",
-		s.cfg.archName, s.cfg.arch.TileH, s.cfg.arch.TileW, s.cfg.arch.K,
-		s.cfg.stratName, s.cfg.kernelName, s.cfg.opsPerMAC, s.cfg.seed)
+	fmt.Fprintf(h, "wire=%d arch=%s tile=%dx%d k=%d strategy=%s kernel=%s ops=%g seed=%d\n",
+		wireVersion, cfg.archName, cfg.arch.TileH, cfg.arch.TileW, cfg.arch.K,
+		cfg.stratName, cfg.kernelName, cfg.opsPerMAC, cfg.seed)
 	h.Write(matrix)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// readUpload reads the request body, at most cfg.maxUpload bytes, into a
+// buffer sized from Content-Length up front (a declared length over the
+// limit is refused before any read). On failure it writes the 413 or 400
+// response and returns false.
+func (s *server) readUpload(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	limit := s.cfg.maxUpload
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit}
+	} else {
+		// MinRead of spare room lets ReadFrom see EOF without growing.
+		buf := bytes.NewBuffer(make([]byte, 0, max(r.ContentLength, 0)+bytes.MinRead))
+		if _, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err == nil {
+			return buf.Bytes(), true
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("hottilesd: upload exceeds %d bytes", limit),
+			http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	http.Error(w, "hottilesd: reading upload: "+err.Error(), http.StatusBadRequest)
+	return nil, false
 }
 
 // errBadMatrix marks failures caused by the uploaded bytes (parse or
@@ -119,7 +152,7 @@ func (s *server) buildPlan(ctx context.Context, matrix []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	m, err := hottiles.ReadMatrixMarket(bytes.NewReader(matrix))
+	m, err := mm.Parse(matrix)
 	if err != nil {
 		return nil, errBadMatrix{err}
 	}
@@ -150,15 +183,8 @@ func (s *server) buildPlan(ctx context.Context, matrix []byte) ([]byte, error) {
 func (s *server) handleBuildPlan(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	planRequests.Inc()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxUpload))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("hottilesd: upload exceeds %d bytes", s.cfg.maxUpload),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "hottilesd: reading upload: "+err.Error(), http.StatusBadRequest)
+	body, ok := s.readUpload(w, r)
+	if !ok {
 		return
 	}
 	hash := s.planHash(body)

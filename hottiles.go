@@ -273,6 +273,7 @@ func AutoTileSize(m *Matrix, a *Arch, candidates []int, opsPerMAC float64) (int,
 func WritePlan(w io.Writer, p *Plan) error { return hotcore.WritePlan(w, p) }
 
 // ReadPlan loads a plan written by WritePlan, revalidating its invariants.
+// Plans written under an older wire layout are rejected; rebuild them.
 func ReadPlan(r io.Reader) (*Plan, error) { return hotcore.ReadPlan(r) }
 
 // PartitionCtx is PartitionWith with context cancellation: the pipeline

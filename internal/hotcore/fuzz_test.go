@@ -3,9 +3,13 @@ package hotcore
 import (
 	"bytes"
 	"encoding/gob"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/partition"
+	"repro/internal/sparse"
+	"repro/internal/tile"
 )
 
 // planBytes serializes a small valid plan; csr selects the PIUMA-style
@@ -43,6 +47,12 @@ func FuzzReadPlan(f *testing.F) {
 	f.Add(coo[:len(coo)/2])
 	f.Add([]byte("not a gob stream"))
 	f.Add([]byte{})
+	f.Add(v1Bytes(f, false))
+	for _, name := range []string{"wrong version", "assignment too short", "corrupt grid span"} {
+		w := validWire(f, true)
+		wireCorruptions[name](w)
+		f.Add(encodeWire(f, w))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadPlan(bytes.NewReader(data))
@@ -105,54 +115,61 @@ func TestReadPlanBitFlips(t *testing.T) {
 
 // encodeWire gob-encodes a hand-built wire record, bypassing WritePlan's
 // guards — the shape a corrupted or hostile cache file can take.
-func encodeWire(t *testing.T, w *planWire) []byte {
-	t.Helper()
+func encodeWire(tb testing.TB, w any) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // validWire decodes a valid plan stream back into its wire form so tests
 // can corrupt individual fields.
-func validWire(t *testing.T, csr bool) *planWire {
-	t.Helper()
+func validWire(tb testing.TB, csr bool) *planWire {
+	tb.Helper()
 	var w planWire
-	if err := gob.NewDecoder(bytes.NewReader(planBytes(t, csr))).Decode(&w); err != nil {
-		t.Fatal(err)
+	if err := gob.NewDecoder(bytes.NewReader(planBytes(tb, csr))).Decode(&w); err != nil {
+		tb.Fatal(err)
 	}
 	return &w
 }
 
+// wireCorruptions are hand-made damage to a valid v2 wire record. Each one
+// decodes cleanly and must then be rejected by ReadPlan's version check,
+// grid validation or plan validation, never panic while the sections are
+// rebuilt.
+var wireCorruptions = map[string]func(w *planWire){
+	"wrong version":         func(w *planWire) { w.Version = PlanWireVersion + 1 },
+	"unversioned":           func(w *planWire) { w.Version = 0 },
+	"assignment too short":  func(w *planWire) { w.Hot = w.Hot[:len(w.Hot)-1] },
+	"assignment too long":   func(w *planWire) { w.Hot = append(w.Hot, true) },
+	"corrupt grid span":     func(w *planWire) { w.Tiles[1].Start++ },
+	"span past nonzeros":    func(w *planWire) { w.Tiles[len(w.Tiles)-1].End = len(w.Vals) + 5 },
+	"ragged coordinates":    func(w *planWire) { w.Vals = w.Vals[:len(w.Vals)-1] },
+	"zero tile geometry":    func(w *planWire) { w.TileH, w.TileW = 0, 0 },
+	"grid shape disagrees":  func(w *planWire) { w.NumTR++ },
+	"panel starts disagree": func(w *planWire) { w.PanelStart[1]++ },
+	"tile outside grid":     func(w *planWire) { w.Tiles[len(w.Tiles)-1].TR = w.NumTR },
+	// The last panel ends at N, not at a tile boundary: a row at N fits
+	// its tile's nominal bounds but would index past the rebuilt CSR row
+	// pointers.
+	"nonzero beyond N": func(w *planWire) {
+		last := w.Tiles[len(w.Tiles)-1]
+		w.Rows[last.Start] = int32(w.N - 1)
+		w.N--
+	},
+}
+
 // TestReadPlanAdversarialWire is the regression test for the
-// deserialization panics: each case decoded fine pre-fix and then crashed
-// ReadPlan's validation (nil-pointer dereference, out-of-range index, or
-// integer division by zero). All must now come back as clean errors.
+// deserialization panics: every corruption comes back as a clean error
+// for both the COO and the CSR section shapes.
 func TestReadPlanAdversarialWire(t *testing.T) {
-	cases := map[string]func(w *planWire){
-		"nil hot section": func(w *planWire) {
-			w.HotFormat = nil
-		},
-		"row pointers missing": func(w *planWire) {
-			w.HotFormat.RowPtr = nil
-		},
-		"ragged block columns": func(w *planWire) {
-			w.HotFormat.Blocks[0].Cols = w.HotFormat.Blocks[0].Cols[:0]
-		},
-		"zero tile geometry": func(w *planWire) {
-			w.TileH, w.TileW = 0, 0
-			w.HotFormat.TileH, w.HotFormat.TileW = 0, 0
-		},
-		"hot geometry disagrees with grid": func(w *planWire) {
-			w.HotFormat.TileH = w.TileH + 1
-		},
-	}
-	for name, corrupt := range cases {
+	for name, corrupt := range wireCorruptions {
 		for _, csr := range []bool{false, true} {
 			w := validWire(t, csr)
-			if len(w.HotFormat.Blocks) == 0 {
-				t.Fatalf("csr=%v: test plan has no hot blocks; corruption would be vacuous", csr)
+			if len(w.Tiles) < 2 || w.Tiles[len(w.Tiles)-1].TR != w.NumTR-1 {
+				t.Fatalf("csr=%v: test plan too small for the corruptions to bite", csr)
 			}
 			corrupt(w)
 			func() {
@@ -169,24 +186,86 @@ func TestReadPlanAdversarialWire(t *testing.T) {
 	}
 }
 
-// TestReadPlanNonMonotoneColdCSR pins the CSR hardening: a cold section
-// whose row pointers are locally increasing but globally non-monotone used
-// to index past the column slice inside CSR.Validate.
+// TestReadPlanNonMonotoneColdCSR pins the rebuilt-section check: a grid
+// whose cold tile repeats a coordinate passes Grid.Validate, but the cold
+// section rebuilt from it is not strictly increasing within a row, and
+// ReadPlan must refuse it (the CSR shape used to index past its column
+// slice when its row pointers were stored on the wire).
 func TestReadPlanNonMonotoneColdCSR(t *testing.T) {
-	w := validWire(t, true)
-	if w.ColdCSR == nil || w.ColdCSR.N < 2 || w.ColdCSR.NNZ() < 2 {
-		t.Fatal("test plan has no usable cold CSR section")
-	}
-	// [0, ..., nnz] → [0, nnz+big, ..., nnz]: row 0 now spans past Cols.
-	w.ColdCSR.RowPtr[1] = int64(w.ColdCSR.NNZ() + 1000)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("ReadPlan panicked on non-monotone cold CSR: %v", r)
+	for _, csr := range []bool{true, false} {
+		w := validWire(t, csr)
+		ti := -1
+		for i, tl := range w.Tiles {
+			if !w.Hot[i] && tl.End-tl.Start >= 2 {
+				ti = i
+				break
+			}
+		}
+		if ti < 0 {
+			t.Fatalf("csr=%v: test plan has no cold tile with two nonzeros", csr)
+		}
+		s := w.Tiles[ti].Start
+		w.Rows[s+1], w.Cols[s+1] = w.Rows[s], w.Cols[s]
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("csr=%v: ReadPlan panicked on a repeated cold coordinate: %v", csr, r)
+				}
+			}()
+			if _, err := ReadPlan(bytes.NewReader(encodeWire(t, w))); err == nil {
+				t.Fatalf("csr=%v: repeated cold coordinate accepted", csr)
 			}
 		}()
-		if _, err := ReadPlan(bytes.NewReader(encodeWire(t, w))); err == nil {
-			t.Fatal("non-monotone cold CSR accepted")
+	}
+}
+
+// planWireV1 is the unversioned layout WritePlan emitted before version 2:
+// the grid plus fully materialized hot and cold sections.
+type planWireV1 struct {
+	N            int
+	TileH, TileW int
+	NumTR, NumTC int
+	Tiles        []tile.Tile
+	PanelStart   []int
+	Rows         []int32
+	Cols         []int32
+	Vals         []float64
+
+	Hot       []bool
+	Heuristic partition.Heuristic
+	Serial    bool
+	Predicted float64
+	Totals    partition.Totals
+
+	HotFormat *TiledMatrix
+	Cold      *sparse.COO
+	ColdCSR   *sparse.CSR
+}
+
+// v1Bytes re-encodes a valid plan in the version-1 layout.
+func v1Bytes(tb testing.TB, csr bool) []byte {
+	tb.Helper()
+	p, err := ReadPlan(bytes.NewReader(planBytes(tb, csr)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := p.Grid
+	return encodeWire(tb, &planWireV1{
+		N: g.N, TileH: g.TileH, TileW: g.TileW, NumTR: g.NumTR, NumTC: g.NumTC,
+		Tiles: g.Tiles, PanelStart: g.PanelStart, Rows: g.Rows, Cols: g.Cols, Vals: g.Vals,
+		Hot: p.Partition.Hot, Heuristic: p.Partition.Heuristic, Serial: p.Partition.Serial,
+		Predicted: p.Partition.Predicted, Totals: p.Partition.Totals,
+		HotFormat: p.Hot, Cold: p.Cold, ColdCSR: p.ColdCSR,
+	})
+}
+
+// TestReadPlanRejectsV1Wire checks that a plan file or spill from before
+// version 2 fails with a version error rather than decoding into a plan.
+func TestReadPlanRejectsV1Wire(t *testing.T) {
+	for _, csr := range []bool{false, true} {
+		_, err := ReadPlan(bytes.NewReader(v1Bytes(t, csr)))
+		if err == nil || !strings.Contains(err.Error(), "wire version 0") {
+			t.Fatalf("csr=%v: v1 stream gave %v, want a version error", csr, err)
 		}
-	}()
+	}
 }

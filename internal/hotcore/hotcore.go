@@ -255,12 +255,7 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 	}
 	sp = parent.Start("hotcore.baseformat")
 	t0 = time.Now()
-	cold := coldSection(g, res.Hot)
-	if a.Cold.Format == model.FormatCSR {
-		p.ColdCSR = sparse.ToCSR(cold)
-	} else {
-		p.Cold = cold
-	}
+	p.setCold(coldSection(g, res.Hot), a.Cold.Format == model.FormatCSR)
 	sp.End()
 	p.Timing.BaseFormat = time.Since(t0)
 	if debug {
@@ -283,6 +278,16 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 	}
 
 	return p, nil
+}
+
+// setCold installs the cold section, converted to CSR when the cold worker
+// consumes CSR.
+func (p *Prep) setCold(cold *sparse.COO, csr bool) {
+	if csr {
+		p.ColdCSR = sparse.ToCSR(cold)
+	} else {
+		p.Cold = cold
+	}
 }
 
 // coldSection gathers the nonzeros of the non-hot tiles into a row-major
@@ -338,11 +343,9 @@ func hotSection(g *tile.Grid, hot []bool, csr bool) *TiledMatrix {
 
 // Validate checks that the preprocessing output partitions the matrix: the
 // hot and cold sections together hold exactly the grid's nonzeros. It must
-// never panic, whatever the field values — ReadPlan runs it on
-// gob-decoded data from disk, where truncation or bit rot can produce a
-// structurally arbitrary Prep (nil hot section, ragged block slices,
-// zero tile geometry), so every invariant is checked before it is relied
-// on for indexing or division.
+// never panic, whatever the field values, so every invariant is checked
+// before it is relied on for indexing or division. ReadPlan runs it on
+// every load, after rebuilding the sections from a gob-decoded grid.
 func (p *Prep) Validate() error {
 	if p.Hot == nil {
 		return fmt.Errorf("hotcore: plan missing hot section")

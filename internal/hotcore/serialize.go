@@ -6,15 +6,27 @@ import (
 	"io"
 
 	"repro/internal/partition"
-	"repro/internal/sparse"
 	"repro/internal/tile"
 )
+
+// PlanWireVersion is the layout version WritePlan stamps on every plan.
+// ReadPlan rejects any other version, so a plan file or cache spill written
+// under an older layout is never decoded into a wrong or empty plan; such
+// plans must be rebuilt.
+//
+// Version 2 stores each nonzero once, in the grid, and rebuilds the hot
+// and cold sections on read. Version 1 (unversioned) also stored both
+// sections, two to three copies of every nonzero.
+const PlanWireVersion = 2
 
 // planWire is the gob wire form of a Prep: the paper's workflow stores the
 // generated formats once (e.g. during GNN training) and reuses them later
 // (inference) without re-running the scan/model/partition pipeline (§VI-B).
-// The tiling grid is stored structurally and revalidated on load.
+// It holds the tiling grid and the assignment; the per-worker sections are
+// a deterministic function of the two (coldSection, hotSection) and are
+// rebuilt on load, so the stream carries one copy of each nonzero.
 type planWire struct {
+	Version      int
 	N            int
 	TileH, TileW int
 	NumTR, NumTC int
@@ -30,46 +42,52 @@ type planWire struct {
 	Predicted float64
 	Totals    partition.Totals
 
-	HotFormat *TiledMatrix
-	Cold      *sparse.COO
-	ColdCSR   *sparse.CSR
+	// The section formats: whether the hot tiles carry CSR row pointers
+	// and whether the cold section is CSR rather than COO.
+	HotIsCSR, ColdIsCSR bool
 }
 
 // WritePlan serializes a preprocessing plan. Timings are not persisted
 // (they describe the machine that ran the pipeline, not the plan).
 func WritePlan(w io.Writer, p *Prep) error {
-	if p == nil || p.Grid == nil {
+	if p == nil || p.Grid == nil || p.Hot == nil {
 		return fmt.Errorf("hotcore: nil plan")
 	}
+	g := p.Grid
 	wire := planWire{
-		N:          p.Grid.N,
-		TileH:      p.Grid.TileH,
-		TileW:      p.Grid.TileW,
-		NumTR:      p.Grid.NumTR,
-		NumTC:      p.Grid.NumTC,
-		Tiles:      p.Grid.Tiles,
-		PanelStart: p.Grid.PanelStart,
-		Rows:       p.Grid.Rows,
-		Cols:       p.Grid.Cols,
-		Vals:       p.Grid.Vals,
+		Version:    PlanWireVersion,
+		N:          g.N,
+		TileH:      g.TileH,
+		TileW:      g.TileW,
+		NumTR:      g.NumTR,
+		NumTC:      g.NumTC,
+		Tiles:      g.Tiles,
+		PanelStart: g.PanelStart,
+		Rows:       g.Rows,
+		Cols:       g.Cols,
+		Vals:       g.Vals,
 		Hot:        p.Partition.Hot,
 		Heuristic:  p.Partition.Heuristic,
 		Serial:     p.Partition.Serial,
 		Predicted:  p.Partition.Predicted,
 		Totals:     p.Partition.Totals,
-		HotFormat:  p.Hot,
-		Cold:       p.Cold,
-		ColdCSR:    p.ColdCSR,
+		HotIsCSR:   p.Hot.CSR,
+		ColdIsCSR:  p.ColdCSR != nil,
 	}
 	return gob.NewEncoder(w).Encode(&wire)
 }
 
-// ReadPlan deserializes a plan written by WritePlan and revalidates its
-// structural invariants before returning it.
+// ReadPlan deserializes a plan written by WritePlan: it checks the wire
+// version, validates the grid, rebuilds the hot and cold sections with the
+// calls PreprocessCtx makes, and validates the resulting plan.
 func ReadPlan(r io.Reader) (*Prep, error) {
 	var wire planWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("hotcore: decoding plan: %w", err)
+	}
+	if wire.Version != PlanWireVersion {
+		return nil, fmt.Errorf("hotcore: plan wire version %d, want %d: rebuild the plan",
+			wire.Version, PlanWireVersion)
 	}
 	g := &tile.Grid{
 		N:          wire.N,
@@ -90,16 +108,6 @@ func ReadPlan(r io.Reader) (*Prep, error) {
 		return nil, fmt.Errorf("hotcore: stored assignment length %d, grid has %d tiles",
 			len(wire.Hot), len(g.Tiles))
 	}
-	// A corrupt stream can decode into a missing hot section or one whose
-	// private geometry disagrees with the grid; reject both before
-	// Validate leans on them.
-	if wire.HotFormat == nil {
-		return nil, fmt.Errorf("hotcore: stored plan missing hot section")
-	}
-	if wire.HotFormat.N != g.N || wire.HotFormat.TileH != g.TileH || wire.HotFormat.TileW != g.TileW {
-		return nil, fmt.Errorf("hotcore: stored hot section geometry %d/%dx%d disagrees with grid %d/%dx%d",
-			wire.HotFormat.N, wire.HotFormat.TileH, wire.HotFormat.TileW, g.N, g.TileH, g.TileW)
-	}
 	p := &Prep{
 		Grid: g,
 		Partition: partition.Result{
@@ -109,10 +117,9 @@ func ReadPlan(r io.Reader) (*Prep, error) {
 			Predicted: wire.Predicted,
 			Totals:    wire.Totals,
 		},
-		Hot:     wire.HotFormat,
-		Cold:    wire.Cold,
-		ColdCSR: wire.ColdCSR,
 	}
+	p.setCold(coldSection(g, wire.Hot), wire.ColdIsCSR)
+	p.Hot = hotSection(g, wire.Hot, wire.HotIsCSR)
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("hotcore: stored plan invalid: %w", err)
 	}

@@ -2,19 +2,17 @@ package hotcore
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
 )
 
-func TestPlanRoundTrip(t *testing.T) {
-	m := testMatrix(t, 51, 512, 64, 3000, 1500)
-	a := smallArch()
-	p, err := Preprocess(m, &a, StrategyHotTiles, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+// roundTrip writes p and reads it back, requiring the rebuilt sections and
+// the assignment to equal the ones PreprocessCtx produced.
+func roundTrip(t *testing.T, p *Prep) *Prep {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := WritePlan(&buf, p); err != nil {
 		t.Fatal(err)
@@ -26,24 +24,30 @@ func TestPlanRoundTrip(t *testing.T) {
 	if back.Grid.NNZ() != p.Grid.NNZ() || back.Grid.N != p.Grid.N {
 		t.Fatal("grid changed")
 	}
-	if len(back.Partition.Hot) != len(p.Partition.Hot) {
-		t.Fatal("assignment changed length")
+	if !reflect.DeepEqual(back.Partition, p.Partition) {
+		t.Fatal("partition changed")
 	}
-	for i := range p.Partition.Hot {
-		if back.Partition.Hot[i] != p.Partition.Hot[i] {
-			t.Fatal("assignment changed")
-		}
+	if !reflect.DeepEqual(back.Hot, p.Hot) {
+		t.Fatal("hot section changed")
 	}
-	if back.Partition.Predicted != p.Partition.Predicted ||
-		back.Partition.Heuristic != p.Partition.Heuristic ||
-		back.Partition.Serial != p.Partition.Serial {
-		t.Fatal("partition metadata changed")
+	if !reflect.DeepEqual(back.Cold, p.Cold) || !reflect.DeepEqual(back.ColdCSR, p.ColdCSR) {
+		t.Fatal("cold section changed")
 	}
-	if back.Hot.NNZ() != p.Hot.NNZ() || back.Cold.NNZ() != p.Cold.NNZ() {
-		t.Fatal("formats changed")
-	}
-	if err := back.Validate(); err != nil {
+	return back
+}
+
+func TestPlanRoundTrip(t *testing.T) {
+	m := testMatrix(t, 51, 512, 64, 3000, 1500)
+	a := smallArch()
+	p, err := Preprocess(m, &a, StrategyHotTiles, 2, 0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(p.Hot.Blocks) == 0 || p.Cold.NNZ() == 0 {
+		t.Fatal("test plan needs both hot and cold tiles")
+	}
+	if back := roundTrip(t, p); back.ColdCSR != nil || back.Hot.CSR {
+		t.Fatal("COO plan came back with CSR sections")
 	}
 }
 
@@ -55,19 +59,11 @@ func TestPlanRoundTripPIUMACSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WritePlan(&buf, p); err != nil {
-		t.Fatal(err)
+	if len(p.Hot.Blocks) == 0 || p.ColdCSR == nil || p.ColdCSR.NNZ() == 0 {
+		t.Fatal("test plan needs both hot tiles and a CSR cold section")
 	}
-	back, err := ReadPlan(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ColdCSR == nil || back.ColdCSR.NNZ() != p.ColdCSR.NNZ() {
-		t.Fatal("CSR cold section lost")
-	}
-	if !back.Hot.CSR {
-		t.Fatal("CSR flag lost")
+	if back := roundTrip(t, p); back.Cold != nil || !back.Hot.CSR {
+		t.Fatal("CSR plan came back with COO sections")
 	}
 }
 

@@ -7,10 +7,13 @@ package mm
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/sparse"
 )
@@ -71,97 +74,88 @@ func parseHeader(line string) (header, error) {
 	return h, nil
 }
 
-// Read parses a MatrixMarket coordinate stream into a row-major,
-// deduplicated COO. Symmetric and skew-symmetric inputs are expanded to
-// their full general form. Pattern matrices get value 1 for every entry.
+// Read parses a MatrixMarket coordinate stream: it reads r to the end and
+// hands the bytes to Parse. In-memory readers that report their length
+// (bytes.Reader, strings.Reader, bytes.Buffer) are read into one buffer of
+// that size.
 func Read(r io.Reader) (*sparse.COO, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-
-	if !sc.Scan() {
-		return nil, fmt.Errorf("mm: empty input: %w", firstErr(sc.Err(), io.ErrUnexpectedEOF))
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
 	}
-	h, err := parseHeader(sc.Text())
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("mm: reading input: %w", err)
+	}
+	return Parse(buf.Bytes())
+}
+
+// Parse parses an in-memory MatrixMarket coordinate matrix into a
+// row-major, deduplicated COO. Symmetric and skew-symmetric inputs are
+// expanded to their full general form. Pattern matrices get value 1 for
+// every entry.
+//
+// The parse is one pass over data that allocates nothing per line: lines
+// and fields are sub-slices of data, indices are parsed inline, and each
+// value token reaches strconv.ParseFloat as a zero-copy string view, so
+// values are bit-exact. Whitespace is the ASCII set (space, \t, \v, \f,
+// \r); fields past the ones an entry needs, and lines after the nnz-th
+// entry, are ignored. Returned errors never alias data.
+func Parse(data []byte) (*sparse.COO, error) {
+	sc := lineScanner{rest: data}
+	banner, ok := sc.next()
+	if !ok {
+		return nil, fmt.Errorf("mm: empty input: %w", io.ErrUnexpectedEOF)
+	}
+	h, err := parseHeader(string(banner))
+	if err != nil {
+		return nil, err
+	}
+	sizeLine, ok := sc.nextContent()
+	if !ok {
+		return nil, fmt.Errorf("mm: missing size line: %w", io.ErrUnexpectedEOF)
+	}
+	n, nnz, err := parseSize(sizeLine)
 	if err != nil {
 		return nil, err
 	}
 
-	// Skip comments, find the size line.
-	var rows, cols, nnz int
-	for {
-		if !sc.Scan() {
-			return nil, fmt.Errorf("mm: missing size line: %w", firstErr(sc.Err(), io.ErrUnexpectedEOF))
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		// Parse strictly: exactly three integer fields. fmt.Sscan would
-		// silently accept trailing garbage ("4 4 5 junk" parses as 4×4/5),
-		// so a corrupt upload would be mis-read instead of rejected.
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("mm: bad size line %q: want exactly \"rows cols nnz\"", line)
-		}
-		for i, dst := range []*int{&rows, &cols, &nnz} {
-			v, err := strconv.Atoi(fields[i])
-			if err != nil {
-				return nil, fmt.Errorf("mm: bad size line %q: %w", line, err)
-			}
-			*dst = v
-		}
-		break
-	}
-	if rows != cols {
-		return nil, fmt.Errorf("mm: non-square matrix %dx%d not supported", rows, cols)
-	}
-	if rows <= 0 || nnz < 0 {
-		return nil, fmt.Errorf("mm: invalid size line: rows=%d nnz=%d", rows, nnz)
-	}
-
-	capHint := nnz
+	// An entry line takes at least four bytes ("1 1\n"), so a size line
+	// claiming more entries than the input can hold does not size the
+	// arrays.
+	capHint := min(nnz, len(sc.rest)/4+1)
 	if h.symmetry != General {
 		capHint *= 2
 	}
-	m := sparse.NewCOO(rows, capHint)
-	read := 0
-	for read < nnz {
-		if !sc.Scan() {
-			return nil, fmt.Errorf("mm: expected %d entries, got %d: %w",
-				nnz, read, firstErr(sc.Err(), io.ErrUnexpectedEOF))
+	pattern := h.field == "pattern"
+	m := sparse.NewCOO(n, capHint)
+	for read := 0; read < nnz; read++ {
+		line, ok := sc.nextContent()
+		if !ok {
+			return nil, fmt.Errorf("mm: expected %d entries, got %d: %w", nnz, read, io.ErrUnexpectedEOF)
 		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		fields := strings.Fields(line)
-		wantFields := 3
-		if h.field == "pattern" {
-			wantFields = 2
-		}
-		if len(fields) < wantFields {
+		rtok, rest := field(line)
+		ctok, rest := field(rest)
+		vtok, _ := field(rest)
+		if ctok == nil || (!pattern && vtok == nil) {
 			return nil, fmt.Errorf("mm: entry %d malformed: %q", read, line)
 		}
-		ri, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("mm: entry %d row: %w", read, err)
-		}
-		ci, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("mm: entry %d col: %w", read, err)
+		ri, rok := atoi(rtok)
+		ci, cok := atoi(ctok)
+		if !rok || !cok {
+			return nil, fmt.Errorf("mm: entry %d indices %q %q are not integers", read, rtok, ctok)
 		}
 		v := 1.0
-		if h.field != "pattern" {
-			v, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("mm: entry %d value: %w", read, err)
+		if !pattern {
+			var perr error
+			if v, perr = strconv.ParseFloat(unsafe.String(&vtok[0], len(vtok)), 64); perr != nil {
+				return nil, fmt.Errorf("mm: entry %d value %q: %w", read, vtok, numCause(perr))
 			}
 		}
 		// MatrixMarket is 1-indexed.
-		r0, c0 := int32(ri-1), int32(ci-1)
-		if r0 < 0 || int(r0) >= rows || c0 < 0 || int(c0) >= rows {
-			return nil, fmt.Errorf("mm: entry %d (%d,%d) out of range for N=%d", read, ri, ci, rows)
+		if ri < 1 || ri > n || ci < 1 || ci > n {
+			return nil, fmt.Errorf("mm: entry %d (%d,%d) out of range for N=%d", read, ri, ci, n)
 		}
+		r0, c0 := int32(ri-1), int32(ci-1)
 		m.Append(r0, c0, v)
 		if h.symmetry != General && r0 != c0 {
 			mv := v
@@ -170,7 +164,6 @@ func Read(r io.Reader) (*sparse.COO, error) {
 			}
 			m.Append(c0, r0, mv)
 		}
-		read++
 	}
 	m.SortRowMajor()
 	m.DedupSum()
@@ -178,6 +171,132 @@ func Read(r io.Reader) (*sparse.COO, error) {
 		return nil, fmt.Errorf("mm: parsed matrix invalid: %w", err)
 	}
 	return m, nil
+}
+
+// parseSize reads the "rows cols nnz" line of a square matrix and returns
+// the dimension and the entry count. It takes exactly three integer
+// fields: trailing garbage ("4 4 5 junk") must reject a corrupt upload,
+// not mis-read it as 4×4/5.
+func parseSize(line []byte) (int, int, error) {
+	f0, rest := field(line)
+	f1, rest := field(rest)
+	f2, rest := field(rest)
+	if f3, _ := field(rest); f2 == nil || f3 != nil {
+		return 0, 0, fmt.Errorf("mm: bad size line %q: want exactly \"rows cols nnz\"", line)
+	}
+	rows, ok0 := atoi(f0)
+	cols, ok1 := atoi(f1)
+	nnz, ok2 := atoi(f2)
+	switch {
+	case !ok0 || !ok1 || !ok2:
+		return 0, 0, fmt.Errorf("mm: bad size line %q: fields must be integers", line)
+	case rows != cols:
+		return 0, 0, fmt.Errorf("mm: non-square matrix %dx%d not supported", rows, cols)
+	case rows <= 0 || nnz < 0:
+		return 0, 0, fmt.Errorf("mm: invalid size line: rows=%d nnz=%d", rows, nnz)
+	case rows > math.MaxInt32:
+		return 0, 0, fmt.Errorf("mm: dimension %d exceeds the int32 index range", rows)
+	}
+	return rows, nnz, nil
+}
+
+// numCause strips a strconv.NumError down to its cause (ErrSyntax or
+// ErrRange): the NumError carries the parsed text, which the caller has
+// already copied into the message, and dropping it keeps the returned
+// error from holding any string derived from the input's backing array.
+func numCause(err error) error {
+	if ne, ok := err.(*strconv.NumError); ok {
+		return ne.Err
+	}
+	return err
+}
+
+// lineScanner walks data line by line without copying. A line ends at
+// '\n'; the last line may lack one.
+type lineScanner struct{ rest []byte }
+
+func (s *lineScanner) next() ([]byte, bool) {
+	if len(s.rest) == 0 {
+		return nil, false
+	}
+	line := s.rest
+	if i := bytes.IndexByte(line, '\n'); i >= 0 {
+		line, s.rest = line[:i], line[i+1:]
+	} else {
+		s.rest = nil
+	}
+	return line, true
+}
+
+// nextContent returns the next line that is neither blank nor a '%'
+// comment, trimmed of surrounding whitespace.
+func (s *lineScanner) nextContent() ([]byte, bool) {
+	for {
+		line, ok := s.next()
+		if !ok {
+			return nil, false
+		}
+		for len(line) > 0 && isSpace(line[0]) {
+			line = line[1:]
+		}
+		for len(line) > 0 && isSpace(line[len(line)-1]) {
+			line = line[:len(line)-1]
+		}
+		if len(line) > 0 && line[0] != '%' {
+			return line, true
+		}
+	}
+}
+
+// spaceMask has bit c set for each intra-line whitespace byte c.
+const spaceMask = 1<<' ' | 1<<'\t' | 1<<'\v' | 1<<'\f' | 1<<'\r'
+
+func isSpace(c byte) bool { return c <= ' ' && spaceMask&(uint64(1)<<c) != 0 }
+
+// field splits the first whitespace-separated token off s; tok is nil when
+// s holds no token.
+func field(s []byte) (tok, rest []byte) {
+	i := 0
+	for i < len(s) && isSpace(s[i]) {
+		i++
+	}
+	if i == len(s) {
+		return nil, nil
+	}
+	j := i + 1
+	for j < len(s) && !isSpace(s[j]) {
+		j++
+	}
+	return s[i:j], s[j:]
+}
+
+// atoi parses a decimal integer with the syntax and range strconv.Atoi
+// accepts — an optional sign, at least one digit, int64 range — without
+// converting b to a string.
+func atoi(b []byte) (int, bool) {
+	neg := false
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		neg = b[0] == '-'
+		b = b[1:]
+	}
+	if len(b) == 0 {
+		return 0, false
+	}
+	var n uint64
+	for _, c := range b {
+		d := c - '0'
+		if d > 9 || n > (1<<63)/10 {
+			return 0, false
+		}
+		n = n*10 + uint64(d)
+	}
+	switch {
+	case neg && n <= 1<<63:
+		return int(-n), true
+	case !neg && n <= math.MaxInt64:
+		return int(n), true
+	}
+	return 0, false
 }
 
 // Write emits m as a general real coordinate MatrixMarket stream.
@@ -196,13 +315,4 @@ func Write(w io.Writer, m *sparse.COO) error {
 		}
 	}
 	return bw.Flush()
-}
-
-func firstErr(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
 }

@@ -8,6 +8,7 @@ package tile
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -340,14 +341,25 @@ func (g *Grid) PanelUniqRowsScratch(tr int, keep func(i int) bool, seen []bool) 
 	return n, seen
 }
 
-// Validate checks the grid's structural invariants: tiles ordered by
-// (TR, TC), spans contiguous and covering, stats consistent, and all
-// nonzeros inside their tile's bounds. Slice lengths and span bounds are
-// checked before any indexing: hotcore.ReadPlan runs this on gob-decoded
-// grids, where a corrupt stream can produce ragged coordinate slices or
-// spans pointing past them, and Validate must reject those rather than
-// panic.
+// Validate checks the grid's structural invariants: geometry consistent
+// with N and the tile size, tiles ordered by (TR, TC) inside the grid,
+// panel starts matching the tiles, spans contiguous and covering, stats
+// consistent, and all nonzeros inside both their tile and the matrix.
+// Slice lengths, tile coordinates and span bounds are checked before any
+// indexing: hotcore.ReadPlan runs this on gob-decoded grids and then
+// derives the hot and cold sections from them, so Validate must reject a
+// corrupt stream rather than let it panic there.
 func (g *Grid) Validate() error {
+	if g.N <= 0 || g.N > math.MaxInt32 || g.TileH <= 0 || g.TileW <= 0 {
+		return fmt.Errorf("tile: invalid geometry N=%d tile %dx%d", g.N, g.TileH, g.TileW)
+	}
+	if g.NumTR != (g.N-1)/g.TileH+1 || g.NumTC != (g.N-1)/g.TileW+1 {
+		return fmt.Errorf("tile: %dx%d tile grid does not fit N=%d with %dx%d tiles",
+			g.NumTR, g.NumTC, g.N, g.TileH, g.TileW)
+	}
+	if len(g.PanelStart) != g.NumTR+1 {
+		return fmt.Errorf("tile: %d panel starts for %d panels", len(g.PanelStart), g.NumTR)
+	}
 	if len(g.Rows) != len(g.Vals) || len(g.Cols) != len(g.Vals) {
 		return fmt.Errorf("tile: ragged coordinate slices: rows=%d cols=%d vals=%d",
 			len(g.Rows), len(g.Cols), len(g.Vals))
@@ -355,6 +367,9 @@ func (g *Grid) Validate() error {
 	prev := 0
 	for i := range g.Tiles {
 		t := &g.Tiles[i]
+		if t.TR < 0 || t.TR >= g.NumTR || t.TC < 0 || t.TC >= g.NumTC {
+			return fmt.Errorf("tile: tile %d at (%d,%d) outside the %dx%d grid", i, t.TR, t.TC, g.NumTR, g.NumTC)
+		}
 		if t.Start != prev {
 			return fmt.Errorf("tile: tile %d span starts at %d, want %d", i, t.Start, prev)
 		}
@@ -371,8 +386,8 @@ func (g *Grid) Validate() error {
 				return fmt.Errorf("tile: tiles out of order at %d", i)
 			}
 		}
-		rlo, rhi := t.TR*g.TileH, (t.TR+1)*g.TileH
-		clo, chi := t.TC*g.TileW, (t.TC+1)*g.TileW
+		rlo, rhi := g.PanelRows(t.TR)
+		clo, chi := t.TC*g.TileW, min(t.TC*g.TileW+g.TileW, g.N)
 		for j := t.Start; j < t.End; j++ {
 			if int(g.Rows[j]) < rlo || int(g.Rows[j]) >= rhi ||
 				int(g.Cols[j]) < clo || int(g.Cols[j]) >= chi {
@@ -386,6 +401,15 @@ func (g *Grid) Validate() error {
 	}
 	if prev != len(g.Vals) {
 		return fmt.Errorf("tile: tiles cover %d nonzeros, want %d", prev, len(g.Vals))
+	}
+	ti := 0
+	for tr, start := range g.PanelStart {
+		for ti < len(g.Tiles) && g.Tiles[ti].TR < tr {
+			ti++
+		}
+		if start != ti {
+			return fmt.Errorf("tile: panel %d starts at tile %d, want %d", tr, start, ti)
+		}
 	}
 	return nil
 }

@@ -223,4 +223,30 @@ func TestValidateDetectsCorruption(t *testing.T) {
 			t.Fatal("expected contiguity error")
 		}
 	}
+
+	// Geometry damage, the shapes a corrupt plan file can decode into.
+	// 7-row tiles leave a 6-row last panel on N=20.
+	for name, corrupt := range map[string]func(g *Grid){
+		"zero tile height":   func(g *Grid) { g.TileH = 0 },
+		"panel count":        func(g *Grid) { g.NumTR++ },
+		"panel starts short": func(g *Grid) { g.PanelStart = g.PanelStart[:g.NumTR] },
+		"panel start moved":  func(g *Grid) { g.PanelStart[1]++ },
+		"tile outside grid":  func(g *Grid) { g.Tiles[len(g.Tiles)-1].TC = g.NumTC },
+		"nonzero beyond N": func(g *Grid) {
+			last := g.Tiles[len(g.Tiles)-1]
+			g.Rows[last.Start] = int32(g.N)
+		},
+	} {
+		g4, err := Partition(m, 7, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g4.Tiles[len(g4.Tiles)-1].TR != g4.NumTR-1 {
+			t.Fatal("test matrix has no nonzero in the last panel")
+		}
+		corrupt(g4)
+		if g4.Validate() == nil {
+			t.Errorf("%s: corrupt grid validated", name)
+		}
+	}
 }
