@@ -17,12 +17,13 @@ COVER_FLOORS = repro/internal/obs:80 repro/internal/workload:80
 # Seconds of coverage-guided fuzzing per fuzzer in `make fuzz`.
 FUZZTIME ?= 10s
 
-.PHONY: help ci vet fmtcheck build lint shadow test race bench benchsmoke benchcmp cover fuzz golden servesmoke worksmoke
+.PHONY: help ci vet benchvet fmtcheck build lint shadow test race bench benchsmoke benchcmp cover fuzz golden servesmoke worksmoke
 
-ci: vet fmtcheck build lint shadow race cover benchsmoke benchcmp servesmoke worksmoke
+ci: vet benchvet fmtcheck build lint shadow race cover benchsmoke benchcmp servesmoke worksmoke
 
 help:
-	@echo "make ci          - full gate: vet, fmtcheck, build, lint, shadow, race, cover, benchsmoke"
+	@echo "make ci          - full gate: vet, benchvet, fmtcheck, build, lint, shadow, race, cover, benchsmoke"
+	@echo "make benchvet    - vet the bench/ module (its own go.mod) against this tree's API"
 	@echo "make test        - go test ./..."
 	@echo "make race        - go test -race ./..."
 	@echo "make bench       - run the tracked benchmarks (engine, tiler, model, fan-out)"
@@ -41,6 +42,12 @@ help:
 
 vet:
 	$(GO) vet ./...
+
+# benchvet vets the repository benchmark, a separate module (bench/go.mod,
+# replace repro => ../) that `./...` above does not reach: an internal API
+# change that breaks it fails here instead of in the benchmark run.
+benchvet:
+	cd bench && $(GO) vet ./...
 
 # fmtcheck fails when any file is not gofmt-clean (testdata included; the
 # analyzer fixtures are real Go code and drift there is just as confusing).

@@ -1,7 +1,7 @@
 package hottiles
 
 // The benchmark harness regenerates every table and figure of the paper's
-// evaluation (one BenchmarkFigNN/BenchmarkTableNN per artifact; see
+// evaluation (BenchmarkStudies/<name>, one per registered study; see
 // DESIGN.md §7 for the experiment index) plus microbenchmarks of the
 // pipeline stages and the ablations DESIGN.md §8 calls out. Experiment
 // benches run the full study at a coarse matrix scale per iteration;
@@ -10,6 +10,7 @@ package hottiles
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -34,115 +35,18 @@ func newEnv(i int) *experiments.Env {
 	return experiments.NewEnv(benchScale, int64(i+1))
 }
 
-func BenchmarkFig4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := newEnv(i).Fig4(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := newEnv(i).Fig5(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := newEnv(i).Fig10(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := newEnv(i).Fig11(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := newEnv(i).Fig12(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig13(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := newEnv(i).Fig13(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := newEnv(i).Fig14(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig15(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := newEnv(i).Fig15(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig16(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := newEnv(i).Fig16(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig17(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := newEnv(i).Fig17(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig18(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := newEnv(i).Fig18(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTableVI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := newEnv(i).TableVI(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTableVII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := newEnv(i).TableVII(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTableIX(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := newEnv(i).TableIX(); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkStudies runs every registered study (experiments.Studies) once
+// per iteration, each on a fresh Env, as sub-benchmark Studies/<name>.
+func BenchmarkStudies(b *testing.B) {
+	for _, st := range experiments.Studies {
+		st := st
+		b.Run(st.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := st.Run(context.Background(), newEnv(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -302,7 +206,7 @@ func BenchmarkPreprocessPipeline(b *testing.B) {
 	a := arch.SpadeSextans(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := Partition(m, &a, StrategyHotTiles, 2, 0)
+		plan, err := PartitionCtx(context.Background(), m, &a, PartitionOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -597,7 +501,7 @@ func BenchmarkCalibrate(b *testing.B) {
 func BenchmarkPlanSerialization(b *testing.B) {
 	m := benchMatrix()
 	a := arch.SpadeSextans(4)
-	plan, err := Partition(m, &a, StrategyHotTiles, 2, 0)
+	plan, err := PartitionCtx(context.Background(), m, &a, PartitionOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

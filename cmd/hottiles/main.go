@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -187,7 +188,7 @@ func main() {
 		fmt.Printf("loaded plan from %s\n", *loadPlan)
 	} else {
 		partSp := tr.Phase("partition").Start(*strategy)
-		plan, err = hottiles.PartitionWith(m, &a, hottiles.PartitionOptions{
+		plan, err = hottiles.PartitionCtx(context.Background(), m, &a, hottiles.PartitionOptions{
 			Strategy:  strat,
 			OpsPerMAC: *opsPerMAC,
 			Kernel:    kernel,

@@ -35,7 +35,7 @@ func fakeDaemon(t *testing.T) *httptest.Server {
 		}
 		a := hottiles.SpadeSextans(4)
 		a.TileH, a.TileW = 64, 64
-		plan, err := hottiles.Partition(m, &a, hottiles.StrategyHotTiles, 2, 1)
+		plan, err := hottiles.PartitionCtx(r.Context(), m, &a, hottiles.PartitionOptions{Seed: 1})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -3,22 +3,20 @@
 //
 // Usage:
 //
-//	spmmsim [-scale N] [-seed S] fig4 fig5 fig10 fig11 fig12 fig13 fig14 \
-//	        fig15 fig16 fig17 fig18 tab6 tab7 tab9 | all
+//	spmmsim [-scale N] [-seed S] <experiment>... | all
 //
+// The experiments are the registry experiments.Studies, in its order.
 // The -scale flag divides the paper's matrix sizes (DESIGN.md §2); 64 runs
 // the full evaluation in minutes on a laptop.
 package main
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -26,8 +24,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 )
-
-type runner func(ctx context.Context, e *experiments.Env, w io.Writer) error
 
 // studyWallHist records each experiment's end-to-end wall time.
 var studyWallHist = obs.NewHistogram("spmmsim.study.wall.ns")
@@ -46,6 +42,12 @@ func main() {
 	flag.Parse()
 
 	if flag.NArg() == 0 {
+		usage()
+		os.Exit(2)
+	}
+	studies, err := experiments.Resolve(flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "spmmsim:", err)
 		usage()
 		os.Exit(2)
 	}
@@ -69,10 +71,6 @@ func main() {
 	}
 	par.SetWorkers(*workers)
 	e := experiments.NewEnv(*scale, *seed)
-	names := flag.Args()
-	if len(names) == 1 && names[0] == "all" {
-		names = allNames()
-	}
 
 	// Any observability consumer turns on the deep-timing clock reads that
 	// feed the per-tile, per-step, and cache-lookup histograms.
@@ -93,7 +91,7 @@ func main() {
 		tr.SetConfig("scale", fmt.Sprint(*scale))
 		tr.SetConfig("seed", fmt.Sprint(*seed))
 		tr.SetConfig("par", fmt.Sprint(*workers))
-		tr.SetConfig("experiments", strings.Join(names, ","))
+		tr.SetConfig("experiments", strings.Join(studyNames(studies), ","))
 		e.SetTracer(tr)
 	}
 
@@ -102,14 +100,9 @@ func main() {
 	// its own).
 	ctx := context.Background()
 
-	studies := tl.Track("spmmsim/studies")
-	for _, name := range names {
-		r, ok := table[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "spmmsim: unknown experiment %q\n", name)
-			usage()
-			os.Exit(2)
-		}
+	track := tl.Track("spmmsim/studies")
+	for _, st := range studies {
+		name := st.Name
 		start := time.Now()
 		fmt.Printf("==== %s ====\n", name)
 		// Render through a buffer so the manifest can hash exactly the bytes
@@ -121,8 +114,11 @@ func main() {
 		}
 		doneProgress := obs.StartProgress(name)
 		sp := tr.Root().Start(name)
-		slice := studies.Start(name)
-		err := r(ctx, e, w)
+		slice := track.Start(name)
+		res, err := st.Run(ctx, e)
+		if err == nil {
+			res.Render(w)
+		}
 		slice.End()
 		sp.End()
 		doneProgress()
@@ -172,197 +168,13 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-var table = map[string]runner{
-	"fig4": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		studies, err := e.Fig4()
-		if err != nil {
-			return err
-		}
-		for _, st := range studies {
-			st.Render(w)
-		}
-		return nil
-	},
-	"fig5": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		f, err := e.Fig5()
-		if err != nil {
-			return err
-		}
-		f.Render(w)
-		return nil
-	},
-	"fig10": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		st, err := e.Fig10()
-		if err != nil {
-			return err
-		}
-		st.Render(w)
-		return nil
-	},
-	"fig11": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		st, err := e.Fig11()
-		if err != nil {
-			return err
-		}
-		st.Render(w)
-		return nil
-	},
-	"fig12": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		f, err := e.Fig12()
-		if err != nil {
-			return err
-		}
-		f.Render(w)
-		return nil
-	},
-	"fig13": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		f, err := e.Fig13()
-		if err != nil {
-			return err
-		}
-		f.Render(w)
-		return nil
-	},
-	"fig14": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		f, err := e.Fig14()
-		if err != nil {
-			return err
-		}
-		f.Render(w)
-		return nil
-	},
-	"fig15": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		studies, err := e.Fig15()
-		if err != nil {
-			return err
-		}
-		for _, st := range studies {
-			st.Render(w)
-		}
-		return nil
-	},
-	"fig16": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		f, err := e.Fig16()
-		if err != nil {
-			return err
-		}
-		f.Render(w)
-		return nil
-	},
-	"fig17": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		f, err := e.Fig17()
-		if err != nil {
-			return err
-		}
-		f.Render(w)
-		return nil
-	},
-	"fig18": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		f, err := e.Fig18()
-		if err != nil {
-			return err
-		}
-		f.Render(w)
-		return nil
-	},
-	"tab6": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		t, err := e.TableVI()
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	},
-	"tab7": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		t, err := e.TableVII()
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	},
-	"tab9": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		t, err := e.TableIX()
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	},
-	// Beyond the paper: the §IX-D/§X reordering ablation.
-	"reorder": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		r, err := e.Reorder()
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	},
-	// Beyond the paper: §X's SpMV and SDDMM kernels on the suite.
-	"kernels": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		k, err := e.Kernels()
-		if err != nil {
-			return err
-		}
-		k.Render(w)
-		return nil
-	},
-	// Beyond the paper: robustness of the partitioning to vis_lat
-	// miscalibration (DESIGN.md §8).
-	"vislat": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		v, err := e.VisLat()
-		if err != nil {
-			return err
-		}
-		v.Render(w)
-		return nil
-	},
-	// Beyond the paper: the §VI-B multi-layer GNN inference loop, one plan
-	// amortized across layers (DESIGN.md §15).
-	"gnn": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		g, err := e.GNN(ctx)
-		if err != nil {
-			return err
-		}
-		g.Render(w)
-		return nil
-	},
-	// Beyond the paper: evolving graphs with the model-driven re-plan
-	// trigger — the staleness-vs-re-plan-cost sweep (DESIGN.md §15).
-	"evolve": func(ctx context.Context, e *experiments.Env, w io.Writer) error {
-		s, err := e.Evolve(ctx)
-		if err != nil {
-			return err
-		}
-		s.Render(w)
-		return nil
-	},
-}
-
-func allNames() []string {
-	names := make([]string, 0, len(table))
-	for n := range table {
-		names = append(names, n)
+// studyNames lists the names of studies, in order.
+func studyNames(studies []experiments.Study) []string {
+	names := make([]string, len(studies))
+	for i, st := range studies {
+		names[i] = st.Name
 	}
-	slices.SortFunc(names, func(a, b string) int {
-		// figNN before tabN (numerically), extras last alphabetically.
-		if ka, kb := orderKey(a), orderKey(b); ka != kb {
-			return cmp.Compare(ka, kb)
-		}
-		return strings.Compare(a, b)
-	})
 	return names
-}
-
-func orderKey(n string) int {
-	var num int
-	if _, err := fmt.Sscanf(n, "fig%d", &num); err == nil {
-		return num
-	}
-	if _, err := fmt.Sscanf(n, "tab%d", &num); err == nil {
-		return 100 + num
-	}
-	return 1000
 }
 
 func usage() {
@@ -370,6 +182,6 @@ func usage() {
 
 experiments: %v
 or "all" to run everything.
-`, allNames())
+`, studyNames(experiments.Studies))
 	flag.PrintDefaults()
 }

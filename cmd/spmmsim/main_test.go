@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -12,52 +16,57 @@ import (
 	"repro/internal/par"
 )
 
-func TestAllNamesOrdered(t *testing.T) {
-	names := allNames()
-	if len(names) != len(table) {
-		t.Fatalf("%d names for %d experiments", len(names), len(table))
-	}
-	// Figures first, numerically; then tables; extras last.
-	want := []string{"fig4", "fig5", "fig10", "fig11", "fig12", "fig13",
-		"fig14", "fig15", "fig16", "fig17", "fig18", "tab6", "tab7", "tab9",
-		"evolve", "gnn", "kernels", "reorder", "vislat"}
-	if len(names) != len(want) {
-		t.Fatalf("names = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("names[%d] = %s, want %s (full: %v)", i, names[i], want[i], names)
-		}
-	}
-}
-
-func TestOrderKey(t *testing.T) {
-	if orderKey("fig4") >= orderKey("fig10") {
-		t.Fatal("figure ordering wrong")
-	}
-	if orderKey("fig18") >= orderKey("tab6") {
-		t.Fatal("tables must follow figures")
-	}
-	if orderKey("tab9") >= orderKey("reorder") {
-		t.Fatal("extras must come last")
-	}
-}
-
 func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness sweep")
 	}
 	// One smoke execution of every registered experiment at a very coarse
 	// scale; failures here mean the CLI would crash.
-	for _, name := range allNames() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			e := newTestEnv()
-			if err := table[name](context.Background(), e, io.Discard); err != nil {
+	for _, st := range experiments.Studies {
+		st := st
+		t.Run(st.Name, func(t *testing.T) {
+			res, err := st.Run(context.Background(), newTestEnv())
+			if err != nil {
 				t.Fatal(err)
 			}
+			res.Render(io.Discard)
 		})
 	}
+}
+
+// TestUnknownExperimentFailsFirst runs the CLI itself (this test binary,
+// re-entered through TestMain) with a typo after a valid name, and before
+// it: either way it must exit 2 before printing any study output.
+func TestUnknownExperimentFailsFirst(t *testing.T) {
+	for _, args := range [][]string{{"fig10", "fgi11"}, {"fgi11", "fig10"}} {
+		cmd := exec.Command(os.Args[0], append([]string{"-scale", "1024"}, args...)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%v: err = %v, want exit status 2 (stderr: %s)", args, err, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("%v: printed study output before failing:\n%s", args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), `unknown experiment "fgi11"`) {
+			t.Fatalf("%v: stderr does not name the typo:\n%s", args, stderr.String())
+		}
+	}
+}
+
+// runMainEnv, set in a child process's environment, makes TestMain run the
+// CLI's main instead of the tests.
+const runMainEnv = "SPMMSIM_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
 }
 
 // newTestEnv returns a very coarse environment for smoke tests.
@@ -77,7 +86,11 @@ func TestTimelineChromeSchema(t *testing.T) {
 	par.SetTimeline(tl)
 	defer par.SetTimeline(nil)
 
-	if err := table["fig10"](context.Background(), e, io.Discard); err != nil {
+	fig10, err := experiments.Resolve([]string{"fig10"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fig10[0].Run(context.Background(), e); err != nil {
 		t.Fatal(err)
 	}
 

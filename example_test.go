@@ -20,7 +20,9 @@ func Example() {
 	a := hottiles.SpadeSextans(4)
 	a.TileH, a.TileW = 128, 128
 
-	plan, err := hottiles.Partition(m, &a, hottiles.StrategyHotTiles, 2, 0)
+	plan, err := hottiles.PartitionCtx(context.Background(), m, &a, hottiles.PartitionOptions{
+		Strategy: hottiles.StrategyHotTiles,
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -44,15 +46,15 @@ func Example() {
 	// ran faster than predicted*10: true
 }
 
-// ExamplePartitionWith demonstrates kernel selection: the same matrix
+// ExamplePartitionCtx demonstrates kernel selection: the same matrix
 // partitioned for SDDMM, whose output is sparse.
-func ExamplePartitionWith() {
+func ExamplePartitionCtx() {
 	rng := rand.New(rand.NewSource(2))
 	m := gen.PowerLaw(rng, 2048, 8, 2.1)
 	a := hottiles.SpadeSextans(4)
 	a.TileH, a.TileW = 128, 128
 
-	plan, err := hottiles.PartitionWith(m, &a, hottiles.PartitionOptions{
+	plan, err := hottiles.PartitionCtx(context.Background(), m, &a, hottiles.PartitionOptions{
 		Strategy: hottiles.StrategyHotTiles,
 		Kernel:   hottiles.KernelSDDMM,
 	})

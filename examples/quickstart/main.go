@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -41,7 +42,9 @@ func main() {
 		hottiles.StrategyIUnaware,
 		hottiles.StrategyHotTiles,
 	} {
-		plan, err := hottiles.Partition(m, &a, s, 2, 7)
+		plan, err := hottiles.PartitionCtx(context.Background(), m, &a, hottiles.PartitionOptions{
+			Strategy: s, Seed: 7,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

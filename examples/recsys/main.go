@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -33,7 +34,7 @@ func main() {
 
 	fmt.Printf("%-8s%14s%12s%16s\n", "kernel", "runtime (ms)", "hot nnz %", "traffic (MB)")
 	for _, kernel := range []hottiles.Kernel{hottiles.KernelSpMM, hottiles.KernelSDDMM} {
-		plan, err := hottiles.PartitionWith(interactions, &a, hottiles.PartitionOptions{
+		plan, err := hottiles.PartitionCtx(context.Background(), interactions, &a, hottiles.PartitionOptions{
 			Strategy: hottiles.StrategyHotTiles,
 			Kernel:   kernel,
 		})

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -42,7 +43,9 @@ func main() {
 		for _, s := range []hottiles.Strategy{
 			hottiles.StrategyHotTiles, hottiles.StrategyColdOnly, hottiles.StrategyHotOnly,
 		} {
-			plan, err := hottiles.Partition(m, &a, s, sr.OpsPerMAC, 0)
+			plan, err := hottiles.PartitionCtx(context.Background(), m, &a, hottiles.PartitionOptions{
+				Strategy: s, OpsPerMAC: sr.OpsPerMAC,
+			})
 			if err != nil {
 				log.Fatal(err)
 			}

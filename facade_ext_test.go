@@ -2,6 +2,7 @@ package hottiles
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 func TestPartitionWithSpMVEndToEnd(t *testing.T) {
 	m := demoMatrix(10)
 	a := demoArch()
-	plan, err := PartitionWith(m, &a, PartitionOptions{
+	plan, err := PartitionCtx(context.Background(), m, &a, PartitionOptions{
 		Strategy: StrategyHotTiles,
 		Kernel:   KernelSpMV,
 	})
@@ -40,7 +41,7 @@ func TestPartitionWithSpMVEndToEnd(t *testing.T) {
 func TestPartitionWithSDDMMEndToEnd(t *testing.T) {
 	m := demoMatrix(11)
 	a := demoArch()
-	plan, err := PartitionWith(m, &a, PartitionOptions{
+	plan, err := PartitionCtx(context.Background(), m, &a, PartitionOptions{
 		Strategy: StrategyHotTiles,
 		Kernel:   KernelSDDMM,
 	})
@@ -124,7 +125,7 @@ func TestBenchmarkBuildViaFacade(t *testing.T) {
 func TestPlanPersistenceViaFacade(t *testing.T) {
 	m := demoMatrix(15)
 	a := demoArch()
-	plan, err := Partition(m, &a, StrategyHotTiles, 2, 0)
+	plan, err := PartitionCtx(context.Background(), m, &a, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestPlanPersistenceViaFacade(t *testing.T) {
 func TestSimulateTraceViaFacade(t *testing.T) {
 	m := demoMatrix(16)
 	a := demoArch()
-	plan, err := Partition(m, &a, StrategyHotTiles, 2, 0)
+	plan, err := PartitionCtx(context.Background(), m, &a, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

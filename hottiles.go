@@ -18,11 +18,11 @@
 //     (§VIII-B).
 //
 // The typical flow is: build or load a sparse matrix, pick an architecture,
-// Partition it, then Simulate:
+// partition it with PartitionCtx, then Simulate:
 //
 //	m, _ := hottiles.ReadMatrixMarket(f)
 //	a := hottiles.SpadeSextans(4)
-//	plan, _ := hottiles.Partition(m, &a, hottiles.StrategyHotTiles, 2, 0)
+//	plan, _ := hottiles.PartitionCtx(ctx, m, &a, hottiles.PartitionOptions{Strategy: hottiles.StrategyHotTiles})
 //	res, _ := hottiles.Simulate(plan, &a, din, hottiles.SimOptions{})
 //
 // The runnable examples under examples/ and the experiment harness behind
@@ -112,7 +112,9 @@ const (
 	KernelSDDMM = model.KernelSDDMM
 )
 
-// PartitionOptions configures PartitionWith beyond the plain-SpMM defaults.
+// PartitionOptions configures PartitionCtx: the strategy (HotTiles is the
+// zero value), the gSpMM intensity (0 means plain SpMM's 2), the kernel
+// (SpMM, SpMV, SDDMM) and IUnaware's seed.
 type PartitionOptions = hotcore.Options
 
 // The four HotTiles heuristics (paper Table II).
@@ -164,20 +166,6 @@ func WriteMatrixMarket(w io.Writer, m *Matrix) error { return mm.Write(w, m) }
 
 // NewDense returns an N×K zero dense matrix.
 func NewDense(n, k int) *Dense { return dense.NewMatrix(n, k) }
-
-// Partition runs the Figure 7 preprocessing pipeline: tile the matrix, model
-// every tile for both worker types, partition with the chosen strategy, and
-// emit the per-worker-type sparse formats. opsPerMAC carries the semiring's
-// arithmetic-intensity factor (2 = plain SpMM); seed feeds IUnaware's random
-// assignment.
-func Partition(m *Matrix, a *Arch, strategy Strategy, opsPerMAC float64, seed int64) (*Plan, error) {
-	return hotcore.Preprocess(m, a, strategy, opsPerMAC, seed)
-}
-
-// PartitionWith is Partition with full kernel control (SpMV, SDDMM).
-func PartitionWith(m *Matrix, a *Arch, o PartitionOptions) (*Plan, error) {
-	return hotcore.PreprocessOpts(m, a, o)
-}
 
 // Simulate executes a Plan on its architecture with the fluid event-driven
 // simulator, returning timing, traffic, utilization statistics and (unless
@@ -276,10 +264,12 @@ func WritePlan(w io.Writer, p *Plan) error { return hotcore.WritePlan(w, p) }
 // Plans written under an older wire layout are rejected; rebuild them.
 func ReadPlan(r io.Reader) (*Plan, error) { return hotcore.ReadPlan(r) }
 
-// PartitionCtx is PartitionWith with context cancellation: the pipeline
-// checks ctx at each stage boundary, so a canceled caller (a timed-out
-// hottilesd request, an interrupted batch job) stops paying for the scan,
-// model, partition and format stages it no longer needs.
+// PartitionCtx runs the Figure 7 preprocessing pipeline: tile the matrix,
+// model every tile for both worker types, partition with o.Strategy, and
+// emit the per-worker-type sparse formats. The pipeline checks ctx at each
+// stage boundary, so a canceled caller (a timed-out hottilesd request, an
+// interrupted batch job) stops paying for the scan, model, partition and
+// format stages it no longer needs; pass context.Background() for none.
 func PartitionCtx(ctx context.Context, m *Matrix, a *Arch, o PartitionOptions) (*Plan, error) {
 	return hotcore.PreprocessCtx(ctx, m, a, o)
 }

@@ -2,6 +2,7 @@ package hottiles
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func demoArch() Arch {
 func TestPartitionAndSimulateEndToEnd(t *testing.T) {
 	m := demoMatrix(1)
 	a := demoArch()
-	plan, err := Partition(m, &a, StrategyHotTiles, 2, 0)
+	plan, err := PartitionCtx(context.Background(), m, &a, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestSimulateGuards(t *testing.T) {
 	}
 	p := PIUMA()
 	p.TileH, p.TileW = 128, 128
-	plan, err := Partition(m, &p, StrategyHotTiles, 2, 0)
+	plan, err := PartitionCtx(context.Background(), m, &p, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

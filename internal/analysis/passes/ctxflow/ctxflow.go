@@ -20,9 +20,9 @@
 //     literals inside the function may use any context the enclosing body
 //     ever derived (captured contexts are threaded, not minted).
 //
-// The pass cannot see a context-capable sibling called through its
-// context-free wrapper (PreprocessOpts calling PreprocessCtx is invisible
-// at the wrapper's callsites); that interprocedural gap is documented in
+// The pass cannot see a context-capable sibling called through a
+// context-free wrapper (a wrapper minting a root for PreprocessCtx would be
+// invisible at its callsites); that interprocedural gap is documented in
 // DESIGN.md §16 and held shut by rule 1.
 package ctxflow
 

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§VIII) on the scaled synthetic benchmark suite: Figures 4, 5,
 // 10-18 and Tables VI, VII, IX. Each experiment returns a typed result and
-// renders the same rows/series the paper reports; the cmd/spmmsim binary
-// prints them and EXPERIMENTS.md records paper-vs-measured.
+// renders the same rows/series the paper reports. Studies registers them
+// all; cmd/spmmsim prints them and EXPERIMENTS.md records paper-vs-measured.
 package experiments
 
 import (
@@ -10,6 +10,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/arch"
@@ -156,13 +157,36 @@ func (e *Env) archPtr(a arch.Arch) (*arch.Arch, error) {
 	})
 }
 
-// Strategy identifiers reused across experiments.
+// Strategy identifiers reused across experiments. A strategy may also
+// force one HotTiles heuristic, spelled "heur:<Heuristic>" (heurStrategy).
 const (
 	StratHotOnly  = "HotOnly"
 	StratColdOnly = "ColdOnly"
 	StratIUnaware = "IUnaware"
 	StratHotTiles = "HotTiles"
 )
+
+// heuristics are the four HotTiles subproblems (Table II), in Figure 12's
+// column order.
+var heuristics = []partition.Heuristic{
+	partition.MinTimeParallel, partition.MinTimeSerial,
+	partition.MinByteParallel, partition.MinByteSerial,
+}
+
+// heurStrategy is the strategy that forces heuristic h (Figure 12).
+func heurStrategy(h partition.Heuristic) string { return "heur:" + h.String() }
+
+// heuristicOf reports the heuristic a "heur:" strategy forces.
+func heuristicOf(strat string) (partition.Heuristic, bool) {
+	if name, ok := strings.CutPrefix(strat, "heur:"); ok {
+		for _, h := range heuristics {
+			if h.String() == name {
+				return h, true
+			}
+		}
+	}
+	return 0, false
+}
 
 // runOut is one cached simulated execution.
 type runOut struct {
@@ -174,10 +198,16 @@ type runOut struct {
 
 // exec runs strategy strat for benchmark b on architecture a (with the
 // arch's tile size overridden to the Env's) and caches the outcome.
-// opsPerMAC carries the gSpMM intensity (2 = plain SpMM).
+// opsPerMAC carries the gSpMM intensity (2 = plain SpMM). Forced
+// heuristics are only run for plain SpMM (Figure 12), so their cache key
+// carries no intensity; callers pass 2.
 func (e *Env) exec(a arch.Arch, b gen.Benchmark, strat string, opsPerMAC float64) (*runOut, error) {
 	a.TileH, a.TileW = e.TileSize(), e.TileSize()
+	h, isHeur := heuristicOf(strat)
 	key := fmt.Sprintf("%s|%s|%s|%g", a.Name, b.Short, strat, opsPerMAC)
+	if isHeur {
+		key = fmt.Sprintf("%s|%s|%s", a.Name, b.Short, strat)
+	}
 	return e.runs.Get(key, func() (*runOut, error) {
 		done := obs.StartProgress("exec " + key)
 		defer done()
@@ -194,40 +224,35 @@ func (e *Env) exec(a arch.Arch, b gen.Benchmark, strat string, opsPerMAC float64
 
 		var part partition.Result
 		serial := false
-		switch strat {
-		case StratHotOnly:
-			hot := partition.AllHot(g)
-			pred, tot, predErr := partition.PredictFrom(es, &cfg, hot, false)
-			if predErr != nil {
-				return nil, predErr
-			}
-			part = partition.Result{Hot: hot, Predicted: pred, Totals: tot}
-		case StratColdOnly:
-			cold := partition.AllCold(g)
-			pred, tot, predErr := partition.PredictFrom(es, &cfg, cold, false)
-			if predErr != nil {
-				return nil, predErr
-			}
-			part = partition.Result{Hot: cold, Predicted: pred, Totals: tot}
-		case StratIUnaware:
+		switch {
+		case isHeur:
+			part, err = partition.RunHeuristicFrom(es, cfg, h)
+			serial = part.Serial
+		case strat == StratHotOnly:
+			part, err = homogeneous(es, &cfg, partition.AllHot(g))
+		case strat == StratColdOnly:
+			part, err = homogeneous(es, &cfg, partition.AllCold(g))
+		case strat == StratIUnaware:
 			part, err = partition.IUnawareFrom(es, cfg, e.Seed)
-			if err != nil {
-				return nil, err
-			}
-		case StratHotTiles:
+		case strat == StratHotTiles:
 			part, err = partition.HotTilesFrom(es, cfg)
-			if err != nil {
-				return nil, err
-			}
 			serial = part.Serial
 		default:
-			return nil, fmt.Errorf("experiments: unknown strategy %q", strat)
+			err = fmt.Errorf("experiments: unknown strategy %q", strat)
+		}
+		if err != nil {
+			return nil, err
 		}
 
 		// The simulator must see the same arithmetic intensity the
-		// partitioner planned for.
-		sr := semiring.PlusTimes()
-		sr.OpsPerMAC = opsPerMAC
+		// partitioner planned for; forced heuristics run the simulator's
+		// default semiring.
+		var sr *semiring.Semiring
+		if !isHeur {
+			s := semiring.PlusTimes()
+			s.OpsPerMAC = opsPerMAC
+			sr = &s
+		}
 		ap, err := e.archPtr(a)
 		if err != nil {
 			return nil, err
@@ -235,7 +260,7 @@ func (e *Env) exec(a arch.Arch, b gen.Benchmark, strat string, opsPerMAC float64
 		sim1 := sp.Start("sim")
 		r, err := sim.Run(g, part.Hot, ap, nil, sim.Options{
 			Serial:         serial,
-			Semiring:       &sr,
+			Semiring:       sr,
 			SkipFunctional: true,
 			Timeline:       e.timeline,
 			TimelineLabel:  key,
@@ -250,39 +275,11 @@ func (e *Env) exec(a arch.Arch, b gen.Benchmark, strat string, opsPerMAC float64
 	})
 }
 
-// execHeuristic forces one HotTiles heuristic (Figure 12).
-func (e *Env) execHeuristic(a arch.Arch, b gen.Benchmark, h partition.Heuristic) (*runOut, error) {
-	a.TileH, a.TileW = e.TileSize(), e.TileSize()
-	key := fmt.Sprintf("%s|%s|heur:%v", a.Name, b.Short, h)
-	return e.runs.Get(key, func() (*runOut, error) {
-		done := obs.StartProgress("exec " + key)
-		defer done()
-		t0 := time.Now()
-		defer func() { execWallHist.ObserveSince(t0) }()
-		es, err := e.estimates(&a, b, 2)
-		if err != nil {
-			return nil, err
-		}
-		sp := e.trace.Phase("exec").Start(key)
-		defer sp.End()
-		part, err := partition.RunHeuristicFrom(es, a.Config(2), h)
-		if err != nil {
-			return nil, err
-		}
-		ap, err := e.archPtr(a)
-		if err != nil {
-			return nil, err
-		}
-		r, err := sim.Run(es.Grid, part.Hot, ap, nil, sim.Options{
-			Serial: part.Serial, SkipFunctional: true,
-			Timeline: e.timeline, TimelineLabel: key,
-			Units: &e.units,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &runOut{Time: r.Time, Sim: r, Part: part, Predicted: part.Predicted}, nil
-	})
+// homogeneous is the result of sending every tile the way hot says, with
+// the model's prediction for it.
+func homogeneous(es *partition.Estimates, cfg *partition.Config, hot []bool) (partition.Result, error) {
+	pred, tot, err := partition.PredictFrom(es, cfg, hot, false)
+	return partition.Result{Hot: hot, Predicted: pred, Totals: tot}, err
 }
 
 // Verify functionally executes benchmark b's HotTiles partitioning on

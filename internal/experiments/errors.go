@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/gen"
-	"repro/internal/par"
 )
 
 // Fig17Result is the prediction-error study: per matrix and architecture,
@@ -34,45 +33,26 @@ type Fig17Row struct {
 }
 
 // Fig17 reproduces the prediction-error figure on SPADE-Sextans (scale 4)
-// and PIUMA. All (arch, benchmark, strategy) cells run concurrently; the
-// serial reduction walks them in the original nesting order.
+// and PIUMA: the predicted and simulated times of the strategy grid.
 func (e *Env) Fig17() (*Fig17Result, error) {
-	archs := []arch.Arch{arch.SpadeSextans(4), arch.PIUMA()}
-	suite := gen.Benchmarks()
-	strategies := []string{StratHotOnly, StratColdOnly, StratHotTiles}
-	rels := make([]float64, len(archs)*len(suite)*len(strategies))
-	if err := par.ForEachErr(len(rels), func(i int) error {
-		a := archs[i/(len(suite)*len(strategies))]
-		b := suite[i/len(strategies)%len(suite)]
-		s := strategies[i%len(strategies)]
-		r, err := e.exec(a, b, s, 2)
-		if err != nil {
-			return err
-		}
-		rels[i] = (r.Predicted - r.Time) / r.Time
-		return nil
-	}); err != nil {
+	g, err := e.strategyGrid([]arch.Arch{arch.SpadeSextans(4), arch.PIUMA()}, gen.Benchmarks(),
+		[]string{StratHotOnly, StratColdOnly, StratHotTiles}, 2)
+	if err != nil {
 		return nil, err
 	}
 	out := &Fig17Result{AvgError: map[string]float64{}}
 	sums := map[string][]float64{}
-	for ai, a := range archs {
+	for ai, a := range g.archs {
 		fa := Fig17Arch{ArchName: a.Name}
-		for bi, b := range suite {
-			row := Fig17Row{Short: b.Short}
-			for si, s := range strategies {
-				rel := rels[(ai*len(suite)+bi)*len(strategies)+si]
-				switch s {
-				case StratHotOnly:
-					row.HotOnly = rel
-				case StratColdOnly:
-					row.ColdOnly = rel
-				case StratHotTiles:
-					row.HotTiles = rel
-				}
-				sums[s] = append(sums[s], math.Abs(rel))
+		for bi, b := range g.suite {
+			rels := make([]float64, len(g.strategies))
+			for si, s := range g.strategies {
+				r := g.at(ai, bi, si)
+				rels[si] = (r.Predicted - r.Time) / r.Time
+				sums[s] = append(sums[s], math.Abs(rels[si]))
 			}
-			fa.Rows = append(fa.Rows, row)
+			fa.Rows = append(fa.Rows, Fig17Row{Short: b.Short,
+				HotOnly: rels[0], ColdOnly: rels[1], HotTiles: rels[2]})
 		}
 		out.Archs = append(out.Archs, fa)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -373,7 +374,7 @@ func TestFig17(t *testing.T) {
 
 func TestFig18(t *testing.T) {
 	e := testEnv()
-	f, err := e.Fig18()
+	f, err := e.Fig18(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,34 +50,61 @@ type StrategyStudy struct {
 	AvgSpeedupOver map[string]float64
 }
 
-// runStudy executes the given strategies for every benchmark on a. The
-// (benchmark, strategy) cells run concurrently; each writes only its own
-// slot and the reduction below walks the slots in the original order, so
-// the result is bit-identical to the serial evaluation.
-func (e *Env) runStudy(a arch.Arch, suite []gen.Benchmark, strategies []string) (*StrategyStudy, error) {
-	st := &StrategyStudy{ArchName: a.Name, Strategies: strategies}
-	cells := make([]float64, len(suite)*len(strategies))
-	if err := par.ForEachErr(len(cells), func(i int) error {
-		b, s := suite[i/len(strategies)], strategies[i%len(strategies)]
-		r, err := e.exec(a, b, s, 2)
+// paperStrategies is the strategy set of Figures 10, 11 and 15 and
+// Tables VI and VII.
+var paperStrategies = []string{StratHotOnly, StratColdOnly, StratIUnaware, StratHotTiles}
+
+// strategyGrid is the shared shape of most §VIII studies: one cached run
+// per (architecture, benchmark, strategy) cell. The cells run concurrently;
+// each writes only its own slot and every projection walks the slots in
+// order, so the results are bit-identical to the serial evaluation.
+type strategyGrid struct {
+	archs      []arch.Arch
+	suite      []gen.Benchmark
+	strategies []string
+	runs       []*runOut
+}
+
+// strategyGrid runs every (architecture, benchmark, strategy) cell at the
+// given gSpMM intensity.
+func (e *Env) strategyGrid(archs []arch.Arch, suite []gen.Benchmark, strategies []string, opsPerMAC float64) (*strategyGrid, error) {
+	g := &strategyGrid{archs: archs, suite: suite, strategies: strategies,
+		runs: make([]*runOut, len(archs)*len(suite)*len(strategies))}
+	if err := par.ForEachErr(len(g.runs), func(i int) error {
+		a := archs[i/(len(suite)*len(strategies))]
+		b, s := suite[i/len(strategies)%len(suite)], strategies[i%len(strategies)]
+		r, err := e.exec(a, b, s, opsPerMAC)
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", b.Short, s, err)
+			return fmt.Errorf("%s/%s/%s: %w", a.Name, b.Short, s, err)
 		}
-		cells[i] = r.Time
+		g.runs[i] = r
 		return nil
 	}); err != nil {
 		return nil, err
 	}
+	return g, nil
+}
+
+// at returns the run of architecture ai, benchmark bi, strategy si.
+func (g *strategyGrid) at(ai, bi, si int) *runOut {
+	return g.runs[(ai*len(g.suite)+bi)*len(g.strategies)+si]
+}
+
+// study projects architecture ai's cells onto the Figure 4/10/11/15
+// layout: speedups over the worst homogeneous execution per matrix, and
+// HotTiles' geometric-mean speedup over every other strategy.
+func (g *strategyGrid) study(ai int) *StrategyStudy {
+	st := &StrategyStudy{ArchName: g.archs[ai].Name, Strategies: g.strategies}
 	ratios := map[string][]float64{}
-	for bi, b := range suite {
+	for bi, b := range g.suite {
 		times := map[string]float64{}
-		for si, s := range strategies {
-			times[s] = cells[bi*len(strategies)+si]
+		for si, s := range g.strategies {
+			times[s] = g.at(ai, bi, si).Time
 		}
 		row := makeRow(b.Short, times)
 		st.Rows = append(st.Rows, row)
 		if ht, ok := times[StratHotTiles]; ok {
-			for _, s := range strategies {
+			for _, s := range g.strategies {
 				if s == StratHotTiles {
 					continue
 				}
@@ -90,7 +117,39 @@ func (e *Env) runStudy(a arch.Arch, suite []gen.Benchmark, strategies []string) 
 	for s, rs := range ratios {
 		st.AvgSpeedupOver[s] = geomean(rs)
 	}
-	return st, nil
+	return st
+}
+
+// strategyStudies runs strategies over suite on every architecture, one
+// StrategyStudy each.
+func (e *Env) strategyStudies(archs []arch.Arch, suite []gen.Benchmark, strategies []string) (StrategyStudies, error) {
+	g, err := e.strategyGrid(archs, suite, strategies, 2)
+	if err != nil {
+		return nil, err
+	}
+	out := make(StrategyStudies, len(archs))
+	for ai := range archs {
+		out[ai] = g.study(ai)
+	}
+	return out, nil
+}
+
+// runStudy is strategyStudies on one architecture.
+func (e *Env) runStudy(a arch.Arch, suite []gen.Benchmark, strategies []string) (*StrategyStudy, error) {
+	sts, err := e.strategyStudies([]arch.Arch{a}, suite, strategies)
+	if err != nil {
+		return nil, err
+	}
+	return sts[0], nil
+}
+
+// spadeScales returns SPADE-Sextans at each Table IV system scale.
+func spadeScales(scales ...int) []arch.Arch {
+	out := make([]arch.Arch, len(scales))
+	for i, s := range scales {
+		out[i] = arch.SpadeSextans(s)
+	}
+	return out
 }
 
 // Render prints the study in the paper's layout: one row per matrix with
@@ -121,21 +180,23 @@ func (st *StrategyStudy) Render(w io.Writer) {
 	}
 }
 
+// StrategyStudies is one StrategyStudy per architecture (Figures 4, 15).
+type StrategyStudies []*StrategyStudy
+
+// Render prints each study in turn.
+func (sts StrategyStudies) Render(w io.Writer) {
+	for _, st := range sts {
+		st.Render(w)
+	}
+}
+
 // Fig4 compares IUnaware heterogeneous execution against the homogeneous
 // executions on SPADE-Sextans (scale 4) and PIUMA — the motivation study of
 // §III-B showing that IMH-unaware partitioning is unimpressive against the
 // best homogeneous baseline.
-func (e *Env) Fig4() ([]*StrategyStudy, error) {
-	strategies := []string{StratHotOnly, StratColdOnly, StratIUnaware}
-	var out []*StrategyStudy
-	for _, a := range []arch.Arch{arch.SpadeSextans(4), arch.PIUMA()} {
-		st, err := e.runStudy(a, gen.Benchmarks(), strategies)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, st)
-	}
-	return out, nil
+func (e *Env) Fig4() (StrategyStudies, error) {
+	return e.strategyStudies([]arch.Arch{arch.SpadeSextans(4), arch.PIUMA()}, gen.Benchmarks(),
+		[]string{StratHotOnly, StratColdOnly, StratIUnaware})
 }
 
 // Fig5Result is the tile-assignment visualization of Figure 5: for the pap
@@ -209,37 +270,33 @@ func (f *Fig5Result) Render(w io.Writer) {
 // Fig10 is the main SPADE-Sextans comparison (scale 4): HotOnly, ColdOnly,
 // IUnaware and HotTiles per matrix.
 func (e *Env) Fig10() (*StrategyStudy, error) {
-	return e.runStudy(arch.SpadeSextans(4), gen.Benchmarks(),
-		[]string{StratHotOnly, StratColdOnly, StratIUnaware, StratHotTiles})
+	return e.runStudy(arch.SpadeSextans(4), gen.Benchmarks(), paperStrategies)
 }
 
 // Fig11 is the same comparison on PIUMA.
 func (e *Env) Fig11() (*StrategyStudy, error) {
-	return e.runStudy(arch.PIUMA(), gen.Benchmarks(),
-		[]string{StratHotOnly, StratColdOnly, StratIUnaware, StratHotTiles})
+	return e.runStudy(arch.PIUMA(), gen.Benchmarks(), paperStrategies)
 }
 
 // Fig13Result compares heterogeneous HotTiles at scale 4 against
 // homogeneous architectures with twice the workers of one type (scale 8).
 type Fig13Result struct {
-	Rows []struct {
-		Short                      string
-		VsHotOnly8, VsColdOnly8    float64
-		HotTiles4, HotOnly8, Cold8 float64
-	}
+	Rows                          []Fig13Row
 	AvgVsHotOnly8, AvgVsColdOnly8 float64
+}
+
+// Fig13Row is one matrix's runtimes (seconds) and HotTiles4's speedups.
+type Fig13Row struct {
+	Short                      string
+	VsHotOnly8, VsColdOnly8    float64
+	HotTiles4, HotOnly8, Cold8 float64
 }
 
 // Fig13 reproduces the iso-resource comparison of Figure 13. The
 // per-benchmark rows are computed concurrently into indexed slots.
 func (e *Env) Fig13() (*Fig13Result, error) {
-	type fig13Row = struct {
-		Short                      string
-		VsHotOnly8, VsColdOnly8    float64
-		HotTiles4, HotOnly8, Cold8 float64
-	}
 	suite := gen.Benchmarks()
-	rows := make([]fig13Row, len(suite))
+	rows := make([]Fig13Row, len(suite))
 	if err := par.ForEachErr(len(suite), func(i int) error {
 		b := suite[i]
 		ht4, err := e.exec(arch.SpadeSextans(4), b, StratHotTiles, 2)
@@ -254,7 +311,7 @@ func (e *Env) Fig13() (*Fig13Result, error) {
 		if err != nil {
 			return err
 		}
-		rows[i] = fig13Row{
+		rows[i] = Fig13Row{
 			Short:       b.Short,
 			VsHotOnly8:  hot8.Time / ht4.Time,
 			VsColdOnly8: cold8.Time / ht4.Time,
@@ -291,82 +348,47 @@ func (f *Fig13Result) Render(w io.Writer) {
 // Fig14Result is the gSpMM arithmetic-intensity sweep on the
 // SPADE-Sextans+PCIe architecture.
 type Fig14Result struct {
-	Rows []struct {
-		SIMDOpsPerNNZ int     // the x axis of Figure 14
-		VsHotOnly     float64 // HotTiles speedup over HotOnly
-		VsColdOnly    float64
-		HotNNZFrac    float64 // share of nonzeros assigned hot
-		VsBestHom     float64
-	}
+	Rows                                      []Fig14Row
 	AvgVsHotOnly, AvgVsColdOnly, AvgVsBestHom float64
+}
+
+// Fig14Row is one intensity's suite averages.
+type Fig14Row struct {
+	SIMDOpsPerNNZ int     // the x axis of Figure 14
+	VsHotOnly     float64 // HotTiles speedup over HotOnly
+	VsColdOnly    float64
+	HotNNZFrac    float64 // share of nonzeros assigned hot
+	VsBestHom     float64
 }
 
 // Fig14 sweeps the kernel's arithmetic intensity (SIMD ops per nonzero) on
 // the +PCIe architecture: at low intensity the cold workers absorb almost
 // everything; as intensity grows the enhanced off-die Sextans wins work.
 func (e *Env) Fig14() (*Fig14Result, error) {
-	a := arch.SpadeSextansPCIe()
+	a := []arch.Arch{arch.SpadeSextansPCIe()}
+	strategies := []string{StratHotTiles, StratHotOnly, StratColdOnly}
 	out := &Fig14Result{}
-	intensities := []int{2, 8, 32, 128, 512}
-	suite := gen.Benchmarks()
-	// One cell per (intensity, benchmark) pair, filled concurrently.
-	type fig14Cell struct{ ht, ho, co, frac float64 }
-	cells := make([]fig14Cell, len(intensities)*len(suite))
-	if err := par.ForEachErr(len(cells), func(i int) error {
-		ops, b := intensities[i/len(suite)], suite[i%len(suite)]
-		ht, err := e.exec(a, b, StratHotTiles, float64(ops))
-		if err != nil {
-			return err
-		}
-		ho, err := e.exec(a, b, StratHotOnly, float64(ops))
-		if err != nil {
-			return err
-		}
-		co, err := e.exec(a, b, StratColdOnly, float64(ops))
-		if err != nil {
-			return err
-		}
-		g, err := e.Grid(b, e.TileSize())
-		if err != nil {
-			return err
-		}
-		_, frac := ht.Part.HotNNZ(g)
-		cells[i] = fig14Cell{ht: ht.Time, ho: ho.Time, co: co.Time, frac: frac}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
 	var vh, vc, vb []float64
-	for oi, ops := range intensities {
-		var hts, hos, cos, fracs []float64
-		for bi := range suite {
-			c := cells[oi*len(suite)+bi]
-			hts = append(hts, c.ht)
-			hos = append(hos, c.ho)
-			cos = append(cos, c.co)
-			fracs = append(fracs, c.frac)
+	for _, ops := range []int{2, 8, 32, 128, 512} {
+		g, err := e.strategyGrid(a, gen.Benchmarks(), strategies, float64(ops))
+		if err != nil {
+			return nil, err
 		}
-		row := struct {
-			SIMDOpsPerNNZ int
-			VsHotOnly     float64
-			VsColdOnly    float64
-			HotNNZFrac    float64
-			VsBestHom     float64
-		}{SIMDOpsPerNNZ: ops}
-		var rh, rc, rb []float64
-		for i := range hts {
-			rh = append(rh, hos[i]/hts[i])
-			rc = append(rc, cos[i]/hts[i])
-			best := hos[i]
-			if cos[i] < best {
-				best = cos[i]
+		var rh, rc, rb, fracs []float64
+		for bi, b := range g.suite {
+			ht, ho, co := g.at(0, bi, 0), g.at(0, bi, 1).Time, g.at(0, bi, 2).Time
+			rh = append(rh, ho/ht.Time)
+			rc = append(rc, co/ht.Time)
+			rb = append(rb, min(ho, co)/ht.Time)
+			tg, err := e.Grid(b, e.TileSize())
+			if err != nil {
+				return nil, err
 			}
-			rb = append(rb, best/hts[i])
+			_, frac := ht.Part.HotNNZ(tg)
+			fracs = append(fracs, frac)
 		}
-		row.VsHotOnly = geomean(rh)
-		row.VsColdOnly = geomean(rc)
-		row.VsBestHom = geomean(rb)
-		row.HotNNZFrac = mean(fracs)
+		row := Fig14Row{SIMDOpsPerNNZ: ops, VsHotOnly: geomean(rh), VsColdOnly: geomean(rc),
+			VsBestHom: geomean(rb), HotNNZFrac: mean(fracs)}
 		out.Rows = append(out.Rows, row)
 		vh = append(vh, row.VsHotOnly)
 		vc = append(vc, row.VsColdOnly)
@@ -392,16 +414,6 @@ func (f *Fig14Result) Render(w io.Writer) {
 
 // Fig15 runs the higher-density Table VIII suite on SPADE-Sextans at system
 // scales 1 and 4.
-func (e *Env) Fig15() ([]*StrategyStudy, error) {
-	strategies := []string{StratHotOnly, StratColdOnly, StratIUnaware, StratHotTiles}
-	var out []*StrategyStudy
-	for _, scale := range []int{1, 4} {
-		a := arch.SpadeSextans(scale)
-		st, err := e.runStudy(a, gen.DenseBenchmarks(), strategies)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, st)
-	}
-	return out, nil
+func (e *Env) Fig15() (StrategyStudies, error) {
+	return e.strategyStudies(spadeScales(1, 4), gen.DenseBenchmarks(), paperStrategies)
 }

@@ -10,19 +10,19 @@ package experiments
 //
 //	go test ./internal/experiments -run TestGolden -update
 //
-// Fig18 is excluded: its preprocessing-overhead columns are wall-clock
-// measurements and differ on every run.
+// The studies are the registry, Studies; the wall-clock ones (Fig18's
+// preprocessing-overhead columns) differ on every run and are skipped.
 
 import (
 	"bytes"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -33,175 +33,23 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // goldenTol is the maximum allowed relative drift per numeric token.
 const goldenTol = 1e-6
 
-// goldenStudies maps golden-file names to render functions, mirroring the
-// spmmsim experiment table minus the nondeterministic fig18.
-var goldenStudies = map[string]func(e *Env, w io.Writer) error{
-	"fig4": func(e *Env, w io.Writer) error {
-		studies, err := e.Fig4()
-		if err != nil {
-			return err
-		}
-		for _, st := range studies {
-			st.Render(w)
-		}
-		return nil
-	},
-	"fig5": func(e *Env, w io.Writer) error {
-		f, err := e.Fig5()
-		if err != nil {
-			return err
-		}
-		f.Render(w)
-		return nil
-	},
-	"fig10": func(e *Env, w io.Writer) error {
-		st, err := e.Fig10()
-		if err != nil {
-			return err
-		}
-		st.Render(w)
-		return nil
-	},
-	"fig11": func(e *Env, w io.Writer) error {
-		st, err := e.Fig11()
-		if err != nil {
-			return err
-		}
-		st.Render(w)
-		return nil
-	},
-	"fig12": func(e *Env, w io.Writer) error {
-		f, err := e.Fig12()
-		if err != nil {
-			return err
-		}
-		f.Render(w)
-		return nil
-	},
-	"fig13": func(e *Env, w io.Writer) error {
-		f, err := e.Fig13()
-		if err != nil {
-			return err
-		}
-		f.Render(w)
-		return nil
-	},
-	"fig14": func(e *Env, w io.Writer) error {
-		f, err := e.Fig14()
-		if err != nil {
-			return err
-		}
-		f.Render(w)
-		return nil
-	},
-	"fig15": func(e *Env, w io.Writer) error {
-		studies, err := e.Fig15()
-		if err != nil {
-			return err
-		}
-		for _, st := range studies {
-			st.Render(w)
-		}
-		return nil
-	},
-	"fig16": func(e *Env, w io.Writer) error {
-		f, err := e.Fig16()
-		if err != nil {
-			return err
-		}
-		f.Render(w)
-		return nil
-	},
-	"fig17": func(e *Env, w io.Writer) error {
-		f, err := e.Fig17()
-		if err != nil {
-			return err
-		}
-		f.Render(w)
-		return nil
-	},
-	"tab6": func(e *Env, w io.Writer) error {
-		t, err := e.TableVI()
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	},
-	"tab7": func(e *Env, w io.Writer) error {
-		t, err := e.TableVII()
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	},
-	"tab9": func(e *Env, w io.Writer) error {
-		t, err := e.TableIX()
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	},
-	"kernels": func(e *Env, w io.Writer) error {
-		k, err := e.Kernels()
-		if err != nil {
-			return err
-		}
-		k.Render(w)
-		return nil
-	},
-	"reorder": func(e *Env, w io.Writer) error {
-		r, err := e.Reorder()
-		if err != nil {
-			return err
-		}
-		r.Render(w)
-		return nil
-	},
-	"vislat": func(e *Env, w io.Writer) error {
-		v, err := e.VisLat()
-		if err != nil {
-			return err
-		}
-		v.Render(w)
-		return nil
-	},
-	"gnn": func(e *Env, w io.Writer) error {
-		g, err := e.GNN(context.Background())
-		if err != nil {
-			return err
-		}
-		g.Render(w)
-		return nil
-	},
-	"evolve": func(e *Env, w io.Writer) error {
-		s, err := e.Evolve(context.Background())
-		if err != nil {
-			return err
-		}
-		s.Render(w)
-		return nil
-	},
-}
-
 func TestGolden(t *testing.T) {
 	// One shared Env: the studies overlap heavily and the singleflight
 	// caches keep the whole sweep close to the cost of the largest study.
 	e := NewEnv(512, 1)
-	names := make([]string, 0, len(goldenStudies))
-	for n := range goldenStudies {
-		names = append(names, n)
-	}
-	for _, name := range names {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := goldenStudies[name](e, &buf); err != nil {
-				t.Fatalf("%s: %v", name, err)
+	for _, st := range Studies {
+		if st.WallClock {
+			continue
+		}
+		st := st
+		t.Run(st.Name, func(t *testing.T) {
+			res, err := st.Run(context.Background(), e)
+			if err != nil {
+				t.Fatalf("%s: %v", st.Name, err)
 			}
-			path := filepath.Join("testdata", "golden", name+".golden")
+			var buf bytes.Buffer
+			res.Render(&buf)
+			path := goldenPath(st.Name)
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -216,9 +64,64 @@ func TestGolden(t *testing.T) {
 				t.Fatalf("missing golden file (run with -update to create): %v", err)
 			}
 			if err := diffGolden(string(want), buf.String(), goldenTol); err != nil {
-				t.Errorf("%s drifted from %s:\n%v", name, path, err)
+				t.Errorf("%s drifted from %s:\n%v", st.Name, path, err)
 			}
 		})
+	}
+}
+
+func goldenPath(name string) string { return filepath.Join("testdata", "golden", name+".golden") }
+
+// TestGoldenFilesMatchStudies checks the registry against testdata/golden/
+// in both directions: every deterministic study has a golden file (so a new
+// study cannot silently go unpinned), and every golden file belongs to a
+// deterministic study (so a renamed or removed one leaves nothing stale).
+func TestGoldenFilesMatchStudies(t *testing.T) {
+	files, err := filepath.Glob(goldenPath("*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[string]bool{}
+	for _, f := range files {
+		pinned[strings.TrimSuffix(filepath.Base(f), ".golden")] = true
+	}
+	for _, st := range Studies {
+		switch {
+		case st.WallClock && pinned[st.Name]:
+			t.Errorf("wall-clock study %s has a golden file", st.Name)
+		case !st.WallClock && !pinned[st.Name]:
+			t.Errorf("study %s has no golden file %s", st.Name, goldenPath(st.Name))
+		}
+		delete(pinned, st.Name)
+	}
+	for name := range pinned {
+		t.Errorf("golden file %s has no study", goldenPath(name))
+	}
+}
+
+// TestStudiesOrdered pins the registry's names and order: `spmmsim all`
+// runs them in this order, and the repository benchmark's study.<name>_s
+// metrics (BENCHMARK.json) are keyed by these names, so a rename or
+// reorder changes what the benchmark reports.
+func TestStudiesOrdered(t *testing.T) {
+	want := []string{"fig4", "fig5", "fig10", "fig11", "fig12", "fig13",
+		"fig14", "fig15", "fig16", "fig17", "fig18", "tab6", "tab7", "tab9",
+		"evolve", "gnn", "kernels", "reorder", "vislat"}
+	var got []string
+	for _, st := range Studies {
+		got = append(got, st.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Studies = %v, want %v", got, want)
+	}
+	all, err := Resolve([]string{"all"})
+	if err != nil || len(all) != len(Studies) {
+		t.Fatalf("Resolve(all) = %d studies, %v", len(all), err)
+	}
+	for _, names := range [][]string{{"fig10", "fgi11"}, {"fgi11", "fig10"}, {"all", "fig4"}} {
+		if _, err := Resolve(names); err == nil {
+			t.Errorf("Resolve(%v) accepted an unknown name", names)
+		}
 	}
 }
 

@@ -33,8 +33,8 @@ func TestParallelStudyMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelFig12MatchesSerial covers the heuristic fan-out path
-// (execHeuristic) the same way.
+// TestParallelFig12MatchesSerial covers the forced-heuristic ("heur:")
+// strategies the same way.
 func TestParallelFig12MatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-scale study")

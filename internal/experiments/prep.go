@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -32,14 +33,15 @@ type Fig18Row struct {
 // Fig18 measures the Figure 7 preprocessing pipeline for the PIUMA
 // architecture on the host machine (the paper uses a Xeon host; the
 // breakdown structure, not the absolute seconds, is the reproduced result).
-func (e *Env) Fig18() (*Fig18Result, error) {
+// ctx bounds every preprocessing run.
+func (e *Env) Fig18(ctx context.Context) (*Fig18Result, error) {
 	a := arch.PIUMA()
 	a.TileH, a.TileW = e.TileSize(), e.TileSize()
 	out := &Fig18Result{}
 	var fracs []float64
 	for _, b := range gen.Benchmarks() {
 		m := e.Matrix(b)
-		p, err := hotcore.Preprocess(m, &a, hotcore.StrategyHotTiles, 2, e.Seed)
+		p, err := hotcore.PreprocessCtx(ctx, m, &a, hotcore.Options{OpsPerMAC: 2, Seed: e.Seed})
 		if err != nil {
 			return nil, err
 		}

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/gen"
-	"repro/internal/par"
-	"repro/internal/partition"
 )
 
 // Fig12Result compares HotTiles against its four individual heuristics
@@ -29,69 +27,32 @@ type Fig12Row struct {
 	AvgHomBandwidthGBs float64
 }
 
-// Fig12 reproduces the heuristic study of Figure 12.
+// Fig12 reproduces the heuristic study of Figure 12: HotTiles and each
+// forced heuristic against BestHomogeneous at every system scale.
 func (e *Env) Fig12() (*Fig12Result, error) {
-	out := &Fig12Result{}
-	heuristics := []partition.Heuristic{
-		partition.MinTimeParallel, partition.MinTimeSerial,
-		partition.MinByteParallel, partition.MinByteSerial,
-	}
 	scales := []int{1, 2, 4, 8}
-	suite := gen.Benchmarks()
-	// One concurrent job per (scale, benchmark) pair; each job runs its
-	// strategies and heuristics serially and fills its own slot.
-	type fig12Cell struct {
-		htRatio   float64
-		heuRatios [4]float64
-		bw        float64
+	strategies := []string{StratHotOnly, StratColdOnly, StratHotTiles}
+	for _, h := range heuristics {
+		strategies = append(strategies, heurStrategy(h))
 	}
-	cells := make([]fig12Cell, len(scales)*len(suite))
-	if err := par.ForEachErr(len(cells), func(i int) error {
-		a := arch.SpadeSextans(scales[i/len(suite)])
-		b := suite[i%len(suite)]
-		ho, err := e.exec(a, b, StratHotOnly, 2)
-		if err != nil {
-			return err
-		}
-		co, err := e.exec(a, b, StratColdOnly, 2)
-		if err != nil {
-			return err
-		}
-		best := ho.Time
-		if co.Time < best {
-			best = co.Time
-		}
-		cell := fig12Cell{bw: (ho.Sim.BandwidthUtil() + co.Sim.BandwidthUtil()) / 2}
-
-		ht, err := e.exec(a, b, StratHotTiles, 2)
-		if err != nil {
-			return err
-		}
-		cell.htRatio = best / ht.Time
-		for hi, h := range heuristics {
-			r, err := e.execHeuristic(a, b, h)
-			if err != nil {
-				return err
-			}
-			cell.heuRatios[hi] = best / r.Time
-		}
-		cells[i] = cell
-		return nil
-	}); err != nil {
+	g, err := e.strategyGrid(spadeScales(scales...), gen.Benchmarks(), strategies, 2)
+	if err != nil {
 		return nil, err
 	}
-	for si, scale := range scales {
-		row := Fig12Row{Scale: scale, SpeedupVsBestHom: map[string]float64{}}
+	out := &Fig12Result{}
+	for ai, scale := range scales {
 		ratios := map[string][]float64{}
 		var bw []float64
-		for bi := range suite {
-			c := cells[si*len(suite)+bi]
-			bw = append(bw, c.bw)
-			ratios[StratHotTiles] = append(ratios[StratHotTiles], c.htRatio)
+		for bi := range g.suite {
+			ho, co := g.at(ai, bi, 0), g.at(ai, bi, 1)
+			best := min(ho.Time, co.Time)
+			bw = append(bw, (ho.Sim.BandwidthUtil()+co.Sim.BandwidthUtil())/2)
+			ratios[StratHotTiles] = append(ratios[StratHotTiles], best/g.at(ai, bi, 2).Time)
 			for hi, h := range heuristics {
-				ratios[h.String()] = append(ratios[h.String()], c.heuRatios[hi])
+				ratios[h.String()] = append(ratios[h.String()], best/g.at(ai, bi, 3+hi).Time)
 			}
 		}
+		row := Fig12Row{Scale: scale, SpeedupVsBestHom: map[string]float64{}}
 		for name, rs := range ratios {
 			row.SpeedupVsBestHom[name] = geomean(rs)
 		}
@@ -103,10 +64,9 @@ func (e *Env) Fig12() (*Fig12Result, error) {
 
 // Render prints the Figure 12 series.
 func (f *Fig12Result) Render(w io.Writer) {
-	names := []string{
-		StratHotTiles,
-		partition.MinTimeParallel.String(), partition.MinTimeSerial.String(),
-		partition.MinByteParallel.String(), partition.MinByteSerial.String(),
+	names := []string{StratHotTiles}
+	for _, h := range heuristics {
+		names = append(names, h.String())
 	}
 	fmt.Fprintln(w, "SPADE-Sextans — average speedup vs BestHomogeneous per system scale")
 	fmt.Fprintf(w, "%-6s", "scale")
@@ -133,61 +93,56 @@ type Fig16Result struct {
 	PredictedBest, ActualBest string
 }
 
+// isoTotal is the system-scale budget of the §VIII-B iso-scale
+// architectures c-h, c+h = isoTotal; isoBase indexes the 4-4 baseline.
+const (
+	isoTotal = 8
+	isoBase  = isoTotal / 2
+)
+
+// isoName is the c-h name of iso-scale architecture c.
+func isoName(c int) string { return fmt.Sprintf("%d-%d", c, isoTotal-c) }
+
+// isoScale runs HotTiles on every iso-scale SPADE-Sextans architecture
+// over the suite. Grid architecture c is c-(isoTotal-c); isoBase is
+// SpadeSextans(4), the baseline Figure 16 and Table IX compare against.
+func (e *Env) isoScale() (*strategyGrid, error) {
+	archs := make([]arch.Arch, isoTotal+1)
+	for c := range archs {
+		archs[c] = arch.SpadeSextansSkewed(c, isoTotal-c)
+	}
+	return e.strategyGrid(archs, gen.Benchmarks(), []string{StratHotTiles}, 2)
+}
+
 // Fig16 reproduces the fixed-architecture exploration scenario of §VIII-B:
 // for each iso-scale SPADE-Sextans architecture, the average (over the
 // suite) speedup over 4-4, both as HotTiles predicts it and as simulated.
 func (e *Env) Fig16() (*Fig16Result, error) {
-	const total = 8
-	type accum struct{ pred, act []float64 }
-	accums := make([]accum, total+1)
-	names := make([]string, total+1)
-	for c := 0; c <= total; c++ {
-		names[c] = fmt.Sprintf("%d-%d", c, total-c)
-	}
-
-	// All (benchmark, skew) cells run concurrently; the 4-4 baseline each
-	// job fetches deduplicates through the singleflight run cache.
-	suite := gen.Benchmarks()
-	type fig16Cell struct{ predRatio, actRatio float64 }
-	cells := make([]fig16Cell, len(suite)*(total+1))
-	if err := par.ForEachErr(len(cells), func(i int) error {
-		b, c := suite[i/(total+1)], i%(total+1)
-		base, err := e.exec(arch.SpadeSextans(4), b, StratHotTiles, 2)
-		if err != nil {
-			return err
-		}
-		r, err := e.exec(arch.SpadeSextansSkewed(c, total-c), b, StratHotTiles, 2)
-		if err != nil {
-			return err
-		}
-		cells[i] = fig16Cell{predRatio: base.Predicted / r.Predicted, actRatio: base.Time / r.Time}
-		return nil
-	}); err != nil {
+	g, err := e.isoScale()
+	if err != nil {
 		return nil, err
 	}
-	for bi := range suite {
-		for c := 0; c <= total; c++ {
-			cell := cells[bi*(total+1)+c]
-			accums[c].pred = append(accums[c].pred, cell.predRatio)
-			accums[c].act = append(accums[c].act, cell.actRatio)
-		}
-	}
-	out := &Fig16Result{Names: names}
+	out := &Fig16Result{}
 	bestP, bestA := 0, 0
-	for c := 0; c <= total; c++ {
-		p := geomean(accums[c].pred)
-		a := geomean(accums[c].act)
-		out.Predicted = append(out.Predicted, p)
-		out.Actual = append(out.Actual, a)
-		if p > out.Predicted[bestP] {
+	for c := range g.archs {
+		var pred, act []float64
+		for bi := range g.suite {
+			base, r := g.at(isoBase, bi, 0), g.at(c, bi, 0)
+			pred = append(pred, base.Predicted/r.Predicted)
+			act = append(act, base.Time/r.Time)
+		}
+		out.Names = append(out.Names, isoName(c))
+		out.Predicted = append(out.Predicted, geomean(pred))
+		out.Actual = append(out.Actual, geomean(act))
+		if out.Predicted[c] > out.Predicted[bestP] {
 			bestP = c
 		}
-		if a > out.Actual[bestA] {
+		if out.Actual[c] > out.Actual[bestA] {
 			bestA = c
 		}
 	}
-	out.PredictedBest = names[bestP]
-	out.ActualBest = names[bestA]
+	out.PredictedBest = out.Names[bestP]
+	out.ActualBest = out.Names[bestA]
 	return out, nil
 }
 

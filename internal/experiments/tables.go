@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/arch"
 	"repro/internal/gen"
-	"repro/internal/par"
 )
 
 // TableVIResult holds the absolute simulated runtimes for SPADE-Sextans
@@ -21,47 +19,21 @@ type TableVIRow struct {
 	HotOnly, ColdOnly, BestHom, IUnaware, HotTiles float64
 }
 
-// TableVI reproduces the absolute-runtime table, one concurrent job per
-// benchmark row.
+// TableVI reproduces the absolute-runtime table: the Figure 10 grid's
+// times in milliseconds.
 func (e *Env) TableVI() (*TableVIResult, error) {
-	a := arch.SpadeSextans(4)
-	suite := gen.Benchmarks()
-	rows := make([]TableVIRow, len(suite))
-	if err := par.ForEachErr(len(suite), func(i int) error {
-		b := suite[i]
-		ho, err := e.exec(a, b, StratHotOnly, 2)
-		if err != nil {
-			return err
-		}
-		co, err := e.exec(a, b, StratColdOnly, 2)
-		if err != nil {
-			return err
-		}
-		iu, err := e.exec(a, b, StratIUnaware, 2)
-		if err != nil {
-			return err
-		}
-		ht, err := e.exec(a, b, StratHotTiles, 2)
-		if err != nil {
-			return err
-		}
-		row := TableVIRow{
-			Short:    b.Short,
-			HotOnly:  ho.Time * 1e3,
-			ColdOnly: co.Time * 1e3,
-			IUnaware: iu.Time * 1e3,
-			HotTiles: ht.Time * 1e3,
-		}
-		row.BestHom = row.HotOnly
-		if row.ColdOnly < row.BestHom {
-			row.BestHom = row.ColdOnly
-		}
-		rows[i] = row
-		return nil
-	}); err != nil {
+	st, err := e.Fig10()
+	if err != nil {
 		return nil, err
 	}
-	return &TableVIResult{Rows: rows}, nil
+	out := &TableVIResult{}
+	for _, r := range st.Rows {
+		ms := func(s string) float64 { return r.Times[s] * 1e3 }
+		out.Rows = append(out.Rows, TableVIRow{Short: r.Short,
+			HotOnly: ms(StratHotOnly), ColdOnly: ms(StratColdOnly), BestHom: r.BestHom * 1e3,
+			IUnaware: ms(StratIUnaware), HotTiles: ms(StratHotTiles)})
+	}
+	return out, nil
 }
 
 // Render prints Table VI.
@@ -90,53 +62,37 @@ type TableVIIScale struct {
 	BandwidthGBs, LinesPerNNZ, ColdGFLOPs, HotGFLOPs map[string]float64
 }
 
-// TableVII reproduces the utilization statistics table.
+// TableVII reproduces the utilization statistics table: the simulator
+// statistics of the strategy grid at system scales 1 and 4.
 func (e *Env) TableVII() (*TableVIIResult, error) {
-	strategies := []string{StratHotOnly, StratColdOnly, StratIUnaware, StratHotTiles}
+	scales := []int{1, 4}
+	g, err := e.strategyGrid(spadeScales(scales...), gen.Benchmarks(), paperStrategies, 2)
+	if err != nil {
+		return nil, err
+	}
 	out := &TableVIIResult{}
-	for _, scale := range []int{1, 4} {
-		a := arch.SpadeSextans(scale)
+	for ai, scale := range scales {
 		sc := TableVIIScale{
 			Scale:        scale,
-			Strategies:   strategies,
+			Strategies:   g.strategies,
 			BandwidthGBs: map[string]float64{},
 			LinesPerNNZ:  map[string]float64{},
 			ColdGFLOPs:   map[string]float64{},
 			HotGFLOPs:    map[string]float64{},
 		}
-		suite := gen.Benchmarks()
-		type tableVIICell struct{ bw, lines, cold, hot float64 }
-		cells := make([]tableVIICell, len(strategies)*len(suite))
-		if err := par.ForEachErr(len(cells), func(i int) error {
-			s, b := strategies[i/len(suite)], suite[i%len(suite)]
-			r, err := e.exec(a, b, s, 2)
-			if err != nil {
-				return err
-			}
-			m := e.Matrix(b)
-			cells[i] = tableVIICell{
-				bw:    r.Sim.BandwidthUtil() / 1e9,
-				lines: r.Sim.CacheLinesPerNNZ(m.NNZ()),
-				cold:  r.Sim.ColdGFLOPs(),
-				hot:   r.Sim.HotGFLOPs(),
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		for si, s := range strategies {
+		for si, s := range g.strategies {
 			var bw, lines, cold, hot []float64
-			for bi := range suite {
-				c := cells[si*len(suite)+bi]
-				bw = append(bw, c.bw)
-				lines = append(lines, c.lines)
+			for bi, b := range g.suite {
+				r := g.at(ai, bi, si).Sim
+				bw = append(bw, r.BandwidthUtil()/1e9)
+				lines = append(lines, r.CacheLinesPerNNZ(e.Matrix(b).NNZ()))
 				// Geomeans need positive values; idle pools report 0
 				// GFLOP/s in the paper's table, rendered below as 0.
-				if c.cold > 0 {
-					cold = append(cold, c.cold)
+				if c := r.ColdGFLOPs(); c > 0 {
+					cold = append(cold, c)
 				}
-				if c.hot > 0 {
-					hot = append(hot, c.hot)
+				if h := r.HotGFLOPs(); h > 0 {
+					hot = append(hot, h)
 				}
 			}
 			sc.BandwidthGBs[s] = geomean(bw)
@@ -192,54 +148,35 @@ type TableIXRow struct {
 	Correct              bool
 }
 
-// TableIX reproduces the per-matrix architecture-selection table. All
-// (benchmark, skew) cells run concurrently; the 4-4 baseline deduplicates
-// with the c=4 cell through the Env's singleflight run cache.
+// TableIX reproduces the per-matrix architecture-selection table over the
+// iso-scale grid Figure 16 averages.
 func (e *Env) TableIX() (*TableIXResult, error) {
-	const total = 8
-	suite := gen.Benchmarks()
-	type tableIXCell struct{ pred, act float64 }
-	cells := make([]tableIXCell, len(suite)*(total+1))
-	if err := par.ForEachErr(len(cells), func(i int) error {
-		b, c := suite[i/(total+1)], i%(total+1)
-		a := arch.SpadeSextansSkewed(c, total-c)
-		r, err := e.exec(a, b, StratHotTiles, 2)
-		if err != nil {
-			return err
-		}
-		cells[i] = tableIXCell{pred: r.Predicted, act: r.Time}
-		return nil
-	}); err != nil {
+	g, err := e.isoScale()
+	if err != nil {
 		return nil, err
 	}
 	out := &TableIXResult{}
 	var predS, oracleS []float64
 	correct := 0
-	for bi, b := range suite {
-		base, err := e.exec(arch.SpadeSextans(4), b, StratHotTiles, 2)
-		if err != nil {
-			return nil, err
-		}
-		bestPredIdx, bestActIdx := 0, 0
-		var preds, acts []float64
-		for c := 0; c <= total; c++ {
-			cell := cells[bi*(total+1)+c]
-			preds = append(preds, cell.pred)
-			acts = append(acts, cell.act)
-			if cell.pred < preds[bestPredIdx] {
-				bestPredIdx = c
+	for bi, b := range g.suite {
+		base := g.at(isoBase, bi, 0)
+		bestPred, bestAct := 0, 0
+		for c := range g.archs {
+			r := g.at(c, bi, 0)
+			if r.Predicted < g.at(bestPred, bi, 0).Predicted {
+				bestPred = c
 			}
-			if cell.act < acts[bestActIdx] {
-				bestActIdx = c
+			if r.Time < g.at(bestAct, bi, 0).Time {
+				bestAct = c
 			}
 		}
 		row := TableIXRow{
 			Short:         b.Short,
-			PredBest:      fmt.Sprintf("%d-%d", bestPredIdx, total-bestPredIdx),
-			ActualBest:    fmt.Sprintf("%d-%d", bestActIdx, total-bestActIdx),
-			PredSpeedup:   base.Time / acts[bestPredIdx],
-			OracleSpeedup: base.Time / acts[bestActIdx],
-			Correct:       bestPredIdx == bestActIdx,
+			PredBest:      isoName(bestPred),
+			ActualBest:    isoName(bestAct),
+			PredSpeedup:   base.Time / g.at(bestPred, bi, 0).Time,
+			OracleSpeedup: base.Time / g.at(bestAct, bi, 0).Time,
+			Correct:       bestPred == bestAct,
 		}
 		if row.Correct {
 			correct++

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/arch"
 	"repro/internal/gen"
@@ -39,29 +40,12 @@ func (e *Env) VisLat() (*VisLatSensitivity, error) {
 	base.TileH, base.TileW = e.TileSize(), e.TileSize()
 	out := &VisLatSensitivity{}
 
-	// Baseline runtimes and fractions per matrix, one concurrent job each.
-	type baseline struct {
-		time float64
-		frac float64
-	}
-	suite := gen.Benchmarks()
-	bls := make([]baseline, len(suite))
-	if err := par.ForEachErr(len(suite), func(i int) error {
-		b := suite[i]
-		r, err := e.exec(base, b, StratHotTiles, 2)
-		if err != nil {
-			return err
-		}
-		g, err := e.Grid(b, base.TileH)
-		if err != nil {
-			return err
-		}
-		_, frac := r.Part.HotNNZ(g)
-		bls[i] = baseline{r.Time, frac}
-		return nil
-	}); err != nil {
+	// The calibrated baseline: HotTiles' cells of the strategy grid.
+	bg, err := e.strategyGrid([]arch.Arch{base}, gen.Benchmarks(), []string{StratHotTiles}, 2)
+	if err != nil {
 		return nil, err
 	}
+	suite := bg.suite
 
 	// All (factor, benchmark) perturbation cells run concurrently; each job
 	// perturbs its own copy of the architecture (workers are held by value).
@@ -88,13 +72,10 @@ func (e *Env) VisLat() (*VisLatSensitivity, error) {
 		if err != nil {
 			return err
 		}
-		bl := bls[bi]
+		bl := bg.at(0, bi, 0)
 		_, frac := res.HotNNZ(g)
-		d := frac - bl.frac
-		if d < 0 {
-			d = -d
-		}
-		cells[i] = visLatCell{ratio: r.Time / bl.time, delta: d}
+		_, blFrac := bl.Part.HotNNZ(g)
+		cells[i] = visLatCell{ratio: r.Time / bl.Time, delta: math.Abs(frac - blFrac)}
 		return nil
 	}); err != nil {
 		return nil, err

@@ -24,7 +24,7 @@ func planBytes(tb testing.TB, csr bool) []byte {
 	} else {
 		a = smallArch()
 	}
-	p, err := Preprocess(m, &a, StrategyHotTiles, 2, 0)
+	p, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles, OpsPerMAC: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -94,7 +94,7 @@ type Prep struct {
 	Timing Timing
 }
 
-// Strategy selects how Preprocess assigns tiles.
+// Strategy selects how PreprocessCtx assigns tiles.
 type Strategy int
 
 const (
@@ -135,23 +135,9 @@ type Options struct {
 	Seed int64
 }
 
-// Preprocess runs the Figure 7 pipeline for matrix m on architecture a with
-// the given strategy. opsPerMAC carries the semiring's arithmetic-intensity
-// factor (2 for plain SpMM). seed feeds IUnaware's random assignment.
-func Preprocess(m *sparse.COO, a *arch.Arch, strategy Strategy, opsPerMAC float64, seed int64) (*Prep, error) {
-	return PreprocessOpts(m, a, Options{Strategy: strategy, OpsPerMAC: opsPerMAC, Seed: seed})
-}
-
-// PreprocessOpts is Preprocess with full kernel control.
-func PreprocessOpts(m *sparse.COO, a *arch.Arch, o Options) (*Prep, error) {
-	// This is the context-free facade itself: callers who have no ctx land
-	// here, and the Background is the documented "no cancellation" root.
-	//lint:ignore ctxflow PreprocessOpts is the no-context entry point; everything below threads ctx.
-	return PreprocessCtx(context.Background(), m, a, o)
-}
-
-// PreprocessCtx is PreprocessOpts with cancellation: ctx is checked at
-// every stage boundary (scan, partition, each format generation), so a
+// PreprocessCtx runs the Figure 7 pipeline for matrix m on architecture a:
+// tiling, the per-tile model, partitioning with o.Strategy, and the
+// per-worker-type formats. ctx is checked at every stage boundary (scan, partition, each format generation), so a
 // caller-side timeout or a dropped daemon request abandons the pipeline
 // between stages rather than running it to completion. Cancellation
 // granularity is one stage — an individual stage, once started, runs to

@@ -1,6 +1,7 @@
 package hotcore
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,11 @@ import (
 	"repro/internal/dense"
 	"repro/internal/sparse"
 )
+
+// preprocess is PreprocessCtx under a context that is never canceled.
+func preprocess(m *sparse.COO, a *arch.Arch, o Options) (*Prep, error) {
+	return PreprocessCtx(context.Background(), m, a, o)
+}
 
 func testMatrix(t testing.TB, seed int64, n, blockN, blockNNZ, bgNNZ int) *sparse.COO {
 	t.Helper()
@@ -35,7 +41,7 @@ func smallArch() arch.Arch {
 func TestPreprocessHotTilesPartitionsMatrix(t *testing.T) {
 	m := testMatrix(t, 1, 512, 64, 3000, 1500)
 	a := smallArch()
-	p, err := Preprocess(m, &a, StrategyHotTiles, 2, 0)
+	p, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles, OpsPerMAC: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +67,7 @@ func TestPreprocessPIUMACSRFormats(t *testing.T) {
 	m := testMatrix(t, 2, 512, 64, 3000, 1500)
 	a := arch.PIUMA()
 	a.TileH, a.TileW = 64, 64
-	p, err := Preprocess(m, &a, StrategyHotTiles, 2, 0)
+	p, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles, OpsPerMAC: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +91,7 @@ func TestPreprocessStrategies(t *testing.T) {
 	m := testMatrix(t, 3, 256, 32, 1000, 800)
 	a := smallArch()
 	for _, s := range []Strategy{StrategyHotTiles, StrategyIUnaware, StrategyHotOnly, StrategyColdOnly} {
-		p, err := Preprocess(m, &a, s, 2, 11)
+		p, err := preprocess(m, &a, Options{Strategy: s, OpsPerMAC: 2, Seed: 11})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -106,7 +112,7 @@ func TestPreprocessStrategies(t *testing.T) {
 			t.Fatalf("%v: non-positive prediction", s)
 		}
 	}
-	if _, err := Preprocess(m, &a, Strategy(42), 2, 0); err == nil {
+	if _, err := preprocess(m, &a, Options{Strategy: Strategy(42), OpsPerMAC: 2}); err == nil {
 		t.Fatal("expected unknown-strategy error")
 	}
 }
@@ -130,13 +136,13 @@ func TestPreprocessValidation(t *testing.T) {
 	a := smallArch()
 	bad := sparse.NewCOO(4, 1)
 	bad.Append(9, 0, 1) // out of range
-	if _, err := Preprocess(bad, &a, StrategyHotTiles, 2, 0); err == nil {
+	if _, err := preprocess(bad, &a, Options{Strategy: StrategyHotTiles, OpsPerMAC: 2}); err == nil {
 		t.Fatal("expected matrix validation error")
 	}
 	m := testMatrix(t, 4, 128, 16, 200, 100)
 	badArch := smallArch()
 	badArch.BWBytes = 0
-	if _, err := Preprocess(m, &badArch, StrategyHotTiles, 2, 0); err == nil {
+	if _, err := preprocess(m, &badArch, Options{Strategy: StrategyHotTiles, OpsPerMAC: 2}); err == nil {
 		t.Fatal("expected arch validation error")
 	}
 }
@@ -144,7 +150,7 @@ func TestPreprocessValidation(t *testing.T) {
 func TestTimingBreakdown(t *testing.T) {
 	m := testMatrix(t, 5, 512, 64, 4000, 2000)
 	a := smallArch()
-	p, err := Preprocess(m, &a, StrategyHotTiles, 2, 0)
+	p, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles, OpsPerMAC: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +173,7 @@ func TestTimingBreakdown(t *testing.T) {
 func TestFunctionalEquivalence(t *testing.T) {
 	m := testMatrix(t, 6, 512, 64, 3000, 1500)
 	a := smallArch()
-	p, err := Preprocess(m, &a, StrategyHotTiles, 2, 0)
+	p, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles, OpsPerMAC: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 func TestPreprocessOptsSpMV(t *testing.T) {
 	m := testMatrix(t, 41, 512, 64, 3000, 1500)
 	a := smallArch()
-	p, err := PreprocessOpts(m, &a, Options{
+	p, err := preprocess(m, &a, Options{
 		Strategy: StrategyHotTiles,
 		Kernel:   model.KernelSpMV,
 	})
@@ -22,7 +22,7 @@ func TestPreprocessOptsSpMV(t *testing.T) {
 	}
 	// SpMV (K=1) moves far less dense traffic, so the predicted runtime
 	// must be well below the SpMM plan's for the same matrix.
-	spmm, err := Preprocess(m, &a, StrategyHotTiles, 2, 0)
+	spmm, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles, OpsPerMAC: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestPreprocessOptsSpMV(t *testing.T) {
 func TestPreprocessOptsSDDMM(t *testing.T) {
 	m := testMatrix(t, 42, 512, 64, 3000, 1500)
 	a := smallArch()
-	p, err := PreprocessOpts(m, &a, Options{
+	p, err := preprocess(m, &a, Options{
 		Strategy: StrategyHotTiles,
 		Kernel:   model.KernelSDDMM,
 	})
@@ -53,23 +53,23 @@ func TestPreprocessOptsSDDMM(t *testing.T) {
 func TestPreprocessOptsDefaultsOpsPerMAC(t *testing.T) {
 	m := testMatrix(t, 43, 256, 32, 800, 400)
 	a := smallArch()
-	viaOpts, err := PreprocessOpts(m, &a, Options{Strategy: StrategyHotTiles})
+	viaDefault, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaShorthand, err := Preprocess(m, &a, StrategyHotTiles, 2, 0)
+	explicit, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles, OpsPerMAC: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaOpts.Partition.Predicted != viaShorthand.Partition.Predicted {
-		t.Fatal("OpsPerMAC default differs from the SpMM shorthand")
+	if viaDefault.Partition.Predicted != explicit.Partition.Predicted {
+		t.Fatal("OpsPerMAC default differs from plain SpMM's 2")
 	}
 }
 
 func TestPreprocessOptsRejectsBadKernel(t *testing.T) {
 	m := testMatrix(t, 44, 256, 32, 800, 400)
 	a := smallArch()
-	if _, err := PreprocessOpts(m, &a, Options{Strategy: StrategyHotTiles, Kernel: model.Kernel(42)}); err == nil {
+	if _, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles, Kernel: model.Kernel(42)}); err == nil {
 		t.Fatal("expected unknown-kernel error")
 	}
 }
@@ -79,7 +79,7 @@ func TestPreprocessOptsPIUMAKernels(t *testing.T) {
 	a := arch.PIUMA()
 	a.TileH, a.TileW = 64, 64
 	for _, k := range []model.Kernel{model.KernelSpMM, model.KernelSpMV, model.KernelSDDMM} {
-		p, err := PreprocessOpts(m, &a, Options{Strategy: StrategyHotTiles, Kernel: k})
+		p, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles, Kernel: k})
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}

@@ -39,7 +39,7 @@ func roundTrip(t *testing.T, p *Prep) *Prep {
 func TestPlanRoundTrip(t *testing.T) {
 	m := testMatrix(t, 51, 512, 64, 3000, 1500)
 	a := smallArch()
-	p, err := Preprocess(m, &a, StrategyHotTiles, 2, 0)
+	p, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles, OpsPerMAC: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestPlanRoundTripPIUMACSR(t *testing.T) {
 	m := testMatrix(t, 52, 512, 64, 2000, 1000)
 	a := arch.PIUMA()
 	a.TileH, a.TileW = 64, 64
-	p, err := Preprocess(m, &a, StrategyHotTiles, 2, 0)
+	p, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles, OpsPerMAC: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestReadPlanRejectsGarbage(t *testing.T) {
 func TestReadPlanRejectsCorruptedGrid(t *testing.T) {
 	m := testMatrix(t, 53, 256, 32, 800, 400)
 	a := smallArch()
-	p, err := Preprocess(m, &a, StrategyHotTiles, 2, 0)
+	p, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles, OpsPerMAC: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

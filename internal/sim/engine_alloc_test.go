@@ -111,16 +111,27 @@ func randPools(rng *rand.Rand) []*pool {
 	return pools
 }
 
-// runNaive executes the same workload with allocateNaive invoked on every
-// step — the original allocate-from-scratch-each-time behavior, with no
-// grant-invalidation skip and no scratch reuse.
-func runNaive(pools []*pool, totalBW float64, tr *tracer) (float64, []poolStats, error) {
+// runNaive executes the same workload recomputing the grants on every step
+// — no grant-invalidation skip — and requires each step's grants to equal
+// allocateNaive's, the allocate-from-scratch reference, run on a copy of
+// the worker records.
+func runNaive(t *testing.T, pools []*pool, totalBW float64, tr *tracer) (float64, []poolStats, error) {
 	e, err := newEngine(pools, totalBW)
 	if err != nil {
 		return 0, nil, err
 	}
-	e.naiveAlloc = true
-	for e.step(tr) {
+	ref := make([]workerState, len(e.workers))
+	for len(e.active) > 0 {
+		copy(ref, e.workers)
+		allocateNaive(ref, e.pools, e.totalBW)
+		e.allocate()
+		for wi := range e.workers {
+			if got, want := e.workers[wi].grant, ref[wi].grant; got != want {
+				t.Fatalf("step %d worker %d: grant %v != naive %v", e.steps, wi, got, want)
+			}
+		}
+		e.allocValid = true
+		e.step(tr)
 	}
 	return e.now, e.stats, nil
 }
@@ -138,7 +149,7 @@ func TestEngineFastPathMatchesNaive(t *testing.T) {
 
 		var trFast, trNaive tracer
 		tmFast, stFast, errFast := runEngineTraced(pools, totalBW, &trFast)
-		tmNaive, stNaive, errNaive := runNaive(pools, totalBW, &trNaive)
+		tmNaive, stNaive, errNaive := runNaive(t, pools, totalBW, &trNaive)
 		if (errFast == nil) != (errNaive == nil) {
 			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, errFast, errNaive)
 		}
@@ -202,4 +213,84 @@ func TestAllocateMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// allocateNaive is the original allocation routine, kept verbatim as the
+// executable specification the scratch-based allocate is verified against:
+// the engine property test runs whole simulations under both and asserts
+// bit-identical makespans, statistics, and per-step grants.
+func allocateNaive(workers []workerState, pools []*pool, totalBW float64) {
+	type claimant struct {
+		w  *workerState
+		bw float64
+	}
+	var cs []claimant
+	byPool := make([][]int, len(pools)) // claimant indices per pool
+	demand := make([]float64, len(pools))
+	for wi := range workers {
+		w := &workers[wi]
+		w.grant = 0
+		if w.unitIdx < 0 || w.remB <= 0 {
+			continue
+		}
+		wcap := pools[w.pool].workerCap(w.idx)
+		demand[w.pool] += wcap
+		byPool[w.pool] = append(byPool[w.pool], len(cs))
+		cs = append(cs, claimant{w, wcap})
+	}
+	if len(cs) == 0 {
+		return
+	}
+	for pi, p := range pools {
+		if p.linkBW <= 0 || demand[pi] <= p.linkBW || len(byPool[pi]) == 0 {
+			continue
+		}
+		caps := make([]float64, len(byPool[pi]))
+		for j, ci := range byPool[pi] {
+			caps[j] = cs[ci].bw
+		}
+		for j, g := range waterfillNaive(caps, p.linkBW) {
+			cs[byPool[pi][j]].bw = g
+		}
+	}
+	caps := make([]float64, len(cs))
+	for i, c := range cs {
+		caps[i] = c.bw
+	}
+	for i, g := range waterfillNaive(caps, totalBW) {
+		cs[i].w.grant = g
+	}
+}
+
+// waterfillNaive is the allocating reference waterfill backing
+// allocateNaive.
+func waterfillNaive(caps []float64, budget float64) []float64 {
+	grants := make([]float64, len(caps))
+	unsat := make([]int, len(caps))
+	for i := range unsat {
+		unsat[i] = i
+	}
+	remaining := budget
+	for len(unsat) > 0 && remaining > 0 {
+		share := remaining / float64(len(unsat))
+		still := unsat[:0]
+		progressed := false
+		for _, i := range unsat {
+			if need := caps[i] - grants[i]; need <= share {
+				grants[i] = caps[i]
+				remaining -= need
+				progressed = true
+			} else {
+				still = append(still, i)
+			}
+		}
+		if !progressed {
+			for _, i := range still {
+				grants[i] += share
+			}
+			break
+		}
+		unsat = still
+	}
+	return grants
 }

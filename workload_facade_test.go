@@ -74,7 +74,7 @@ func TestApplyEditsViaFacade(t *testing.T) {
 func TestRunGNNWithPlanReusesPlan(t *testing.T) {
 	m := demoMatrix(44)
 	a := demoArch()
-	plan, err := Partition(m, &a, StrategyHotTiles, 2, 0)
+	plan, err := PartitionCtx(context.Background(), m, &a, PartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
