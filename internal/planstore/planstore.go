@@ -34,6 +34,7 @@ var (
 	storeCoalesced = obs.NewCounter("planstore.coalesced")
 	storeRejected  = obs.NewCounter("planstore.rejected")
 	storeEvictions = obs.NewCounter("planstore.evictions")
+	storeSpillErrs = obs.NewCounter("planstore.spill.errors")
 	storeActive    = obs.NewGauge("planstore.active")
 	storeQueued    = obs.NewGauge("planstore.queued")
 	storeBuildNS   = obs.NewHistogram("planstore.build.ns")
@@ -79,6 +80,7 @@ type Stats struct {
 	Coalesced   int64 // lookups that joined another caller's in-flight build
 	Rejected    int64 // lookups refused with ErrBusy
 	Evictions   int64 // values dropped from the memory LRU
+	SpillErrors int64 // built values the spill directory failed to persist
 	Active      int   // builds running now
 	Queued      int   // builders waiting for a slot now
 	CachedPlans int   // values in the memory LRU
@@ -111,6 +113,7 @@ type Store struct {
 
 	builds, buildErrs, memHits, diskHits atomic.Int64
 	coalesced, rejected, evictions       atomic.Int64
+	spillErrs                            atomic.Int64
 
 	// ewmaBuildNS tracks recent build cost for Retry-After estimation.
 	ewmaBuildNS atomic.Int64
@@ -250,7 +253,11 @@ func (s *Store) runBuild(ctx context.Context, key string, build func(ctx context
 		obs.Str("key", keyShort(key)),
 		obs.Str("dur", time.Duration(dur).String()),
 		obs.Int("bytes", len(val)))
-	s.writeDisk(key, val)
+	if err := s.writeDisk(key, val); err != nil {
+		s.spillErrs.Add(1)
+		storeSpillErrs.Inc()
+		log.Warn("planstore.spill.fail", obs.Str("key", keyShort(key)), obs.Str("err", err.Error()))
+	}
 	return val, nil
 }
 
@@ -367,6 +374,7 @@ func (s *Store) Stats() Stats {
 		Coalesced:   s.coalesced.Load(),
 		Rejected:    s.rejected.Load(),
 		Evictions:   s.evictions.Load(),
+		SpillErrors: s.spillErrs.Load(),
 		Active:      len(s.slots),
 		Queued:      int(s.queued.Load()),
 		CachedPlans: plans,
@@ -405,24 +413,26 @@ func (s *Store) readDisk(key string) ([]byte, bool) {
 }
 
 // writeDisk spills one value (write-to-temp, rename, so readers never see
-// a torn file). Spill failure is not a build failure: the plan is still
-// served from memory.
-func (s *Store) writeDisk(key string, val []byte) {
+// a torn file). Spill failure is not a build failure: the caller counts
+// and logs it, and the plan is still served from memory.
+func (s *Store) writeDisk(key string, val []byte) error {
 	path := s.diskPath(key)
 	if path == "" {
-		return
+		return nil
 	}
 	tmp, err := os.CreateTemp(s.cfg.Dir, "spill-*")
 	if err != nil {
-		return
+		return err
 	}
-	_, werr := tmp.Write(val)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
+	_, err = tmp.Write(val)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
-		return
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-	}
+	return err
 }

@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // newStore builds a test store with a tiny footprint.
@@ -308,6 +311,37 @@ func TestDiskSpillRoundTrip(t *testing.T) {
 	s3 := newStore(t, Config{Dir: dir})
 	if got, ok := s3.Peek("abc123"); !ok || !bytes.Equal(got, want) {
 		t.Fatalf("peek: %d bytes, %v", len(got), ok)
+	}
+}
+
+// TestSpillFailureIsVisible replaces the spill directory with a regular
+// file after the store is built, so every spill fails: the plan is still
+// served, and the failure is counted and logged with the key.
+func TestSpillFailureIsVisible(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "spill")
+	s := newStore(t, Config{Dir: dir})
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logBuf bytes.Buffer
+	ctx := obs.WithLogger(context.Background(), obs.NewLogger(&logBuf, obs.LogOptions{}))
+	before := storeSpillErrs.Load()
+	want := []byte("plan")
+	got, err := s.Get(ctx, "abc123", constBuild(want))
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Get = %q, %v; want the built plan despite the failed spill", got, err)
+	}
+	if st := s.Stats(); st.SpillErrors != 1 {
+		t.Fatalf("Stats().SpillErrors = %d, want 1", st.SpillErrors)
+	}
+	if d := storeSpillErrs.Load() - before; d != 1 {
+		t.Fatalf("planstore.spill.errors rose by %d, want 1", d)
+	}
+	if line := logBuf.String(); !strings.Contains(line, "planstore.spill.fail") || !strings.Contains(line, "abc123") {
+		t.Fatalf("no spill warning with the key in the log:\n%s", line)
 	}
 }
 
