@@ -17,7 +17,7 @@ COVER_FLOORS = repro/internal/obs:80 repro/internal/workload:80
 # Seconds of coverage-guided fuzzing per fuzzer in `make fuzz`.
 FUZZTIME ?= 10s
 
-.PHONY: help ci vet benchvet fmtcheck build lint shadow test race bench benchsmoke benchcmp cover fuzz golden servesmoke worksmoke
+.PHONY: help ci vet benchvet fmtcheck build lint shadow test race bench benchsmoke benchcmp cover fuzz golden servesmoke worksmoke loc
 
 ci: vet benchvet fmtcheck build lint shadow race cover benchsmoke benchcmp servesmoke worksmoke
 
@@ -39,6 +39,7 @@ help:
 	@echo "make fuzz        - short coverage-guided fuzz pass (FUZZTIME=$(FUZZTIME))"
 	@echo "make golden      - regenerate pinned experiment outputs (review the diff!)"
 	@echo "make servesmoke  - end-to-end hottilesd daemon smoke (real port, SIGTERM drain)"
+	@echo "make loc         - non-test Go lines (module minus bench/ and testdata/), total and internal/obs"
 
 vet:
 	$(GO) vet ./...
@@ -182,3 +183,10 @@ worksmoke:
 # change (review the diff before committing).
 golden:
 	$(GO) test ./internal/experiments -run TestGolden -update -count=1
+
+# loc prints the non-test Go line counts each change records in CHANGES.md:
+# the module without bench/ and testdata/, and internal/obs alone.
+LOC_FILES = find $(1) -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './bench/*'
+loc:
+	@echo "total        $$($(call LOC_FILES,.) | xargs cat | wc -l)"
+	@echo "internal/obs $$($(call LOC_FILES,./internal/obs) | xargs cat | wc -l)"
