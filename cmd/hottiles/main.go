@@ -79,10 +79,13 @@ func main() {
 		tl = obs.NewTimeline(0)
 		par.SetTimeline(tl)
 	}
-	// Nil when -trace is absent: every trace call below is then a no-op.
+	// The tracer feeds both the manifest and the timeline; nil when neither
+	// (nor the debug endpoint) is on, and every trace call below is then a
+	// no-op.
 	var tr *obs.Tracer
-	if *tracePath != "" {
+	if *tracePath != "" || *timelinePath != "" || *debugAddr != "" {
 		tr = obs.New("hottiles")
+		tr.SetTimeline(tl)
 		tr.SetConfig("matrix", flag.Arg(0))
 		tr.SetConfig("arch", *archName)
 		tr.SetConfig("strategy", *strategy)
@@ -304,7 +307,8 @@ func main() {
 		}
 	}
 
-	if tr != nil {
+	tr.Finish()
+	if *tracePath != "" {
 		if err := obs.WriteTrace(tr, *tracePath, os.Stdout); err != nil {
 			fail(err)
 		}

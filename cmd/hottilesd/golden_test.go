@@ -24,8 +24,8 @@ var update = flag.Bool("update", false, "rewrite the golden fixtures under testd
 // threshold 1ns). Request IDs, start times, latencies, durations,
 // timestamps and remote addresses vary between runs and are normalized.
 func TestDebugRequestsGolden(t *testing.T) {
-	obs.ConfigureFlight(obs.FlightConfig{SlowThreshold: time.Nanosecond})
-	defer obs.ConfigureFlight(obs.FlightConfig{})
+	obs.ConfigureFlight(time.Nanosecond)
+	defer obs.ConfigureFlight(0)
 
 	cfg := testConfig()
 	cfg.reqTimeout = 250 * time.Millisecond

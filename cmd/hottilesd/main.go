@@ -82,7 +82,7 @@ func main() {
 	}
 	logOpts.SampleRate = *logRate
 	logger = obs.NewLogger(os.Stderr, logOpts)
-	obs.ConfigureFlight(obs.FlightConfig{SlowThreshold: *slowThreshold})
+	obs.ConfigureFlight(*slowThreshold)
 
 	cfg := config{
 		archName:   *archName,

@@ -96,10 +96,11 @@ func (w *statusWriter) errText() string {
 }
 
 // observed wraps one route handler in the request-scoped plane: request-ID
-// resolution and echo, a per-request tracer and logger on the context, a
-// timeline slice, RED metrics, the access-log line, and the flight-recorder
-// record. route must be a fixed literal — it names metrics series and
-// flight records.
+// resolution and echo, a per-request tracer (flushed into the daemon
+// timeline when the request is recorded) and logger on the context, RED
+// metrics, the access-log line, and the flight-recorder record. route must
+// be a fixed literal — it names metrics series, flight records and the
+// tracer, whose name is the request's timeline track.
 func (s *server) observed(route string, red redMetrics, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
@@ -112,16 +113,15 @@ func (s *server) observed(route string, red redMetrics, h http.HandlerFunc) http
 		w.Header().Set(obs.RequestIDHeader, id)
 
 		tr := obs.New("httpd." + route)
+		tr.SetTimeline(s.tl)
 		tr.Root().SetAttr("req", id)
 		reqLog := s.log.With(obs.Str("req", id), obs.Str("route", route))
 		ctx := obs.WithRequestID(r.Context(), id)
 		ctx = obs.WithLogger(ctx, reqLog)
 		ctx = obs.WithSpan(ctx, tr.Root())
 
-		slice := s.tl.Track("httpd/" + route).Start(id)
 		sw := &statusWriter{ResponseWriter: w}
 		h(sw, r.WithContext(ctx))
-		slice.End()
 
 		if sw.status == 0 {
 			// Handler wrote nothing: net/http would send 200 on return.
@@ -145,7 +145,7 @@ func (s *server) observed(route string, red redMetrics, h http.HandlerFunc) http
 			Remote:    r.RemoteAddr,
 			Err:       sw.errText(),
 		}
-		obs.Flight().Record(rec, tr.SpanTree(), s.tl)
+		obs.Flight().Record(rec, tr)
 
 		lv := obs.LogInfo
 		switch {

@@ -65,8 +65,8 @@ func jsonLines(t *testing.T, b *syncBuffer) []map[string]any {
 // access-log line, the flight-recorder entry, and the span tree of the
 // post-mortem capture (SlowThreshold 1ns makes every request "slow").
 func TestRequestIDCorrelation(t *testing.T) {
-	obs.ConfigureFlight(obs.FlightConfig{SlowThreshold: time.Nanosecond})
-	defer obs.ConfigureFlight(obs.FlightConfig{})
+	obs.ConfigureFlight(time.Nanosecond)
+	defer obs.ConfigureFlight(0)
 
 	var buf syncBuffer
 	cfg := testConfig()
@@ -161,8 +161,8 @@ func TestRequestIDCorrelation(t *testing.T) {
 func TestPostmortemCapturesErrorAndSlow(t *testing.T) {
 	// Phase one: a forced 504 (timeout) with a generous slow threshold, so
 	// the capture reason is purely "error".
-	obs.ConfigureFlight(obs.FlightConfig{SlowThreshold: time.Minute})
-	defer obs.ConfigureFlight(obs.FlightConfig{})
+	obs.ConfigureFlight(time.Minute)
+	defer obs.ConfigureFlight(0)
 
 	cfg := testConfig()
 	cfg.reqTimeout = 50 * time.Millisecond
@@ -199,7 +199,7 @@ func TestPostmortemCapturesErrorAndSlow(t *testing.T) {
 
 	// Phase two: a healthy build captured only because it crosses the slow
 	// threshold; its phases must carry the pipeline stage timings.
-	obs.ConfigureFlight(obs.FlightConfig{SlowThreshold: time.Nanosecond})
+	obs.ConfigureFlight(time.Nanosecond)
 	s2, err := newServer(testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -317,5 +317,51 @@ func TestDrainLoggingJSON(t *testing.T) {
 	}
 	if recs[doneIdx]["cause"] != "test" {
 		t.Fatalf("drain.done cause %v, want test", recs[doneIdx]["cause"])
+	}
+}
+
+// TestRequestIDsStayOutOfNameTable drives more requests than the timeline's
+// name table holds entries. Request IDs are span attributes, never
+// timeline names, so after 70,000 requests the newest post-mortem still
+// names its request and its timeline tail names the route's span rather
+// than an overflow placeholder.
+func TestRequestIDsStayOutOfNameTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("70,000 requests")
+	}
+	obs.ConfigureFlight(time.Hour)
+	defer obs.ConfigureFlight(0)
+	s, err := newServer(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 70000
+	var id string
+	for i := 0; i < n; i++ {
+		if i == n-1 {
+			obs.ConfigureFlight(time.Nanosecond) // capture the last one
+		}
+		rec := httptest.NewRecorder()
+		s.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, rec.Code)
+		}
+		id = rec.Header().Get(obs.RequestIDHeader)
+	}
+	pm := obs.Flight().Snapshot().Postmortem
+	if len(pm) != 1 || pm[0].ID != id || pm[0].Spans == nil || pm[0].Spans.Attrs["req"] != id {
+		t.Fatalf("newest post-mortem does not name request %s: %+v", id, pm)
+	}
+	tail := pm[0].Timeline
+	if len(tail) == 0 {
+		t.Fatal("post-mortem has no timeline tail")
+	}
+	for _, ev := range tail {
+		if ev.Name != "httpd.healthz" || ev.Track != "httpd.healthz" {
+			t.Fatalf("timeline tail entry %+v, want the httpd.healthz span", ev)
+		}
+	}
+	if s.tl.Total() < n {
+		t.Fatalf("timeline saw %d events, want at least %d", s.tl.Total(), n)
 	}
 }

@@ -58,7 +58,8 @@ type server struct {
 	store *planstore.Store
 	mux   *http.ServeMux
 	log   *obs.Logger
-	// tl records per-request slices; post-mortem captures take its tail.
+	// tl receives every request's spans; post-mortem captures take its
+	// tail.
 	tl *obs.Timeline
 
 	// buildHook, when non-nil, runs at the start of every plan build.
@@ -68,7 +69,7 @@ type server struct {
 }
 
 // serverTimelineEvents sizes the daemon's request timeline ring: enough
-// recent slices for a post-mortem tail without unbounded growth.
+// recent spans for a post-mortem tail without unbounded growth.
 const serverTimelineEvents = 4096
 
 // newServer wires the plan routes onto the observability mux, so one

@@ -83,11 +83,14 @@ func main() {
 		par.SetTimeline(tl)
 	}
 
-	// A nil tracer keeps the default path free of observability cost; every
-	// trace call below degrades to a nil check.
+	// The tracer records the study and pipeline spans for every consumer:
+	// the manifest reads its buffer, the timeline gets it flushed in at
+	// Finish. A nil tracer keeps the default path free of observability
+	// cost; every trace call below degrades to a nil check.
 	var tr *obs.Tracer
-	if *tracePath != "" {
+	if *tracePath != "" || *timelinePath != "" || *debugAddr != "" {
 		tr = obs.New("spmmsim")
+		tr.SetTimeline(tl)
 		tr.SetConfig("scale", fmt.Sprint(*scale))
 		tr.SetConfig("seed", fmt.Sprint(*seed))
 		tr.SetConfig("par", fmt.Sprint(*workers))
@@ -100,7 +103,6 @@ func main() {
 	// its own).
 	ctx := context.Background()
 
-	track := tl.Track("spmmsim/studies")
 	for _, st := range studies {
 		name := st.Name
 		start := time.Now()
@@ -114,12 +116,10 @@ func main() {
 		}
 		doneProgress := obs.StartProgress(name)
 		sp := tr.Root().Start(name)
-		slice := track.Start(name)
 		res, err := st.Run(ctx, e)
 		if err == nil {
 			res.Render(w)
 		}
-		slice.End()
 		sp.End()
 		doneProgress()
 		studyWallHist.ObserveSince(start)
@@ -132,7 +132,8 @@ func main() {
 		fmt.Printf("(%s in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
-	if tr != nil {
+	tr.Finish()
+	if *tracePath != "" {
 		if err := obs.WriteTrace(tr, *tracePath, os.Stdout); err != nil {
 			fail(err)
 		}

@@ -252,11 +252,11 @@ func timelineShape(evs []chromeEvent) []byte {
 	worker := regexp.MustCompile(`/w\d+$`)
 	counts := map[string]int{}
 	for _, ev := range evs {
-		thread := threads[row{ev.Pid, ev.Tid}]
+		thread := lane.ReplaceAllString(threads[row{ev.Pid, ev.Tid}], "")
 		switch {
 		case ev.Ph == "M" || strings.HasPrefix(thread, "par/"):
 		case ev.Pid == 1:
-			counts[fmt.Sprintf("wall %s | %s %s", lane.ReplaceAllString(thread, ""), ev.Ph, ev.Name)] = 0
+			counts[fmt.Sprintf("wall %s | %s %s", thread, ev.Ph, ev.Name)] = 0
 		default:
 			counts[fmt.Sprintf("sim %s | %s", worker.ReplaceAllString(thread, ""), ev.Ph)]++
 		}

@@ -23,7 +23,7 @@
 //     runs; under unitchecker (one package per process) the check
 //     degrades to per-package.
 //
-// Constant obs Timeline track names (Timeline.TrackID / Timeline.Intern)
+// Constant obs Timeline track names (Timeline.TrackID)
 // get a lighter grammar check (slash/underscore/dash separators allowed);
 // dynamic track names are legitimate — tracks are per-worker rows, not
 // dashboard series.
@@ -119,7 +119,7 @@ func run(pass *analysis.Pass) error {
 		if suffixes, ok := constructors[f.Name()]; ok && len(call.Args) == 1 {
 			checkRegistration(pass, call, f.Name(), suffixes)
 		}
-		if f.Name() == "TrackID" || f.Name() == "Intern" {
+		if f.Name() == "TrackID" {
 			checkTrack(pass, call)
 		}
 		if !selfObs {
@@ -208,7 +208,7 @@ func checkRegistration(pass *analysis.Pass, call *ast.CallExpr, kind string, suf
 	}
 }
 
-// checkTrack applies the track grammar to constant TrackID/Intern names;
+// checkTrack applies the track grammar to constant TrackID names;
 // dynamic names pass through.
 func checkTrack(pass *analysis.Pass, call *ast.CallExpr) {
 	if len(call.Args) != 1 {

@@ -12,7 +12,6 @@ func NewGauge(name string) *Gauge         { return &Gauge{} }
 func NewHistogram(name string) *Histogram { return &Histogram{} }
 
 func (t *Timeline) TrackID(name string) int32 { return 0 }
-func (t *Timeline) Intern(name string) int32  { return 0 }
 
 type LogLevel int
 

@@ -26,7 +26,6 @@ func dynamic(kind string) *obs.Counter {
 
 func tracks(tl *obs.Timeline, slot string) {
 	_ = tl.TrackID("par/pool")    // silent: track grammar allows slashes
-	_ = tl.Intern("fill")         // silent
 	_ = tl.TrackID("par/" + slot) // silent: dynamic track names are allowed
 	_ = tl.TrackID("Par Pool")    // want `does not match the track grammar`
 }

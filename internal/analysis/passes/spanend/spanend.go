@@ -84,9 +84,8 @@ func checkBlock(pass *analysis.Pass, block *ast.BlockStmt) {
 	}
 }
 
-// isSpanStart recognizes calls to (*obs.Span).Start and the timeline's
-// (*obs.Track).Start — both hand back a handle whose End must run in the
-// same block for the recorded slice (or span) to carry a real duration.
+// isSpanStart recognizes calls to (*obs.Span).Start, whose handle's End
+// must run in the same block for the span to carry a real duration.
 func isSpanStart(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Start" {
@@ -100,8 +99,7 @@ func isSpanStart(pass *analysis.Pass, call *ast.CallExpr) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	return analysis.IsNamed(sig.Recv().Type(), "internal/obs", "Span") ||
-		analysis.IsNamed(sig.Recv().Type(), "internal/obs", "Track")
+	return analysis.IsNamed(sig.Recv().Type(), "internal/obs", "Span")
 }
 
 // endedInBlock reports whether any of the statements closes obj's span:

@@ -20,21 +20,3 @@ func (s *Span) End() {}
 
 // SetAttr annotates the span.
 func (s *Span) SetAttr(key, val string) {}
-
-// Timeline mirrors the track-producing surface of the real obs.Timeline.
-type Timeline struct{}
-
-// Track returns a named wall-clock timeline track.
-func (t *Timeline) Track(name string) *Track { return &Track{} }
-
-// Track mirrors the real obs.Track.
-type Track struct{}
-
-// Start opens a slice on the track.
-func (tr *Track) Start(name string) *TrackSpan { return &TrackSpan{} }
-
-// TrackSpan mirrors the real obs.TrackSpan.
-type TrackSpan struct{}
-
-// End closes the slice and records it.
-func (s *TrackSpan) End() {}

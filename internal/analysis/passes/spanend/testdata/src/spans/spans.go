@@ -64,29 +64,3 @@ func childSpans(tr *obs.Tracer) {
 	inner := outer.Start("inner") // want `span "inner" is started but not ended in this block`
 	inner.SetAttr("k", "v")
 }
-
-// leakTrackSlice opens a timeline slice and never ends it: the recorded
-// event would carry a zero duration.
-func leakTrackSlice(tl *obs.Timeline) {
-	slice := tl.Track("studies").Start("fig10") // want `span "slice" is started but not ended in this block`
-	_ = slice
-}
-
-// leakTrackDiscarded drops the slice handle on the floor.
-func leakTrackDiscarded(tl *obs.Timeline) {
-	tl.Track("studies").Start("fig10") // want `result of Start discarded`
-}
-
-// trackSliceEnd is the canonical timeline pattern: silent.
-func trackSliceEnd(tl *obs.Timeline, work func()) {
-	slice := tl.Track("studies").Start("fig10")
-	work()
-	slice.End()
-}
-
-// trackSliceDefer defers the End: silent.
-func trackSliceDefer(tl *obs.Timeline, work func()) {
-	slice := tl.Track("studies").Start("fig10")
-	defer slice.End()
-	work()
-}

@@ -15,7 +15,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"slices"
 	"strings"
 	"time"
 )
@@ -94,24 +93,14 @@ func (p *promNamer) assign(name string, companions ...string) string {
 // never carries duplicate series.
 func (v *RegistryView) WriteMetricsText(w io.Writer) error {
 	var namer promNamer
-	names := make([]string, 0, len(v.Counters))
-	for name := range v.Counters {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(v.Counters) {
 		p := namer.assign(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", p, p, v.Counters[name]); err != nil {
 			return err
 		}
 	}
 
-	names = names[:0]
-	for name := range v.Gauges {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(v.Gauges) {
 		g := v.Gauges[name]
 		p := namer.assign(name, "_max")
 		_, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n# TYPE %s_max gauge\n%s_max %d\n",
@@ -121,12 +110,7 @@ func (v *RegistryView) WriteMetricsText(w io.Writer) error {
 		}
 	}
 
-	names = names[:0]
-	for name := range v.Histograms {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(v.Histograms) {
 		h := v.Histograms[name]
 		p := namer.assign(name, "_bucket", "_sum", "_count")
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", p); err != nil {
@@ -174,24 +158,10 @@ func DebugMux() *http.ServeMux {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		// Resolved per request: ConfigureFlight may swap the recorder after
-		// the mux was built.
-		if err := enc.Encode(Flight().Snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(ProgressSnapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	// Resolved per request: ConfigureFlight may swap the recorder after the
+	// mux was built.
+	mux.HandleFunc("/debug/requests", serveJSON(func() any { return Flight().Snapshot() }))
+	mux.HandleFunc("/progress", serveJSON(func() any { return ProgressSnapshot() }))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -201,6 +171,18 @@ func DebugMux() *http.ServeMux {
 		io.WriteString(w, debugIndex)
 	})
 	return mux
+}
+
+// serveJSON answers every request with view() as indented JSON.
+func serveJSON(view func() any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(view()); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	}
 }
 
 // debugDrainTimeout bounds how long ServeDebug's stop function waits for

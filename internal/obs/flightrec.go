@@ -1,16 +1,17 @@
 // Flight recorder: a fixed-capacity ring of per-request records for the
 // daemon (DESIGN.md §18). Every request leaves a compact record (route, ID,
-// status, latency, bytes, phase timings derived from its span tree); slow
-// or 5xx requests are additionally captured whole — full span tree plus a
-// timeline slice — in a separate small post-mortem ring, served as JSON at
-// /debug/requests and dumpable on SIGQUIT. The rings are bounded and
-// overwrite oldest-first, so the recorder's memory is constant no matter
-// how long the daemon runs.
+// status, latency, bytes, phase timings read off its tracer's top-level
+// spans); slow or 5xx requests are additionally captured whole — the
+// tracer's full span tree plus the tail of its timeline — in a separate
+// small post-mortem ring, served as JSON at /debug/requests and dumpable on
+// SIGQUIT. The rings are bounded and overwrite oldest-first, so the
+// recorder's memory is constant no matter how long the daemon runs.
 package obs
 
 import (
 	"encoding/json"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,32 +49,19 @@ type PostmortemRecord struct {
 	Timeline []EventView `json:"timeline,omitempty"`
 }
 
-// FlightConfig sizes a FlightRecorder. Zero values select the defaults.
-type FlightConfig struct {
-	// Capacity is the compact ring's size (default 256).
-	Capacity int
-	// PostCapacity is the post-mortem ring's size (default 16).
-	PostCapacity int
-	// SlowThreshold marks requests at or above this latency for post-mortem
-	// capture (default 1s; negative disables slow capture).
-	SlowThreshold time.Duration
-	// PostTimelineEvents bounds the timeline tail captured per post-mortem
-	// (default 64).
-	PostTimelineEvents int
-}
-
+// Flight-recorder sizes: the compact ring, the post-mortem ring, and the
+// timeline tail each post-mortem keeps.
 const (
-	defaultFlightCapacity     = 256
-	defaultPostCapacity       = 16
-	defaultSlowThreshold      = time.Second
-	defaultPostTimelineEvents = 64
+	flightCapacity       = 256
+	postCapacity         = 16
+	postTimelineEvents   = 64
+	defaultSlowThreshold = time.Second
 )
 
 // FlightRecorder holds the two request rings. Build with NewFlightRecorder;
 // a nil recorder accepts every method as a no-op.
 type FlightRecorder struct {
 	slow    time.Duration
-	tailEvs int
 	mu      sync.Mutex
 	recent  []RequestRecord // ring; recent[total%cap] is the next slot
 	total   uint64
@@ -81,79 +69,57 @@ type FlightRecorder struct {
 	postTot uint64
 }
 
-// NewFlightRecorder builds a recorder from cfg (zero fields get defaults).
-func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = defaultFlightCapacity
-	}
-	if cfg.PostCapacity <= 0 {
-		cfg.PostCapacity = defaultPostCapacity
-	}
-	if cfg.SlowThreshold == 0 {
-		cfg.SlowThreshold = defaultSlowThreshold
-	}
-	if cfg.PostTimelineEvents <= 0 {
-		cfg.PostTimelineEvents = defaultPostTimelineEvents
+// NewFlightRecorder builds a recorder that captures requests at or above
+// the slow threshold as post-mortems (0 selects 1s; negative disables slow
+// capture).
+func NewFlightRecorder(slow time.Duration) *FlightRecorder {
+	if slow == 0 {
+		slow = defaultSlowThreshold
 	}
 	return &FlightRecorder{
-		slow:    cfg.SlowThreshold,
-		tailEvs: cfg.PostTimelineEvents,
-		recent:  make([]RequestRecord, 0, cfg.Capacity),
-		post:    make([]PostmortemRecord, 0, cfg.PostCapacity),
+		slow:   slow,
+		recent: make([]RequestRecord, 0, flightCapacity),
+		post:   make([]PostmortemRecord, 0, postCapacity),
 	}
 }
 
 // flightCaptured counts post-mortem captures (slow or 5xx requests).
 var flightCaptured = NewCounter("obs.flight.captured")
 
-// Record files one completed request. When rec.Phases is empty it is
-// derived from the span tree's top-level children. spans and tl are only
-// retained when the request qualifies for post-mortem capture (status ≥ 500
-// or latency ≥ the slow threshold); both may be nil.
-func (f *FlightRecorder) Record(rec RequestRecord, spans *SpanRecord, tl *Timeline) {
+// Record files one completed request, finishing its tracer (which may be
+// nil). When rec.Phases is empty it is read off the tracer's top-level
+// spans. The span tree and the tracer's timeline tail are only captured
+// when the request qualifies for post-mortem capture (status ≥ 500 or
+// latency ≥ the slow threshold).
+func (f *FlightRecorder) Record(rec RequestRecord, tr *Tracer) {
 	if f == nil {
 		return
 	}
-	if len(rec.Phases) == 0 && spans != nil {
-		for _, c := range spans.Children {
-			rec.Phases = append(rec.Phases, PhaseNS{Name: c.Name, DurNS: c.DurationNS})
-		}
+	tr.Finish()
+	if len(rec.Phases) == 0 {
+		rec.Phases = tr.topLevel()
 	}
-	reason := ""
+	var why []string
 	if rec.Status >= 500 {
-		reason = "error"
+		why = append(why, "error")
 	}
 	if f.slow >= 0 && rec.LatencyNS >= f.slow.Nanoseconds() {
-		if reason != "" {
-			reason += ",slow"
-		} else {
-			reason = "slow"
-		}
+		why = append(why, "slow")
 	}
+	reason := strings.Join(why, ",")
 	var pm PostmortemRecord
 	if reason != "" {
 		flightCaptured.Inc()
-		pm = PostmortemRecord{
-			RequestRecord: rec,
-			Reason:        reason,
-			Spans:         spans,
-			Timeline:      tl.TailView(f.tailEvs),
+		pm = PostmortemRecord{RequestRecord: rec, Reason: reason}
+		if tr != nil {
+			pm.Spans = tr.SpanTree()
+			pm.Timeline = tr.tl.TailView(postTimelineEvents)
 		}
 	}
 	f.mu.Lock()
-	if len(f.recent) < cap(f.recent) {
-		f.recent = append(f.recent, rec)
-	} else {
-		f.recent[f.total%uint64(cap(f.recent))] = rec
-	}
-	f.total++
+	f.recent = ringPut(f.recent, &f.total, rec)
 	if reason != "" {
-		if len(f.post) < cap(f.post) {
-			f.post = append(f.post, pm)
-		} else {
-			f.post[f.postTot%uint64(cap(f.post))] = pm
-		}
-		f.postTot++
+		f.post = ringPut(f.post, &f.postTot, pm)
 	}
 	f.mu.Unlock()
 }
@@ -222,18 +188,19 @@ func Flight() *FlightRecorder {
 	if f := flight.Load(); f != nil {
 		return f
 	}
-	f := NewFlightRecorder(FlightConfig{})
+	f := NewFlightRecorder(0)
 	if flight.CompareAndSwap(nil, f) {
 		return f
 	}
 	return flight.Load()
 }
 
-// ConfigureFlight replaces the process-wide recorder with a fresh one built
-// from cfg and returns it. Records already filed stay with the old
-// recorder; in-flight Record calls land in whichever recorder they resolved.
-func ConfigureFlight(cfg FlightConfig) *FlightRecorder {
-	f := NewFlightRecorder(cfg)
+// ConfigureFlight replaces the process-wide recorder with a fresh one using
+// the given slow threshold (see NewFlightRecorder) and returns it. Records
+// already filed stay with the old recorder; in-flight Record calls land in
+// whichever recorder they resolved.
+func ConfigureFlight(slow time.Duration) *FlightRecorder {
+	f := NewFlightRecorder(slow)
 	flight.Store(f)
 	return f
 }
@@ -267,32 +234,36 @@ func (t *Timeline) TailView(n int) []EventView {
 		return nil
 	}
 	evs := t.Events()
-	if len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	if len(evs) == 0 {
-		return nil
-	}
+	evs = evs[max(len(evs)-n, 0):]
 	out := make([]EventView, 0, len(evs))
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, ev := range evs {
-		kind := "?"
+		v := EventView{Track: t.trackName(ev.Track), Kind: "?", TSNS: ev.TS, DurNS: ev.Dur, Arg: ev.Arg, Value: ev.Value}
 		if int(ev.Kind) < len(kindNames) {
-			kind = kindNames[ev.Kind]
-		}
-		v := EventView{
-			Track: t.trackName(ev.Track),
-			Kind:  kind,
-			TSNS:  ev.TS,
-			DurNS: ev.Dur,
-			Arg:   ev.Arg,
-			Value: ev.Value,
+			v.Kind = kindNames[ev.Kind]
 		}
 		if ev.Kind == EvSlice {
 			v.Name = t.eventName(ev.Name)
 		}
 		out = append(out, v)
+	}
+	return out
+}
+
+// topLevel returns the root's direct children as phase timings, in Start
+// order (nil for a nil tracer).
+func (t *Tracer) topLevel() []PhaseNS {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []PhaseNS
+	for _, ev := range t.events {
+		if ev.Parent == t.root.id {
+			out = append(out, PhaseNS{Name: t.names[ev.Name], DurNS: ev.Dur})
+		}
 	}
 	return out
 }

@@ -10,18 +10,22 @@ import (
 )
 
 func TestFlightRecorderRing(t *testing.T) {
-	f := NewFlightRecorder(FlightConfig{Capacity: 4, SlowThreshold: -1})
-	for i := 0; i < 6; i++ {
-		f.Record(RequestRecord{ID: fmt.Sprintf("r%d", i), Route: "plan", Status: 200}, nil, nil)
+	f := NewFlightRecorder(-1)
+	const n = flightCapacity + 2
+	for i := 0; i < n; i++ {
+		f.Record(RequestRecord{ID: fmt.Sprintf("r%d", i), Route: "plan", Status: 200}, nil)
 	}
 	v := f.Snapshot()
-	if v.Total != 6 {
-		t.Errorf("Total = %d, want 6", v.Total)
+	if v.Total != n {
+		t.Errorf("Total = %d, want %d", v.Total, n)
 	}
-	if len(v.Recent) != 4 {
-		t.Fatalf("Recent has %d entries, want 4", len(v.Recent))
+	if len(v.Recent) != flightCapacity {
+		t.Fatalf("Recent has %d entries, want %d", len(v.Recent), flightCapacity)
 	}
-	for i, want := range []string{"r5", "r4", "r3", "r2"} {
+	if last := v.Recent[flightCapacity-1].ID; last != "r2" {
+		t.Errorf("oldest kept = %q, want r2", last)
+	}
+	for i, want := range []string{fmt.Sprintf("r%d", n-1), fmt.Sprintf("r%d", n-2)} {
 		if v.Recent[i].ID != want {
 			t.Errorf("Recent[%d] = %q, want %q (newest first)", i, v.Recent[i].ID, want)
 		}
@@ -31,29 +35,28 @@ func TestFlightRecorderRing(t *testing.T) {
 	}
 }
 
-// buildSpanTree makes a finished tracer with two phases for phase-timing
-// assertions.
-func buildSpanTree() *SpanRecord {
+// requestTracer makes a request's tracer with two top-level stages,
+// attached to tl (which may be nil).
+func requestTracer(tl *Timeline) *Tracer {
 	tr := New("httpd.plan")
+	tr.SetTimeline(tl)
 	sp := tr.Root().Start("hotcore.scan")
 	sp.End()
 	sp = tr.Root().Start("hotcore.partition")
 	sp.End()
-	return tr.SpanTree()
+	return tr
 }
 
 func TestFlightPostmortemCapture(t *testing.T) {
-	f := NewFlightRecorder(FlightConfig{SlowThreshold: 10 * time.Millisecond})
+	f := NewFlightRecorder(10 * time.Millisecond)
 	tl := NewTimeline(16)
-	ts := tl.Track("httpd/plan").Start("r-slow")
-	ts.End()
 
-	f.Record(RequestRecord{ID: "r-ok", Status: 200, LatencyNS: 1000}, buildSpanTree(), tl)
-	f.Record(RequestRecord{ID: "r-5xx", Status: 503, LatencyNS: 1000}, buildSpanTree(), tl)
+	f.Record(RequestRecord{ID: "r-ok", Status: 200, LatencyNS: 1000}, requestTracer(tl))
+	f.Record(RequestRecord{ID: "r-5xx", Status: 503, LatencyNS: 1000}, requestTracer(tl))
 	f.Record(RequestRecord{ID: "r-slow", Status: 200,
-		LatencyNS: (20 * time.Millisecond).Nanoseconds()}, buildSpanTree(), tl)
+		LatencyNS: (20 * time.Millisecond).Nanoseconds()}, requestTracer(tl))
 	f.Record(RequestRecord{ID: "r-both", Status: 500,
-		LatencyNS: (20 * time.Millisecond).Nanoseconds()}, buildSpanTree(), tl)
+		LatencyNS: (20 * time.Millisecond).Nanoseconds()}, requestTracer(tl))
 
 	v := f.Snapshot()
 	if v.Total != 4 || v.Captured != 3 {
@@ -89,15 +92,15 @@ func TestFlightPostmortemCapture(t *testing.T) {
 
 func TestFlightNilSafe(t *testing.T) {
 	var f *FlightRecorder
-	f.Record(RequestRecord{ID: "x"}, nil, nil)
+	f.Record(RequestRecord{ID: "x"}, nil)
 	if v := f.Snapshot(); v.Total != 0 {
 		t.Errorf("nil recorder snapshot = %+v", v)
 	}
 }
 
 func TestWritePostmortem(t *testing.T) {
-	f := NewFlightRecorder(FlightConfig{SlowThreshold: -1})
-	f.Record(RequestRecord{ID: "bad", Status: 502}, buildSpanTree(), nil)
+	f := NewFlightRecorder(-1)
+	f.Record(RequestRecord{ID: "bad", Status: 502}, requestTracer(nil))
 	var buf bytes.Buffer
 	if err := f.WritePostmortem(&buf); err != nil {
 		t.Fatalf("WritePostmortem: %v", err)
@@ -115,8 +118,8 @@ func TestWritePostmortem(t *testing.T) {
 }
 
 func TestDebugRequestsRoute(t *testing.T) {
-	f := ConfigureFlight(FlightConfig{Capacity: 8})
-	f.Record(RequestRecord{ID: "via-http", Route: "plan", Status: 200}, nil, nil)
+	f := ConfigureFlight(0)
+	f.Record(RequestRecord{ID: "via-http", Route: "plan", Status: 200}, nil)
 
 	srv := httptest.NewServer(DebugMux())
 	defer srv.Close()
@@ -141,7 +144,7 @@ func TestDebugRequestsRoute(t *testing.T) {
 
 	// The route resolves the recorder per request: reconfiguring swaps what
 	// it serves without rebuilding the mux.
-	ConfigureFlight(FlightConfig{})
+	ConfigureFlight(0)
 	resp2, err := srv.Client().Get(srv.URL + "/debug/requests")
 	if err != nil {
 		t.Fatalf("GET after ConfigureFlight: %v", err)
@@ -159,8 +162,9 @@ func TestDebugRequestsRoute(t *testing.T) {
 func TestTimelineTailView(t *testing.T) {
 	tl := NewTimeline(8)
 	for i := 0; i < 3; i++ {
-		s := tl.Track("httpd/plan").Start(fmt.Sprintf("req%d", i))
-		s.End()
+		tr := New(fmt.Sprintf("req%d", i))
+		tr.SetTimeline(tl)
+		tr.Finish()
 	}
 	tl.Append(Event{Kind: EvQueueDepth, Track: tl.TrackID("pool"), Name: -1, Value: 2})
 
@@ -168,7 +172,7 @@ func TestTimelineTailView(t *testing.T) {
 	if len(all) != 4 {
 		t.Fatalf("TailView(10) = %d events, want 4", len(all))
 	}
-	if all[0].Track != "httpd/plan" || all[0].Name != "req0" || all[0].Kind != "slice" {
+	if all[0].Track != "req0" || all[0].Name != "req0" || all[0].Kind != "slice" {
 		t.Errorf("first event = %+v", all[0])
 	}
 	if all[3].Kind != "queue.depth" || all[3].Value != 2 {
@@ -206,5 +210,33 @@ func TestSpanTreeExport(t *testing.T) {
 	var nilTr *Tracer
 	if nilTr.SpanTree() != nil {
 		t.Errorf("nil tracer SpanTree should be nil")
+	}
+}
+
+// TestPostmortemKeepsSpansPastRing floods the timeline with more events
+// than its ring holds while a request runs: the post-mortem still carries
+// every span, because the span tree is read from the tracer's own buffer,
+// and attributes set after End still reach it.
+func TestPostmortemKeepsSpansPastRing(t *testing.T) {
+	f := NewFlightRecorder(time.Nanosecond)
+	tl := NewTimeline(64)
+	tr := New("httpd.plan")
+	tr.SetTimeline(tl)
+	for i := 0; i < 10; i++ {
+		sp := tr.Root().Start("stage")
+		tl.Append(make([]Event, 100)...)
+		sp.End()
+		sp.SetAttr("i", fmt.Sprint(i))
+	}
+	f.Record(RequestRecord{ID: "r", Status: 200, LatencyNS: 1}, tr)
+	pm := f.Snapshot().Postmortem
+	if len(pm) != 1 || pm[0].Spans == nil || len(pm[0].Spans.Children) != 10 {
+		t.Fatalf("post-mortem lost spans: %+v", pm)
+	}
+	if got := pm[0].Spans.Children[9].Attrs["i"]; got != "9" {
+		t.Fatalf("attribute set after End = %q, want 9", got)
+	}
+	if len(pm[0].Phases) != 10 || len(pm[0].Timeline) != postTimelineEvents {
+		t.Fatalf("phases %d, timeline tail %d", len(pm[0].Phases), len(pm[0].Timeline))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"strings"
 	"time"
@@ -57,24 +58,31 @@ func (t *Tracer) AddOutput(name string, data []byte) {
 		return
 	}
 	out := HashOutput(name, data)
-	t.cfgMu.Lock()
+	t.mu.Lock()
 	t.outputs = append(t.outputs, out)
-	t.cfgMu.Unlock()
+	t.mu.Unlock()
 }
 
-// record serializes a span subtree. Caller holds t.mu.
-func record(s *Span) *SpanRecord {
-	r := &SpanRecord{Name: s.Name, DurationNS: s.dur.Nanoseconds()}
-	if len(s.attrs) > 0 {
-		r.Attrs = make(map[string]string, len(s.attrs))
-		for _, a := range s.attrs {
-			r.Attrs[a.Key] = a.Val
+// spanTree builds the span tree from the tracer's buffer: one record per
+// event, children in Start order, attributes applied in the order they
+// were set. Caller holds t.mu.
+func (t *Tracer) spanTree() *SpanRecord {
+	recs := make([]SpanRecord, len(t.events))
+	for i, ev := range t.events {
+		recs[i] = SpanRecord{Name: t.names[ev.Name], DurationNS: ev.Dur}
+		if ev.Parent >= 0 {
+			p := &recs[ev.Parent]
+			p.Children = append(p.Children, &recs[i])
 		}
 	}
-	for _, c := range s.children {
-		r.Children = append(r.Children, record(c))
+	for _, a := range t.attrs {
+		r := &recs[a.span]
+		if r.Attrs == nil {
+			r.Attrs = map[string]string{}
+		}
+		r.Attrs[a.Key] = a.Val
 	}
-	return r
+	return &recs[0]
 }
 
 // SpanTree finalizes the tracer (Finish) and returns the serialized span
@@ -87,7 +95,7 @@ func (t *Tracer) SpanTree() *SpanRecord {
 	t.Finish()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return record(t.root)
+	return t.spanTree()
 }
 
 // Manifest finalizes the tracer (Finish) and assembles the run manifest,
@@ -98,18 +106,8 @@ func (t *Tracer) Manifest() *Manifest {
 	}
 	t.Finish()
 	t.mu.Lock()
-	spans := record(t.root)
-	name := t.root.Name
-	created := t.root.start.Format(time.RFC3339)
+	spans, cfg, outputs := t.spanTree(), maps.Clone(t.config), slices.Clone(t.outputs)
 	t.mu.Unlock()
-
-	t.cfgMu.Lock()
-	cfg := make(map[string]string, len(t.config))
-	for k, v := range t.config {
-		cfg[k] = v
-	}
-	outputs := append([]Output(nil), t.outputs...)
-	t.cfgMu.Unlock()
 
 	view := RegistrySnapshot()
 	hists := make(map[string]HistogramSnapshot, len(view.Histograms))
@@ -119,8 +117,8 @@ func (t *Tracer) Manifest() *Manifest {
 		}
 	}
 	return &Manifest{
-		Name:       name,
-		Created:    created,
+		Name:       spans.Name,
+		Created:    t.start.Format(time.RFC3339),
 		Config:     cfg,
 		Spans:      spans,
 		Counters:   view.flatten(),
@@ -232,14 +230,9 @@ func (t *Tracer) WriteSummary(w io.Writer) error {
 		}
 	}
 	if len(m.Histograms) > 0 {
-		hnames := make([]string, 0, len(m.Histograms))
-		for name := range m.Histograms {
-			hnames = append(hnames, name)
-		}
-		slices.Sort(hnames)
 		fmt.Fprintln(w, "histograms:")
 		fmt.Fprintf(w, "  %-28s%10s%14s%14s%14s%14s\n", "name", "count", "p50", "p90", "p99", "max")
-		for _, name := range hnames {
+		for _, name := range sortedKeys(m.Histograms) {
 			h := m.Histograms[name]
 			fmt.Fprintf(w, "  %-28s%10d%14v%14v%14v%14v\n", name, h.Count,
 				time.Duration(h.P50NS).Round(time.Nanosecond),

@@ -197,16 +197,18 @@ func Snapshot() map[string]int64 {
 func MetricNames() []string {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
-	names := make([]string, 0, len(registry.counters)+len(registry.gauges)+len(registry.histograms))
-	for name := range registry.counters {
-		names = append(names, name)
-	}
-	for name := range registry.gauges {
-		names = append(names, name)
-	}
-	for name := range registry.histograms {
-		names = append(names, name)
-	}
+	names := append(sortedKeys(registry.counters), sortedKeys(registry.gauges)...)
+	names = append(names, sortedKeys(registry.histograms)...)
 	slices.Sort(names)
 	return names
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

@@ -1,9 +1,17 @@
-// Package obs is the reproduction's observability layer: hierarchical wall-
-// clock spans, process-wide atomic counters and gauges, and per-run JSON
-// manifests (DESIGN.md §10). It exists so perf work on the pipeline —
-// tiling, model estimation, partitioning, simulated execution — can
-// attribute time to stages and pin what a run produced, the measurement
-// substrate the paper's evaluation methodology (§VI) assumes.
+// Package obs is the reproduction's observability layer: wall-clock spans,
+// process-wide atomic counters and gauges, and per-run JSON manifests
+// (DESIGN.md §10). It exists so perf work on the pipeline — tiling, model
+// estimation, partitioning, simulated execution — can attribute time to
+// stages and pin what a run produced, the measurement substrate the
+// paper's evaluation methodology (§VI) assumes.
+//
+// A span is an event. Start reserves one EvSlice Event in the tracer's own
+// buffer and End fills in its duration, so the buffer is the complete
+// record of a run: the manifest's span tree, the flight recorder's phases
+// and post-mortem spans are views over it. A tracer attached to a Timeline
+// flushes the buffer into the ring once, at Finish, where the Perfetto
+// export and the `-timeline -` summary see the spans beside the simulator
+// and pool events.
 //
 // Everything is nil-safe by design: a nil *Tracer or *Span accepts every
 // method as a no-op, so instrumented code calls
@@ -18,28 +26,58 @@
 package obs
 
 import (
+	"math"
 	"strconv"
 	"sync"
 	"time"
 )
 
-// Tracer collects one run's span tree. The zero value is not useful; build
-// with New. A nil Tracer is a valid, always-disabled tracer.
+// Tracer records one run's spans. The zero value is not useful; build with
+// New. A nil Tracer is a valid, always-disabled tracer.
 type Tracer struct {
-	mu   sync.Mutex
-	root *Span
+	start time.Time
+	root  *Span
 
-	cfgMu   sync.Mutex
+	mu sync.Mutex
+	// events holds one EvSlice per span in Start order, so a span's id is
+	// its index and events[0] is the root. TS counts from the tracer's
+	// start; Dur is -1 while the span is open; Name indexes names.
+	events  []Event
+	names   []string
+	nameID  map[string]int32
+	attrs   []spanAttr
+	phases  map[string]*Span
+	tl      *Timeline
+	track   int32 // tl's track for the spans, named after the root
+	flushed int   // events[:flushed] are already in tl
 	config  map[string]string
 	outputs []Output
+}
+
+// spanAttr is one attribute in the tracer's buffer, keyed by span id.
+type spanAttr struct {
+	span int32
+	Attr
 }
 
 // New returns a Tracer whose root span carries the given name (typically
 // the command or study name) and starts now.
 func New(name string) *Tracer {
-	t := &Tracer{}
-	t.root = &Span{tracer: t, Name: name, start: time.Now()}
+	t := &Tracer{start: time.Now(), nameID: map[string]int32{}, phases: map[string]*Span{}, config: map[string]string{}}
+	t.root = t.open(-1, name, nil)
 	return t
+}
+
+// SetTimeline attaches the ring Finish flushes the spans into (nil
+// detaches), claiming the spans' track right away so a long run cannot
+// fill the track table first. Attach before the first Finish.
+func (t *Tracer) SetTimeline(tl *Timeline) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.tl, t.track = tl, tl.TrackID(t.names[0])
+	t.mu.Unlock()
 }
 
 // Root returns the root span (nil for a nil tracer).
@@ -48,6 +86,19 @@ func (t *Tracer) Root() *Span {
 		return nil
 	}
 	return t.root
+}
+
+// open reserves the event of a new span under parent and records its
+// start attributes. Caller holds t.mu (or owns t, as New does).
+func (t *Tracer) open(parent int32, name string, attrs []Attr) *Span {
+	id := int32(len(t.events))
+	nid := internLocked(t.nameID, &t.names, name, math.MaxInt32)
+	ts := time.Since(t.start).Nanoseconds()
+	t.events = append(t.events, Event{TS: ts, Dur: -1, Name: nid, Kind: EvSlice, Parent: parent, Arg: int64(id)})
+	for _, a := range attrs {
+		t.attrs = append(t.attrs, spanAttr{id, a})
+	}
+	return &Span{tracer: t, id: id}
 }
 
 // Phase returns the direct child of the root with the given name, creating
@@ -60,36 +111,33 @@ func (t *Tracer) Phase(name string) *Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, c := range t.root.children {
-		if c.Name == name {
-			return c
-		}
+	p, ok := t.phases[name]
+	if !ok {
+		p = t.open(t.root.id, name, nil)
+		t.phases[name] = p
 	}
-	c := &Span{tracer: t, Name: name, start: time.Now()}
-	t.root.children = append(t.root.children, c)
-	return c
+	return p
 }
 
 // Finish closes the root span and every still-open descendant (phases in
-// particular), fixing their durations. Idempotent.
+// particular), fixing their durations, and flushes the spans not yet
+// flushed into the attached timeline. Idempotent.
 func (t *Tracer) Finish() {
 	if t == nil {
 		return
 	}
+	now := time.Since(t.start).Nanoseconds()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := time.Now()
-	var closeAll func(s *Span)
-	closeAll = func(s *Span) {
-		if !s.ended {
-			s.dur = now.Sub(s.start)
-			s.ended = true
-		}
-		for _, c := range s.children {
-			closeAll(c)
+	for i := range t.events {
+		if ev := &t.events[i]; ev.Dur < 0 {
+			ev.Dur = now - ev.TS
 		}
 	}
-	closeAll(t.root)
+	if t.tl != nil && t.flushed < len(t.events) {
+		t.tl.appendSpans(t.start, t.track, t.names, t.events[t.flushed:])
+	}
+	t.flushed = len(t.events)
 }
 
 // SetConfig records one run-configuration key (scale, seed, arch, …) for
@@ -98,26 +146,17 @@ func (t *Tracer) SetConfig(key, val string) {
 	if t == nil {
 		return
 	}
-	t.cfgMu.Lock()
-	defer t.cfgMu.Unlock()
-	if t.config == nil {
-		t.config = map[string]string{}
-	}
+	t.mu.Lock()
 	t.config[key] = val
+	t.mu.Unlock()
 }
 
-// Span is one timed region of the run. A nil Span accepts every method as a
-// no-op, which is how disabled tracing stays free.
+// Span is a handle on one timed region of the run: its event in the
+// tracer's buffer. A nil Span accepts every method as a no-op, which is
+// how disabled tracing stays free.
 type Span struct {
 	tracer *Tracer
-	Name   string
-
-	start time.Time
-	dur   time.Duration
-	ended bool
-
-	attrs    []Attr
-	children []*Span
+	id     int32
 }
 
 // Attr is one key=value annotation on a span.
@@ -141,12 +180,9 @@ func (s *Span) Start(name string, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
-	t := s.tracer
-	c := &Span{tracer: t, Name: name, start: time.Now(), attrs: attrs}
-	t.mu.Lock()
-	s.children = append(s.children, c)
-	t.mu.Unlock()
-	return c
+	s.tracer.mu.Lock()
+	defer s.tracer.mu.Unlock()
+	return s.tracer.open(s.id, name, attrs)
 }
 
 // End closes the span, fixing its duration. Idempotent; children left open
@@ -155,30 +191,22 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.tracer.mu.Lock()
-	if !s.ended {
-		s.dur = time.Since(s.start)
-		s.ended = true
+	t := s.tracer
+	now := time.Since(t.start).Nanoseconds()
+	t.mu.Lock()
+	if ev := &t.events[s.id]; ev.Dur < 0 {
+		ev.Dur = now - ev.TS
 	}
-	s.tracer.mu.Unlock()
+	t.mu.Unlock()
 }
 
-// SetAttr attaches (or appends) a key=value annotation.
+// SetAttr attaches (or appends) a key=value annotation. It may run after
+// End: attributes live in the tracer's buffer, beside the span's event.
 func (s *Span) SetAttr(key, val string) {
 	if s == nil {
 		return
 	}
 	s.tracer.mu.Lock()
-	s.attrs = append(s.attrs, Attr{key, val})
+	s.tracer.attrs = append(s.tracer.attrs, spanAttr{s.id, Attr{key, val}})
 	s.tracer.mu.Unlock()
-}
-
-// Duration returns the span's wall time (zero until ended).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	return s.dur
 }

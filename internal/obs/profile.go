@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 )
@@ -60,18 +59,5 @@ func WriteTrace(t *Tracer, path string, w io.Writer) error {
 	if path == "-" {
 		return t.WriteSummary(w)
 	}
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteManifest(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(path, t.WriteManifest)
 }

@@ -1,22 +1,22 @@
 // Timeline tracing: a ring-buffered event recorder for the fine-grained
-// behavior the span tree and counters deliberately discard — individual
-// simulated workers starting and finishing units, bandwidth grants
-// changing, pool goroutines draining fan-outs. Events live in a fixed ring
+// behavior the counters deliberately discard — individual simulated
+// workers starting and finishing units, bandwidth grants changing, pool
+// goroutines draining fan-outs — and, flushed in by Tracer.Finish, the
+// spans of every tracer attached to it. Events live in a fixed ring
 // (oldest overwritten first), so a full `spmmsim all` run records the tail
 // of its activity in bounded memory. Exported as Chrome trace-event JSON
 // (viewable in Perfetto or chrome://tracing) or as a terminal per-track
 // utilization summary.
 //
-// Two clocks coexist: wall-clock events (pool activity, study slices)
-// carry nanoseconds since the timeline's epoch, while simulator events
-// carry *simulated* nanoseconds. The Chrome export separates them into two
-// trace "processes" so Perfetto never mixes the time bases on one row.
+// Two clocks coexist: wall-clock events (pool activity, spans) carry
+// nanoseconds since the timeline's epoch, while simulator events carry
+// *simulated* nanoseconds. The Chrome export separates them into two trace
+// "processes" so Perfetto never mixes the time bases on one row.
 //
-// Everything is nil-safe: a nil *Timeline (and the nil *Track it hands
-// out) accepts every method as a no-op, so instrumented code records
-// unconditionally and the disabled path costs a nil check — no
-// allocations, no locks (TestEngineStepAllocs and BenchmarkObsDisabled pin
-// this for the engine and experiment paths).
+// Everything is nil-safe: a nil *Timeline accepts every method as a no-op,
+// so instrumented code records unconditionally and the disabled path costs
+// a nil check — no allocations, no locks (TestEngineStepAllocs and
+// BenchmarkObsDisabled pin this for the engine and experiment paths).
 package obs
 
 import (
@@ -28,8 +28,9 @@ import (
 type EventKind uint8
 
 const (
-	// EvSlice is a named wall-clock slice recorded by Track.Start/End
-	// (study and phase activity). Name indexes the timeline's name table.
+	// EvSlice is one span: a named wall-clock slice on its tracer's track.
+	// Name indexes the timeline's name table, Arg is the span id within its
+	// tracer, and Parent the parent span's id (-1 for a root).
 	EvSlice EventKind = iota
 	// EvWorkerRun is one simulated worker executing one unit: the slice
 	// [TS, TS+Dur) on the simulated clock, Arg = unit index within the
@@ -63,13 +64,14 @@ func (k EventKind) simClock() bool {
 // ring: names and track labels are interned, so recording never retains
 // caller memory.
 type Event struct {
-	TS    int64 // ns: wall-clock since epoch, or simulated (see EventKind)
-	Dur   int64 // slice width in ns; 0 for instants and samples
-	Track int32 // track id from Timeline.TrackID
-	Name  int32 // interned name id (EvSlice only); -1 otherwise
-	Kind  EventKind
-	Arg   int64   // kind-specific: unit index, item count
-	Value float64 // kind-specific: bytes, bytes/s, depth
+	TS     int64 // ns: wall-clock since epoch, or simulated (see EventKind)
+	Dur    int64 // slice width in ns; 0 for instants and samples
+	Track  int32 // track id from Timeline.TrackID
+	Name   int32 // interned name id (EvSlice only); -1 otherwise
+	Kind   EventKind
+	Parent int32   // EvSlice: parent span id, -1 for a root
+	Arg    int64   // kind-specific: span id, unit index, item count
+	Value  float64 // kind-specific: bytes, bytes/s, depth
 }
 
 // Timeline is the ring-buffered recorder. Build with NewTimeline; a nil
@@ -123,17 +125,6 @@ func (t *Timeline) Now() int64 {
 	return time.Since(t.epoch).Nanoseconds()
 }
 
-// Intern maps a name to its stable id in the timeline's name table,
-// creating it on first use.
-func (t *Timeline) Intern(name string) int32 {
-	if t == nil {
-		return -1
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return internLocked(t.nameID, &t.names, name, maxNames)
-}
-
 // TrackID maps a track label to its stable id, creating the track on first
 // use. Once the table is full, further labels share one "(overflow)" track
 // rather than growing it.
@@ -146,10 +137,10 @@ func (t *Timeline) TrackID(name string) int32 {
 	return internLocked(t.trackI, &t.tracks, name, maxTracks)
 }
 
-// internLocked find-or-creates name in one of the timeline's string
-// tables. Caller holds t.mu. When the table has limit-1 entries, unseen
-// names collapse onto a shared "(overflow)" entry, bounding the table at
-// limit even though the ring keeps rolling.
+// internLocked find-or-creates name in a string table (the timeline's or a
+// tracer's) under its owner's lock. When the table has limit-1 entries,
+// unseen names collapse onto a shared "(overflow)" entry, bounding the
+// table at limit even though the ring keeps rolling.
 func internLocked(index map[string]int32, table *[]string, name string, limit int) int32 {
 	if id, ok := index[name]; ok {
 		return id
@@ -175,14 +166,22 @@ func (t *Timeline) Append(evs ...Event) {
 	}
 	t.mu.Lock()
 	for _, ev := range evs {
-		if len(t.buf) < cap(t.buf) {
-			t.buf = append(t.buf, ev)
-		} else {
-			t.buf[t.total%uint64(cap(t.buf))] = ev
-		}
-		t.total++
+		t.buf = ringPut(t.buf, &t.total, ev)
 	}
 	t.mu.Unlock()
+}
+
+// ringPut writes v into a ring whose next slot is *total%cap(ring) —
+// appending until the ring reaches its capacity, then overwriting the
+// oldest entry — and counts it in *total.
+func ringPut[T any](ring []T, total *uint64, v T) []T {
+	if len(ring) < cap(ring) {
+		ring = append(ring, v)
+	} else {
+		ring[*total%uint64(cap(ring))] = v
+	}
+	*total++
+	return ring
 }
 
 // Events returns the recorded events oldest-first (a copy).
@@ -242,52 +241,24 @@ func (t *Timeline) eventName(id int32) string {
 	return t.names[id]
 }
 
-// Track is a handle for recording wall-clock slices onto one timeline row.
-// A nil Track (from a nil Timeline) is a no-op recorder, mirroring the
-// nil-Span contract.
-type Track struct {
-	tl *Timeline
-	id int32
-}
-
-// Track returns the handle for the given label, creating the row on first
-// use.
-func (t *Timeline) Track(name string) *Track {
-	if t == nil {
-		return nil
+// appendSpans copies a tracer's span events into the ring: the spans go on
+// the given track, their names are re-interned into the timeline's table,
+// and their timestamps are shifted from the tracer's start to the
+// timeline's epoch.
+func (t *Timeline) appendSpans(start time.Time, track int32, names []string, evs []Event) {
+	shift := start.Sub(t.epoch).Nanoseconds()
+	ids := make([]int32, len(names))
+	for i := range ids {
+		ids[i] = -1
 	}
-	return &Track{tl: t, id: t.TrackID(name)}
-}
-
-// Start opens a wall-clock slice on the track. Like obs.Span, every Start
-// must be paired with End (the spanend analyzer enforces this).
-func (tr *Track) Start(name string) *TrackSpan {
-	if tr == nil {
-		return nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, ev := range evs {
+		if ids[ev.Name] < 0 {
+			ids[ev.Name] = internLocked(t.nameID, &t.names, names[ev.Name], maxNames)
+		}
+		ev.TS += shift
+		ev.Track, ev.Name = track, ids[ev.Name]
+		t.buf = ringPut(t.buf, &t.total, ev)
 	}
-	return &TrackSpan{tr: tr, name: tr.tl.Intern(name), t0: tr.tl.Now()}
-}
-
-// TrackSpan is one in-flight wall-clock slice; End records it.
-type TrackSpan struct {
-	tr    *Track
-	name  int32
-	t0    int64
-	ended bool
-}
-
-// End closes the slice and appends it to the timeline. Idempotent; a nil
-// TrackSpan is a no-op.
-func (s *TrackSpan) End() {
-	if s == nil || s.ended {
-		return
-	}
-	s.ended = true
-	s.tr.tl.Append(Event{
-		TS:    s.t0,
-		Dur:   s.tr.tl.Now() - s.t0,
-		Track: s.tr.id,
-		Name:  s.name,
-		Kind:  EvSlice,
-	})
 }

@@ -77,58 +77,106 @@ func (t *Timeline) chrome(ev Event) (chromeEvent, bool) {
 	return c, true
 }
 
+// sliceLanes assigns every complete slice — span, worker unit, pool drain
+// — a lane of its row, so that the slices sharing a lane are nested or
+// disjoint: concurrent work (exec cells on pool workers, overlapping
+// requests, simulated runs collapsed onto the overflow track) goes to
+// further lanes, which the export renders as separate rows. Lane 0 is the
+// row itself; every other event gets lane 0.
+func sliceLanes(events []Event) []int {
+	idx := make([]int, 0, len(events))
+	for i, ev := range events {
+		if ev.Kind == EvSlice || ev.Kind == EvWorkerRun || ev.Kind == EvTaskRun {
+			idx = append(idx, i)
+		}
+	}
+	// Per row, in start order, outer slices before the slices they contain.
+	row := func(ev *Event) int64 {
+		if ev.Kind.simClock() {
+			return int64(ev.Track) + maxTracks
+		}
+		return int64(ev.Track)
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		ea, eb := &events[a], &events[b]
+		return cmp.Or(cmp.Compare(row(ea), row(eb)), cmp.Compare(ea.TS, eb.TS),
+			cmp.Compare(eb.TS+eb.Dur, ea.TS+ea.Dur))
+	})
+	lanes := make([]int, len(events))
+	var open [][]int64 // per lane of the current row: ends of the enclosing slices
+	for k, i := range idx {
+		ev := &events[i]
+		if k == 0 || row(&events[idx[k-1]]) != row(ev) {
+			open = open[:0]
+		}
+		end, lane := ev.TS+ev.Dur, 0
+		for ; lane < len(open); lane++ {
+			st := open[lane]
+			for len(st) > 0 && st[len(st)-1] <= ev.TS {
+				st = st[:len(st)-1]
+			}
+			open[lane] = st
+			if len(st) == 0 || end <= st[len(st)-1] {
+				break
+			}
+		}
+		if lane == len(open) {
+			open = append(open, nil)
+		}
+		open[lane] = append(open[lane], end)
+		lanes[i] = lane
+	}
+	return lanes
+}
+
 // WriteChromeTrace renders the ring as Chrome trace-event JSON, loadable
-// in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// in Perfetto (ui.perfetto.dev) or chrome://tracing. Each slice lane
+// beyond the first becomes its own thread, labeled "<track> (n)".
 func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 	if t == nil {
 		return fmt.Errorf("obs: WriteChromeTrace on nil timeline")
 	}
 	events := t.Events()
-	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: make([]chromeEvent, 0, len(events)+16)}
+	lanes := sliceLanes(events)
+	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{
+		{Name: "process_name", Ph: "M", Pid: pidWall, Args: map[string]any{"name": "wall clock"}},
+		{Name: "process_name", Ph: "M", Pid: pidSim, Args: map[string]any{"name": "simulated time"}},
+	}}
 
-	// Metadata first: name the two processes and every referenced thread.
+	// Name every referenced thread, then emit the events.
 	type row struct{ pid, tid int }
-	seen := map[row]bool{}
-	for _, ev := range events {
-		pid := pidWall
-		if ev.Kind.simClock() {
-			pid = pidSim
+	threads := map[row]string{}
+	body := make([]chromeEvent, 0, len(events))
+	t.mu.Lock()
+	for i, ev := range events {
+		c, ok := t.chrome(ev)
+		if !ok {
+			continue
 		}
-		seen[row{pid, int(ev.Track)}] = true
+		name := t.trackName(ev.Track)
+		if lanes[i] > 0 {
+			c.Tid += lanes[i] * maxTracks
+			name += " (" + strconv.Itoa(lanes[i]+1) + ")"
+		}
+		threads[row{c.Pid, c.Tid}] = name
+		body = append(body, c)
 	}
-	rows := make([]row, 0, len(seen))
-	for r := range seen {
+	t.mu.Unlock()
+	rows := make([]row, 0, len(threads))
+	for r := range threads {
 		rows = append(rows, r)
 	}
 	slices.SortFunc(rows, func(a, b row) int {
-		if a.pid != b.pid {
-			return cmp.Compare(a.pid, b.pid)
-		}
-		return cmp.Compare(a.tid, b.tid)
+		return cmp.Or(cmp.Compare(a.pid, b.pid), cmp.Compare(a.tid, b.tid))
 	})
-	for _, pid := range []int{pidWall, pidSim} {
-		name := "wall clock"
-		if pid == pidSim {
-			name = "simulated time"
-		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid, Args: map[string]any{"name": name},
-		})
-	}
 	for _, r := range rows {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
 			Name: "thread_name", Ph: "M", Pid: r.pid, Tid: r.tid,
-			Args: map[string]any{"name": t.trackName(int32(r.tid))},
+			Args: map[string]any{"name": threads[r]},
 		})
 	}
-
-	for _, ev := range events {
-		if c, ok := t.chrome(ev); ok {
-			out.TraceEvents = append(out.TraceEvents, c)
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&out)
+	out.TraceEvents = append(out.TraceEvents, body...)
+	return json.NewEncoder(w).Encode(&out)
 }
 
 // trackAgg accumulates one track's summary row.
@@ -165,10 +213,11 @@ func (t *Timeline) WriteTimelineSummary(w io.Writer) error {
 		if end := ev.TS + ev.Dur; end > a.maxEnd {
 			a.maxEnd = end
 		}
-		switch ev.Kind {
-		case EvSlice, EvTaskRun:
+		switch {
+		case ev.Kind == EvSlice && ev.Parent < 0, ev.Kind == EvTaskRun:
+			// A span's children run inside it: only roots count as busy.
 			a.busy += ev.Dur
-		case EvWorkerRun:
+		case ev.Kind == EvWorkerRun:
 			a.busy += ev.Dur
 			a.bytes += ev.Value
 		}
@@ -235,6 +284,12 @@ func WriteTimeline(t *Timeline, path string, w io.Writer) error {
 	if path == "-" {
 		return t.WriteTimelineSummary(w)
 	}
+	return writeFile(path, t.WriteChromeTrace)
+}
+
+// writeFile creates path (and its parent directories) and fills it with
+// write.
+func writeFile(path string, write func(io.Writer) error) error {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
@@ -244,7 +299,7 @@ func WriteTimeline(t *Timeline, path string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := t.WriteChromeTrace(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

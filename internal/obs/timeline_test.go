@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestNilTimelineIsNoOp(t *testing.T) {
@@ -15,22 +17,22 @@ func TestNilTimelineIsNoOp(t *testing.T) {
 	if tl.Now() != 0 {
 		t.Fatal("nil timeline has a clock")
 	}
-	if tl.Intern("x") != -1 || tl.TrackID("x") != -1 {
+	if tl.TrackID("x") != -1 {
 		t.Fatal("nil timeline interned a name")
 	}
 	tl.Append(Event{Kind: EvSlice})
+	// A tracer attached to a nil timeline records its spans but flushes
+	// nowhere.
+	tr := New("row")
+	tr.SetTimeline(tl)
+	tr.Root().Start("slice").End()
+	tr.Finish()
 	if tl.Events() != nil || tl.Total() != 0 || tl.Dropped() != 0 {
 		t.Fatal("nil timeline recorded events")
 	}
-	tr := tl.Track("row")
-	if tr != nil {
-		t.Fatal("nil timeline produced a track")
+	if n := len(tr.SpanTree().Children); n != 1 {
+		t.Fatalf("tracer on a nil timeline kept %d spans, want 1", n)
 	}
-	sp := tr.Start("slice")
-	if sp != nil {
-		t.Fatal("nil track produced a span")
-	}
-	sp.End()
 	if err := tl.WriteChromeTrace(&bytes.Buffer{}); err == nil {
 		t.Fatal("nil timeline export did not error")
 	}
@@ -60,15 +62,26 @@ func TestTimelineRingWrap(t *testing.T) {
 	}
 }
 
+// TestTimelineInternReuse flushes many tracers with the same span names
+// into one timeline: each distinct name is interned once, so the name table
+// stays bounded by the distinct span names however many tracers flush.
 func TestTimelineInternReuse(t *testing.T) {
 	tl := NewTimeline(16)
-	a := tl.Intern("alpha")
-	b := tl.Intern("beta")
+	for i := 0; i < 1000; i++ {
+		tr := New("httpd.healthz")
+		tr.SetTimeline(tl)
+		tr.Root().SetAttr("req", fmt.Sprintf("req-%d", i)) // attrs stay in the tracer
+		tr.Root().Start("alpha").End()
+		tr.Root().Start("beta").End()
+		tr.Finish()
+	}
+	if len(tl.names) != 3 {
+		t.Fatalf("name table holds %d names, want 3: %v", len(tl.names), tl.names)
+	}
+	evs := tl.Events()
+	a, b := evs[len(evs)-2].Name, evs[len(evs)-1].Name
 	if a == b {
 		t.Fatal("distinct names share an id")
-	}
-	if again := tl.Intern("alpha"); again != a {
-		t.Fatalf("re-intern of alpha = %d, want %d", again, a)
 	}
 	if tl.eventName(a) != "alpha" || tl.eventName(b) != "beta" {
 		t.Fatal("name table does not round-trip")
@@ -103,19 +116,46 @@ func TestTimelineTrackOverflow(t *testing.T) {
 	}
 }
 
+// TestTrackSpanRecordsSlice pins how a span reaches the timeline: one
+// EvSlice per span, flushed once by Finish onto the track named after the
+// tracer, carrying its span and parent ids.
 func TestTrackSpanRecordsSlice(t *testing.T) {
 	tl := NewTimeline(16)
-	row := tl.Track("studies")
-	sp := row.Start("fig10")
+	tr := New("studies")
+	tr.SetTimeline(tl)
+	sp := tr.Root().Start("fig10")
 	sp.End()
 	sp.End() // idempotent: must not record a second slice
-	evs := tl.Events()
-	if len(evs) != 1 {
-		t.Fatalf("recorded %d events, want 1", len(evs))
+	if len(tl.Events()) != 0 {
+		t.Fatal("span reached the ring before Finish")
 	}
-	ev := evs[0]
+	tr.Finish()
+	tr.Finish() // idempotent: must not flush twice
+	evs := tl.Events()
+	if len(evs) != 2 {
+		t.Fatalf("recorded %d events, want 2 (root and fig10)", len(evs))
+	}
+	root, ev := evs[0], evs[1]
 	if ev.Kind != EvSlice || ev.Dur < 0 || tl.trackName(ev.Track) != "studies" || tl.eventName(ev.Name) != "fig10" {
 		t.Fatalf("bad slice event %+v", ev)
+	}
+	if root.Parent != -1 || ev.Parent != int32(root.Arg) || ev.Arg == root.Arg {
+		t.Fatalf("span ids not linked: root %+v, child %+v", root, ev)
+	}
+	if ev.TS < root.TS || ev.TS+ev.Dur > root.TS+root.Dur {
+		t.Fatalf("child [%d,+%d) outside root [%d,+%d)", ev.TS, ev.Dur, root.TS, root.Dur)
+	}
+	// Spans started after a Finish are flushed by the next one.
+	tr.Root().Start("late").End()
+	tr.Finish()
+	if evs := tl.Events(); len(evs) != 3 || tl.eventName(evs[2].Name) != "late" {
+		t.Fatalf("late span not flushed once: %d events", len(evs))
+	}
+}
+
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 48 {
+		t.Fatalf("obs.Event is %d bytes, want <= 48", n)
 	}
 }
 
@@ -124,12 +164,12 @@ func TestTrackSpanRecordsSlice(t *testing.T) {
 // clock processes named and every referenced thread labeled.
 func TestWriteChromeTrace(t *testing.T) {
 	tl := NewTimeline(64)
-	wallTrack := tl.TrackID("spmmsim/studies")
+	tr := New("spmmsim")
+	tr.SetTimeline(tl)
+	tr.Finish()
 	simTrack := tl.TrackID("fig10/hot/w0")
 	poolTrack := tl.TrackID("par/pool")
-	name := tl.Intern("fig10")
 	tl.Append(
-		Event{TS: 100, Dur: 2000, Track: wallTrack, Name: name, Kind: EvSlice},
 		Event{TS: 0, Dur: 500, Track: simTrack, Name: -1, Kind: EvWorkerRun, Arg: 3, Value: 4096},
 		Event{TS: 500, Track: simTrack, Name: -1, Kind: EvWorkerIdle},
 		Event{TS: 250, Track: simTrack, Name: -1, Kind: EvGrant, Value: 1e9},
@@ -192,7 +232,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	if !processes["wall clock"] || !processes["simulated time"] {
 		t.Fatalf("missing process metadata: %v", processes)
 	}
-	for _, want := range []string{"spmmsim/studies", "fig10/hot/w0", "par/pool"} {
+	for _, want := range []string{"spmmsim", "fig10/hot/w0", "par/pool"} {
 		if !threads[want] {
 			t.Fatalf("missing thread_name for %q (have %v)", want, threads)
 		}
@@ -229,9 +269,9 @@ func TestWriteTimelineSummary(t *testing.T) {
 		Event{TS: 0, Dur: 800, Track: simTrack, Name: -1, Kind: EvWorkerRun, Value: 1024},
 		Event{TS: 900, Dur: 100, Track: simTrack, Name: -1, Kind: EvWorkerRun, Value: 1024},
 	)
-	wall := tl.Track("studies")
-	sp := wall.Start("fig10")
-	sp.End()
+	wall := New("studies")
+	wall.SetTimeline(tl)
+	wall.Finish()
 
 	var buf bytes.Buffer
 	if err := tl.WriteTimelineSummary(&buf); err != nil {
@@ -253,7 +293,9 @@ func TestWriteTimelineSummary(t *testing.T) {
 
 func TestWriteTimelineFile(t *testing.T) {
 	tl := NewTimeline(16)
-	tl.Track("row").Start("x").End()
+	tr := New("row")
+	tr.SetTimeline(tl)
+	tr.Finish()
 	path := filepath.Join(t.TempDir(), "sub", "tl.json")
 	if err := WriteTimeline(tl, path, nil); err != nil {
 		t.Fatal(err)
@@ -271,5 +313,44 @@ func TestWriteTimelineFile(t *testing.T) {
 	}
 	if err := WriteTimeline(nil, path, nil); err == nil {
 		t.Fatal("nil timeline write did not error")
+	}
+}
+
+// TestSpanLanes overlaps sibling spans the way exec cells overlap on pool
+// workers: the export must move them to extra rows of the tracer's track
+// so every row's slices are nested or disjoint. Simulated slices on a
+// track of the same id are a different row.
+func TestSpanLanes(t *testing.T) {
+	evs := []Event{
+		{TS: 0, Dur: 100, Kind: EvSlice, Parent: -1},           // root
+		{TS: 10, Dur: 40, Kind: EvSlice},                       // a
+		{TS: 20, Dur: 40, Kind: EvSlice},                       // b: overlaps a
+		{TS: 25, Dur: 5, Kind: EvSlice},                        // inside a and b
+		{TS: 55, Dur: 20, Kind: EvSlice},                       // c: overlaps b, not a
+		{TS: 0, Dur: 100, Track: 1, Kind: EvSlice, Parent: -1}, // other track
+		{TS: 5, Kind: EvQueueDepth},
+		{TS: 15, Dur: 10, Kind: EvWorkerRun}, // simulated row
+		{TS: 20, Dur: 10, Kind: EvWorkerRun}, // overlaps the run above
+	}
+	got := sliceLanes(evs)
+	want := []int{0, 0, 1, 0, 0, 0, 0, 0, 1}
+	if !slices.Equal(got, want) {
+		t.Fatalf("lanes %v, want %v", got, want)
+	}
+
+	tl := NewTimeline(16)
+	tl.TrackID("spmmsim")
+	for i := range evs[:5] {
+		evs[i].Name = -1
+	}
+	tl.Append(evs[:5]...)
+	var buf bytes.Buffer
+	if err := tl.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"name":"spmmsim"`, `"name":"spmmsim (2)"`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("export lacks thread %s:\n%s", want, buf.String())
+		}
 	}
 }

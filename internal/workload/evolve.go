@@ -35,7 +35,8 @@ type EvolveConfig struct {
 	// SkipFunctional runs timing only.
 	SkipFunctional bool
 	// Timeline, when non-nil, records each step's simulator events under
-	// "<Label>/step<i>"; Label defaults to "evolve".
+	// "<Label>/step<i>"; Label defaults to "evolve". Each step is also a
+	// "step<i>" span under the span ctx carries, if any.
 	Timeline *obs.Timeline
 	Label    string
 }
@@ -114,14 +115,14 @@ func Evolve(ctx context.Context, m *sparse.COO, a *arch.Arch, batches [][]sparse
 		return nil, err
 	}
 	res := &EvolveResult{Steps: make([]EvolveStep, 0, len(batches)), Plan: plan}
-	steps := cfg.Timeline.Track(label + "/steps")
+	parent := obs.CtxSpan(ctx)
 	for step, edits := range batches {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("workload: evolve canceled at step %d: %w", step, cerr)
 		}
-		slice := steps.Start(fmt.Sprintf("step%d", step))
+		sp := parent.Start(fmt.Sprintf("step%d", step))
 		st, err := evolveStep(ctx, cur, a, plan, edits, &pcfg, &sr, cfg, label, step)
-		slice.End()
+		sp.End()
 		if err != nil {
 			return nil, err
 		}

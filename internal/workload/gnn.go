@@ -31,7 +31,8 @@ type GNNConfig struct {
 	// the features are never read, so sweeps can pass nil features.
 	SkipFunctional bool
 	// Timeline, when non-nil, receives each layer's simulator events,
-	// labeled "<Label>/layer<i>"; Label defaults to "gnn".
+	// labeled "<Label>/layer<i>"; Label defaults to "gnn". Each layer is
+	// also a "layer<i>" span under the span ctx carries, if any.
 	Timeline *obs.Timeline
 	Label    string
 }
@@ -98,7 +99,7 @@ func GNNWithPlan(ctx context.Context, plan *hotcore.Prep, a *arch.Arch, features
 	sr := semiring.PlusTimes()
 	sr.OpsPerMAC = cfg.OpsPerMAC
 	res := &GNNResult{Plan: plan, LayerTimes: make([]float64, 0, cfg.Layers)}
-	layers := cfg.Timeline.Track(label + "/layers")
+	parent := obs.CtxSpan(ctx)
 	// Every layer simulates the same (grid, assignment, architecture): the
 	// unit cache builds the pools on layer 0 and the remaining layers skip
 	// construction (including the cold pool's cache-model replay) entirely.
@@ -108,7 +109,7 @@ func GNNWithPlan(ctx context.Context, plan *hotcore.Prep, a *arch.Arch, features
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("workload: GNN canceled at layer %d: %w", layer, cerr)
 		}
-		slice := layers.Start(fmt.Sprintf("layer%d", layer))
+		sp := parent.Start(fmt.Sprintf("layer%d", layer))
 		r, err := sim.Run(plan.Grid, plan.Partition.Hot, a, h, sim.Options{
 			Serial:         plan.Partition.Serial,
 			Semiring:       &sr,
@@ -117,7 +118,7 @@ func GNNWithPlan(ctx context.Context, plan *hotcore.Prep, a *arch.Arch, features
 			TimelineLabel:  fmt.Sprintf("%s/layer%d", label, layer),
 			Units:          &units,
 		})
-		slice.End()
+		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("workload: GNN layer %d: %w", layer, err)
 		}

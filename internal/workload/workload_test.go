@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -131,11 +132,17 @@ func TestGNNValidation(t *testing.T) {
 	}
 }
 
+// TestGNNTimelineRecordsLayers runs a traced forward pass: the simulator
+// events reach the timeline directly, and each layer is one span under the
+// span on ctx, flushed into the timeline when the tracer finishes.
 func TestGNNTimelineRecordsLayers(t *testing.T) {
 	m := testMatrix(t, 6, 256, 64, 1500, 800)
 	a := smallArch()
 	tl := obs.NewTimeline(1 << 14)
-	_, err := GNN(context.Background(), m, &a, nil, GNNConfig{
+	tr := obs.New("gnn")
+	tr.SetTimeline(tl)
+	ctx := obs.WithSpan(context.Background(), tr.Root())
+	_, err := GNN(ctx, m, &a, nil, GNNConfig{
 		Layers: 2, SkipFunctional: true, Timeline: tl, Label: "t",
 	})
 	if err != nil {
@@ -143,6 +150,22 @@ func TestGNNTimelineRecordsLayers(t *testing.T) {
 	}
 	if len(tl.Events()) == 0 {
 		t.Fatal("timeline recorded no events")
+	}
+	var names []string
+	for _, c := range tr.SpanTree().Children {
+		names = append(names, c.Name)
+	}
+	if !slices.Contains(names, "layer0") || !slices.Contains(names, "layer1") {
+		t.Fatalf("spans %v lack layer0 and layer1", names)
+	}
+	spans := 0
+	for _, ev := range tl.Events() {
+		if ev.Kind == obs.EvSlice {
+			spans++
+		}
+	}
+	if spans != len(names)+1 {
+		t.Fatalf("timeline holds %d span slices, want %d (root and its children)", spans, len(names)+1)
 	}
 }
 
