@@ -11,6 +11,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -148,21 +149,12 @@ func (f *FlightRecorder) Snapshot() FlightView {
 		Total:           f.total,
 		Captured:        f.postTot,
 		SlowThresholdNS: f.slow.Nanoseconds(),
-		Recent:          ringNewestFirst(f.recent, f.total),
-		Postmortem:      ringNewestFirst(f.post, f.postTot),
+		Recent:          ringOldestFirst(f.recent, f.total),
+		Postmortem:      ringOldestFirst(f.post, f.postTot),
 	}
+	slices.Reverse(v.Recent)
+	slices.Reverse(v.Postmortem)
 	return v
-}
-
-// ringNewestFirst copies a ring whose next write lands at total%cap,
-// ordering entries newest-first.
-func ringNewestFirst[T any](ring []T, total uint64) []T {
-	out := make([]T, 0, len(ring))
-	n := uint64(len(ring))
-	for i := uint64(1); i <= n; i++ {
-		out = append(out, ring[(total-i)%uint64(cap(ring))])
-	}
-	return out
 }
 
 // WritePostmortem dumps the post-mortem ring as one JSON document — the

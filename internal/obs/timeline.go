@@ -20,6 +20,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -184,6 +185,15 @@ func ringPut[T any](ring []T, total *uint64, v T) []T {
 	return ring
 }
 
+// ringOldestFirst copies a ring filled by ringPut, oldest entry first.
+func ringOldestFirst[T any](ring []T, total uint64) []T {
+	head := 0 // the oldest entry's slot once the ring has wrapped
+	if total > uint64(cap(ring)) {
+		head = int(total % uint64(cap(ring)))
+	}
+	return append(slices.Clone(ring[head:]), ring[:head]...)
+}
+
 // Events returns the recorded events oldest-first (a copy).
 func (t *Timeline) Events() []Event {
 	if t == nil {
@@ -191,15 +201,7 @@ func (t *Timeline) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, len(t.buf))
-	if t.total <= uint64(cap(t.buf)) {
-		copy(out, t.buf)
-		return out
-	}
-	head := int(t.total % uint64(cap(t.buf))) // oldest event's slot
-	n := copy(out, t.buf[head:])
-	copy(out[n:], t.buf[:head])
-	return out
+	return ringOldestFirst(t.buf, t.total)
 }
 
 // Dropped returns how many events the ring has overwritten.
@@ -209,20 +211,7 @@ func (t *Timeline) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.total <= uint64(cap(t.buf)) {
-		return 0
-	}
-	return t.total - uint64(cap(t.buf))
-}
-
-// Total returns how many events were ever appended.
-func (t *Timeline) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
+	return t.total - uint64(len(t.buf))
 }
 
 // trackName resolves a track id for rendering.
