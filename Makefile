@@ -16,6 +16,10 @@ COVER_FLOORS = repro/internal/obs:80 repro/internal/workload:80
 
 # Seconds of coverage-guided fuzzing per fuzzer in `make fuzz`.
 FUZZTIME ?= 10s
+# Time budget for minimizing each newly interesting input. Go's default
+# (60s) outlasts a short pass: the workers spend it shrinking one large
+# plan seed and execute almost nothing else.
+FUZZMINTIME ?= 1s
 
 .PHONY: help ci vet benchvet fmtcheck build lint shadow test race bench benchsmoke benchcmp cover fuzz golden servesmoke worksmoke loc
 
@@ -36,7 +40,7 @@ help:
 	@echo "                   mapiter nakedgo spanend floateq lockcopy shadow"
 	@echo "                   hotalloc detrand ctxflow errwrap metricname"
 	@echo "make cover       - coverage with per-package floor"
-	@echo "make fuzz        - short coverage-guided fuzz pass (FUZZTIME=$(FUZZTIME))"
+	@echo "make fuzz        - short coverage-guided fuzz pass (FUZZTIME=$(FUZZTIME), FUZZMINTIME=$(FUZZMINTIME))"
 	@echo "make golden      - regenerate pinned experiment outputs (review the diff!)"
 	@echo "make servesmoke  - end-to-end hottilesd daemon smoke (real port, SIGTERM drain)"
 	@echo "make loc         - non-test Go lines (module minus bench/ and testdata/), total and internal/obs"
@@ -154,9 +158,9 @@ cover:
 # fuzz runs each fuzzer's coverage-guided loop for FUZZTIME — a smoke pass,
 # not a soak; the seed corpora also run in every plain `go test ./...`.
 fuzz:
-	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/mm
-	$(GO) test -fuzz=FuzzCOOToCSR -fuzztime=$(FUZZTIME) ./internal/sparse
-	$(GO) test -fuzz=FuzzReadPlan -fuzztime=$(FUZZTIME) ./internal/hotcore
+	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINTIME) ./internal/mm
+	$(GO) test -fuzz=FuzzCOOToCSR -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINTIME) ./internal/sparse
+	$(GO) test -fuzz=FuzzReadPlan -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINTIME) ./internal/hotcore
 
 # servesmoke exercises the hottilesd daemon end to end through real
 # processes: ephemeral port, planload's upload→fetch→validate round trip, a

@@ -124,17 +124,29 @@ func (s *server) runGNN(ctx context.Context, hash string, planBytes []byte, laye
 	if err != nil {
 		return nil, err
 	}
-	h := sha256.New()
-	var buf [8]byte
-	for _, v := range res.Output.Data {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
 	return &gnnResponse{
 		Hash:         hash,
 		Layers:       layers,
 		LayerTimes:   res.LayerTimes,
 		SimTotal:     res.SimTotal,
-		OutputSHA256: hex.EncodeToString(h.Sum(nil)),
+		OutputSHA256: outputSHA256(res.Output.Data),
 	}, nil
+}
+
+// outputSHA256 is the hex SHA-256 of values as consecutive little-endian
+// float64 bit patterns. The values are encoded a block at a time into one
+// reused buffer, so the hash sees a few large writes rather than one
+// 8-byte write per value.
+func outputSHA256(values []float64) string {
+	h := sha256.New()
+	var buf [4096]byte
+	for len(values) > 0 {
+		n := min(len(values), len(buf)/8)
+		for i, v := range values[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		}
+		h.Write(buf[:8*n])
+		values = values[n:]
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -2,8 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"io"
+	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	hottiles "repro"
 	"repro/internal/obs"
 )
 
@@ -245,5 +252,78 @@ func TestGNNDrainUnderLoad(t *testing.T) {
 	}
 	if _, err := http.Get(url + "/healthz"); err == nil {
 		t.Fatal("server still accepting connections after drain")
+	}
+}
+
+// perFloatSHA256 is the digest /gnn used to compute with one 8-byte Write
+// per value: the oracle outputSHA256 must reproduce byte for byte.
+func perFloatSHA256(values []float64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range values {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestOutputSHA256MatchesPerFloat checks the block-encoded digest against
+// the per-float oracle on lengths around the block size and on the special
+// values a feature matrix can hold.
+func TestOutputSHA256MatchesPerFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64}
+	for _, n := range []int{0, 1, 511, 512, 513, 1024, 5000} {
+		values := make([]float64, n)
+		for i := range values {
+			values[i] = rng.Float64()*2 - 1
+			if i%97 == 0 {
+				values[i] = special[i%len(special)]
+			}
+		}
+		if got, want := outputSHA256(values), perFloatSHA256(values); got != want {
+			t.Fatalf("n=%d: outputSHA256 = %s, want %s", n, got, want)
+		}
+	}
+}
+
+// TestGNNOutputSHA256MatchesPerFloat recomputes a /gnn forward pass from the
+// cached plan and checks the response's output_sha256 against the per-float
+// oracle over that output.
+func TestGNNOutputSHA256MatchesPerFloat(t *testing.T) {
+	cfg := testConfig()
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.mux)
+	defer ts.Close()
+	resp := postGNN(t, ts.Client(), ts.URL, matrixBytes(t, 12, 512, 4000), "?layers=2")
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /gnn: %d: %s", resp.StatusCode, body)
+	}
+	g := decodeGNN(t, body)
+	planBytes, ok := s.store.Peek(g.Hash)
+	if !ok {
+		t.Fatal("plan not cached after /gnn")
+	}
+	plan, err := hottiles.ReadPlan(bytes.NewReader(planBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(cfg.seed))
+	features := hottiles.NewDense(plan.Grid.N, cfg.arch.K)
+	for i := range features.Data {
+		features.Data[i] = rng.Float64()*2 - 1
+	}
+	res, err := hottiles.RunGNNWithPlan(context.Background(), plan, &cfg.arch, features,
+		hottiles.GNNConfig{Layers: 2, OpsPerMAC: cfg.opsPerMAC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := perFloatSHA256(res.Output.Data); g.OutputSHA256 != want {
+		t.Fatalf("output_sha256 = %s, per-float oracle %s", g.OutputSHA256, want)
 	}
 }

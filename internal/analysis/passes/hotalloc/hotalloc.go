@@ -44,15 +44,15 @@ import (
 )
 
 // allowed lists the package path suffixes that may declare hot paths:
-// the simulator engine, the sparse/tile sort layers, the estimator, and the
-// panel-parallel functional kernels.
-var allowed = []string{"internal/sim", "internal/sparse", "internal/tile", "internal/model", "internal/dense"}
+// the simulator engine, the sparse/tile sort layers, the estimator, the
+// panel-parallel functional kernels, and the semiring row kernels they call.
+var allowed = []string{"internal/sim", "internal/sparse", "internal/tile", "internal/model", "internal/dense", "internal/semiring"}
 
 // Analyzer is the hotalloc pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "forbids heap allocations (growing append, map/slice literals, interface boxing, " +
-		"escaping closures, fmt calls) in //hot:path functions of the sim/sparse/tile/model/dense packages",
+		"escaping closures, fmt calls) in //hot:path functions of the sim/sparse/tile/model/dense/semiring packages",
 	Run: run,
 }
 

@@ -189,8 +189,6 @@ func GMerge(dst, src *Matrix, s semiring.Semiring) error {
 	if dst.N != src.N || dst.K != src.K {
 		return fmt.Errorf("dense: gmerge shape mismatch")
 	}
-	for i, v := range src.Data {
-		dst.Data[i] = s.Add(dst.Data[i], v)
-	}
+	s.AddRow(dst.Data, src.Data)
 	return nil
 }

@@ -73,7 +73,8 @@ func spmmRange(a *sparse.COO, din, dout *Matrix, lo, hi int) {
 	}
 }
 
-// gspmmRange is the semiring gSpMM inner loop over [lo, hi).
+// gspmmRange is the semiring gSpMM loop over [lo, hi): one row kernel call
+// per nonzero.
 //
 //hot:path
 func gspmmRange(a *sparse.COO, din, dout *Matrix, s semiring.Semiring, lo, hi int) {
@@ -81,12 +82,7 @@ func gspmmRange(a *sparse.COO, din, dout *Matrix, s semiring.Semiring, lo, hi in
 	for i := lo; i < hi; i++ {
 		c := int(a.Cols[i]) * k
 		r := int(a.Rows[i]) * k
-		v := a.Vals[i]
-		in := din.Data[c : c+k]
-		out := dout.Data[r : r+k]
-		for j := 0; j < k; j++ {
-			out[j] = s.Add(out[j], s.Mul(v, in[j]))
-		}
+		s.MulAddRow(dout.Data[r:r+k], din.Data[c:c+k], a.Vals[i])
 	}
 }
 

@@ -203,3 +203,45 @@ func TestRowCutsProperties(t *testing.T) {
 		t.Fatal("single-worker pool produced cuts")
 	}
 }
+
+// TestPlusTimesRowKernelBitIdentical pins the plus-times row kernels to the
+// generic closure path: GSpMM (serial and panel-parallel, accumulating onto
+// a nonzero Dout) and GMerge must be Equal, not merely close, to the same
+// algebra built by hand as a generic Semiring.
+func TestPlusTimesRowKernelBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	n, nnz, k := 512, 40000, 8
+	m := randSortedBig(rng, n, nnz)
+	din := NewRandom(rng, n, k)
+	base := NewRandom(rng, n, k)
+	fast := semiring.PlusTimes()
+	slow := semiring.Semiring{
+		Name: "plus-times-generic",
+		Add:  func(a, b float64) float64 { return a + b },
+		Mul:  func(a, b float64) float64 { return a * b },
+	}
+	defer par.SetWorkers(par.SetWorkers(1))
+	for _, w := range []int{1, 4} {
+		par.SetWorkers(w)
+		got, want := base.Clone(), base.Clone()
+		if err := GSpMM(m, din, got, fast); err != nil {
+			t.Fatal(err)
+		}
+		if err := GSpMM(m, din, want, slow); err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("GSpMM with %d workers: plus-times row kernel differs from generic", w)
+		}
+	}
+	got, want := base.Clone(), base.Clone()
+	if err := GMerge(got, din, fast); err != nil {
+		t.Fatal(err)
+	}
+	if err := GMerge(want, din, slow); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("GMerge: plus-times row kernel differs from generic")
+	}
+}

@@ -35,6 +35,26 @@ func planBytes(tb testing.TB, csr bool) []byte {
 	return buf.Bytes()
 }
 
+// tinyPlanBytes serializes a 16-row plan of three 8×8 tiles, one hot and
+// two cold (about 1 KB against the 12.8 KB of planBytes): a seed small
+// enough that the fuzzer's minimization of a newly interesting input ends
+// quickly and mutations reach the structure instead of the payload.
+func tinyPlanBytes(tb testing.TB) []byte {
+	tb.Helper()
+	m := testMatrix(tb, 62, 16, 8, 48, 6)
+	a := smallArch()
+	a.TileH, a.TileW = 8, 8
+	p, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles, OpsPerMAC: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WritePlan(&buf, p); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzReadPlan feeds arbitrary byte streams to the plan deserializer — the
 // bytes the daemon reads back from its content-addressed cache on disk.
 // ReadPlan must reject corruption with a clean error, never panic, and any
@@ -44,6 +64,7 @@ func FuzzReadPlan(f *testing.F) {
 	csr := planBytes(f, true)
 	f.Add(coo)
 	f.Add(csr)
+	f.Add(tinyPlanBytes(f))
 	f.Add(coo[:len(coo)/2])
 	f.Add([]byte("not a gob stream"))
 	f.Add([]byte{})

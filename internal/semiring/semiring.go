@@ -27,6 +27,61 @@ type Semiring struct {
 	// OpsPerMAC = 2; a gSpMM variant with 4× the arithmetic intensity has
 	// OpsPerMAC = 8. This feeds the model's FLOP accounting.
 	OpsPerMAC float64
+	// kind names an algebra the row kernels run as an inlined loop. Only
+	// PlusTimes sets it; the zero value is generic, so hand-built
+	// semirings and Scaled always go through Add and Mul. A PlusTimes value
+	// may change Name or OpsPerMAC, but a different algebra needs a new
+	// Semiring: the plus-times row kernels ignore Add and Mul.
+	kind kind
+}
+
+// kind selects a row kernel implementation.
+type kind uint8
+
+const (
+	generic kind = iota
+	plusTimes
+)
+
+// MulAddRow computes out[x] = out[x] ⊕ (v ⊗ in[x]) for every x: one
+// nonzero's contribution to its output row, the gSpMM multiply-accumulate.
+// in must be at least as long as out.
+//
+// Plus-times runs an inlined loop instead of two indirect calls per
+// element. The explicit float64 conversion rounds the product before the
+// add, which forbids fused multiply-add (the Go spec allows fusing x*y + z
+// and arm64 does it): the result is bit-identical to the generic path on
+// every GOARCH.
+//
+//hot:path
+func (s *Semiring) MulAddRow(out, in []float64, v float64) {
+	in = in[:len(out)]
+	if s.kind == plusTimes {
+		for x := range out {
+			out[x] += float64(v * in[x])
+		}
+		return
+	}
+	for x := range out {
+		out[x] = s.Add(out[x], s.Mul(v, in[x]))
+	}
+}
+
+// AddRow computes dst[x] = dst[x] ⊕ src[x] for every x: the merge of two
+// partial outputs. src must be at least as long as dst.
+//
+//hot:path
+func (s *Semiring) AddRow(dst, src []float64) {
+	src = src[:len(dst)]
+	if s.kind == plusTimes {
+		for x := range dst {
+			dst[x] += src[x]
+		}
+		return
+	}
+	for x := range dst {
+		dst[x] = s.Add(dst[x], src[x])
+	}
 }
 
 // PlusTimes is the standard arithmetic semiring (+, ×): plain SpMM.
@@ -37,6 +92,7 @@ func PlusTimes() Semiring {
 		Mul:         func(a, b float64) float64 { return a * b },
 		AddIdentity: 0,
 		OpsPerMAC:   2,
+		kind:        plusTimes,
 	}
 }
 
@@ -88,13 +144,15 @@ func BoolOrAnd() Semiring {
 // whose Mul is iterated to actually perform the extra work. It models gSpMM
 // monoids that are computationally heavier than the vanilla ones (paper
 // §II-A, Fig 14). The numeric result equals the base semiring's; only the
-// cost changes.
+// cost changes. The copy is generic, so the row kernels call its Mul and
+// the extra work is really done.
 func Scaled(s Semiring, factor int) Semiring {
 	if factor < 1 {
 		factor = 1
 	}
 	baseMul := s.Mul
 	out := s
+	out.kind = generic
 	out.Name = s.Name + "-scaled"
 	out.OpsPerMAC = s.OpsPerMAC * float64(factor)
 	out.Mul = func(a, b float64) float64 {

@@ -103,3 +103,68 @@ func TestMonoidLawsProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestRowKernelsMatchElementwise checks both row kernels of every stock
+// semiring against the element-wise Add/Mul definition, bit for bit,
+// including the non-finite values min-plus and max-plus start from.
+func TestRowKernelsMatchElementwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const k = 17
+	in := make([]float64, k+3) // longer than out: the kernels read len(out)
+	base := make([]float64, k)
+	for i := range in {
+		in[i] = rng.Float64()*4 - 2
+	}
+	for i := range base {
+		base[i] = rng.Float64()*4 - 2
+	}
+	base[0], base[1] = math.Inf(1), math.Inf(-1)
+	for _, s := range []Semiring{PlusTimes(), MinPlus(), MaxPlus(), BoolOrAnd(), Scaled(PlusTimes(), 3)} {
+		v := rng.Float64()*4 - 2
+		got := append([]float64(nil), base...)
+		s.MulAddRow(got, in, v)
+		for x := range got {
+			if want := s.Add(base[x], s.Mul(v, in[x])); math.Float64bits(got[x]) != math.Float64bits(want) {
+				t.Fatalf("%s MulAddRow[%d] = %g, want %g", s.Name, x, got[x], want)
+			}
+		}
+		got = append(got[:0], base...)
+		s.AddRow(got, in)
+		for x := range got {
+			if want := s.Add(base[x], in[x]); math.Float64bits(got[x]) != math.Float64bits(want) {
+				t.Fatalf("%s AddRow[%d] = %g, want %g", s.Name, x, got[x], want)
+			}
+		}
+	}
+}
+
+// TestScaledStaysGeneric pins that Scaled never inherits the plus-times row
+// kernel: the copy is generic, so MulAddRow calls its Mul, and each Mul
+// still burns factor base multiplies.
+func TestScaledStaysGeneric(t *testing.T) {
+	if PlusTimes().kind != plusTimes {
+		t.Fatal("PlusTimes does not select the plus-times row kernel")
+	}
+	const factor, k = 4, 5
+	base := PlusTimes()
+	calls := 0
+	base.Mul = func(a, b float64) float64 {
+		calls++
+		return a * b
+	}
+	s := Scaled(base, factor)
+	if s.kind != generic {
+		t.Fatalf("Scaled(PlusTimes(), %d) kind = %d, want generic", factor, s.kind)
+	}
+	out := make([]float64, k)
+	in := []float64{1, 2, 3, 4, 5}
+	s.MulAddRow(out, in, 2)
+	if calls != factor*k {
+		t.Fatalf("MulAddRow over %d elements made %d base multiplies, want %d", k, calls, factor*k)
+	}
+	for x, v := range out {
+		if v != 2*in[x] {
+			t.Fatalf("out[%d] = %g, want %g", x, v, 2*in[x])
+		}
+	}
+}

@@ -2,9 +2,15 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/dense"
+	"repro/internal/gen"
+	"repro/internal/partition"
+	"repro/internal/semiring"
+	"repro/internal/tile"
 )
 
 // benchEnginePools builds a deterministic synthetic workload shaped like a
@@ -120,4 +126,43 @@ func BenchmarkRunnerReuse(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkExecute tracks the functional gSpMM: a RunInto with memoized
+// unit pools on a fixed 4096-row power-law grid, so the run is dominated by
+// executeTile and the merge. "plustimes" takes the semiring's inlined row
+// kernel; "generic" computes the same algebra through a hand-built
+// Semiring, two closure calls per multiply-accumulate.
+func BenchmarkExecute(b *testing.B) {
+	a := scaledArch(arch.SpadeSextans(4), 64)
+	m := gen.PowerLaw(rand.New(rand.NewSource(1)), 4096, 16, 2.2)
+	g, err := tile.Partition(m, a.TileH, a.TileW)
+	if err != nil {
+		b.Fatal(err)
+	}
+	part, err := partition.HotTiles(g, a.Config(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	din := dense.NewRandom(rand.New(rand.NewSource(2)), g.N, a.K)
+	for _, tc := range []struct {
+		name string
+		sr   semiring.Semiring
+	}{
+		{"plustimes", semiring.PlusTimes()},
+		{"generic", genericPlusTimes()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			r := NewRunner()
+			var units UnitCache
+			opts := Options{Serial: part.Serial, Semiring: &tc.sr, Units: &units}
+			var out Result
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := r.RunInto(&out, g, part.Hot, &a, din, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -188,7 +188,8 @@ func execute(g *tile.Grid, hot []bool, din *dense.Matrix, sr semiring.Semiring) 
 	return coldBuf, nil
 }
 
-// executeTile accumulates one tile's nonzeros into its pool buffer.
+// executeTile accumulates one tile's nonzeros into its pool buffer, one
+// K-wide dense row per nonzero through the semiring's row kernel.
 //
 //hot:path
 func executeTile(rows, cols []int32, vals []float64, din, buf *dense.Matrix, sr semiring.Semiring) {
@@ -196,8 +197,6 @@ func executeTile(rows, cols []int32, vals []float64, din, buf *dense.Matrix, sr 
 	for j := range rows {
 		in := din.Data[int(cols[j])*k : int(cols[j])*k+k]
 		out := buf.Data[int(rows[j])*k : int(rows[j])*k+k]
-		for x := 0; x < k; x++ {
-			out[x] = sr.Add(out[x], sr.Mul(vals[j], in[x]))
-		}
+		sr.MulAddRow(out, in, vals[j])
 	}
 }

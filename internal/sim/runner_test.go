@@ -209,3 +209,48 @@ func TestRunnerConcurrentWithMetricsScrapes(t *testing.T) {
 		}
 	}
 }
+
+// genericPlusTimes is plus-times as a hand-built Semiring: the same algebra
+// through the generic row kernels, two closure calls per multiply-accumulate.
+func genericPlusTimes() semiring.Semiring {
+	return semiring.Semiring{
+		Name:      "plus-times-generic",
+		Add:       func(a, b float64) float64 { return a + b },
+		Mul:       func(a, b float64) float64 { return a * b },
+		OpsPerMAC: 2,
+	}
+}
+
+// TestRunPlusTimesRowKernelBitIdentical pins the plus-times row kernel to
+// the generic closure path: functional outputs must be Equal, not merely
+// close, on a COO-cold (SPADE-Sextans) and a CSR-cold (PIUMA) architecture,
+// in parallel and serial pool modes, with one and several par workers.
+func TestRunPlusTimesRowKernelBitIdentical(t *testing.T) {
+	fast, slow := semiring.PlusTimes(), genericPlusTimes()
+	for _, tc := range []struct {
+		name string
+		a    arch.Arch
+	}{
+		{"SPADE-Sextans", scaledArch(arch.SpadeSextans(4), 64)},
+		{"PIUMA", scaledArch(arch.PIUMA(), 64)},
+	} {
+		g, res, m := testSetup(t, &tc.a, 21)
+		din := dense.NewRandom(rand.New(rand.NewSource(22)), m.N, tc.a.K)
+		for _, serial := range []bool{false, true} {
+			for _, w := range []int{1, 4} {
+				prev := par.SetWorkers(w)
+				want, errWant := Run(g, res.Hot, &tc.a, din, Options{Serial: serial, Semiring: &slow})
+				got, errGot := Run(g, res.Hot, &tc.a, din, Options{Serial: serial, Semiring: &fast})
+				par.SetWorkers(prev)
+				if errWant != nil || errGot != nil {
+					t.Fatalf("%s: %v / %v", tc.name, errWant, errGot)
+				}
+				if !got.Output.Equal(want.Output) {
+					d, _ := got.Output.MaxAbsDiff(want.Output)
+					t.Fatalf("%s serial=%v workers=%d: plus-times row kernel differs from generic by %g",
+						tc.name, serial, w, d)
+				}
+			}
+		}
+	}
+}

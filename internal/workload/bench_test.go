@@ -9,8 +9,8 @@ import (
 )
 
 // BenchmarkGNNForward tracks the amortized forward pass: one plan, four
-// simulated layers, timing only (the functional execute path is benchmarked
-// in internal/sim).
+// simulated layers, timing only (the functional execute path is
+// BenchmarkExecute in internal/sim).
 func BenchmarkGNNForward(b *testing.B) {
 	m := gen.PowerLaw(rand.New(rand.NewSource(1)), 4096, 16, 2.2)
 	a := smallArch()
