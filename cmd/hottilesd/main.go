@@ -8,7 +8,7 @@
 //
 // Endpoints (one mux, one port):
 //
-//	POST /plan         MatrixMarket body → gob plan (X-Plan-Hash header)
+//	POST /plan         MatrixMarket body → binary plan (X-Plan-Hash header)
 //	POST /gnn          MatrixMarket body → multi-layer GNN inference, JSON
 //	                   (?layers=N; reuses /plan's content-addressed cache)
 //	GET  /plan/{hash}  fetch a cached plan by content hash (404 if absent)

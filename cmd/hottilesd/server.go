@@ -177,7 +177,7 @@ func (s *server) buildPlan(ctx context.Context, matrix []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// handleBuildPlan is POST /plan: upload a MatrixMarket body, get the gob
+// handleBuildPlan is POST /plan: upload a MatrixMarket body, get the binary
 // plan back. Identical in-flight uploads share one pipeline run; overload
 // is refused with 429 and a Retry-After estimate instead of queueing
 // without bound.
@@ -199,7 +199,7 @@ func (s *server) handleBuildPlan(w http.ResponseWriter, r *http.Request) {
 		s.planError(w, r, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-gob")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Plan-Hash", hash)
 	w.Header().Set("Content-Length", strconv.Itoa(len(plan)))
 	w.Write(plan)
@@ -249,7 +249,7 @@ func (s *server) handleGetPlan(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "hottilesd: no plan with hash "+hash, http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-gob")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Plan-Hash", hash)
 	w.Header().Set("Content-Length", strconv.Itoa(len(plan)))
 	w.Write(plan)

@@ -2,7 +2,11 @@ package hotcore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"strings"
 	"testing"
 
@@ -36,7 +40,7 @@ func planBytes(tb testing.TB, csr bool) []byte {
 }
 
 // tinyPlanBytes serializes a 16-row plan of three 8×8 tiles, one hot and
-// two cold (about 1 KB against the 12.8 KB of planBytes): a seed small
+// two cold (under 1 KB against the 17 KB of planBytes): a seed small
 // enough that the fuzzer's minimization of a newly interesting input ends
 // quickly and mutations reach the structure instead of the payload.
 func tinyPlanBytes(tb testing.TB) []byte {
@@ -58,7 +62,9 @@ func tinyPlanBytes(tb testing.TB) []byte {
 // FuzzReadPlan feeds arbitrary byte streams to the plan deserializer — the
 // bytes the daemon reads back from its content-addressed cache on disk.
 // ReadPlan must reject corruption with a clean error, never panic, and any
-// stream it accepts must re-serialize.
+// stream it accepts must re-serialize. Each input is also read resealed,
+// with its checksum recomputed, so mutations get past the CRC and reach
+// the count bounds, the grid validation and the section rebuild.
 func FuzzReadPlan(f *testing.F) {
 	coo := planBytes(f, false)
 	csr := planBytes(f, true)
@@ -66,26 +72,31 @@ func FuzzReadPlan(f *testing.F) {
 	f.Add(csr)
 	f.Add(tinyPlanBytes(f))
 	f.Add(coo[:len(coo)/2])
-	f.Add([]byte("not a gob stream"))
+	f.Add([]byte("not a plan stream"))
 	f.Add([]byte{})
 	f.Add(v1Bytes(f, false))
 	for _, name := range []string{"wrong version", "assignment too short", "corrupt grid span"} {
-		w := validWire(f, true)
-		wireCorruptions[name](w)
-		f.Add(encodeWire(f, w))
+		f.Add(wireCorruptions[name](f, validWire(f, true)))
 	}
+	f.Add(v2Bytes(f, false))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ReadPlan(bytes.NewReader(data))
-		if err != nil {
-			return // rejected input is fine; panics are not
+		inputs := [][]byte{data}
+		if len(data) >= trailerLen {
+			inputs = append(inputs, reseal(append([]byte(nil), data...)))
 		}
-		var buf bytes.Buffer
-		if err := WritePlan(&buf, p); err != nil {
-			t.Fatalf("accepted plan does not re-serialize: %v", err)
-		}
-		if _, err := ReadPlan(&buf); err != nil {
-			t.Fatalf("accepted plan does not re-read: %v", err)
+		for _, in := range inputs {
+			p, err := ReadPlan(bytes.NewReader(in))
+			if err != nil {
+				continue // rejected input is fine; panics are not
+			}
+			var buf bytes.Buffer
+			if err := WritePlan(&buf, p); err != nil {
+				t.Fatalf("accepted plan does not re-serialize: %v", err)
+			}
+			if _, err := ReadPlan(&buf); err != nil {
+				t.Fatalf("accepted plan does not re-read: %v", err)
+			}
 		}
 	})
 }
@@ -108,38 +119,47 @@ func TestReadPlanTruncated(t *testing.T) {
 	}
 }
 
-// TestReadPlanBitFlips flips single bits across a valid plan stream and
-// requires ReadPlan to survive each corruption: either a clean rejection or
-// a plan that still satisfies Validate (a flip inside a float payload can
-// be semantically invisible). The pre-fix code panicked on several of
-// these shapes (nil hot section, ragged blocks, zero tile geometry).
+// TestReadPlanBitFlips flips single bits across valid plan streams: the
+// CRC-32C trailer detects every single-bit error, so ReadPlan must reject
+// each one. The tiny plan is flipped at every bit, the larger ones at one
+// bit of every stride-th byte.
 func TestReadPlanBitFlips(t *testing.T) {
+	flip := func(name string, data []byte, pos, bit int) {
+		mut := append([]byte(nil), data...)
+		mut[pos] ^= 1 << bit
+		if _, err := ReadPlan(bytes.NewReader(mut)); err == nil {
+			t.Fatalf("%s: flip of bit %d at byte %d/%d accepted", name, bit, pos, len(data))
+		}
+	}
+	tiny := tinyPlanBytes(t)
+	for pos := range tiny {
+		for bit := 0; bit < 8; bit++ {
+			flip("tiny", tiny, pos, bit)
+		}
+	}
 	for _, csr := range []bool{false, true} {
 		data := planBytes(t, csr)
-		step := len(data) / 512
-		if step < 1 {
-			step = 1
-		}
-		for pos := 0; pos < len(data); pos += step {
-			mut := append([]byte(nil), data...)
-			mut[pos] ^= 1 << (pos % 8)
-			p, err := ReadPlan(bytes.NewReader(mut))
-			if err != nil {
-				continue
-			}
-			if err := p.Validate(); err != nil {
-				t.Fatalf("csr=%v: flip at byte %d accepted an invalid plan: %v", csr, pos, err)
-			}
+		for pos := 0; pos < len(data); pos += max(len(data)/512, 1) {
+			flip(fmt.Sprintf("csr=%v", csr), data, pos, pos%8)
 		}
 	}
 }
 
-// encodeWire gob-encodes a hand-built wire record, bypassing WritePlan's
-// guards — the shape a corrupted or hostile cache file can take.
-func encodeWire(tb testing.TB, w any) []byte {
+// reseal recomputes the checksum trailer of a plan stream after an edit
+// and returns the stream.
+func reseal(data []byte) []byte {
+	n := len(data) - trailerLen
+	binary.LittleEndian.PutUint32(data[n:], crc32.Checksum(data[:n], castagnoli))
+	return data
+}
+
+// encodeWire encodes a hand-built wire record with a valid checksum,
+// bypassing WritePlan's guards — the shape a corrupted or hostile cache
+// file can take.
+func encodeWire(tb testing.TB, w *planWire) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+	if err := w.encode(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -149,36 +169,109 @@ func encodeWire(tb testing.TB, w any) []byte {
 // can corrupt individual fields.
 func validWire(tb testing.TB, csr bool) *planWire {
 	tb.Helper()
-	var w planWire
-	if err := gob.NewDecoder(bytes.NewReader(planBytes(tb, csr))).Decode(&w); err != nil {
+	w, err := decodeWire(bytes.NewReader(planBytes(tb, csr)))
+	if err != nil {
 		tb.Fatal(err)
 	}
-	return &w
+	return w
 }
 
-// wireCorruptions are hand-made damage to a valid v2 wire record. Each one
-// decodes cleanly and must then be rejected by ReadPlan's version check,
-// grid validation or plan validation, never panic while the sections are
+// putHeader overwrites header word i of an encoded plan and reseals it.
+func putHeader(data []byte, i int, v uint64) []byte {
+	binary.LittleEndian.PutUint64(data[preambleLen+8*i:], v)
+	return reseal(data)
+}
+
+// wireCorruptions are hand-made damage to a valid v3 plan, returned as the
+// stream to read. Every one but the checksum row carries a valid CRC, so
+// it must be rejected by the version check, the count bounds, grid
+// validation or plan validation, never panic while the sections are
 // rebuilt.
-var wireCorruptions = map[string]func(w *planWire){
-	"wrong version":         func(w *planWire) { w.Version = PlanWireVersion + 1 },
-	"unversioned":           func(w *planWire) { w.Version = 0 },
-	"assignment too short":  func(w *planWire) { w.Hot = w.Hot[:len(w.Hot)-1] },
-	"assignment too long":   func(w *planWire) { w.Hot = append(w.Hot, true) },
-	"corrupt grid span":     func(w *planWire) { w.Tiles[1].Start++ },
-	"span past nonzeros":    func(w *planWire) { w.Tiles[len(w.Tiles)-1].End = len(w.Vals) + 5 },
-	"ragged coordinates":    func(w *planWire) { w.Vals = w.Vals[:len(w.Vals)-1] },
-	"zero tile geometry":    func(w *planWire) { w.TileH, w.TileW = 0, 0 },
-	"grid shape disagrees":  func(w *planWire) { w.NumTR++ },
-	"panel starts disagree": func(w *planWire) { w.PanelStart[1]++ },
-	"tile outside grid":     func(w *planWire) { w.Tiles[len(w.Tiles)-1].TR = w.NumTR },
+var wireCorruptions = map[string]func(tb testing.TB, w *planWire) []byte{
+	"wrong magic": func(tb testing.TB, w *planWire) []byte {
+		data := encodeWire(tb, w)
+		copy(data, "GOB!")
+		return reseal(data)
+	},
+	"wrong version": func(tb testing.TB, w *planWire) []byte {
+		data := encodeWire(tb, w)
+		binary.LittleEndian.PutUint32(data[len(planMagic):], PlanWireVersion+1)
+		return reseal(data)
+	},
+	"unversioned": func(tb testing.TB, w *planWire) []byte {
+		data := encodeWire(tb, w)
+		binary.LittleEndian.PutUint32(data[len(planMagic):], 0)
+		return reseal(data)
+	},
+	"count past bytes left": func(tb testing.TB, w *planWire) []byte {
+		return putHeader(encodeWire(tb, w), wRows, uint64(len(w.Rows))+1<<40)
+	},
+	"count overflows": func(tb testing.TB, w *planWire) []byte {
+		return putHeader(encodeWire(tb, w), wTiles, math.MaxUint64)
+	},
+	"unknown flag": func(tb testing.TB, w *planWire) []byte {
+		return putHeader(encodeWire(tb, w), wFlags, 1<<7)
+	},
+	// The three-tile plan, since a multiple of eight tiles leaves no
+	// padding bits to set.
+	"assignment bits past last tile": func(tb testing.TB, _ *planWire) []byte {
+		data := tinyPlanBytes(tb)
+		data[len(data)-trailerLen-1] |= 0x80
+		return reseal(data)
+	},
+	"checksum mismatch": func(tb testing.TB, w *planWire) []byte {
+		data := encodeWire(tb, w)
+		data[len(data)-1] ^= 0x40
+		return data
+	},
+	"assignment too short": func(tb testing.TB, w *planWire) []byte {
+		w.Hot = w.Hot[:len(w.Hot)-1]
+		return encodeWire(tb, w)
+	},
+	"assignment too long": func(tb testing.TB, w *planWire) []byte {
+		w.Hot = append(w.Hot, true)
+		return encodeWire(tb, w)
+	},
+	"corrupt grid span": func(tb testing.TB, w *planWire) []byte {
+		w.Tiles[1].Start++
+		return encodeWire(tb, w)
+	},
+	"span past nonzeros": func(tb testing.TB, w *planWire) []byte {
+		w.Tiles[len(w.Tiles)-1].End = len(w.Vals) + 5
+		return encodeWire(tb, w)
+	},
+	"ragged coordinates": func(tb testing.TB, w *planWire) []byte {
+		w.Vals = w.Vals[:len(w.Vals)-1]
+		return encodeWire(tb, w)
+	},
+	"ragged rows": func(tb testing.TB, w *planWire) []byte {
+		w.Rows = w.Rows[:len(w.Rows)-1]
+		return encodeWire(tb, w)
+	},
+	"zero tile geometry": func(tb testing.TB, w *planWire) []byte {
+		w.TileH, w.TileW = 0, 0
+		return encodeWire(tb, w)
+	},
+	"grid shape disagrees": func(tb testing.TB, w *planWire) []byte {
+		w.NumTR++
+		return encodeWire(tb, w)
+	},
+	"panel starts disagree": func(tb testing.TB, w *planWire) []byte {
+		w.PanelStart[1]++
+		return encodeWire(tb, w)
+	},
+	"tile outside grid": func(tb testing.TB, w *planWire) []byte {
+		w.Tiles[len(w.Tiles)-1].TR = w.NumTR
+		return encodeWire(tb, w)
+	},
 	// The last panel ends at N, not at a tile boundary: a row at N fits
 	// its tile's nominal bounds but would index past the rebuilt CSR row
 	// pointers.
-	"nonzero beyond N": func(w *planWire) {
+	"nonzero beyond N": func(tb testing.TB, w *planWire) []byte {
 		last := w.Tiles[len(w.Tiles)-1]
 		w.Rows[last.Start] = int32(w.N - 1)
 		w.N--
+		return encodeWire(tb, w)
 	},
 }
 
@@ -192,14 +285,14 @@ func TestReadPlanAdversarialWire(t *testing.T) {
 			if len(w.Tiles) < 2 || w.Tiles[len(w.Tiles)-1].TR != w.NumTR-1 {
 				t.Fatalf("csr=%v: test plan too small for the corruptions to bite", csr)
 			}
-			corrupt(w)
+			data := corrupt(t, w)
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
 						t.Errorf("%s (csr=%v): ReadPlan panicked: %v", name, csr, r)
 					}
 				}()
-				if _, err := ReadPlan(bytes.NewReader(encodeWire(t, w))); err == nil {
+				if _, err := ReadPlan(bytes.NewReader(data)); err == nil {
 					t.Errorf("%s (csr=%v): corrupt wire accepted", name, csr)
 				}
 			}()
@@ -240,8 +333,18 @@ func TestReadPlanNonMonotoneColdCSR(t *testing.T) {
 	}
 }
 
-// planWireV1 is the unversioned layout WritePlan emitted before version 2:
-// the grid plus fully materialized hot and cold sections.
+// gobBytes gob-encodes one record of an earlier wire layout.
+func gobBytes(tb testing.TB, v any) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// planWireV1 is the unversioned gob layout WritePlan emitted before
+// version 2: the grid plus fully materialized hot and cold sections.
 type planWireV1 struct {
 	N            int
 	TileH, TileW int
@@ -271,7 +374,7 @@ func v1Bytes(tb testing.TB, csr bool) []byte {
 		tb.Fatal(err)
 	}
 	g := p.Grid
-	return encodeWire(tb, &planWireV1{
+	return gobBytes(tb, &planWireV1{
 		N: g.N, TileH: g.TileH, TileW: g.TileW, NumTR: g.NumTR, NumTC: g.NumTC,
 		Tiles: g.Tiles, PanelStart: g.PanelStart, Rows: g.Rows, Cols: g.Cols, Vals: g.Vals,
 		Hot: p.Partition.Hot, Heuristic: p.Partition.Heuristic, Serial: p.Partition.Serial,
@@ -280,13 +383,57 @@ func v1Bytes(tb testing.TB, csr bool) []byte {
 	})
 }
 
+// planWireV2 is the gob layout of version 2: the grid and the assignment,
+// with the sections rebuilt on load.
+type planWireV2 struct {
+	Version      int
+	N            int
+	TileH, TileW int
+	NumTR, NumTC int
+	Tiles        []tile.Tile
+	PanelStart   []int
+	Rows         []int32
+	Cols         []int32
+	Vals         []float64
+
+	Hot       []bool
+	Heuristic partition.Heuristic
+	Serial    bool
+	Predicted float64
+	Totals    partition.Totals
+
+	HotIsCSR, ColdIsCSR bool
+}
+
+// v2Bytes re-encodes a valid plan in the version-2 layout.
+func v2Bytes(tb testing.TB, csr bool) []byte {
+	tb.Helper()
+	w := validWire(tb, csr)
+	return gobBytes(tb, &planWireV2{
+		Version: 2, N: w.N, TileH: w.TileH, TileW: w.TileW, NumTR: w.NumTR, NumTC: w.NumTC,
+		Tiles: w.Tiles, PanelStart: w.PanelStart, Rows: w.Rows, Cols: w.Cols, Vals: w.Vals,
+		Hot: w.Hot, Heuristic: w.Heuristic, Serial: w.Serial, Predicted: w.Predicted,
+		Totals: w.Totals, HotIsCSR: w.HotIsCSR, ColdIsCSR: w.ColdIsCSR,
+	})
+}
+
 // TestReadPlanRejectsV1Wire checks that a plan file or spill from before
 // version 2 fails with a version error rather than decoding into a plan.
 func TestReadPlanRejectsV1Wire(t *testing.T) {
 	for _, csr := range []bool{false, true} {
 		_, err := ReadPlan(bytes.NewReader(v1Bytes(t, csr)))
-		if err == nil || !strings.Contains(err.Error(), "wire version 0") {
+		if err == nil || !strings.Contains(err.Error(), "plan wire version") {
 			t.Fatalf("csr=%v: v1 stream gave %v, want a version error", csr, err)
+		}
+	}
+}
+
+// TestReadPlanRejectsV2Wire checks the same for a version-2 gob stream.
+func TestReadPlanRejectsV2Wire(t *testing.T) {
+	for _, csr := range []bool{false, true} {
+		_, err := ReadPlan(bytes.NewReader(v2Bytes(t, csr)))
+		if err == nil || !strings.Contains(err.Error(), "plan wire version") {
+			t.Fatalf("csr=%v: v2 stream gave %v, want a version error", csr, err)
 		}
 	}
 }

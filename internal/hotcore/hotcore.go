@@ -241,7 +241,7 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 	}
 	sp = parent.Start("hotcore.baseformat")
 	t0 = time.Now()
-	p.setCold(coldSection(g, res.Hot), a.Cold.Format == model.FormatCSR)
+	p.Cold, p.ColdCSR = coldSection(g, res.Hot, a.Cold.Format == model.FormatCSR)
 	sp.End()
 	p.Timing.BaseFormat = time.Since(t0)
 	if debug {
@@ -266,34 +266,64 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 	return p, nil
 }
 
-// setCold installs the cold section, converted to CSR when the cold worker
-// consumes CSR.
-func (p *Prep) setCold(cold *sparse.COO, csr bool) {
-	if csr {
-		p.ColdCSR = sparse.ToCSR(cold)
-	} else {
-		p.Cold = cold
+// coldSection gathers the nonzeros of the non-hot tiles in row-major
+// order (the untiled traversal of Figure 6(a)): as CSR when csr is set,
+// else as COO. One counting pass over the cold rows sizes every row, and
+// one scatter in tile order places each nonzero. The grid is sorted by
+// (panel, tile column, row, col) and a row lives in one panel, whose tiles
+// cover ascending, disjoint column ranges, so each row's columns arrive
+// ascending: the order a stable row-major sort of the same nonzeros gives,
+// without the sort.
+func coldSection(g *tile.Grid, hot []bool, csr bool) (*sparse.COO, *sparse.CSR) {
+	// ptr[r+1] counts row r; after the prefix sum ptr[r] is row r's first
+	// slot, and the scatter advances it to row r's end.
+	ptr := make([]int64, g.N+1)
+	for i := range g.Tiles {
+		if !hot[i] {
+			t := &g.Tiles[i]
+			for _, r := range g.Rows[t.Start:t.End] {
+				ptr[r+1]++
+			}
+		}
 	}
-}
-
-// coldSection gathers the nonzeros of the non-hot tiles into a row-major
-// COO (the untiled traversal order of Figure 6(a)).
-func coldSection(g *tile.Grid, hot []bool) *sparse.COO {
-	m := sparse.NewCOO(g.N, 0)
+	for r := 0; r < g.N; r++ {
+		ptr[r+1] += ptr[r]
+	}
+	nnz := ptr[g.N]
+	var rows []int32
+	if !csr {
+		rows = make([]int32, nnz)
+	}
+	cols := make([]int32, nnz)
+	vals := make([]float64, nnz)
 	for i := range g.Tiles {
 		if hot[i] {
 			continue
 		}
-		rows, cols, vals := g.TileNonzeros(i)
-		m.Rows = append(m.Rows, rows...)
-		m.Cols = append(m.Cols, cols...)
-		m.Vals = append(m.Vals, vals...)
+		t := &g.Tiles[i]
+		for j := t.Start; j < t.End; j++ {
+			r := g.Rows[j]
+			o := ptr[r]
+			ptr[r] = o + 1
+			if rows != nil {
+				rows[o] = r
+			}
+			cols[o] = g.Cols[j]
+			vals[o] = g.Vals[j]
+		}
 	}
-	m.SortRowMajor()
-	return m
+	if !csr {
+		return &sparse.COO{N: g.N, Rows: rows, Cols: cols, Vals: vals}, nil
+	}
+	// Each ptr[r] now holds row r's end: shift back to row starts.
+	copy(ptr[1:], ptr[:g.N])
+	ptr[0] = 0
+	return nil, &sparse.CSR{N: g.N, RowPtr: ptr, Cols: cols, Vals: vals}
 }
 
 // hotSection gathers the hot tiles into the tiled format, panel-major.
+// Each block's nonzeros are views of the grid's tile span, capped at the
+// span's end so an append to a block can never write into the grid.
 func hotSection(g *tile.Grid, hot []bool, csr bool) *TiledMatrix {
 	t := &TiledMatrix{N: g.N, TileH: g.TileH, TileW: g.TileW, CSR: csr}
 	for i := range g.Tiles {
@@ -301,20 +331,19 @@ func hotSection(g *tile.Grid, hot []bool, csr bool) *TiledMatrix {
 			continue
 		}
 		tl := &g.Tiles[i]
-		rows, cols, vals := g.TileNonzeros(i)
-		b := TileBlock{
+		lo, hi := tl.Start, tl.End
+		t.Blocks = append(t.Blocks, TileBlock{
 			TR:   tl.TR,
 			TC:   tl.TC,
-			Rows: append([]int32(nil), rows...),
-			Cols: append([]int32(nil), cols...),
-			Vals: append([]float64(nil), vals...),
-		}
-		t.Blocks = append(t.Blocks, b)
+			Rows: g.Rows[lo:hi:hi],
+			Cols: g.Cols[lo:hi:hi],
+			Vals: g.Vals[lo:hi:hi],
+		})
 		if csr {
-			lo, hi := g.PanelRows(tl.TR)
-			ptr := make([]int64, hi-lo+1)
-			for _, r := range rows {
-				ptr[int(r)-lo+1]++
+			plo, phi := g.PanelRows(tl.TR)
+			ptr := make([]int64, phi-plo+1)
+			for _, r := range g.Rows[lo:hi] {
+				ptr[int(r)-plo+1]++
 			}
 			for j := 0; j < len(ptr)-1; j++ {
 				ptr[j+1] += ptr[j]
@@ -331,7 +360,7 @@ func hotSection(g *tile.Grid, hot []bool, csr bool) *TiledMatrix {
 // hot and cold sections together hold exactly the grid's nonzeros. It must
 // never panic, whatever the field values, so every invariant is checked
 // before it is relied on for indexing or division. ReadPlan runs it on
-// every load, after rebuilding the sections from a gob-decoded grid.
+// every load, after rebuilding the sections from a decoded grid.
 func (p *Prep) Validate() error {
 	if p.Hot == nil {
 		return fmt.Errorf("hotcore: plan missing hot section")

@@ -68,7 +68,7 @@ func TestPlanRoundTripPIUMACSR(t *testing.T) {
 }
 
 func TestReadPlanRejectsGarbage(t *testing.T) {
-	if _, err := ReadPlan(strings.NewReader("not a gob stream")); err == nil {
+	if _, err := ReadPlan(strings.NewReader("not a plan stream")); err == nil {
 		t.Fatal("expected decode error")
 	}
 	if err := WritePlan(&bytes.Buffer{}, nil); err == nil {

@@ -12,8 +12,10 @@ package planstore
 import (
 	"container/list"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -27,17 +29,18 @@ import (
 // runs one store; tests may run several). Per-instance numbers come from
 // Stats.
 var (
-	storeBuilds    = obs.NewCounter("planstore.builds")
-	storeBuildErrs = obs.NewCounter("planstore.build.errors")
-	storeMemHits   = obs.NewCounter("planstore.hits.mem")
-	storeDiskHits  = obs.NewCounter("planstore.hits.disk")
-	storeCoalesced = obs.NewCounter("planstore.coalesced")
-	storeRejected  = obs.NewCounter("planstore.rejected")
-	storeEvictions = obs.NewCounter("planstore.evictions")
-	storeSpillErrs = obs.NewCounter("planstore.spill.errors")
-	storeActive    = obs.NewGauge("planstore.active")
-	storeQueued    = obs.NewGauge("planstore.queued")
-	storeBuildNS   = obs.NewHistogram("planstore.build.ns")
+	storeBuilds       = obs.NewCounter("planstore.builds")
+	storeBuildErrs    = obs.NewCounter("planstore.build.errors")
+	storeMemHits      = obs.NewCounter("planstore.hits.mem")
+	storeDiskHits     = obs.NewCounter("planstore.hits.disk")
+	storeCoalesced    = obs.NewCounter("planstore.coalesced")
+	storeRejected     = obs.NewCounter("planstore.rejected")
+	storeEvictions    = obs.NewCounter("planstore.evictions")
+	storeSpillErrs    = obs.NewCounter("planstore.spill.errors")
+	storeSpillCorrupt = obs.NewCounter("planstore.spill.corrupt")
+	storeActive       = obs.NewGauge("planstore.active")
+	storeQueued       = obs.NewGauge("planstore.queued")
+	storeBuildNS      = obs.NewHistogram("planstore.build.ns")
 )
 
 // ErrBusy is returned when both the active-build slots and the wait queue
@@ -73,18 +76,19 @@ const (
 // build function invocations — the singleflight and cache tests pin their
 // guarantees on it.
 type Stats struct {
-	Builds      int64 // build invocations (cache misses that ran the pipeline)
-	BuildErrors int64 // builds that returned an error (not cached)
-	MemHits     int64 // lookups served from the memory LRU
-	DiskHits    int64 // lookups served from the spill directory
-	Coalesced   int64 // lookups that joined another caller's in-flight build
-	Rejected    int64 // lookups refused with ErrBusy
-	Evictions   int64 // values dropped from the memory LRU
-	SpillErrors int64 // built values the spill directory failed to persist
-	Active      int   // builds running now
-	Queued      int   // builders waiting for a slot now
-	CachedPlans int   // values in the memory LRU
-	CachedBytes int64 // sum of value lengths in the memory LRU
+	Builds       int64 // build invocations (cache misses that ran the pipeline)
+	BuildErrors  int64 // builds that returned an error (not cached)
+	MemHits      int64 // lookups served from the memory LRU
+	DiskHits     int64 // lookups served from the spill directory
+	Coalesced    int64 // lookups that joined another caller's in-flight build
+	Rejected     int64 // lookups refused with ErrBusy
+	Evictions    int64 // values dropped from the memory LRU
+	SpillErrors  int64 // built values the spill directory failed to persist
+	SpillCorrupt int64 // spill files that failed their checksum and were removed
+	Active       int   // builds running now
+	Queued       int   // builders waiting for a slot now
+	CachedPlans  int   // values in the memory LRU
+	CachedBytes  int64 // sum of value lengths in the memory LRU
 }
 
 type flight struct {
@@ -113,7 +117,7 @@ type Store struct {
 
 	builds, buildErrs, memHits, diskHits atomic.Int64
 	coalesced, rejected, evictions       atomic.Int64
-	spillErrs                            atomic.Int64
+	spillErrs, spillCorrupt              atomic.Int64
 
 	// ewmaBuildNS tracks recent build cost for Retry-After estimation.
 	ewmaBuildNS atomic.Int64
@@ -207,7 +211,7 @@ func (s *Store) Peek(key string) ([]byte, bool) {
 		return val, true
 	}
 	s.mu.Unlock()
-	if val, ok := s.readDisk(key); ok {
+	if val, ok := s.readDisk(nil, key); ok {
 		s.mu.Lock()
 		s.putLocked(nil, key, val)
 		s.mu.Unlock()
@@ -221,7 +225,7 @@ func (s *Store) runBuild(ctx context.Context, key string, build func(ctx context
 	log := obs.CtxLog(ctx)
 	// Disk check happens before admission: reading a spilled plan back is
 	// IO, not preprocessing, and must not be refused under build load.
-	if val, ok := s.readDisk(key); ok {
+	if val, ok := s.readDisk(log, key); ok {
 		log.Debug("planstore.hit.disk", obs.Str("key", keyShort(key)))
 		return val, nil
 	}
@@ -367,18 +371,19 @@ func (s *Store) Stats() Stats {
 	plans, bytes := s.lru.Len(), s.bytes
 	s.mu.Unlock()
 	return Stats{
-		Builds:      s.builds.Load(),
-		BuildErrors: s.buildErrs.Load(),
-		MemHits:     s.memHits.Load(),
-		DiskHits:    s.diskHits.Load(),
-		Coalesced:   s.coalesced.Load(),
-		Rejected:    s.rejected.Load(),
-		Evictions:   s.evictions.Load(),
-		SpillErrors: s.spillErrs.Load(),
-		Active:      len(s.slots),
-		Queued:      int(s.queued.Load()),
-		CachedPlans: plans,
-		CachedBytes: bytes,
+		Builds:       s.builds.Load(),
+		BuildErrors:  s.buildErrs.Load(),
+		MemHits:      s.memHits.Load(),
+		DiskHits:     s.diskHits.Load(),
+		Coalesced:    s.coalesced.Load(),
+		Rejected:     s.rejected.Load(),
+		Evictions:    s.evictions.Load(),
+		SpillErrors:  s.spillErrs.Load(),
+		SpillCorrupt: s.spillCorrupt.Load(),
+		Active:       len(s.slots),
+		Queued:       int(s.queued.Load()),
+		CachedPlans:  plans,
+		CachedBytes:  bytes,
 	}
 }
 
@@ -398,23 +403,46 @@ func (s *Store) diskPath(key string) string {
 	return filepath.Join(s.cfg.Dir, key+".plan")
 }
 
-func (s *Store) readDisk(key string) ([]byte, bool) {
+// A spill file frames its value with its own header: spillMagic, then the
+// CRC-32C of the value. The store checks the frame, not the value, so it
+// stays content-agnostic.
+const (
+	spillMagic     = "HTSP"
+	spillHeaderLen = len(spillMagic) + 4
+)
+
+var spillTable = crc32.MakeTable(crc32.Castagnoli)
+
+// readDisk returns the value spilled under key. A file whose frame does
+// not check out is a miss: it is removed and counted, and the caller
+// rebuilds the value. log, when non-nil, tags the warning with the request.
+func (s *Store) readDisk(log *obs.Logger, key string) ([]byte, bool) {
 	path := s.diskPath(key)
 	if path == "" {
 		return nil, false
 	}
-	val, err := os.ReadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		return nil, false
+	}
+	if len(data) < spillHeaderLen || string(data[:len(spillMagic)]) != spillMagic ||
+		binary.LittleEndian.Uint32(data[len(spillMagic):]) != crc32.Checksum(data[spillHeaderLen:], spillTable) {
+		os.Remove(path)
+		s.spillCorrupt.Add(1)
+		storeSpillCorrupt.Inc()
+		log.Warn("planstore.spill.corrupt", obs.Str("key", keyShort(key)), obs.Int("bytes", len(data)))
 		return nil, false
 	}
 	s.diskHits.Add(1)
 	storeDiskHits.Inc()
-	return val, true
+	return data[spillHeaderLen:], true
 }
 
-// writeDisk spills one value (write-to-temp, rename, so readers never see
-// a torn file). Spill failure is not a build failure: the caller counts
-// and logs it, and the plan is still served from memory.
+// writeDisk spills one value in its checksum frame: write to a temp file,
+// fsync, rename, so readers never see a torn file and a crash cannot leave
+// a renamed file whose data never reached the disk. Spill failure is not a
+// build failure: the caller counts and logs it, and the plan is still
+// served from memory.
 func (s *Store) writeDisk(key string, val []byte) error {
 	path := s.diskPath(key)
 	if path == "" {
@@ -424,7 +452,16 @@ func (s *Store) writeDisk(key string, val []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = tmp.Write(val)
+	var hdr [spillHeaderLen]byte
+	copy(hdr[:], spillMagic)
+	binary.LittleEndian.PutUint32(hdr[len(spillMagic):], crc32.Checksum(val, spillTable))
+	_, err = tmp.Write(hdr[:])
+	if err == nil {
+		_, err = tmp.Write(val)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

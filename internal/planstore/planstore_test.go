@@ -314,6 +314,45 @@ func TestDiskSpillRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCorruptSpillIsRebuilt flips one byte of a spill file, in the frame
+// header and in the value: the next Get on a fresh store counts a miss,
+// removes the file, rebuilds the value instead of serving the bad bytes,
+// and spills a good copy again.
+func TestCorruptSpillIsRebuilt(t *testing.T) {
+	want := bytes.Repeat([]byte("plan"), 1024)
+	for _, off := range []int{len(spillMagic) + 1, spillHeaderLen + 100} {
+		dir := t.TempDir()
+		if _, err := newStore(t, Config{Dir: dir}).Get(context.Background(), "abc123", constBuild(want)); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "abc123.plan")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[off] ^= 0x10
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		before := storeSpillCorrupt.Load()
+		s := newStore(t, Config{Dir: dir})
+		got, err := s.Get(context.Background(), "abc123", constBuild(want))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("offset %d: Get = %d bytes, %v; want the rebuilt value", off, len(got), err)
+		}
+		if st := s.Stats(); st.Builds != 1 || st.DiskHits != 0 || st.SpillCorrupt != 1 {
+			t.Fatalf("offset %d: stats %+v, want 1 build, 0 disk hits, 1 corrupt spill", off, st)
+		}
+		if d := storeSpillCorrupt.Load() - before; d != 1 {
+			t.Fatalf("offset %d: planstore.spill.corrupt rose by %d, want 1", off, d)
+		}
+		if got, ok := newStore(t, Config{Dir: dir}).Peek("abc123"); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("offset %d: the rebuild did not spill a good copy", off)
+		}
+	}
+}
+
 // TestSpillFailureIsVisible replaces the spill directory with a regular
 // file after the store is built, so every spill fails: the plan is still
 // served, and the failure is counted and logged with the key.

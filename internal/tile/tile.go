@@ -56,8 +56,9 @@ type Grid struct {
 	Cols []int32
 	Vals []float64
 
-	// Lazily built row-major view (RowMajor). Unexported so gob round trips
-	// (hotcore plans) skip it and rebuild on demand.
+	// Lazily built row-major view (RowMajor). Unexported and never
+	// serialized: a grid loaded from a plan (hotcore.ReadPlan) rebuilds it
+	// on demand.
 	rmOnce sync.Once
 	rmKeys []uint64
 	rmTile []int32
@@ -346,7 +347,7 @@ func (g *Grid) PanelUniqRowsScratch(tr int, keep func(i int) bool, seen []bool) 
 // panel starts matching the tiles, spans contiguous and covering, stats
 // consistent, and all nonzeros inside both their tile and the matrix.
 // Slice lengths, tile coordinates and span bounds are checked before any
-// indexing: hotcore.ReadPlan runs this on gob-decoded grids and then
+// indexing: hotcore.ReadPlan runs this on decoded plan grids and then
 // derives the hot and cold sections from them, so Validate must reject a
 // corrupt stream rather than let it panic there.
 func (g *Grid) Validate() error {

@@ -33,7 +33,7 @@ func TestShouldReplanMonotone(t *testing.T) {
 
 // TestEvolveReplanMatchesScratchPlan is the byte-identity property: with
 // Threshold = 0 (re-plan every step), the plan held after the last step
-// must gob-serialize byte-identically to a plan built from scratch — on a
+// must serialize byte-identically to a plan built from scratch — on a
 // matrix rebuilt from scratch, not the incrementally-maintained one — with
 // the same seed.
 func TestEvolveReplanMatchesScratchPlan(t *testing.T) {
