@@ -100,8 +100,8 @@ BENCH_PR ?= 9
 # per benchmark; short-sample runs of the ~100ms studies are noise-bound.
 BENCHTIME ?= 3s
 TRACKED_BENCH = BenchmarkExperimentsFanout|BenchmarkTilePartition|BenchmarkModelEstimateGrid|BenchmarkSimulateHeterogeneous|BenchmarkPartitionHotTiles|BenchmarkSpMMParallel
-TRACKED_BENCH_SIM = BenchmarkEngine|BenchmarkWaterfill|BenchmarkRunnerReuse
-TRACKED_BENCH_WORKLOAD = BenchmarkGNNForward|BenchmarkEvolveReplan
+TRACKED_BENCH_SIM = BenchmarkEngine|BenchmarkWaterfill|BenchmarkRunnerReuse|BenchmarkColdPool
+TRACKED_BENCH_WORKLOAD = BenchmarkGNNForward|BenchmarkEvolveReplan|BenchmarkEvolveSweep
 TRACKED_BENCH_LINT = BenchmarkLintSuite
 
 bin/benchdiff: FORCE

@@ -181,9 +181,9 @@ type EvolveStudy struct {
 func evolveThresholds() []float64 { return []float64{-1, 0.5, 0.2, 0.1, 0.05, 0.02, 0} }
 
 // Evolve runs the evolving-graph study: one preferential-attachment edit
-// stream against the pok matrix, swept over the re-plan threshold ladder,
-// one concurrent job per threshold. ctx bounds the baseline preprocessing
-// and every per-threshold run.
+// stream against the pok matrix, swept over the re-plan threshold ladder
+// in one step-major workload.EvolveSweep. ctx bounds the baseline
+// preprocessing and the sweep.
 func (e *Env) Evolve(ctx context.Context) (*EvolveStudy, error) {
 	b, ok := gen.ByShort(evolveShort)
 	if !ok {
@@ -218,15 +218,14 @@ func (e *Env) Evolve(ctx context.Context) (*EvolveStudy, error) {
 	replanCost := replanCostX * base.Time
 
 	ths := evolveThresholds()
+	runs, err := workload.EvolveSweep(ctx, m, &a, batches, ths, workload.EvolveConfig{
+		Seed: e.Seed, SkipFunctional: true, Label: "evolve", Timeline: e.timeline,
+	})
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]EvolveRow, len(ths))
-	if err := par.ForEachErr(len(ths), func(i int) error {
-		res, err := workload.Evolve(ctx, m, &a, batches, workload.EvolveConfig{
-			Threshold: ths[i], Seed: e.Seed, SkipFunctional: true,
-			Label: fmt.Sprintf("evolve/th%g", ths[i]), Timeline: e.timeline,
-		})
-		if err != nil {
-			return err
-		}
+	for i, res := range runs {
 		row := EvolveRow{Threshold: ths[i], Replans: res.Replans, SimMS: res.SimTotal * 1e3}
 		for _, st := range res.Steps {
 			if st.Drift > row.MaxDrift {
@@ -235,9 +234,6 @@ func (e *Env) Evolve(ctx context.Context) (*EvolveStudy, error) {
 		}
 		row.CombinedMS = row.SimMS + float64(res.Replans)*replanCost*1e3
 		rows[i] = row
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 
 	st := &EvolveStudy{

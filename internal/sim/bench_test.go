@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/dense"
 	"repro/internal/gen"
+	"repro/internal/model"
 	"repro/internal/partition"
 	"repro/internal/semiring"
 	"repro/internal/tile"
@@ -164,5 +165,27 @@ func BenchmarkExecute(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkColdPool tracks cold-pool construction alone: one
+// buildColdPoolInto of an all-cold 4096-row power-law grid on
+// SPADE-Sextans, over reused pool and scratch, so the run is dominated by
+// the per-PE cache-model replay of every nonzero's Din access.
+func BenchmarkColdPool(b *testing.B) {
+	a := scaledArch(arch.SpadeSextans(4), 64)
+	m := gen.PowerLaw(rand.New(rand.NewSource(1)), 4096, 16, 2.2)
+	g, err := tile.Partition(m, a.TileH, a.TileW)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hot := make([]bool, len(g.Tiles))
+	prm := model.Params{K: a.K, OpsPerMAC: 2}
+	var p pool
+	var s coldScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildColdPoolInto(&p, &s, g, hot, &a, prm)
 	}
 }

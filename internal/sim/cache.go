@@ -26,11 +26,10 @@ type cache struct {
 	lineShift int // log2(lineSize); -1 when lineSize is not a power of two
 	setMask   uint64
 	setPow2   bool
-	// tags[set*ways+way] holds the line address + 1 (0 = invalid).
+	// tags[set*ways:(set+1)*ways] holds one set's line addresses + 1
+	// (0 = invalid), most recently used first: the order is the LRU state,
+	// so the last way is the victim and invalid ways collect at the tail.
 	tags []uint64
-	// lru[set*ways+way] is the last-use stamp.
-	lru   []uint64
-	clock uint64
 }
 
 // newCache builds a cache of the given total capacity; returns nil when the
@@ -51,7 +50,6 @@ func newCache(capacityBytes, lineSize int) *cache {
 		lineSize:  lineSize,
 		lineShift: -1,
 		tags:      make([]uint64, sets*ways),
-		lru:       make([]uint64, sets*ways),
 	}
 	if lineSize&(lineSize-1) == 0 {
 		for s := lineSize; s > 1; s >>= 1 {
@@ -66,17 +64,14 @@ func newCache(capacityBytes, lineSize int) *cache {
 	return c
 }
 
-// reset restores the cache to its just-built state — every line invalid,
-// the LRU clock at zero — without reallocating, so a Runner reuses the
-// model across runs. A reset cache behaves bit-identically to a fresh
-// newCache of the same geometry.
+// reset restores the cache to its just-built state — every line invalid —
+// without reallocating, so a Runner reuses the model across runs. A reset
+// cache behaves bit-identically to a fresh newCache of the same geometry.
 func (c *cache) reset() {
 	if c == nil {
 		return
 	}
 	clear(c.tags)
-	clear(c.lru)
-	c.clock = 0
 }
 
 // lineOf maps a byte address to its line number.
@@ -85,6 +80,26 @@ func (c *cache) lineOf(addr uint64) uint64 {
 		return addr >> uint(c.lineShift)
 	}
 	return addr / uint64(c.lineSize)
+}
+
+// touch probes one most-recently-used-first set for tag and moves tag to
+// the front, reporting whether it was already present. One pass shifts
+// each scanned way down by one slot: on a hit the shift stops at the
+// tag's old slot (a rotation), on a miss it runs off the end, dropping
+// the last way — the LRU line, or an invalid way while the set is not
+// yet full.
+//
+//hot:path
+func touch(set []uint64, tag uint64) bool {
+	prev := tag
+	for w, t := range set {
+		set[w] = prev
+		if t == tag {
+			return true
+		}
+		prev = t
+	}
+	return false
 }
 
 // accessLine touches line (a line number, not a byte address) and reports
@@ -97,135 +112,40 @@ func (c *cache) accessLine(line uint64) bool {
 		set = int(line % uint64(c.sets))
 	}
 	base := set * c.ways
-	c.clock++
-	tag := line + 1
-	// Hit scan first (tags only), victim scan only on a miss: hits — the
-	// common case — touch one lru slot instead of scanning both arrays.
-	// The victim is the first way with the minimal stamp, exactly what the
-	// previous fused scan selected.
-	tags := c.tags[base : base+c.ways]
-	for w, t := range tags {
-		if t == tag {
-			c.lru[base+w] = c.clock
-			return true
-		}
-	}
-	lru := c.lru[base : base+c.ways]
-	victim, oldest := 0, lru[0]
-	for w := 1; w < len(lru); w++ {
-		if lru[w] < oldest {
-			oldest = lru[w]
-			victim = w
-		}
-	}
-	c.tags[base+victim] = tag
-	lru[victim] = c.clock
-	return false
+	return touch(c.tags[base:base+c.ways], line+1)
 }
 
 // missLinesFold probes the class-0 line (col·foldL) of every packed
 // (row, col) key through c and appends each missed line, in key order, to
-// out (which is reset to empty first and returned). It is bit-identical to
-// calling accessLine(col·foldL) once per key — same hit/miss outcomes, same
-// clock advance, same victim choices — with the per-call slice and clock
-// bookkeeping hoisted out of the per-nonzero path; this loop replaces
-// accessLine on the cold-pool construction hot path, where one probe runs
-// per cold nonzero per strategy.
+// out (which is reset to empty first and returned): accessLine(col·foldL)
+// once per key, as one loop that accessLine and touch inline into. It runs
+// on the cold-pool construction hot path, one probe per cold nonzero per
+// strategy.
 //
 //hot:path
 func (c *cache) missLinesFold(nzs []uint64, foldL uint64, out []uint64) []uint64 {
 	out = out[:0]
-	if c.ways != 8 || !c.setPow2 {
-		for _, k := range nzs {
-			line := uint64(uint32(k)) * foldL
-			if !c.accessLine(line) {
-				out = append(out, line)
-			}
-		}
-		return out
-	}
-	mask, clk := c.setMask, c.clock
-	tags, lru := c.tags, c.lru
 	for _, k := range nzs {
 		line := uint64(uint32(k)) * foldL
-		base := int(line&mask) * 8
-		t8 := (*[8]uint64)(tags[base:])
-		l8 := (*[8]uint64)(lru[base:])
-		clk++
-		tag := line + 1
-		hit := false
-		for w, t := range t8 {
-			if t == tag {
-				l8[w] = clk
-				hit = true
-				break
-			}
+		if !c.accessLine(line) {
+			out = append(out, line)
 		}
-		if hit {
-			continue
-		}
-		victim, oldest := 0, l8[0]
-		for w := 1; w < 8; w++ {
-			if l8[w] < oldest {
-				oldest = l8[w]
-				victim = w
-			}
-		}
-		t8[victim] = tag
-		l8[victim] = clk
-		out = append(out, line)
 	}
-	c.clock = clk
 	return out
 }
 
 // missLines is missLinesFold over already-computed line numbers: it probes
 // each line through c (the shared level re-probing the private level's
 // misses) and appends the lines that miss again to out (reset first).
-// Bit-identical to calling accessLine per line.
 //
 //hot:path
 func (c *cache) missLines(lines []uint64, out []uint64) []uint64 {
 	out = out[:0]
-	if c.ways != 8 || !c.setPow2 {
-		for _, line := range lines {
-			if !c.accessLine(line) {
-				out = append(out, line)
-			}
-		}
-		return out
-	}
-	mask, clk := c.setMask, c.clock
-	tags, lru := c.tags, c.lru
 	for _, line := range lines {
-		base := int(line&mask) * 8
-		t8 := (*[8]uint64)(tags[base:])
-		l8 := (*[8]uint64)(lru[base:])
-		clk++
-		tag := line + 1
-		hit := false
-		for w, t := range t8 {
-			if t == tag {
-				l8[w] = clk
-				hit = true
-				break
-			}
+		if !c.accessLine(line) {
+			out = append(out, line)
 		}
-		if hit {
-			continue
-		}
-		victim, oldest := 0, l8[0]
-		for w := 1; w < 8; w++ {
-			if l8[w] < oldest {
-				oldest = l8[w]
-				victim = w
-			}
-		}
-		t8[victim] = tag
-		l8[victim] = clk
-		out = append(out, line)
 	}
-	c.clock = clk
 	return out
 }
 
@@ -263,9 +183,9 @@ func (c *cache) accessRange(addr uint64, n int) int {
 // (r·L+j) & mask = ((r·L) & mask) | j — class j occupies its own disjoint
 // group of sets, in every level of the hierarchy. Across rows, class j sees
 // the access sequence r₁,r₂,… — the same sequence for every j, and LRU
-// decisions depend only on the relative order of accesses within a set (the
-// shared clock is monotone), so all L classes replay identical hit/miss and
-// victim sequences. Misses filter identically into the shared level, where
+// decisions depend only on the order of accesses within a set (each set's
+// recency order is its whole state), so all L classes replay identical
+// hit/miss and eviction sequences. Misses filter identically into the shared level, where
 // the same disjointness holds. One class therefore stands in for all L.
 //
 // Returns 1 (no folding) whenever any condition fails: non-power-of-two

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -35,29 +36,42 @@ func (m *COO) ApplyEdits(edits []Edit) error {
 		}
 	}
 
-	// Sort a private copy by coordinate, stably, so stream order survives
-	// within each coordinate; then keep only the last edit per coordinate.
-	es := append([]Edit(nil), edits...)
-	slices.SortStableFunc(es, func(a, b Edit) int {
-		switch {
-		case a.Row != b.Row:
-			return int(a.Row) - int(b.Row)
-		case a.Col != b.Col:
-			return int(a.Col) - int(b.Col)
-		default:
-			return 0
+	// Order the stream by (row, col, stream index) and keep the last edit
+	// per coordinate: exactly what a stable (row, col) sort followed by
+	// last-wins dedup keeps. Small matrices pack the order into one uint64
+	// key per edit (row:20 | col:20 | idx:24), as SortRowMajor does; the
+	// rest sort an index permutation with the same total order.
+	es := make([]Edit, 0, len(edits))
+	keep := func(i int) {
+		e := edits[i]
+		if n := len(es); n > 0 && es[n-1].Row == e.Row && es[n-1].Col == e.Col {
+			es[n-1] = e
+			return
 		}
-	})
-	w := 0
-	for i := 1; i < len(es); i++ {
-		if es[i].Row == es[w].Row && es[i].Col == es[w].Col {
-			es[w] = es[i]
-			continue
-		}
-		w++
-		es[w] = es[i]
+		es = append(es, e)
 	}
-	es = es[:w+1]
+	if m.N <= 1<<20 && len(edits) < 1<<24 {
+		keys := make([]uint64, len(edits))
+		for i, e := range edits {
+			keys[i] = uint64(e.Row)<<44 | uint64(e.Col)<<24 | uint64(i)
+		}
+		sortUint64(keys, 3) // the idx bytes are already ascending
+		for _, k := range keys {
+			keep(int(k & (1<<24 - 1)))
+		}
+	} else {
+		perm := make([]int, len(edits))
+		for i := range perm {
+			perm[i] = i
+		}
+		slices.SortFunc(perm, func(a, b int) int {
+			return cmp.Or(cmp.Compare(edits[a].Row, edits[b].Row),
+				cmp.Compare(edits[a].Col, edits[b].Col), cmp.Compare(a, b))
+		})
+		for _, p := range perm {
+			keep(p)
+		}
+	}
 
 	// Merge the sorted edits into the row-major nonzeros.
 	nnz := m.NNZ()

@@ -43,3 +43,24 @@ func BenchmarkEvolveReplan(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEvolveSweep tracks the evolve study's shape: the full 7-threshold
+// re-plan ladder over BenchmarkEvolveReplan's edit trajectory in one
+// step-major sweep.
+func BenchmarkEvolveSweep(b *testing.B) {
+	m := gen.PowerLaw(rand.New(rand.NewSource(2)), 4096, 16, 2.2)
+	a := smallArch()
+	batches, err := EditStream(3, m, 4, 500, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ths := []float64{-1, 0.5, 0.2, 0.1, 0.05, 0.02, 0}
+	cfg := EvolveConfig{SkipFunctional: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EvolveSweep(context.Background(), m, &a, batches, ths, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/dense"
 	"repro/internal/hotcore"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/semiring"
 	"repro/internal/sim"
@@ -28,6 +30,7 @@ type EvolveConfig struct {
 	// the mutated matrix, and when |stale − planned| / planned ≥ Threshold
 	// the matrix is re-partitioned from scratch. 0 re-plans after every
 	// batch; a negative threshold never re-plans (pure staleness).
+	// EvolveSweep takes its thresholds as an argument instead.
 	Threshold float64
 	// Din is the dense operand simulated after each batch (nil allowed with
 	// SkipFunctional).
@@ -35,8 +38,9 @@ type EvolveConfig struct {
 	// SkipFunctional runs timing only.
 	SkipFunctional bool
 	// Timeline, when non-nil, records each step's simulator events under
-	// "<Label>/step<i>"; Label defaults to "evolve". Each step is also a
-	// "step<i>" span under the span ctx carries, if any.
+	// "<Label>/step<i>" (EvolveSweep inserts "/th<t>" per threshold); Label
+	// defaults to "evolve". Each step is also one "step<i>" span under the
+	// span ctx carries, if any.
 	Timeline *obs.Timeline
 	Label    string
 }
@@ -96,108 +100,145 @@ func ShouldReplan(threshold, drift float64) bool {
 // the predicted runtime has drifted past cfg.Threshold. Each batch ends
 // with one simulated inference run on whatever plan is active, so the
 // result exposes exactly the staleness-vs-re-plan-cost trade-off.
+//
+// Evolve is EvolveSweep over the single threshold cfg.Threshold.
 func Evolve(ctx context.Context, m *sparse.COO, a *arch.Arch, batches [][]sparse.Edit, cfg EvolveConfig) (*EvolveResult, error) {
-	if cfg.OpsPerMAC == 0 {
-		cfg.OpsPerMAC = 2
-	}
-	label := cfg.Label
-	if label == "" {
-		label = "evolve"
-	}
-	popts := hotcore.Options{Strategy: cfg.Strategy, OpsPerMAC: cfg.OpsPerMAC, Seed: cfg.Seed}
-	sr := semiring.PlusTimes()
-	sr.OpsPerMAC = cfg.OpsPerMAC
-	pcfg := a.Config(cfg.OpsPerMAC)
-
-	cur := m.Clone()
-	plan, err := hotcore.PreprocessCtx(ctx, cur, a, popts)
+	res, err := EvolveSweep(ctx, m, a, batches, []float64{cfg.Threshold}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := &EvolveResult{Steps: make([]EvolveStep, 0, len(batches)), Plan: plan}
+	return res[0], nil
+}
+
+// EvolveSweep runs Evolve once per threshold over one shared edit
+// trajectory, step-major: each step applies its batch, tiles and estimates
+// the mutated matrix once, then fans out over the thresholds, each pricing
+// and simulating its own active plan. A step's re-plan depends only on the
+// step's matrix and cfg, so it is built at most once and shared by every
+// threshold whose trigger fires; a per-step sim.UnitCache likewise shares
+// the unit pools of thresholds simulating the same (grid, assignment).
+// Only one step's matrix, grid and pools are alive at a time. Result i is
+// bit-identical to Evolve with Threshold thresholds[i] (cfg.Threshold is
+// ignored). With more than one threshold, result i's tracks are named
+// "<Label>/th<t>/step<i>".
+//
+// Results share their Matrix, and thresholds that hold the same plan share
+// their Plan: both are read-only.
+func EvolveSweep(ctx context.Context, m *sparse.COO, a *arch.Arch, batches [][]sparse.Edit, thresholds []float64, cfg EvolveConfig) ([]*EvolveResult, error) {
+	if cfg.OpsPerMAC == 0 {
+		cfg.OpsPerMAC = 2
+	}
+	if cfg.Label == "" {
+		cfg.Label = "evolve"
+	}
+	cur := m.Clone()
+	plan, err := hotcore.PreprocessCtx(ctx, cur, a, hotcore.Options{
+		Strategy: cfg.Strategy, OpsPerMAC: cfg.OpsPerMAC, Seed: cfg.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]*EvolveResult, len(thresholds))
+	for i := range runs {
+		runs[i] = &EvolveResult{Steps: make([]EvolveStep, 0, len(batches)), Plan: plan}
+	}
 	parent := obs.CtxSpan(ctx)
 	for step, edits := range batches {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("workload: evolve canceled at step %d: %w", step, cerr)
 		}
 		sp := parent.Start(fmt.Sprintf("step%d", step))
-		st, err := evolveStep(ctx, cur, a, plan, edits, &pcfg, &sr, cfg, label, step)
+		// ApplyEdits builds fresh slices, so the previous step's matrix —
+		// which earlier plans were built from — is never mutated.
+		next := *cur
+		err := next.ApplyEdits(edits)
+		if err == nil {
+			err = sweepStep(ctx, &next, a, edits, thresholds, runs, cfg, step)
+		}
 		sp.End()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("workload: evolve step %d: %w", step, err)
 		}
-		evolveSteps.Inc()
-		if st.replanned {
-			evolveReplans.Inc()
-			res.Replans++
-			plan = st.plan
-			res.Plan = plan
-		}
-		res.Steps = append(res.Steps, st.report)
-		res.SimTotal += st.report.SimTime
+		cur = &next
 	}
-	res.Matrix = cur
-	return res, nil
+	for _, r := range runs {
+		r.Matrix = cur
+	}
+	return runs, nil
 }
 
-type stepOutcome struct {
-	report    EvolveStep
-	replanned bool
-	plan      *hotcore.Prep
-}
-
-// evolveStep applies one edit batch and runs the post-edit inference.
-func evolveStep(ctx context.Context, cur *sparse.COO, a *arch.Arch, plan *hotcore.Prep, edits []sparse.Edit, pcfg *partition.Config, sr *semiring.Semiring, cfg EvolveConfig, label string, step int) (stepOutcome, error) {
-	var out stepOutcome
-	if err := cur.ApplyEdits(edits); err != nil {
-		return out, fmt.Errorf("workload: evolve step %d: %w", step, err)
-	}
+// sweepStep tiles and estimates one step's matrix, then advances every
+// threshold's run by the step: drift, trigger, optional re-plan, and the
+// post-edit inference.
+func sweepStep(ctx context.Context, cur *sparse.COO, a *arch.Arch, edits []sparse.Edit, thresholds []float64, runs []*EvolveResult, cfg EvolveConfig, step int) error {
+	pcfg := a.Config(cfg.OpsPerMAC)
+	sr := semiring.PlusTimes()
+	sr.OpsPerMAC = cfg.OpsPerMAC
 	g, err := tile.Partition(cur, a.TileH, a.TileW)
 	if err != nil {
-		return out, fmt.Errorf("workload: evolve step %d: %w", step, err)
+		return err
 	}
-	es, err := partition.NewEstimates(g, pcfg)
+	es, err := partition.NewEstimates(g, &pcfg)
 	if err != nil {
-		return out, fmt.Errorf("workload: evolve step %d: %w", step, err)
+		return err
 	}
-	hot := carryAssignment(plan, g)
-	stalePred, _, err := partition.PredictFrom(es, pcfg, hot, plan.Partition.Serial)
-	if err != nil {
-		return out, fmt.Errorf("workload: evolve step %d: %w", step, err)
-	}
-	drift := Drift(plan.Partition.Predicted, stalePred)
-	out.report = EvolveStep{
-		Edits:     len(edits),
-		NNZ:       cur.NNZ(),
-		PlanPred:  plan.Partition.Predicted,
-		StalePred: stalePred,
-		Drift:     drift,
-	}
-	grid, serial := g, plan.Partition.Serial
-	if ShouldReplan(cfg.Threshold, drift) {
-		fresh, perr := hotcore.PreprocessCtx(ctx, cur, a, hotcore.Options{
+	replan := sync.OnceValues(func() (*hotcore.Prep, error) {
+		return hotcore.PreprocessCtx(ctx, cur, a, hotcore.Options{
 			Strategy: cfg.Strategy, OpsPerMAC: cfg.OpsPerMAC, Seed: cfg.Seed,
 		})
-		if perr != nil {
-			return out, fmt.Errorf("workload: evolve step %d re-plan: %w", step, perr)
-		}
-		out.replanned = true
-		out.plan = fresh
-		out.report.Replanned = true
-		grid, hot, serial = fresh.Grid, fresh.Partition.Hot, fresh.Partition.Serial
-	}
-	r, err := sim.Run(grid, hot, a, cfg.Din, sim.Options{
-		Serial:         serial,
-		Semiring:       sr,
-		SkipFunctional: cfg.SkipFunctional,
-		Timeline:       cfg.Timeline,
-		TimelineLabel:  fmt.Sprintf("%s/step%d", label, step),
 	})
-	if err != nil {
-		return out, fmt.Errorf("workload: evolve step %d: %w", step, err)
+	var units *sim.UnitCache
+	if len(thresholds) > 1 { // a lone threshold has no one to share pools with
+		units = new(sim.UnitCache)
 	}
-	out.report.SimTime = r.Time
-	return out, nil
+	return par.ForEachErr(len(thresholds), func(i int) error {
+		res := runs[i]
+		plan := res.Plan
+		hot := carryAssignment(plan, g)
+		stalePred, _, err := partition.PredictFrom(es, &pcfg, hot, plan.Partition.Serial)
+		if err != nil {
+			return err
+		}
+		st := EvolveStep{
+			Edits:     len(edits),
+			NNZ:       cur.NNZ(),
+			PlanPred:  plan.Partition.Predicted,
+			StalePred: stalePred,
+			Drift:     Drift(plan.Partition.Predicted, stalePred),
+		}
+		grid, serial := g, plan.Partition.Serial
+		if ShouldReplan(thresholds[i], st.Drift) {
+			fresh, perr := replan()
+			if perr != nil {
+				return fmt.Errorf("re-plan: %w", perr)
+			}
+			evolveReplans.Inc()
+			res.Replans++
+			res.Plan = fresh
+			st.Replanned = true
+			grid, hot, serial = fresh.Grid, fresh.Partition.Hot, fresh.Partition.Serial
+		}
+		track := cfg.Label
+		if len(thresholds) > 1 {
+			track = fmt.Sprintf("%s/th%g", track, thresholds[i])
+		}
+		r, err := sim.Run(grid, hot, a, cfg.Din, sim.Options{
+			Serial:         serial,
+			Semiring:       &sr,
+			SkipFunctional: cfg.SkipFunctional,
+			Timeline:       cfg.Timeline,
+			TimelineLabel:  fmt.Sprintf("%s/step%d", track, step),
+			Units:          units,
+		})
+		if err != nil {
+			return err
+		}
+		evolveSteps.Inc()
+		st.SimTime = r.Time
+		res.Steps = append(res.Steps, st)
+		res.SimTotal += st.SimTime
+		return nil
+	})
 }
 
 // EditStream generates a deterministic evolving-graph workload: steps
