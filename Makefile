@@ -43,7 +43,8 @@ help:
 	@echo "make fuzz        - short coverage-guided fuzz pass (FUZZTIME=$(FUZZTIME), FUZZMINTIME=$(FUZZMINTIME))"
 	@echo "make golden      - regenerate pinned experiment outputs (review the diff!)"
 	@echo "make servesmoke  - end-to-end hottilesd daemon smoke (real port, SIGTERM drain)"
-	@echo "make loc         - non-test Go lines (module minus bench/ and testdata/), total and internal/obs"
+	@echo "make loc         - non-test Go lines (module minus bench/ and testdata/): total, internal/obs,"
+	@echo "                   internal/experiments, and the lint suite"
 
 vet:
 	$(GO) vet ./...
@@ -189,8 +190,12 @@ golden:
 	$(GO) test ./internal/experiments -run TestGolden -update -count=1
 
 # loc prints the non-test Go line counts each change records in CHANGES.md:
-# the module without bench/ and testdata/, and internal/obs alone.
+# the module without bench/ and testdata/, then the subtraction targets
+# ROADMAP.md tracks: internal/obs, internal/experiments, and the lint suite
+# (internal/analysis plus cmd/hottileslint).
 LOC_FILES = find $(1) -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './bench/*'
 loc:
-	@echo "total        $$($(call LOC_FILES,.) | xargs cat | wc -l)"
-	@echo "internal/obs $$($(call LOC_FILES,./internal/obs) | xargs cat | wc -l)"
+	@echo "total                $$($(call LOC_FILES,.) | xargs cat | wc -l)"
+	@echo "internal/obs         $$($(call LOC_FILES,./internal/obs) | xargs cat | wc -l)"
+	@echo "internal/experiments $$($(call LOC_FILES,./internal/experiments) | xargs cat | wc -l)"
+	@echo "lint suite           $$($(call LOC_FILES,./internal/analysis ./cmd/hottileslint) | xargs cat | wc -l)"

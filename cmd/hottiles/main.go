@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 
 	hottiles "repro"
@@ -71,7 +72,7 @@ func main() {
 			fail(srvErr)
 		}
 		defer stop()
-		logger.Info("hottiles.debug.listen", obs.Str("addr", addr))
+		logger.LogAttrs(context.Background(), slog.LevelInfo, "hottiles.debug.listen", slog.String("addr", addr))
 	}
 	obs.SetDeepTiming(*tracePath != "" || *timelinePath != "" || *debugAddr != "")
 	var tl *obs.Timeline
@@ -395,7 +396,7 @@ func writeSection(path string, m *sparse.COO) error {
 
 // logger is the CLI's diagnostic stream (stderr; stdout stays the report).
 // main replaces it once the -log flag is parsed.
-var logger *obs.Logger
+var logger *slog.Logger
 
 // fail logs a fatal error as a structured line and exits. Before flag
 // parsing installs the logger, fall back to plain stderr.
@@ -404,6 +405,6 @@ func fail(err error) {
 		fmt.Fprintln(os.Stderr, "hottiles:", err)
 		os.Exit(1)
 	}
-	logger.Error("hottiles.fatal", obs.Str("err", err.Error()))
+	logger.LogAttrs(context.Background(), slog.LevelError, "hottiles.fatal", slog.String("err", err.Error()))
 	os.Exit(1)
 }

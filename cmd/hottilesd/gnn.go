@@ -13,17 +13,8 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
-	"time"
 
 	hottiles "repro"
-	"repro/internal/obs"
-)
-
-// GNN-plane observability, on the same /metrics exposition.
-var (
-	gnnRequests = obs.NewCounter("hottilesd.gnn.requests")
-	gnnErrors   = obs.NewCounter("hottilesd.gnn.errors")
-	gnnLatency  = obs.NewHistogram("hottilesd.gnn.ns")
 )
 
 // gnnMaxLayers bounds the ?layers= parameter so one request cannot hold a
@@ -50,10 +41,7 @@ type gnnResponse struct {
 // the layer simulation itself is cheap and runs per request with
 // deterministic features seeded by the daemon configuration.
 func (s *server) handleGNN(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	gnnRequests.Inc()
 	if s.cfg.kernel != hottiles.KernelSpMM {
-		gnnErrors.Inc()
 		http.Error(w, "hottilesd: /gnn requires a daemon configured for spmm, running "+s.cfg.kernelName,
 			http.StatusBadRequest)
 		return
@@ -62,7 +50,6 @@ func (s *server) handleGNN(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("layers"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 || n > gnnMaxLayers {
-			gnnErrors.Inc()
 			http.Error(w, fmt.Sprintf("hottilesd: layers must be in [1, %d]", gnnMaxLayers),
 				http.StatusBadRequest)
 			return
@@ -71,7 +58,6 @@ func (s *server) handleGNN(w http.ResponseWriter, r *http.Request) {
 	}
 	body, ok := s.readUpload(w, r)
 	if !ok {
-		gnnErrors.Inc()
 		return
 	}
 	hash := s.planHash(body)
@@ -82,13 +68,11 @@ func (s *server) handleGNN(w http.ResponseWriter, r *http.Request) {
 		return s.buildPlan(ctx, body)
 	})
 	if err != nil {
-		gnnErrors.Inc()
 		s.planError(w, r, err)
 		return
 	}
 	resp, err := s.runGNN(ctx, hash, planBytes, layers)
 	if err != nil {
-		gnnErrors.Inc()
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.planError(w, r, err)
 			return
@@ -100,7 +84,6 @@ func (s *server) handleGNN(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Plan-Hash", hash)
 	enc := json.NewEncoder(w)
 	enc.Encode(resp)
-	gnnLatency.ObserveSince(t0)
 }
 
 // runGNN deserializes the cached plan and chains the layers over it with

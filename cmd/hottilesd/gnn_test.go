@@ -305,7 +305,7 @@ func TestGNNOutputSHA256MatchesPerFloat(t *testing.T) {
 		t.Fatalf("POST /gnn: %d: %s", resp.StatusCode, body)
 	}
 	g := decodeGNN(t, body)
-	planBytes, ok := s.store.Peek(g.Hash)
+	planBytes, ok := s.store.Peek(context.Background(), g.Hash)
 	if !ok {
 		t.Fatal("plan not cached after /gnn")
 	}

@@ -31,8 +31,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -47,7 +49,7 @@ import (
 
 // logger is the process logger; main replaces it once flags are parsed.
 // Package scope so fail() stays usable from any point after startup.
-var logger *obs.Logger
+var logger *slog.Logger
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8321", "listen address (port 0 picks a free port)")
@@ -131,10 +133,10 @@ func main() {
 	// the listener — like obs.ServeDebug's, it cannot run on the bounded
 	// task pool, so cmd/hottilesd is nakedgo-allowlisted.
 	go srv.Serve(ln)
-	logger.Info("hottilesd.listen",
-		obs.Str("addr", ln.Addr().String()),
-		obs.Str("arch", cfg.archName),
-		obs.Str("strategy", cfg.stratName),
+	logger.LogAttrs(context.Background(), slog.LevelInfo, "hottilesd.listen",
+		slog.String("addr", ln.Addr().String()),
+		slog.String("arch", cfg.archName),
+		slog.String("strategy", cfg.stratName),
 	)
 
 	sig := make(chan os.Signal, 2)
@@ -142,9 +144,11 @@ func main() {
 	for got := range sig {
 		if got == syscall.SIGQUIT {
 			// Post-mortem dump on demand; the daemon keeps serving.
-			logger.Warn("hottilesd.postmortem.dump", obs.Str("signal", got.String()))
+			logger.LogAttrs(context.Background(), slog.LevelWarn, "hottilesd.postmortem.dump",
+				slog.String("signal", got.String()))
 			if err := obs.Flight().WritePostmortem(os.Stderr); err != nil {
-				logger.Error("hottilesd.postmortem.fail", obs.Str("err", err.Error()))
+				logger.LogAttrs(context.Background(), slog.LevelError, "hottilesd.postmortem.fail",
+					slog.String("err", err.Error()))
 			}
 			continue
 		}
@@ -159,25 +163,25 @@ func main() {
 // GracefulStop, and reports the outcome — all through the structured
 // logger, so the shutdown lines interleave whole with in-flight request
 // logs instead of racing them on stderr.
-func drain(srv *http.Server, log *obs.Logger, cause string, timeout time.Duration) error {
-	log.Warn("hottilesd.drain.start",
-		obs.Str("cause", cause), obs.Str("timeout", timeout.String()))
+func drain(srv *http.Server, log *slog.Logger, cause string, timeout time.Duration) error {
+	ctx := context.Background()
+	log.LogAttrs(ctx, slog.LevelWarn, "hottilesd.drain.start",
+		slog.String("cause", cause), slog.String("timeout", timeout.String()))
 	if err := obs.GracefulStop(srv, timeout); err != nil {
-		log.Error("hottilesd.drain.fail", obs.Str("err", err.Error()))
+		log.LogAttrs(ctx, slog.LevelError, "hottilesd.drain.fail", slog.String("err", err.Error()))
 		return err
 	}
-	log.Info("hottilesd.drain.done", obs.Str("cause", cause))
+	log.LogAttrs(ctx, slog.LevelInfo, "hottilesd.drain.done", slog.String("cause", cause))
 	return nil
 }
 
 // fail logs a fatal startup error and exits. Before flag parsing installs
-// the real logger, the nil no-op logger would swallow the message — so
-// fail falls back to plain stderr in that window.
+// the logger, fail falls back to plain stderr.
 func fail(err error) {
 	if logger == nil {
 		fmt.Fprintln(os.Stderr, "hottilesd:", err)
 		os.Exit(1)
 	}
-	logger.Error("hottilesd.fatal", obs.Str("err", err.Error()))
+	logger.LogAttrs(context.Background(), slog.LevelError, "hottilesd.fatal", slog.String("err", err.Error()))
 	os.Exit(1)
 }

@@ -117,7 +117,7 @@ func TestPlanRoundTrip(t *testing.T) {
 	}
 	defer metrics.Body.Close()
 	text, _ := io.ReadAll(metrics.Body)
-	for _, want := range []string{"planstore_builds", "hottilesd_plan_requests"} {
+	for _, want := range []string{"planstore_builds", "httpd_plan_requests"} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("/metrics missing %s", want)
 		}

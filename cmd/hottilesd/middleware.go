@@ -8,6 +8,7 @@
 package main
 
 import (
+	"log/slog"
 	"net/http"
 	"time"
 
@@ -97,8 +98,9 @@ func (w *statusWriter) errText() string {
 
 // observed wraps one route handler in the request-scoped plane: request-ID
 // resolution and echo, a per-request tracer (flushed into the daemon
-// timeline when the request is recorded) and logger on the context, RED
-// metrics, the access-log line, and the flight-recorder record. route must
+// timeline when the request is recorded, and writing its span-end lines to
+// the request's logger) and logger on the context, RED metrics, the
+// access-log line, and the flight-recorder record. route must
 // be a fixed literal — it names metrics series, flight records and the
 // tracer, whose name is the request's timeline track.
 func (s *server) observed(route string, red redMetrics, h http.HandlerFunc) http.HandlerFunc {
@@ -112,12 +114,12 @@ func (s *server) observed(route string, red redMetrics, h http.HandlerFunc) http
 		}
 		w.Header().Set(obs.RequestIDHeader, id)
 
+		reqLog := s.log.With(slog.String("req", id), slog.String("route", route))
 		tr := obs.New("httpd." + route)
 		tr.SetTimeline(s.tl)
+		tr.SetLogger(reqLog)
 		tr.Root().SetAttr("req", id)
-		reqLog := s.log.With(obs.Str("req", id), obs.Str("route", route))
-		ctx := obs.WithRequestID(r.Context(), id)
-		ctx = obs.WithLogger(ctx, reqLog)
+		ctx := obs.WithLogger(r.Context(), reqLog)
 		ctx = obs.WithSpan(ctx, tr.Root())
 
 		sw := &statusWriter{ResponseWriter: w}
@@ -147,19 +149,19 @@ func (s *server) observed(route string, red redMetrics, h http.HandlerFunc) http
 		}
 		obs.Flight().Record(rec, tr)
 
-		lv := obs.LogInfo
+		lv := slog.LevelInfo
 		switch {
 		case sw.status >= 500:
-			lv = obs.LogError
+			lv = slog.LevelError
 		case sw.status >= 400:
-			lv = obs.LogWarn
+			lv = slog.LevelWarn
 		}
-		reqLog.Log(lv, "httpd.access",
-			obs.Str("method", r.Method),
-			obs.Str("path", r.URL.Path),
-			obs.Int("status", sw.status),
-			obs.Int("bytes", int(sw.bytes)),
-			obs.Str("dur", lat.String()),
+		reqLog.LogAttrs(ctx, lv, "httpd.access",
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", sw.status),
+			slog.Int64("bytes", sw.bytes),
+			slog.String("dur", lat.String()),
 		)
 	}
 }

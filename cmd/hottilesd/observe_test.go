@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -70,7 +71,7 @@ func TestRequestIDCorrelation(t *testing.T) {
 
 	var buf syncBuffer
 	cfg := testConfig()
-	cfg.log = obs.NewLogger(&buf, obs.LogOptions{Level: obs.LogDebug, Format: "json"})
+	cfg.log = obs.NewLogger(&buf, obs.LogOptions{Level: slog.LevelDebug, Format: "json"})
 	s, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +114,25 @@ func TestRequestIDCorrelation(t *testing.T) {
 	if access == nil {
 		t.Fatalf("no httpd.access line with req=%s in:\n%s", id, strings.Join(buf.Lines(), "\n"))
 	}
-	if access["route"] != "plan" || access["status"] != "200" {
+	if access["route"] != "plan" || access["status"] != 200.0 {
 		t.Fatalf("access line fields wrong: %v", access)
+	}
+
+	// 2b. The four preprocessing stages as span-end lines, tagged with the
+	// ID and carrying their stage attributes.
+	stageLines := map[string]map[string]any{}
+	for _, rec := range jsonLines(t, &buf) {
+		if name, _ := rec["span"].(string); rec["msg"] == "obs.span.end" && rec["req"] == id && strings.HasPrefix(name, "hotcore.") {
+			stageLines[name] = rec
+		}
+	}
+	for _, stage := range []string{"hotcore.scan", "hotcore.partition", "hotcore.baseformat", "hotcore.extraformat"} {
+		if stageLines[stage] == nil {
+			t.Fatalf("no obs.span.end line for %s with req=%s in:\n%s", stage, id, strings.Join(buf.Lines(), "\n"))
+		}
+	}
+	if stageLines["hotcore.scan"]["tiles"] == nil || stageLines["hotcore.partition"]["predicted"] == nil {
+		t.Fatalf("stage lines lack their attributes: %v", stageLines)
 	}
 
 	// 3. The flight-recorder entry on /debug/requests' backing store.
@@ -249,7 +267,7 @@ func findPostmortem(view obs.FlightView, id string) *obs.PostmortemRecord {
 func TestDrainLoggingJSON(t *testing.T) {
 	var buf syncBuffer
 	cfg := testConfig()
-	cfg.log = obs.NewLogger(&buf, obs.LogOptions{Level: obs.LogDebug, Format: "json"})
+	cfg.log = obs.NewLogger(&buf, obs.LogOptions{Level: slog.LevelDebug, Format: "json"})
 	s, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)

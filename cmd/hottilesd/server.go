@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
@@ -18,14 +19,6 @@ import (
 	"repro/internal/mm"
 	"repro/internal/obs"
 	"repro/internal/planstore"
-)
-
-// Daemon-plane observability, served by the same process on /metrics.
-var (
-	planRequests = obs.NewCounter("hottilesd.plan.requests")
-	planBusy     = obs.NewCounter("hottilesd.plan.busy")
-	planErrors   = obs.NewCounter("hottilesd.plan.errors")
-	planLatency  = obs.NewHistogram("hottilesd.plan.ns")
 )
 
 // config fixes the daemon's pipeline parameters. The preprocessing
@@ -47,9 +40,9 @@ type config struct {
 	store      planstore.Config
 
 	// log is the daemon's structured logger; per-request loggers derive
-	// from it in the observed middleware. nil (the tests' default) is a
-	// valid no-op logger.
-	log *obs.Logger
+	// from it in the observed middleware. nil (the tests' default)
+	// discards every record.
+	log *slog.Logger
 }
 
 // server routes the plan API and the PR-5 debug plane on one mux.
@@ -57,7 +50,7 @@ type server struct {
 	cfg   config
 	store *planstore.Store
 	mux   *http.ServeMux
-	log   *obs.Logger
+	log   *slog.Logger
 	// tl receives every request's spans; post-mortem captures take its
 	// tail.
 	tl *obs.Timeline
@@ -82,6 +75,9 @@ func newServer(cfg config) (*server, error) {
 		return nil, err
 	}
 	s := &server{cfg: cfg, store: store, log: cfg.log, tl: obs.NewTimeline(serverTimelineEvents)}
+	if s.log == nil {
+		s.log = obs.CtxLog(context.Background())
+	}
 	mux := obs.DebugMux()
 	mux.HandleFunc("POST /plan", s.observed("plan", redPlan, s.handleBuildPlan))
 	mux.HandleFunc("POST /gnn", s.observed("gnn", redGNN, s.handleGNN))
@@ -182,8 +178,6 @@ func (s *server) buildPlan(ctx context.Context, matrix []byte) ([]byte, error) {
 // is refused with 429 and a Retry-After estimate instead of queueing
 // without bound.
 func (s *server) handleBuildPlan(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	planRequests.Inc()
 	body, ok := s.readUpload(w, r)
 	if !ok {
 		return
@@ -203,38 +197,36 @@ func (s *server) handleBuildPlan(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Plan-Hash", hash)
 	w.Header().Set("Content-Length", strconv.Itoa(len(plan)))
 	w.Write(plan)
-	planLatency.ObserveSince(t0)
 }
 
 // planError maps a pipeline or admission failure onto its status code and
 // logs it with the request's ID (the logger rides r's context).
 func (s *server) planError(w http.ResponseWriter, r *http.Request, err error) {
-	planErrors.Inc()
-	log := obs.CtxLog(r.Context())
+	ctx := r.Context()
+	log := obs.CtxLog(ctx)
 	switch {
 	case errors.Is(err, planstore.ErrBusy):
-		planBusy.Inc()
 		retry := int(math.Ceil(s.store.RetryAfter().Seconds()))
-		log.Warn("httpd.busy", obs.Int("retry.after.s", retry))
+		log.LogAttrs(ctx, slog.LevelWarn, "httpd.busy", slog.Int("retry.after.s", retry))
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 		http.Error(w, "hottilesd: preprocessing queue full, retry later",
 			http.StatusTooManyRequests)
 	case errors.Is(err, context.DeadlineExceeded):
-		log.Error("httpd.timeout", obs.Str("err", err.Error()))
+		log.LogAttrs(ctx, slog.LevelError, "httpd.timeout", slog.String("err", err.Error()))
 		http.Error(w, "hottilesd: preprocessing exceeded the request timeout",
 			http.StatusGatewayTimeout)
 	case errors.Is(err, context.Canceled):
 		// The client went away; nobody reads this response.
-		log.Warn("httpd.canceled")
+		log.LogAttrs(ctx, slog.LevelWarn, "httpd.canceled")
 		http.Error(w, "hottilesd: request canceled", http.StatusServiceUnavailable)
 	default:
 		var bad errBadMatrix
 		if errors.As(err, &bad) {
-			log.Warn("httpd.badrequest", obs.Str("err", bad.Error()))
+			log.LogAttrs(ctx, slog.LevelWarn, "httpd.badrequest", slog.String("err", bad.Error()))
 			http.Error(w, "hottilesd: "+bad.Error(), http.StatusBadRequest)
 			return
 		}
-		log.Error("httpd.fail", obs.Str("err", err.Error()))
+		log.LogAttrs(ctx, slog.LevelError, "httpd.fail", slog.String("err", err.Error()))
 		http.Error(w, "hottilesd: "+err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -244,7 +236,7 @@ func (s *server) planError(w http.ResponseWriter, r *http.Request, err error) {
 // It never triggers a build; an unknown hash is 404.
 func (s *server) handleGetPlan(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	plan, ok := s.store.Peek(hash)
+	plan, ok := s.store.Peek(r.Context(), hash)
 	if !ok {
 		http.Error(w, "hottilesd: no plan with hash "+hash, http.StatusNotFound)
 		return

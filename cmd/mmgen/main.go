@@ -10,8 +10,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
 	"os"
@@ -55,7 +57,7 @@ func main() {
 			fail(srvErr)
 		}
 		defer stop()
-		logger.Info("mmgen.debug.listen", obs.Str("addr", addr))
+		logger.LogAttrs(context.Background(), slog.LevelInfo, "mmgen.debug.listen", slog.String("addr", addr))
 		obs.SetDeepTiming(true)
 	}
 
@@ -88,9 +90,9 @@ func main() {
 	if err := mm.Write(w, m); err != nil {
 		fail(err)
 	}
-	logger.Info("mmgen.generated",
-		obs.Int("rows", m.N), obs.Int("nnz", m.NNZ()),
-		obs.F64("density", m.Density()))
+	logger.LogAttrs(context.Background(), slog.LevelInfo, "mmgen.generated",
+		slog.Int("rows", m.N), slog.Int("nnz", m.NNZ()),
+		slog.Float64("density", m.Density()))
 	if err := stopProfiles(); err != nil {
 		fail(err)
 	}
@@ -98,7 +100,7 @@ func main() {
 
 // logger is the CLI's diagnostic stream (stderr; stdout may carry the
 // matrix itself). main replaces it once the -log flag is parsed.
-var logger *obs.Logger
+var logger *slog.Logger
 
 // fail logs a fatal error as a structured line and exits. Before flag
 // parsing installs the logger, fall back to plain stderr.
@@ -107,7 +109,7 @@ func fail(err error) {
 		fmt.Fprintln(os.Stderr, "mmgen:", err)
 		os.Exit(1)
 	}
-	logger.Error("mmgen.fatal", obs.Str("err", err.Error()))
+	logger.LogAttrs(context.Background(), slog.LevelError, "mmgen.fatal", slog.String("err", err.Error()))
 	os.Exit(1)
 }
 

@@ -219,7 +219,7 @@ func runSmoke(client *http.Client, base string, seed int64, reqID string) error 
 	if metrics.StatusCode != http.StatusOK {
 		return fmt.Errorf("GET /metrics: %d", metrics.StatusCode)
 	}
-	for _, want := range []string{"planstore_builds", "hottilesd_plan_requests"} {
+	for _, want := range []string{"planstore_builds", "httpd_plan_requests"} {
 		if !strings.Contains(string(text), want) {
 			return fmt.Errorf("/metrics missing %s", want)
 		}

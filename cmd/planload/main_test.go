@@ -58,7 +58,7 @@ func fakeDaemon(t *testing.T) *httptest.Server {
 		w.Write(plan)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "planstore_builds 1\nhottilesd_plan_requests 1\n")
+		io.WriteString(w, "planstore_builds 1\nhttpd_plan_requests 1\n")
 	})
 	mux.HandleFunc("GET /debug/requests", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"recent":[{"id": %q}]}`, lastID.Load())

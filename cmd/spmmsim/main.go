@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -67,7 +68,7 @@ func main() {
 			fail(err)
 		}
 		defer stop()
-		logger.Info("spmmsim.debug.listen", obs.Str("addr", addr))
+		logger.LogAttrs(context.Background(), slog.LevelInfo, "spmmsim.debug.listen", slog.String("addr", addr))
 	}
 	par.SetWorkers(*workers)
 	e := experiments.NewEnv(*scale, *seed)
@@ -124,8 +125,8 @@ func main() {
 		doneProgress()
 		studyWallHist.ObserveSince(start)
 		if err != nil {
-			logger.Error("spmmsim.study.fail",
-				obs.Str("study", name), obs.Str("err", err.Error()))
+			logger.LogAttrs(context.Background(), slog.LevelError, "spmmsim.study.fail",
+				slog.String("study", name), slog.String("err", err.Error()))
 			os.Exit(1)
 		}
 		tr.AddOutput(name, buf.Bytes())
@@ -156,7 +157,7 @@ func main() {
 
 // logger is the CLI's diagnostic stream (stderr; stdout stays the study
 // output). main replaces it once the -log flag is parsed.
-var logger *obs.Logger
+var logger *slog.Logger
 
 // fail logs a fatal error as a structured line and exits. Before flag
 // parsing installs the logger, fall back to plain stderr.
@@ -165,7 +166,7 @@ func fail(err error) {
 		fmt.Fprintln(os.Stderr, "spmmsim:", err)
 		os.Exit(1)
 	}
-	logger.Error("spmmsim.fatal", obs.Str("err", err.Error()))
+	logger.LogAttrs(context.Background(), slog.LevelError, "spmmsim.fatal", slog.String("err", err.Error()))
 	os.Exit(1)
 }
 

@@ -28,16 +28,17 @@
 // dynamic track names are legitimate — tracks are per-worker rows, not
 // dashboard series.
 //
-// PR 10's structured logger extends the same discipline to log names:
-// every obs.Logger message (Debug/Info/Warn/Error, and Log's second
-// argument) and every inline attr key built with obs.Str/Int/F64 must be
-// a compile-time constant matching the registry grammar, so log lines
-// stay greppable and a dashboard can alias a metric to the log stream
-// that explains it. The obs package itself is exempt — the logger's own
-// plumbing (Debug forwarding to Log, the slog bridge) forwards dynamic
-// messages by design. Registrations of the per-route httpd.* RED metrics
-// go through the ordinary duplicate/prom-collision suite check like any
-// other name.
+// The same discipline covers log names: every log/slog message
+// (Debug/Info/Warn/Error, their …Context forms, Log and LogAttrs, on a
+// *slog.Logger or the default logger), every attr key built with
+// slog.String/Int/Int64/Float64/Bool/Duration/Any, and every span attr key
+// built with obs.Str/Int/F64 (span attrs reach the log through the
+// obs.span.end line) must be a compile-time constant matching the registry
+// grammar, so log lines stay greppable and a dashboard can alias a metric
+// to the log stream that explains it. The obs package itself is exempt —
+// the span-end line forwards dynamic span names and keys by design.
+// Registrations of the per-route httpd.* RED metrics go through the
+// ordinary duplicate/prom-collision suite check like any other name.
 package metricname
 
 import (
@@ -90,22 +91,33 @@ var constructors = map[string][]string{
 	"NewHistogram": {"", "_bucket", "_sum", "_count"},
 }
 
-// logMethods maps obs.Logger method names to the index of the message
-// argument (Log takes the level first).
+// logMethods maps the log/slog logging calls to the index of the message
+// argument (the …Context forms take a ctx first, Log and LogAttrs a ctx
+// and a level). In log/slog these names belong only to *slog.Logger's
+// methods and the package-level functions logging to the default logger,
+// which take the message at the same index.
 var logMethods = map[string]int{
-	"Debug": 0, "Info": 0, "Warn": 0, "Error": 0, "Log": 1,
+	"Debug": 0, "Info": 0, "Warn": 0, "Error": 0,
+	"DebugContext": 1, "InfoContext": 1, "WarnContext": 1, "ErrorContext": 1,
+	"Log": 2, "LogAttrs": 2,
 }
 
-// attrCtors are the package-level obs attr constructors whose first
-// argument names a log field.
-var attrCtors = map[string]bool{"Str": true, "Int": true, "F64": true}
+// slogAttrCtors are the log/slog attr constructors whose first argument
+// names a log field.
+var slogAttrCtors = map[string]bool{
+	"String": true, "Int": true, "Int64": true, "Float64": true,
+	"Bool": true, "Duration": true, "Any": true,
+}
+
+// obsAttrCtors are the package-level obs span attr constructors.
+var obsAttrCtors = map[string]bool{"Str": true, "Int": true, "F64": true}
 
 func run(pass *analysis.Pass) error {
 	if suite.names == nil {
 		reset() // standalone Run without Begin (unitchecker path)
 	}
-	// The logger's own plumbing forwards dynamic messages (Debug → Log,
-	// the slog bridge); the log-name rules apply to its callers.
+	// The span-end line forwards dynamic span names and attr keys; the
+	// log-name rules apply to the callers of obs, not to obs itself.
 	selfObs := analysis.PathHasSuffix(pass.Pkg.Path(), "internal/obs")
 	pass.Inspect(func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -113,41 +125,31 @@ func run(pass *analysis.Pass) error {
 			return true
 		}
 		f := pass.CalleeFunc(call)
-		if f == nil || f.Pkg() == nil || !analysis.PathHasSuffix(f.Pkg().Path(), "internal/obs") {
+		if f == nil || f.Pkg() == nil {
 			return true
 		}
-		if suffixes, ok := constructors[f.Name()]; ok && len(call.Args) == 1 {
-			checkRegistration(pass, call, f.Name(), suffixes)
-		}
-		if f.Name() == "TrackID" {
-			checkTrack(pass, call)
-		}
-		if !selfObs {
-			if idx, ok := logMethods[f.Name()]; ok && loggerMethod(f) && len(call.Args) > idx {
+		switch path := f.Pkg().Path(); {
+		case analysis.PathHasSuffix(path, "internal/obs"):
+			if suffixes, ok := constructors[f.Name()]; ok && len(call.Args) == 1 {
+				checkRegistration(pass, call, f.Name(), suffixes)
+			}
+			if f.Name() == "TrackID" {
+				checkTrack(pass, call)
+			}
+			if !selfObs && obsAttrCtors[f.Name()] && !isMethod(f) && len(call.Args) == 2 {
+				checkLogName(pass, call.Args[0], "log attr key")
+			}
+		case path == "log/slog" && !selfObs:
+			if idx, ok := logMethods[f.Name()]; ok && len(call.Args) > idx {
 				checkLogName(pass, call.Args[idx], "log message")
 			}
-			if attrCtors[f.Name()] && !isMethod(f) && len(call.Args) == 2 {
+			if slogAttrCtors[f.Name()] && !isMethod(f) && len(call.Args) == 2 {
 				checkLogName(pass, call.Args[0], "log attr key")
 			}
 		}
 		return true
 	})
 	return nil
-}
-
-// loggerMethod reports whether f is a method on obs.Logger (pointer or
-// value receiver) — other obs types may share a method name like Error.
-func loggerMethod(f *types.Func) bool {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	return isNamed && named.Obj().Name() == "Logger"
 }
 
 func isMethod(f *types.Func) bool {

@@ -1,7 +1,12 @@
 // Package work exercises the metricname analyzer against the obs stub.
 package work
 
-import "repro/internal/obs"
+import (
+	"context"
+	"log/slog"
+
+	"repro/internal/obs"
+)
 
 const latencyName = "work.step.ns"
 
@@ -43,13 +48,23 @@ var (
 
 const accessMsg = "work.httpd.access"
 
-func logs(log *obs.Logger, route string, lv obs.LogLevel) {
-	log.Info("work.start")                                 // silent
-	log.Log(lv, accessMsg, obs.Str("req", "id"))           // silent: constant-expression message and key
-	log.Debug("work.retry", obs.F64("retry.after.s", 1.5)) // silent: dotted key fits the grammar
-	log.Warn("Work.Start")                                 // want `log message "Work.Start" does not match the log-name grammar`
-	log.Error("work_fail")                                 // want `log message "work_fail" does not match the log-name grammar`
-	log.Info("work." + route)                              // want `log message must be a compile-time constant`
-	log.Info("work.ok", obs.Int("N", 1))                   // want `log attr key "N" does not match the log-name grammar`
-	log.Info("work.ok2", obs.Str("route."+route, "x"))     // want `log attr key must be a compile-time constant`
+func logs(ctx context.Context, log *slog.Logger, route string, lv slog.Level) {
+	log.Info("work.start")                                                           // silent
+	log.LogAttrs(ctx, lv, accessMsg, slog.String("req", "id"))                       // silent: constant-expression message and key
+	log.Debug("work.retry", slog.Float64("retry.after.s", 1.5))                      // silent: dotted key fits the grammar
+	log.InfoContext(ctx, "work.ctx", slog.Duration("dur", 0), slog.Bool("ok", true)) // silent
+	log.Warn("Work.Start")                                                           // want `log message "Work.Start" does not match the log-name grammar`
+	log.Error("work_fail")                                                           // want `log message "work_fail" does not match the log-name grammar`
+	log.Info("work." + route)                                                        // want `log message must be a compile-time constant`
+	log.ErrorContext(ctx, "Work.ctx")                                                // want `log message "Work.ctx" does not match the log-name grammar`
+	log.Log(ctx, lv, "work."+route)                                                  // want `log message must be a compile-time constant`
+	log.LogAttrs(ctx, lv, "work.ok", slog.Int("N", 1))                               // want `log attr key "N" does not match the log-name grammar`
+	log.LogAttrs(ctx, lv, "work.ok2", slog.String("route."+route, "x"))              // want `log attr key must be a compile-time constant`
+	log.Info("work.ok3", slog.Int64("bytes_in", 1), slog.Any("Val", nil))            // want `log attr key "bytes_in"` `log attr key "Val"`
+	slog.Warn("Work.Default")                                                        // want `log message "Work.Default" does not match the log-name grammar`
+	slog.LogAttrs(ctx, lv, "work.default", slog.Any("level", lv))                    // silent: the default logger is held to the same rules
+	_ = lv.String()                                                                  // silent: a method named like an attr constructor
+	_ = obs.Str("span.attr", "v")                                                    // silent: span attr keys reach the log via obs.span.end
+	_ = obs.Int("Tiles", 1)                                                          // want `log attr key "Tiles" does not match the log-name grammar`
+	_ = obs.F64("pred."+route, 1)                                                    // want `log attr key must be a compile-time constant`
 }

@@ -163,15 +163,15 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 		return nil, err
 	}
 
-	// The request's logger and span ride ctx (nil-safe no-ops when absent):
-	// each stage boundary closes a child span on the caller's span tree and
-	// leaves a debug line tagged with the request ID, so a daemon post-
-	// mortem attributes preprocessing time stage by stage. Both are gated
-	// up front: with no consumer attached (the CLI fast path) the attr
-	// arguments are never built, keeping preprocessing allocation-free.
-	log := obs.CtxLog(ctx)
+	// The request's span rides ctx (a nil-safe no-op when absent): each
+	// stage boundary closes a child span on the caller's span tree, so a
+	// daemon post-mortem attributes preprocessing time stage by stage, and
+	// a tracer with a debug logger turns each End into the stage's log
+	// line. Span attributes are gated on the span: with no tracer attached
+	// (the CLI fast path) they are never built, keeping preprocessing
+	// allocation-free. Prep.Timing keeps its own clock pair because that
+	// path has no span to read it from.
 	parent := obs.CtxSpan(ctx)
-	debug := log.Enabled(obs.LogDebug)
 
 	// Stage 1: matrix scan — tiling and per-tile statistics.
 	if cerr := ctx.Err(); cerr != nil {
@@ -183,15 +183,14 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 	}
 	t0 := time.Now()
 	g, err := tile.Partition(m, a.TileH, a.TileW)
+	if sp != nil && err == nil {
+		sp.SetAttr("tiles", strconv.Itoa(len(g.Tiles)))
+	}
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	scan := time.Since(t0)
-	if debug {
-		log.Debug("hotcore.stage",
-			obs.Str("stage", "scan"), obs.Int("tiles", len(g.Tiles)), obs.Str("dur", scan.String()))
-	}
 
 	// Stage 2: partitioning heuristic.
 	if cerr := ctx.Err(); cerr != nil {
@@ -221,15 +220,14 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 		sp.End()
 		return nil, fmt.Errorf("hotcore: unknown strategy %d", int(strategy))
 	}
+	if sp != nil && err == nil {
+		sp.SetAttr("predicted", strconv.FormatFloat(res.Predicted, 'g', 6, 64))
+	}
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	part := time.Since(t0)
-	if debug {
-		log.Debug("hotcore.stage",
-			obs.Str("stage", "partition"), obs.F64("predicted", res.Predicted), obs.Str("dur", part.String()))
-	}
 
 	p := &Prep{Grid: g, Partition: res}
 	p.Timing.Scan = scan
@@ -244,10 +242,6 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 	p.Cold, p.ColdCSR = coldSection(g, res.Hot, a.Cold.Format == model.FormatCSR)
 	sp.End()
 	p.Timing.BaseFormat = time.Since(t0)
-	if debug {
-		log.Debug("hotcore.stage",
-			obs.Str("stage", "baseformat"), obs.Str("dur", p.Timing.BaseFormat.String()))
-	}
 
 	// Stage 3b: hot (extra) format — the tiled section.
 	if cerr := ctx.Err(); cerr != nil {
@@ -258,10 +252,6 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 	p.Hot = hotSection(g, res.Hot, a.Hot.Format == model.FormatCSR)
 	sp.End()
 	p.Timing.ExtraFormat = time.Since(t0)
-	if debug {
-		log.Debug("hotcore.stage",
-			obs.Str("stage", "extraformat"), obs.Str("dur", p.Timing.ExtraFormat.String()))
-	}
 
 	return p, nil
 }

@@ -1,15 +1,9 @@
-// Structured logging: a zero-dependency leveled logger emitting JSON lines
-// or human-readable text (DESIGN.md §18). It reuses the span Attr vocabulary
-// (Str/Int/F64) so instrumented code annotates spans and log lines with one
-// idiom, serializes concurrent writers through one mutex so multi-goroutine
-// shutdown output stays line-atomic and ordered, and rate-bounds sub-Warn
-// records so a hot loop logging per request cannot melt the daemon. A
-// log/slog bridge (Logger.Handler) lets stdlib-flavored code join the same
-// stream.
-//
-// Like the rest of the package, a nil *Logger accepts every method as a
-// no-op, so library code logs unconditionally and pays a nil check when the
-// caller wired no logger.
+// Structured logging over log/slog (DESIGN.md §18). NewLogger builds a
+// *slog.Logger on the stdlib JSON or text handler, with ReplaceAttr keeping
+// this repo's record keys (ts in UTC, lowercase level, msg), and wraps it in
+// a sampler that rate-bounds sub-warn records so a hot loop logging per
+// request cannot melt the daemon. The stdlib handlers write each record
+// with one Write under their own mutex, so concurrent lines stay whole.
 package obs
 
 import (
@@ -17,60 +11,19 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"strconv"
+	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// LogLevel orders log records by severity. The numeric values match
-// log/slog's levels so the Handler bridge is a plain cast.
-type LogLevel int
-
-const (
-	LogDebug LogLevel = -4
-	LogInfo  LogLevel = 0
-	LogWarn  LogLevel = 4
-	LogError LogLevel = 8
-)
-
-// String renders the level the way both output formats spell it.
-func (l LogLevel) String() string {
-	switch {
-	case l < LogInfo:
-		return "debug"
-	case l < LogWarn:
-		return "info"
-	case l < LogError:
-		return "warn"
-	default:
-		return "error"
-	}
-}
-
-// ParseLogLevel maps a level name to its LogLevel.
-func ParseLogLevel(s string) (LogLevel, error) {
-	switch strings.ToLower(s) {
-	case "debug":
-		return LogDebug, nil
-	case "info":
-		return LogInfo, nil
-	case "warn", "warning":
-		return LogWarn, nil
-	case "error":
-		return LogError, nil
-	}
-	return LogInfo, fmt.Errorf("obs: unknown log level %q (want debug, info, warn or error)", s)
-}
-
 // LogOptions configures NewLogger.
 type LogOptions struct {
-	// Level is the minimum severity emitted (default LogInfo).
-	Level LogLevel
+	// Level is the minimum severity emitted (default slog.LevelInfo).
+	Level slog.Level
 	// Format selects "text" (default) or "json" output.
 	Format string
-	// SampleRate bounds records below LogWarn to this many per second;
+	// SampleRate bounds records below warn to this many per second;
 	// 0 means unlimited. Warn and Error always pass. Dropped records are
 	// counted (obs.log.dropped) and summarized when the stream resumes.
 	SampleRate int
@@ -79,295 +32,125 @@ type LogOptions struct {
 // ParseLogFlag parses the CLIs' -log flag value: "level", "format", or
 // "level:format" (e.g. "debug", "json", "warn:json").
 func ParseLogFlag(spec string) (LogOptions, error) {
-	o := LogOptions{Level: LogInfo, Format: "text"}
+	o := LogOptions{Format: "text"}
 	if spec == "" {
 		return o, nil
 	}
-	for _, part := range strings.Split(spec, ":") {
-		switch strings.ToLower(part) {
+	for _, part := range strings.Split(strings.ToLower(spec), ":") {
+		switch part {
 		case "text", "json":
-			o.Format = strings.ToLower(part)
-			continue
+			o.Format = part
+		case "warning":
+			o.Level = slog.LevelWarn
+		default:
+			if err := o.Level.UnmarshalText([]byte(part)); err != nil {
+				return o, fmt.Errorf("obs: bad -log value %q (want debug, info, warn or error; text or json): %w", spec, err)
+			}
 		}
-		lv, err := ParseLogLevel(part)
-		if err != nil {
-			return o, fmt.Errorf("obs: bad -log value %q: %w", spec, err)
-		}
-		o.Level = lv
 	}
 	return o, nil
+}
+
+// NewLogger builds a logger writing to w.
+func NewLogger(w io.Writer, o LogOptions) *slog.Logger {
+	ho := &slog.HandlerOptions{Level: o.Level, ReplaceAttr: replaceLogAttr}
+	var h slog.Handler = slog.NewTextHandler(w, ho)
+	if o.Format == "json" {
+		h = slog.NewJSONHandler(w, ho)
+	}
+	if o.SampleRate > 0 {
+		h = sampled{h, &logWindow{max: o.SampleRate}}
+	}
+	return slog.New(h)
+}
+
+// levelNames spells the standard levels in lowercase without allocating.
+var levelNames = map[slog.Level]string{
+	slog.LevelDebug: "debug", slog.LevelInfo: "info", slog.LevelWarn: "warn", slog.LevelError: "error",
+}
+
+// replaceLogAttr renames the record time to ts (in UTC) and spells the
+// level in lowercase; every other attr passes through.
+func replaceLogAttr(groups []string, a slog.Attr) slog.Attr {
+	switch {
+	case len(groups) > 0:
+	case a.Key == slog.TimeKey && a.Value.Kind() == slog.KindTime:
+		return slog.Time("ts", a.Value.Time().UTC())
+	case a.Key == slog.LevelKey && a.Value.Kind() == slog.KindAny:
+		if lv, ok := a.Value.Any().(slog.Level); ok {
+			name, std := levelNames[lv]
+			if !std {
+				name = strings.ToLower(lv.String())
+			}
+			return slog.String(slog.LevelKey, name)
+		}
+	}
+	return a
 }
 
 // logDropped counts records suppressed by the sampler, across all loggers.
 var logDropped = NewCounter("obs.log.dropped")
 
-// logSampler is a per-second token window shared by a logger and its With
-// clones. It exists so an overloaded daemon logging per request degrades to
-// a bounded stream plus a drop summary instead of an unbounded one.
-type logSampler struct {
+// sampled bounds the records below warn that reach the wrapped handler to
+// max a second, so an overloaded daemon logging per request degrades to a
+// bounded stream plus a drop summary. Handlers derived with WithAttrs/
+// WithGroup share the window, so one -log-rate budget covers the process.
+type sampled struct {
+	slog.Handler
+	*logWindow
+}
+
+// logWindow is the sampler's state for the current second.
+type logWindow struct {
 	mu      sync.Mutex
 	sec     int64 // unix second the window covers
-	n       int   // records emitted this window
-	max     int
+	n, max  int   // records emitted this window, and the bound
 	dropped int64 // records suppressed this window
 }
 
 // allow reports whether a record may be emitted now, plus how many records
 // the previous window dropped (nonzero exactly once per resumed stream, so
 // the caller can emit one summary line).
-func (s *logSampler) allow(now time.Time) (ok bool, droppedPrev int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sec := now.Unix()
-	if sec != s.sec {
-		droppedPrev = s.dropped
-		s.sec, s.n, s.dropped = sec, 0, 0
+func (w *logWindow) allow(now time.Time) (ok bool, droppedPrev int64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if sec := now.Unix(); sec != w.sec {
+		droppedPrev = w.dropped
+		w.sec, w.n, w.dropped = sec, 0, 0
 	}
-	if s.n >= s.max {
-		s.dropped++
+	if w.n >= w.max {
+		w.dropped++
 		logDropped.Inc()
 		return false, droppedPrev
 	}
-	s.n++
+	w.n++
 	return true, droppedPrev
 }
 
-// Logger emits leveled, structured records. Build with NewLogger; derive
-// request-scoped loggers with With. All clones share the writer, its mutex,
-// the level, and the sampler, so one process-wide rate bound and one total
-// order of lines hold across every derived logger.
-type Logger struct {
-	mu      *sync.Mutex
-	w       io.Writer
-	json    bool
-	level   *atomic.Int32
-	sampler *logSampler
-	base    []Attr
-}
-
-// NewLogger builds a logger writing to w.
-func NewLogger(w io.Writer, o LogOptions) *Logger {
-	l := &Logger{
-		mu:    &sync.Mutex{},
-		w:     w,
-		json:  o.Format == "json",
-		level: &atomic.Int32{},
-	}
-	l.level.Store(int32(o.Level))
-	if o.SampleRate > 0 {
-		l.sampler = &logSampler{max: o.SampleRate}
-	}
-	return l
-}
-
-// With returns a logger that appends attrs to every record. The clone
-// shares the parent's writer, level, and sampler.
-func (l *Logger) With(attrs ...Attr) *Logger {
-	if l == nil || len(attrs) == 0 {
-		return l
-	}
-	c := *l
-	// Re-slice to force future appends to copy: two Withs off one parent
-	// must not write into the same backing array.
-	c.base = append(l.base[:len(l.base):len(l.base)], attrs...)
-	return &c
-}
-
-// Level returns the minimum severity emitted.
-func (l *Logger) Level() LogLevel {
-	if l == nil {
-		return LogError + 1
-	}
-	return LogLevel(l.level.Load())
-}
-
-// SetLevel changes the minimum severity for this logger and every clone
-// derived from the same root.
-func (l *Logger) SetLevel(lv LogLevel) {
-	if l == nil {
-		return
-	}
-	l.level.Store(int32(lv))
-}
-
-// Enabled reports whether records at lv would be emitted.
-func (l *Logger) Enabled(lv LogLevel) bool {
-	return l != nil && lv >= l.Level()
-}
-
-// Debug emits a debug record.
-func (l *Logger) Debug(msg string, attrs ...Attr) { l.Log(LogDebug, msg, attrs...) }
-
-// Info emits an info record.
-func (l *Logger) Info(msg string, attrs ...Attr) { l.Log(LogInfo, msg, attrs...) }
-
-// Warn emits a warning record.
-func (l *Logger) Warn(msg string, attrs ...Attr) { l.Log(LogWarn, msg, attrs...) }
-
-// Error emits an error record.
-func (l *Logger) Error(msg string, attrs ...Attr) { l.Log(LogError, msg, attrs...) }
-
-// Log emits one record at the given level. msg is the record's event name;
-// the metricname analyzer holds it to the same constant dotted-lowercase
-// grammar as metric names so log streams grep and aggregate like metrics.
-func (l *Logger) Log(lv LogLevel, msg string, attrs ...Attr) {
-	if !l.Enabled(lv) {
-		return
-	}
-	now := time.Now()
-	if lv < LogWarn && l.sampler != nil {
-		ok, resumed := l.sampler.allow(now)
+func (h sampled) Handle(ctx context.Context, r slog.Record) error {
+	if r.Level < slog.LevelWarn {
+		ok, resumed := h.allow(r.Time)
 		if resumed > 0 {
-			l.emit(now, LogWarn, "obs.log.sampled", []Attr{
-				{Key: "dropped", Val: strconv.FormatInt(resumed, 10)},
-			})
+			sum := slog.NewRecord(r.Time, slog.LevelWarn, "obs.log.sampled", 0)
+			sum.AddAttrs(slog.Int64("dropped", resumed))
+			h.Handler.Handle(ctx, sum)
 		}
 		if !ok {
-			return
+			return nil
 		}
 	}
-	l.emit(now, lv, msg, attrs)
+	return h.Handler.Handle(ctx, r)
 }
 
-// emit formats and writes one record, holding the writer mutex only for
-// the write so lines from concurrent goroutines interleave whole.
-func (l *Logger) emit(now time.Time, lv LogLevel, msg string, attrs []Attr) {
-	buf := make([]byte, 0, 256)
-	if l.json {
-		buf = appendJSONRecord(buf, now, lv, msg, l.base, attrs)
-	} else {
-		buf = appendTextRecord(buf, now, lv, msg, l.base, attrs)
-	}
-	buf = append(buf, '\n')
-	l.mu.Lock()
-	l.w.Write(buf)
-	l.mu.Unlock()
+func (h sampled) WithAttrs(as []slog.Attr) slog.Handler {
+	return sampled{h.Handler.WithAttrs(as), h.logWindow}
 }
 
-// appendJSONRecord renders {"ts":...,"level":...,"msg":...,attrs...}. Keys
-// are emitted in argument order (base attrs first) — no map, no iteration-
-// order hazard, and duplicate keys simply repeat, which line consumers
-// resolve last-wins.
-func appendJSONRecord(b []byte, now time.Time, lv LogLevel, msg string, base, attrs []Attr) []byte {
-	b = append(b, `{"ts":"`...)
-	b = now.UTC().AppendFormat(b, time.RFC3339Nano)
-	b = append(b, `","level":"`...)
-	b = append(b, lv.String()...)
-	b = append(b, `","msg":`...)
-	b = appendJSONString(b, msg)
-	for _, a := range base {
-		b = append(b, ',')
-		b = appendJSONString(b, a.Key)
-		b = append(b, ':')
-		b = appendJSONString(b, a.Val)
-	}
-	for _, a := range attrs {
-		b = append(b, ',')
-		b = appendJSONString(b, a.Key)
-		b = append(b, ':')
-		b = appendJSONString(b, a.Val)
-	}
-	return append(b, '}')
+func (h sampled) WithGroup(name string) slog.Handler {
+	return sampled{h.Handler.WithGroup(name), h.logWindow}
 }
 
-// appendTextRecord renders `ts LEVEL msg key=value ...` with values quoted
-// only when they contain whitespace, quotes, or control characters.
-func appendTextRecord(b []byte, now time.Time, lv LogLevel, msg string, base, attrs []Attr) []byte {
-	b = now.UTC().AppendFormat(b, time.RFC3339Nano)
-	b = append(b, ' ')
-	b = append(b, strings.ToUpper(lv.String())...)
-	b = append(b, ' ')
-	b = append(b, msg...)
-	for _, a := range base {
-		b = appendTextAttr(b, a)
-	}
-	for _, a := range attrs {
-		b = appendTextAttr(b, a)
-	}
-	return b
-}
-
-func appendTextAttr(b []byte, a Attr) []byte {
-	b = append(b, ' ')
-	b = append(b, a.Key...)
-	b = append(b, '=')
-	if strings.ContainsAny(a.Val, " \t\n\r\"=") || a.Val == "" {
-		return strconv.AppendQuote(b, a.Val)
-	}
-	return append(b, a.Val...)
-}
-
-// appendJSONString appends s as a JSON string literal, escaping quotes,
-// backslashes, and control characters.
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-		case c == '\n':
-			b = append(b, '\\', 'n')
-		case c == '\r':
-			b = append(b, '\\', 'r')
-		case c == '\t':
-			b = append(b, '\\', 't')
-		case c < 0x20:
-			const hexdig = "0123456789abcdef"
-			b = append(b, '\\', 'u', '0', '0', hexdig[c>>4], hexdig[c&0xf])
-		default:
-			// Multi-byte UTF-8 sequences pass through byte-for-byte: JSON
-			// strings carry raw UTF-8.
-			b = append(b, c)
-		}
-	}
-	return append(b, '"')
-}
-
-// Handler returns a log/slog handler feeding this logger, so stdlib-style
-// code (slog.New(l.Handler())) joins the same serialized stream. Groups
-// flatten into dotted key prefixes; a request ID on the context becomes a
-// "req" attr.
-func (l *Logger) Handler() slog.Handler {
-	return slogBridge{l: l}
-}
-
-type slogBridge struct {
-	l      *Logger
-	prefix string
-	attrs  []Attr
-}
-
-func (h slogBridge) Enabled(_ context.Context, lv slog.Level) bool {
-	return h.l.Enabled(LogLevel(lv))
-}
-
-func (h slogBridge) Handle(ctx context.Context, r slog.Record) error {
-	attrs := make([]Attr, 0, len(h.attrs)+r.NumAttrs()+1)
-	if id := RequestID(ctx); id != "" {
-		attrs = append(attrs, Attr{Key: "req", Val: id})
-	}
-	attrs = append(attrs, h.attrs...)
-	r.Attrs(func(a slog.Attr) bool {
-		attrs = append(attrs, Attr{Key: h.prefix + a.Key, Val: a.Value.String()})
-		return true
-	})
-	h.l.Log(LogLevel(r.Level), r.Message, attrs...)
-	return nil
-}
-
-func (h slogBridge) WithAttrs(as []slog.Attr) slog.Handler {
-	attrs := make([]Attr, 0, len(h.attrs)+len(as))
-	attrs = append(attrs, h.attrs...)
-	for _, a := range as {
-		attrs = append(attrs, Attr{Key: h.prefix + a.Key, Val: a.Value.String()})
-	}
-	return slogBridge{l: h.l, prefix: h.prefix, attrs: attrs}
-}
-
-func (h slogBridge) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return h
-	}
-	return slogBridge{l: h.l, prefix: h.prefix + name + ".", attrs: h.attrs}
-}
+// discardLog is what CtxLog returns when ctx carries no logger: a nil
+// *slog.Logger panics, and slog.DiscardHandler needs go1.24. No record
+// reaches its level.
+var discardLog = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))

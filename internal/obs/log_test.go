@@ -9,18 +9,19 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // decodeLogLines unmarshals each line of a JSON log stream, failing on any
-// line that is not a flat string-to-string object.
-func decodeLogLines(t *testing.T, buf *bytes.Buffer) []map[string]string {
+// line that is not a JSON object.
+func decodeLogLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
 	t.Helper()
-	var out []map[string]string
+	var out []map[string]any
 	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
 		if line == "" {
 			continue
 		}
-		var m map[string]string
+		var m map[string]any
 		if err := json.Unmarshal([]byte(line), &m); err != nil {
 			t.Fatalf("log line %q is not valid JSON: %v", line, err)
 		}
@@ -31,23 +32,31 @@ func decodeLogLines(t *testing.T, buf *bytes.Buffer) []map[string]string {
 
 func TestLoggerJSON(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LogOptions{Level: LogDebug, Format: "json"})
-	l.Info("test.event", Str("key", "value"), Int("n", 7))
-	l.Error("test.fail", Str("err", `quote " backslash \ newline`+"\n"))
+	l := NewLogger(&buf, LogOptions{Level: slog.LevelDebug, Format: "json"})
+	l.Info("test.event", slog.String("key", "value"), slog.Int("n", 7))
+	l.Error("test.fail", slog.String("err", `quote " backslash \ newline`+"\n"))
 
+	// The record keys lead each line, in order.
+	if line := buf.String(); !strings.HasPrefix(line, `{"ts":"`) || !strings.Contains(line, `,"level":"info","msg":"test.event",`) {
+		t.Errorf("JSON line does not lead with ts, level, msg: %s", line)
+	}
 	recs := decodeLogLines(t, &buf)
 	if len(recs) != 2 {
 		t.Fatalf("got %d records, want 2", len(recs))
 	}
 	r := recs[0]
-	if r["level"] != "info" || r["msg"] != "test.event" || r["key"] != "value" || r["n"] != "7" {
+	if r["level"] != "info" || r["msg"] != "test.event" || r["key"] != "value" || r["n"] != 7.0 {
 		t.Errorf("first record wrong: %v", r)
 	}
-	if r["ts"] == "" {
-		t.Errorf("record missing ts: %v", r)
+	ts, _ := r["ts"].(string)
+	if at, err := time.Parse(time.RFC3339Nano, ts); err != nil || !strings.HasSuffix(ts, "Z") || time.Since(at) > time.Minute {
+		t.Errorf("ts %q is not a current UTC RFC3339 time: %v", ts, err)
+	}
+	if _, ok := r["time"]; ok {
+		t.Errorf("record kept the stdlib time key: %v", r)
 	}
 	if recs[1]["level"] != "error" {
-		t.Errorf("second record level = %q, want error", recs[1]["level"])
+		t.Errorf("second record level = %v, want error", recs[1]["level"])
 	}
 	if want := `quote " backslash \ newline` + "\n"; recs[1]["err"] != want {
 		t.Errorf("escaping round-trip: got %q want %q", recs[1]["err"], want)
@@ -57,9 +66,13 @@ func TestLoggerJSON(t *testing.T) {
 func TestLoggerText(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LogOptions{})
-	l.Info("test.event", Str("plain", "bare"), Str("spaced", "two words"))
+	l.Debug("test.hidden")
+	l.Info("test.event", slog.String("plain", "bare"), slog.String("spaced", "two words"))
 	line := strings.TrimRight(buf.String(), "\n")
-	for _, want := range []string{" INFO test.event", " plain=bare", ` spaced="two words"`} {
+	if !strings.HasPrefix(line, "ts=") || strings.Contains(line, "test.hidden") {
+		t.Errorf("text line %q: want one info record leading with ts=", line)
+	}
+	for _, want := range []string{" level=info msg=test.event", " plain=bare", ` spaced="two words"`} {
 		if !strings.Contains(line, want) {
 			t.Errorf("text line %q missing %q", line, want)
 		}
@@ -68,90 +81,75 @@ func TestLoggerText(t *testing.T) {
 
 func TestLoggerLevelsAndWith(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LogOptions{Level: LogWarn, Format: "json"})
-	child := l.With(Str("req", "abc123"))
+	l := NewLogger(&buf, LogOptions{Level: slog.LevelWarn, Format: "json"})
+	child := l.With(slog.String("req", "abc123"))
 	child.Info("test.hidden") // below level
-	child.Warn("test.shown", Str("extra", "x"))
+	child.Warn("test.shown", slog.String("extra", "x"))
 	recs := decodeLogLines(t, &buf)
 	if len(recs) != 1 {
 		t.Fatalf("got %d records, want 1 (info filtered)", len(recs))
 	}
-	if recs[0]["req"] != "abc123" || recs[0]["extra"] != "x" {
+	if recs[0]["req"] != "abc123" || recs[0]["extra"] != "x" || recs[0]["level"] != "warn" {
 		t.Errorf("With attrs missing: %v", recs[0])
-	}
-
-	// SetLevel is shared between a logger and its clones.
-	buf.Reset()
-	l.SetLevel(LogDebug)
-	child.Debug("test.now.visible")
-	if got := len(decodeLogLines(t, &buf)); got != 1 {
-		t.Errorf("after SetLevel(debug), child emitted %d records, want 1", got)
 	}
 
 	// Two Withs off one parent must not clobber each other's attrs.
 	buf.Reset()
-	a := l.With(Str("which", "a"))
-	b := l.With(Str("which", "b"))
-	a.Info("test.a")
-	b.Info("test.b")
-	recs = decodeLogLines(t, &buf)
-	if len(recs) != 2 || recs[0]["which"] != "a" || recs[1]["which"] != "b" {
+	l.With(slog.String("which", "a")).Warn("test.a")
+	l.With(slog.String("which", "b")).Warn("test.b")
+	if recs = decodeLogLines(t, &buf); len(recs) != 2 || recs[0]["which"] != "a" || recs[1]["which"] != "b" {
 		t.Errorf("sibling With loggers interfere: %v", recs)
 	}
-}
-
-func TestLoggerNilSafe(t *testing.T) {
-	var l *Logger
-	l.Debug("x")
-	l.Info("x", Str("k", "v"))
-	l.Warn("x")
-	l.Error("x")
-	if l.With(Str("k", "v")) != nil {
-		t.Errorf("nil.With should stay nil")
+	if got := replaceLogAttr(nil, slog.Any(slog.LevelKey, slog.LevelWarn+2)).Value.String(); got != "warn+2" {
+		t.Errorf("level warn+2 spelled %q", got)
 	}
-	if l.Enabled(LogError) {
-		t.Errorf("nil logger must report disabled")
-	}
-	l.SetLevel(LogDebug)
 }
 
 func TestLoggerSampling(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LogOptions{Level: LogDebug, Format: "json", SampleRate: 5})
+	// With attrs: derived handlers share one window.
+	h := NewLogger(&buf, LogOptions{Level: slog.LevelDebug, Format: "json", SampleRate: 5}).
+		With(slog.String("req", "r1")).Handler()
+	// Records carry their own times, so the windows are exact.
+	sec := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	emit := func(at time.Time, lv slog.Level, msg string) {
+		h.Handle(context.Background(), slog.NewRecord(at, lv, msg, 0))
+	}
+	msgs := func() map[string]int {
+		n := map[string]int{}
+		for _, r := range decodeLogLines(t, &buf) {
+			n[r["msg"].(string)]++
+		}
+		return n
+	}
+
 	before := logDropped.Load()
 	for i := 0; i < 20; i++ {
-		l.Info("test.flood", Int("i", i))
+		emit(sec.Add(time.Duration(i)*time.Millisecond), slog.LevelInfo, "test.flood")
 	}
-	dropped := logDropped.Load() - before
-	var flood int
-	for _, r := range decodeLogLines(t, &buf) {
-		if r["msg"] == "test.flood" {
-			flood++
-		}
+	emit(sec.Add(500*time.Millisecond), slog.LevelWarn, "test.always") // warn bypasses the bound
+	if n := msgs(); n["test.flood"] != 5 || n["test.always"] != 1 {
+		t.Errorf("first window passed %v, want 5 test.flood and the warn", n)
 	}
-	// The 20 records span at most two one-second windows: at most 10 pass.
-	if flood > 10 {
-		t.Errorf("sampler passed %d records, want <= 10", flood)
+	if d := logDropped.Load() - before; d != 15 {
+		t.Errorf("obs.log.dropped rose by %d, want 15", d)
 	}
-	if dropped < 10 {
-		t.Errorf("sampler dropped %d records, want >= 10", dropped)
-	}
-	// Warn bypasses the sampler even mid-flood.
+
+	// The first sub-warn record of the next window reports the drops, once.
 	buf.Reset()
-	l.Warn("test.always")
-	found := false
-	for _, r := range decodeLogLines(t, &buf) {
-		if r["msg"] == "test.always" {
-			found = true
-		}
+	emit(sec.Add(time.Second), slog.LevelDebug, "test.resume")
+	emit(sec.Add(time.Second+time.Millisecond), slog.LevelDebug, "test.resume")
+	recs := decodeLogLines(t, &buf)
+	if len(recs) != 3 || recs[0]["msg"] != "obs.log.sampled" || msgs()["obs.log.sampled"] != 1 {
+		t.Fatalf("want one obs.log.sampled line, then the two records:\n%s", buf.String())
 	}
-	if !found {
-		t.Errorf("warn record was sampled away")
+	if s := recs[0]; s["level"] != "warn" || s["dropped"] != 15.0 || s["req"] != "r1" {
+		t.Errorf("obs.log.sampled line wrong: %v", s)
 	}
 }
 
 func TestLoggerConcurrentLinesAtomic(t *testing.T) {
-	var buf bytes.Buffer
+	var buf syncBuf
 	l := NewLogger(&buf, LogOptions{Format: "json"})
 	const workers, per = 8, 50
 	var wg sync.WaitGroup
@@ -159,55 +157,50 @@ func TestLoggerConcurrentLinesAtomic(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rl := l.With(Str("worker", fmt.Sprintf("w%d", w)))
+			rl := l.With(slog.String("worker", fmt.Sprintf("w%d", w)))
 			for i := 0; i < per; i++ {
-				rl.Info("test.concurrent", Int("i", i))
+				rl.Info("test.concurrent", slog.Int("i", i))
 			}
 		}(w)
 	}
 	wg.Wait()
-	recs := decodeLogLines(t, &buf) // fails on any torn line
+	recs := decodeLogLines(t, &buf.b) // fails on any torn line
 	if len(recs) != workers*per {
 		t.Errorf("got %d records, want %d", len(recs), workers*per)
 	}
 }
 
-func TestSlogBridge(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, LogOptions{Level: LogDebug, Format: "json"})
-	sl := slog.New(l.Handler())
-	ctx := WithRequestID(context.Background(), "req-42")
-	sl.InfoContext(ctx, "test.slog", "k", "v", "n", 3)
-	sl.WithGroup("grp").With("a", "b").Warn("test.grouped")
+// syncBuf records every Write separately, so a record split across two
+// writes would show up as a torn line.
+type syncBuf struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
 
-	recs := decodeLogLines(t, &buf)
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
+func (s *syncBuf) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(p) == 0 || p[len(p)-1] != '\n' {
+		return 0, fmt.Errorf("partial record write %q", p)
 	}
-	if recs[0]["req"] != "req-42" || recs[0]["k"] != "v" || recs[0]["n"] != "3" {
-		t.Errorf("slog record missing attrs: %v", recs[0])
-	}
-	if recs[1]["grp.a"] != "b" || recs[1]["level"] != "warn" {
-		t.Errorf("slog group record wrong: %v", recs[1])
-	}
-	if !sl.Enabled(context.Background(), slog.LevelDebug) {
-		t.Errorf("bridge Enabled disagrees with logger level")
-	}
+	return s.b.Write(p)
 }
 
 func TestParseLogFlag(t *testing.T) {
 	cases := []struct {
 		in      string
-		level   LogLevel
+		level   slog.Level
 		format  string
 		wantErr bool
 	}{
-		{"", LogInfo, "text", false},
-		{"debug", LogDebug, "text", false},
-		{"json", LogInfo, "json", false},
-		{"warn:json", LogWarn, "json", false},
-		{"json:error", LogError, "json", false},
-		{"bogus", LogInfo, "text", true},
+		{"", slog.LevelInfo, "text", false},
+		{"debug", slog.LevelDebug, "text", false},
+		{"json", slog.LevelInfo, "json", false},
+		{"warn:json", slog.LevelWarn, "json", false},
+		{"warning", slog.LevelWarn, "text", false},
+		{"json:error", slog.LevelError, "json", false},
+		{"DEBUG:Text", slog.LevelDebug, "text", false},
+		{"bogus", slog.LevelInfo, "text", true},
 	}
 	for _, c := range cases {
 		o, err := ParseLogFlag(c.in)
@@ -219,7 +212,17 @@ func TestParseLogFlag(t *testing.T) {
 			t.Errorf("ParseLogFlag(%q) = %+v, want level %v format %q", c.in, o, c.level, c.format)
 		}
 	}
-	if lv, err := ParseLogLevel("warning"); err != nil || lv != LogWarn {
-		t.Errorf("ParseLogLevel(warning) = %v, %v", lv, err)
+}
+
+func TestCtxLogNoop(t *testing.T) {
+	l := CtxLog(context.Background())
+	if l.Enabled(context.Background(), slog.LevelError) {
+		t.Fatal("the logger of a bare context must be disabled")
+	}
+	l.LogAttrs(context.Background(), slog.LevelError, "test.noop", slog.String("k", "v"))
+	if n := testing.AllocsPerRun(100, func() {
+		l.LogAttrs(context.Background(), slog.LevelDebug, "test.noop", slog.String("k", "v"))
+	}); n != 0 {
+		t.Errorf("logging to the discard logger: %v allocs, want 0", n)
 	}
 }

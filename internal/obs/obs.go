@@ -8,7 +8,8 @@
 // A span is an event. Start reserves one EvSlice Event in the tracer's own
 // buffer and End fills in its duration, so the buffer is the complete
 // record of a run: the manifest's span tree, the flight recorder's phases
-// and post-mortem spans are views over it. A tracer attached to a Timeline
+// and post-mortem spans, and the obs.span.end log lines of a tracer with a
+// logger (SetLogger) are views over it. A tracer attached to a Timeline
 // flushes the buffer into the ring once, at Finish, where the Perfetto
 // export and the `-timeline -` summary see the spans beside the simulator
 // and pool events.
@@ -26,6 +27,8 @@
 package obs
 
 import (
+	"context"
+	"log/slog"
 	"math"
 	"strconv"
 	"sync"
@@ -48,8 +51,9 @@ type Tracer struct {
 	attrs   []spanAttr
 	phases  map[string]*Span
 	tl      *Timeline
-	track   int32 // tl's track for the spans, named after the root
-	flushed int   // events[:flushed] are already in tl
+	track   int32        // tl's track for the spans, named after the root
+	log     *slog.Logger // receives one obs.span.end debug line per End
+	flushed int          // events[:flushed] are already in tl
 	config  map[string]string
 	outputs []Output
 }
@@ -77,6 +81,18 @@ func (t *Tracer) SetTimeline(tl *Timeline) {
 	}
 	t.mu.Lock()
 	t.tl, t.track = tl, tl.TrackID(t.names[0])
+	t.mu.Unlock()
+}
+
+// SetLogger makes every Span.End write one debug obs.span.end line to l
+// (nil detaches): the span's name, duration and attributes. The stage logs
+// of instrumented code are this view of its spans, not separate calls.
+func (t *Tracer) SetLogger(l *slog.Logger) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.log = l
 	t.mu.Unlock()
 }
 
@@ -185,19 +201,33 @@ func (s *Span) Start(name string, attrs ...Attr) *Span {
 	return s.tracer.open(s.id, name, attrs)
 }
 
-// End closes the span, fixing its duration. Idempotent; children left open
-// are closed by Tracer.Finish.
+// End closes the span, fixing its duration, and writes its obs.span.end
+// line when the tracer's logger is at debug level. Idempotent; children
+// left open are closed by Tracer.Finish.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	t := s.tracer
 	now := time.Since(t.start).Nanoseconds()
+	var line []slog.Attr
 	t.mu.Lock()
+	log := t.log
 	if ev := &t.events[s.id]; ev.Dur < 0 {
 		ev.Dur = now - ev.TS
+		if log != nil && log.Enabled(context.TODO(), slog.LevelDebug) {
+			line = append(line, slog.String("span", t.names[ev.Name]), slog.String("dur", time.Duration(ev.Dur).String()))
+			for _, a := range t.attrs {
+				if a.span == s.id {
+					line = append(line, slog.String(a.Key, a.Val))
+				}
+			}
+		}
 	}
 	t.mu.Unlock()
+	if line != nil {
+		log.LogAttrs(context.TODO(), slog.LevelDebug, "obs.span.end", line...)
+	}
 }
 
 // SetAttr attaches (or appends) a key=value annotation. It may run after

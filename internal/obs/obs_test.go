@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"bytes"
+	"io"
+	"log/slog"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +21,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	sp.End()
 	sp.SetAttr("a", "b")
 	tr.SetTimeline(NewTimeline(4))
+	tr.SetLogger(NewLogger(io.Discard, LogOptions{}))
 	tr.Finish()
 	if tr.SpanTree() != nil {
 		t.Fatal("nil tracer produced a span tree")
@@ -148,5 +152,57 @@ func TestAttrHelpers(t *testing.T) {
 	}
 	if a := F64("x", 1.5); a.Val != "1.5" {
 		t.Fatalf("F64: %+v", a)
+	}
+}
+
+// TestSpanEndLines: a tracer with a debug logger writes one obs.span.end
+// line per ended span, carrying the span's name, duration and attributes;
+// a second End and Finish's implicit closes write nothing.
+func TestSpanEndLines(t *testing.T) {
+	var buf bytes.Buffer
+	tr := New("root")
+	tr.SetLogger(NewLogger(&buf, LogOptions{Level: slog.LevelDebug, Format: "json"}).
+		With(slog.String("req", "r1")))
+	sp := tr.Phase("work").Start("stage.a", Str("n", "3"))
+	sp.SetAttr("tiles", "12")
+	sp.End()
+	sp.End()
+	tr.Root().Start("stage.b").End()
+	tr.Phase("work").Start("left.open")
+	tr.Finish()
+
+	recs := decodeLogLines(t, &buf)
+	if len(recs) != 2 {
+		t.Fatalf("got %d lines, want one per End:\n%s", len(recs), buf.String())
+	}
+	a := recs[0]
+	if a["msg"] != "obs.span.end" || a["level"] != "debug" || a["span"] != "stage.a" ||
+		a["n"] != "3" || a["tiles"] != "12" || a["req"] != "r1" {
+		t.Errorf("span-end line wrong: %v", a)
+	}
+	if d, err := time.ParseDuration(a["dur"].(string)); err != nil || d < 0 {
+		t.Errorf("span-end dur %v: %v", a["dur"], err)
+	}
+	if recs[1]["span"] != "stage.b" || recs[1]["tiles"] != nil {
+		t.Errorf("second span-end line wrong: %v", recs[1])
+	}
+}
+
+// TestSpanEndInfoLevel: at info level the span-end line is skipped without
+// cost — nothing is written, and Start/End allocate what they do with no
+// logger attached.
+func TestSpanEndInfoLevel(t *testing.T) {
+	var buf bytes.Buffer
+	logged := New("root")
+	logged.SetLogger(NewLogger(&buf, LogOptions{Level: slog.LevelInfo, Format: "json"}))
+	bare := New("root")
+	startEnd := func(tr *Tracer) float64 {
+		return testing.AllocsPerRun(200, func() { tr.Root().Start("stage", Str("k", "v")).End() })
+	}
+	if got, want := startEnd(logged), startEnd(bare); got > want {
+		t.Errorf("Start/End with an info-level logger: %v allocs, want <= %v (no logger)", got, want)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("info-level tracer logged: %s", buf.String())
 	}
 }

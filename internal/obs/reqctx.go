@@ -1,9 +1,8 @@
-// Request correlation: the context plumbing that lets one hottilesd request
-// carry a single ID through its access-log line, response header, span
-// tree, planstore singleflight joins, and hotcore preprocessing stages
-// (DESIGN.md §18). IDs arrive on X-Request-ID or the W3C traceparent
-// header and are minted otherwise; the request-scoped logger and span ride
-// the same context so library code tags records without knowing about HTTP.
+// Request correlation (DESIGN.md §18): one hottilesd request carries one
+// ID, from X-Request-ID or the W3C traceparent header or minted, through
+// its response header, span tree and every log line. The request's logger,
+// tagged with the ID, and its span ride the context, so planstore and
+// hotcore tag their records without knowing about HTTP.
 package obs
 
 import (
@@ -11,6 +10,7 @@ import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -27,38 +27,25 @@ const TraceparentHeader = "traceparent"
 type ctxKey int
 
 const (
-	ctxKeyRequestID ctxKey = iota
-	ctxKeyLogger
+	ctxKeyLogger ctxKey = iota
 	ctxKeySpan
 )
 
-// WithRequestID returns ctx carrying the request ID.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxKeyRequestID, id)
-}
-
-// RequestID returns the request ID on ctx ("" when absent).
-func RequestID(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
-	return id
-}
-
 // WithLogger returns ctx carrying a request-scoped logger.
-func WithLogger(ctx context.Context, l *Logger) context.Context {
+func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
 	return context.WithValue(ctx, ctxKeyLogger, l)
 }
 
-// CtxLog returns the logger on ctx. Absent one it returns nil, which is a
-// valid no-op logger — callers log unconditionally.
-func CtxLog(ctx context.Context) *Logger {
+// CtxLog returns the logger on ctx. Absent one it returns a shared logger
+// that discards every record, so callers log unconditionally.
+func CtxLog(ctx context.Context) *slog.Logger {
 	if ctx == nil {
-		return nil
+		return discardLog
 	}
-	l, _ := ctx.Value(ctxKeyLogger).(*Logger)
-	return l
+	if l, _ := ctx.Value(ctxKeyLogger).(*slog.Logger); l != nil {
+		return l
+	}
+	return discardLog
 }
 
 // WithSpan returns ctx carrying the current span, so lower layers attach

@@ -2,40 +2,31 @@ package obs
 
 import (
 	"context"
+	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
 )
 
-func TestRequestIDContext(t *testing.T) {
-	ctx := context.Background()
-	if got := RequestID(ctx); got != "" {
-		t.Errorf("empty context carries id %q", got)
-	}
-	var nilCtx context.Context
-	if got := RequestID(nilCtx); got != "" {
-		t.Errorf("nil context carries id %q", got)
-	}
-	ctx = WithRequestID(ctx, "abc-123")
-	if got := RequestID(ctx); got != "abc-123" {
-		t.Errorf("RequestID = %q, want abc-123", got)
-	}
-}
-
 func TestCtxLoggerAndSpan(t *testing.T) {
 	var nilCtx context.Context
-	if CtxLog(nilCtx) != nil || CtxSpan(nilCtx) != nil {
-		t.Errorf("nil context must yield nil logger/span")
+	if CtxLog(nilCtx) != discardLog || CtxSpan(nilCtx) != nil {
+		t.Errorf("nil context must yield the discard logger and a nil span")
 	}
 	ctx := context.Background()
-	if CtxLog(ctx) != nil || CtxSpan(ctx) != nil {
-		t.Errorf("empty context must yield nil logger/span")
+	if CtxLog(ctx) != discardLog || CtxSpan(ctx) != nil {
+		t.Errorf("empty context must yield the discard logger and a nil span")
 	}
-	// The nil results are valid no-op receivers.
+	// Both are valid no-op receivers.
+	if CtxLog(ctx).Enabled(ctx, slog.LevelError) {
+		t.Errorf("the discard logger must report every level disabled")
+	}
 	CtxLog(ctx).Info("test.noop")
+	CtxLog(ctx).With("k", "v").WithGroup("g").Error("test.noop")
 	CtxSpan(ctx).Start("noop").End()
 
-	l := NewLogger(nil, LogOptions{})
+	l := NewLogger(io.Discard, LogOptions{})
 	tr := New("test")
 	ctx = WithLogger(WithSpan(ctx, tr.Root()), l)
 	if CtxLog(ctx) != l {

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -165,20 +166,20 @@ func (s *Store) Get(ctx context.Context, key string, build func(ctx context.Cont
 		s.mu.Unlock()
 		s.memHits.Add(1)
 		storeMemHits.Inc()
-		log.Debug("planstore.hit", obs.Str("key", keyShort(key)))
+		log.LogAttrs(ctx, slog.LevelDebug, "planstore.hit", slog.String("key", keyShort(key)))
 		return val, nil
 	}
 	if f, ok := s.flights[key]; ok {
 		s.mu.Unlock()
 		s.coalesced.Add(1)
 		storeCoalesced.Inc()
-		log.Debug("planstore.join", obs.Str("key", keyShort(key)))
+		log.LogAttrs(ctx, slog.LevelDebug, "planstore.join", slog.String("key", keyShort(key)))
 		select {
 		case <-f.done:
 			return f.val, f.err
 		case <-ctx.Done():
-			log.Warn("planstore.join.abandon",
-				obs.Str("key", keyShort(key)), obs.Str("err", ctx.Err().Error()))
+			log.LogAttrs(ctx, slog.LevelWarn, "planstore.join.abandon",
+				slog.String("key", keyShort(key)), slog.String("err", ctx.Err().Error()))
 			return nil, fmt.Errorf("planstore: waiting for in-flight build: %w", ctx.Err())
 		}
 	}
@@ -191,7 +192,7 @@ func (s *Store) Get(ctx context.Context, key string, build func(ctx context.Cont
 	s.mu.Lock()
 	delete(s.flights, key)
 	if f.err == nil {
-		s.putLocked(log, key, f.val)
+		s.putLocked(ctx, key, f.val)
 	}
 	s.mu.Unlock()
 	close(f.done)
@@ -199,8 +200,9 @@ func (s *Store) Get(ctx context.Context, key string, build func(ctx context.Cont
 }
 
 // Peek returns the bytes for key if they are already cached in memory or
-// on disk, without ever building. It promotes disk hits into memory.
-func (s *Store) Peek(key string) ([]byte, bool) {
+// on disk, without ever building. It promotes disk hits into memory; the
+// spill and eviction lines that can cause go to ctx's logger.
+func (s *Store) Peek(ctx context.Context, key string) ([]byte, bool) {
 	s.mu.Lock()
 	if e, ok := s.mem[key]; ok {
 		s.lru.MoveToFront(e)
@@ -211,9 +213,9 @@ func (s *Store) Peek(key string) ([]byte, bool) {
 		return val, true
 	}
 	s.mu.Unlock()
-	if val, ok := s.readDisk(nil, key); ok {
+	if val, ok := s.readDisk(ctx, key); ok {
 		s.mu.Lock()
-		s.putLocked(nil, key, val)
+		s.putLocked(ctx, key, val)
 		s.mu.Unlock()
 		return val, true
 	}
@@ -225,8 +227,8 @@ func (s *Store) runBuild(ctx context.Context, key string, build func(ctx context
 	log := obs.CtxLog(ctx)
 	// Disk check happens before admission: reading a spilled plan back is
 	// IO, not preprocessing, and must not be refused under build load.
-	if val, ok := s.readDisk(log, key); ok {
-		log.Debug("planstore.hit.disk", obs.Str("key", keyShort(key)))
+	if val, ok := s.readDisk(ctx, key); ok {
+		log.LogAttrs(ctx, slog.LevelDebug, "planstore.hit.disk", slog.String("key", keyShort(key)))
 		return val, nil
 	}
 	if err := s.acquire(ctx); err != nil {
@@ -236,7 +238,7 @@ func (s *Store) runBuild(ctx context.Context, key string, build func(ctx context
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("planstore: canceled before build: %w", err)
 	}
-	log.Debug("planstore.build.start", obs.Str("key", keyShort(key)))
+	log.LogAttrs(ctx, slog.LevelDebug, "planstore.build.start", slog.String("key", keyShort(key)))
 	t0 := time.Now()
 	val, err := build(ctx)
 	dur := time.Since(t0).Nanoseconds()
@@ -247,20 +249,21 @@ func (s *Store) runBuild(ctx context.Context, key string, build func(ctx context
 	if err != nil {
 		s.buildErrs.Add(1)
 		storeBuildErrs.Inc()
-		log.Warn("planstore.build.fail",
-			obs.Str("key", keyShort(key)),
-			obs.Str("dur", time.Duration(dur).String()),
-			obs.Str("err", err.Error()))
+		log.LogAttrs(ctx, slog.LevelWarn, "planstore.build.fail",
+			slog.String("key", keyShort(key)),
+			slog.String("dur", time.Duration(dur).String()),
+			slog.String("err", err.Error()))
 		return nil, err
 	}
-	log.Info("planstore.build.done",
-		obs.Str("key", keyShort(key)),
-		obs.Str("dur", time.Duration(dur).String()),
-		obs.Int("bytes", len(val)))
+	log.LogAttrs(ctx, slog.LevelInfo, "planstore.build.done",
+		slog.String("key", keyShort(key)),
+		slog.String("dur", time.Duration(dur).String()),
+		slog.Int("bytes", len(val)))
 	if err := s.writeDisk(key, val); err != nil {
 		s.spillErrs.Add(1)
 		storeSpillErrs.Inc()
-		log.Warn("planstore.spill.fail", obs.Str("key", keyShort(key)), obs.Str("err", err.Error()))
+		log.LogAttrs(ctx, slog.LevelWarn, "planstore.spill.fail",
+			slog.String("key", keyShort(key)), slog.String("err", err.Error()))
 	}
 	return val, nil
 }
@@ -278,7 +281,7 @@ func (s *Store) acquire(ctx context.Context) error {
 		s.queued.Add(-1)
 		s.rejected.Add(1)
 		storeRejected.Inc()
-		obs.CtxLog(ctx).Warn("planstore.reject", obs.Int("queued", int(q-1)))
+		obs.CtxLog(ctx).LogAttrs(ctx, slog.LevelWarn, "planstore.reject", slog.Int64("queued", q-1))
 		return ErrBusy
 	}
 	storeQueued.Set(s.queued.Load())
@@ -301,9 +304,9 @@ func (s *Store) release() {
 
 // putLocked inserts a value into the memory LRU and evicts from the cold
 // end until the byte budget holds again (the newest value always stays,
-// even when it alone exceeds the budget). log, when non-nil, tags eviction
-// lines with the request that caused them (Peek passes nil).
-func (s *Store) putLocked(log *obs.Logger, key string, val []byte) {
+// even when it alone exceeds the budget). Eviction lines go to ctx's
+// logger, tagged with the request that caused them.
+func (s *Store) putLocked(ctx context.Context, key string, val []byte) {
 	if e, ok := s.mem[key]; ok {
 		s.bytes += int64(len(val)) - int64(len(e.Value.(*memEntry).val))
 		e.Value.(*memEntry).val = val
@@ -320,8 +323,8 @@ func (s *Store) putLocked(log *obs.Logger, key string, val []byte) {
 		s.bytes -= int64(len(ent.val))
 		s.evictions.Add(1)
 		storeEvictions.Inc()
-		log.Debug("planstore.evict",
-			obs.Str("key", keyShort(ent.key)), obs.Int("bytes", len(ent.val)))
+		obs.CtxLog(ctx).LogAttrs(ctx, slog.LevelDebug, "planstore.evict",
+			slog.String("key", keyShort(ent.key)), slog.Int("bytes", len(ent.val)))
 	}
 }
 
@@ -415,8 +418,8 @@ var spillTable = crc32.MakeTable(crc32.Castagnoli)
 
 // readDisk returns the value spilled under key. A file whose frame does
 // not check out is a miss: it is removed and counted, and the caller
-// rebuilds the value. log, when non-nil, tags the warning with the request.
-func (s *Store) readDisk(log *obs.Logger, key string) ([]byte, bool) {
+// rebuilds the value. The warning goes to ctx's logger.
+func (s *Store) readDisk(ctx context.Context, key string) ([]byte, bool) {
 	path := s.diskPath(key)
 	if path == "" {
 		return nil, false
@@ -430,7 +433,8 @@ func (s *Store) readDisk(log *obs.Logger, key string) ([]byte, bool) {
 		os.Remove(path)
 		s.spillCorrupt.Add(1)
 		storeSpillCorrupt.Inc()
-		log.Warn("planstore.spill.corrupt", obs.Str("key", keyShort(key)), obs.Int("bytes", len(data)))
+		obs.CtxLog(ctx).LogAttrs(ctx, slog.LevelWarn, "planstore.spill.corrupt",
+			slog.String("key", keyShort(key)), slog.Int("bytes", len(data)))
 		return nil, false
 	}
 	s.diskHits.Add(1)

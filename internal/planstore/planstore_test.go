@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -250,7 +252,7 @@ func TestFollowerTimeout(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-	if got, ok := s.Peek("k"); !ok || string(got) != "late" {
+	if got, ok := s.Peek(context.Background(), "k"); !ok || string(got) != "late" {
 		t.Fatalf("leader's build not cached: %q, %v", got, ok)
 	}
 }
@@ -309,7 +311,7 @@ func TestDiskSpillRoundTrip(t *testing.T) {
 
 	// Peek promotes the disk copy without building, on yet another store.
 	s3 := newStore(t, Config{Dir: dir})
-	if got, ok := s3.Peek("abc123"); !ok || !bytes.Equal(got, want) {
+	if got, ok := s3.Peek(context.Background(), "abc123"); !ok || !bytes.Equal(got, want) {
 		t.Fatalf("peek: %d bytes, %v", len(got), ok)
 	}
 }
@@ -347,7 +349,7 @@ func TestCorruptSpillIsRebuilt(t *testing.T) {
 		if d := storeSpillCorrupt.Load() - before; d != 1 {
 			t.Fatalf("offset %d: planstore.spill.corrupt rose by %d, want 1", off, d)
 		}
-		if got, ok := newStore(t, Config{Dir: dir}).Peek("abc123"); !ok || !bytes.Equal(got, want) {
+		if got, ok := newStore(t, Config{Dir: dir}).Peek(context.Background(), "abc123"); !ok || !bytes.Equal(got, want) {
 			t.Fatalf("offset %d: the rebuild did not spill a good copy", off)
 		}
 	}
@@ -384,6 +386,35 @@ func TestSpillFailureIsVisible(t *testing.T) {
 	}
 }
 
+// TestMemHitLoggerAllocs pins the logging cost of a memory hit, the path
+// every cached /gnn request takes: with the daemon's info-level logger on
+// ctx, the debug planstore.hit line is skipped without allocating, so the
+// hit allocates no more than one with no logger at all, which is nothing.
+// A ctx without a logger still logs to the discard logger, so a call that
+// boxes its attrs (Debug(msg, slog.String(…))) allocates on both sides;
+// the zero pins that.
+func TestMemHitLoggerAllocs(t *testing.T) {
+	s := newStore(t, Config{})
+	build := constBuild([]byte("plan"))
+	if _, err := s.Get(context.Background(), "hit", build); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(ctx context.Context) float64 {
+		return testing.AllocsPerRun(200, func() {
+			if _, err := s.Get(ctx, "hit", build); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	log := obs.NewLogger(io.Discard, obs.LogOptions{Level: slog.LevelInfo, Format: "json", SampleRate: 1000})
+	log = log.With(slog.String("req", "r1"), slog.String("route", "gnn"))
+	bare := allocs(context.Background())
+	logged := allocs(obs.WithLogger(context.Background(), log))
+	if logged > bare || bare != 0 {
+		t.Fatalf("memory hit: %v allocs with an info-level logger, %v with none; want 0", logged, bare)
+	}
+}
+
 // TestDiskPathRejectsHostileKeys: keys that could escape the spill
 // directory never touch the filesystem.
 func TestDiskPathRejectsHostileKeys(t *testing.T) {
@@ -415,10 +446,10 @@ func TestLRUEvicts(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions: %+v", st)
 	}
-	if _, ok := s.Peek("k3"); !ok {
+	if _, ok := s.Peek(context.Background(), "k3"); !ok {
 		t.Fatal("newest entry evicted")
 	}
-	if _, ok := s.Peek("k0"); ok {
+	if _, ok := s.Peek(context.Background(), "k0"); ok {
 		t.Fatal("oldest entry survived a full cache")
 	}
 }
