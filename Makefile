@@ -92,8 +92,9 @@ race:
 
 # bench runs the perf-trajectory benchmarks (DESIGN.md §12): the zero-alloc
 # engine and waterfill microbenches, the tiler, the analytical model, the
-# simulator, and the experiment fan-out. Output lands in BENCH_$(BENCH_PR).json
-# (committed as this PR's baseline); diff two baselines with
+# simulator, the experiment fan-out, and the MatrixMarket parse of the
+# serving benchmark's bodies on one worker and on the pool. Output lands in
+# BENCH_$(BENCH_PR).json (committed as this PR's baseline); diff two baselines with
 # `./bin/benchdiff [-threshold 1.25] BENCH_old.json BENCH_new.json`.
 BENCH_PR ?= 9
 # Iteration budget per tracked benchmark in `make bench`. The committed
@@ -104,6 +105,7 @@ TRACKED_BENCH = BenchmarkExperimentsFanout|BenchmarkTilePartition|BenchmarkModel
 TRACKED_BENCH_SIM = BenchmarkEngine|BenchmarkWaterfill|BenchmarkRunnerReuse|BenchmarkColdPool
 TRACKED_BENCH_WORKLOAD = BenchmarkGNNForward|BenchmarkEvolveReplan|BenchmarkEvolveSweep
 TRACKED_BENCH_LINT = BenchmarkLintSuite
+TRACKED_BENCH_MM = BenchmarkMMRead
 
 bin/benchdiff: FORCE
 	@mkdir -p bin
@@ -113,6 +115,7 @@ bench: bin/benchdiff
 	{ $(GO) test -run=NONE -bench='$(TRACKED_BENCH_SIM)' -benchmem -benchtime=$(BENCHTIME) ./internal/sim && \
 	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_WORKLOAD)' -benchmem -benchtime=$(BENCHTIME) ./internal/workload && \
 	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_LINT)' -benchmem -benchtime=$(BENCHTIME) ./internal/analysis && \
+	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_MM)' -benchmem -benchtime=$(BENCHTIME) ./internal/mm && \
 	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH)' -benchmem -benchtime=$(BENCHTIME) . ; } \
 	| tee /dev/stderr | ./bin/benchdiff -emit BENCH_$(BENCH_PR).json
 
@@ -133,6 +136,7 @@ benchcmp: bin/benchdiff
 	{ $(GO) test -run=NONE -bench='$(TRACKED_BENCH_SIM)' -benchmem -benchtime=10ms ./internal/sim && \
 	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_WORKLOAD)' -benchmem -benchtime=10ms ./internal/workload && \
 	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_LINT)' -benchmem -benchtime=10ms ./internal/analysis && \
+	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_MM)' -benchmem -benchtime=10ms ./internal/mm && \
 	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH)' -benchmem -benchtime=10ms . ; } \
 	| ./bin/benchdiff -emit bin/BENCH_head.json
 	./bin/benchdiff -threshold $(BENCHCMP_THRESHOLD) BENCH_$(BENCH_PR).json bin/BENCH_head.json

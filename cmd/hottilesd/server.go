@@ -139,9 +139,10 @@ type errBadMatrix struct{ err error }
 func (e errBadMatrix) Error() string { return e.err.Error() }
 func (e errBadMatrix) Unwrap() error { return e.err }
 
-// buildPlan runs the full pipeline for one upload: parse the matrix, run
-// scan → model → partition → format generation with ctx threaded through
-// the stage boundaries, and serialize the plan to its wire form.
+// buildPlan runs the full pipeline for one upload: parse the matrix (an
+// mm.parse span on the request's tree), run scan → model → partition →
+// format generation with ctx threaded through the stage boundaries, and
+// serialize the plan to its wire form.
 func (s *server) buildPlan(ctx context.Context, matrix []byte) ([]byte, error) {
 	if s.buildHook != nil {
 		s.buildHook()
@@ -149,7 +150,15 @@ func (s *server) buildPlan(ctx context.Context, matrix []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	sp := obs.CtxSpan(ctx).Start("mm.parse")
 	m, err := mm.Parse(matrix)
+	if sp != nil {
+		sp.SetAttr("chunks", strconv.Itoa(mm.Chunks(len(matrix))))
+		if err == nil {
+			sp.SetAttr("nnz", strconv.Itoa(m.NNZ()))
+		}
+	}
+	sp.End()
 	if err != nil {
 		return nil, errBadMatrix{err}
 	}

@@ -13,8 +13,10 @@ import (
 // an identical COO — except on the two documented divergences: inputs with
 // a line of 4 MiB or more (the reference's scanner limit) and inputs with
 // non-ASCII Unicode whitespace, where Parse may reject what the reference
-// accepts but never the reverse. Anything accepted must also round-trip
-// through Write/Read to an identical matrix.
+// accepts but never the reverse. The chunked scan at 1, 2, 3 and 7 pieces
+// must return Parse's matrix bit for bit, or its exact error text.
+// Anything accepted must also round-trip through Write/Read to an
+// identical matrix.
 func FuzzRead(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 2.5\n3 2 -1\n")
 	f.Add("%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n2 1\n")
@@ -32,10 +34,27 @@ func FuzzRead(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\r\n2 2 2\r\n+1\t2 nan\r\n2 1 -Inf extra\n")
 	f.Add("%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n3 1 0x1p-3\n4294967297 1 1\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n")
+	// Inputs whose outcome depends on more than one chunk: two bad lines
+	// (the lower-numbered one is reported), garbage and extra entries after
+	// the nnz-th, mirrors in a symmetric body, and a short body.
+	f.Add("%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 1\n2 x 1\n3 3 1\n1 y 2\n")
+	f.Add("%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n2 1 1\n3 1 2\n3 2 3\njunk\n9 9 9\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 5\n1 1 1\n\n% c\n2 2 2")
 
 	f.Fuzz(func(t *testing.T, input string) {
 		m, err := Parse([]byte(input))
 		ref, refErr := readReference(strings.NewReader(input))
+		for _, k := range []int{1, 2, 3, 7} {
+			mk, errk := parse([]byte(input), k)
+			switch {
+			case (errk == nil) != (err == nil):
+				t.Fatalf("%d chunks: err %v, Parse err %v", k, errk, err)
+			case err != nil && errk.Error() != err.Error():
+				t.Fatalf("%d chunks: error %q, Parse error %q", k, errk, err)
+			case err == nil && !identical(mk, m):
+				t.Fatalf("%d chunks: matrix differs from Parse's", k)
+			}
+		}
 		switch {
 		case hasLongLine(input):
 			// The reference's scanner limit; only Parse's own checks apply.

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"unsafe"
 
+	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -94,13 +95,51 @@ func Read(r io.Reader) (*sparse.COO, error) {
 // expanded to their full general form. Pattern matrices get value 1 for
 // every entry.
 //
-// The parse is one pass over data that allocates nothing per line: lines
-// and fields are sub-slices of data, indices are parsed inline, and each
-// value token reaches strconv.ParseFloat as a zero-copy string view, so
-// values are bit-exact. Whitespace is the ASCII set (space, \t, \v, \f,
-// \r); fields past the ones an entry needs, and lines after the nnz-th
-// entry, are ignored. Returned errors never alias data.
+// The parse allocates nothing per line: lines and fields are sub-slices
+// of data, indices are parsed inline, and each value token reaches
+// strconv.ParseFloat as a zero-copy string view, so values are bit-exact.
+// Whitespace is the ASCII set (space, \t, \v, \f, \r); fields past the
+// ones an entry needs, and lines after the nnz-th entry, are ignored.
+// Returned errors never alias data.
+//
+// The entry section is scanned in Chunks(len(data)) chunks on the par
+// pool. The result — matrix or error text — is the same for every chunk
+// count: see parse.
 func Parse(data []byte) (*sparse.COO, error) {
+	return parse(data, Chunks(len(data)))
+}
+
+// minChunk is the fewest input bytes per parse chunk: a smaller chunk
+// scans faster than the pool hands it out.
+const minChunk = 256 << 10
+
+// Chunks reports how many chunks Parse splits an input of size bytes into:
+// one per par worker, none under minChunk bytes. An input under twice
+// minChunk is one chunk, scanned on the calling goroutine.
+func Chunks(size int) int { return max(1, min(par.Workers(), size/minChunk)) }
+
+// parse is Parse with the entry section cut into k chunks at '\n'
+// boundaries. The steps:
+//
+//  1. Each chunk counts its lines on the pool. A chunk holds at most one
+//     entry per line, one per four bytes ("1 1\n"), and nnz in all, and
+//     twice as many nonzeros when symmetric; one allocation sized by the
+//     sum of these bounds gives every chunk its own window. A size line
+//     claiming more entries than the input can hold does not size it.
+//  2. Each chunk is scanned on the pool as if its first entry were entry
+//     0, stopping after nnz entries or at its first bad line.
+//  3. One serial pass in chunk order adds up the entry counts. The chunk
+//     holding the nnz-th entry or the lowest-numbered bad line is scanned
+//     again if entries precede it, now knowing its first entry's number,
+//     so it stops exactly at the nnz-th entry and numbers its error as a
+//     one-chunk parse would. Lines past the nnz-th entry, garbage
+//     included, are never reported.
+//  4. The windows are closed up in order and the matrix is sorted,
+//     deduplicated and validated.
+//
+// With k = 1 the first scan is already exact and nothing moves: that is
+// the serial parse.
+func parse(data []byte, k int) (*sparse.COO, error) {
 	sc := lineScanner{rest: data}
 	banner, ok := sc.next()
 	if !ok {
@@ -118,59 +157,169 @@ func Parse(data []byte) (*sparse.COO, error) {
 	if err != nil {
 		return nil, err
 	}
+	f := entryFormat{n: n, pattern: h.field == "pattern", symmetry: h.symmetry}
 
-	// An entry line takes at least four bytes ("1 1\n"), so a size line
-	// claiming more entries than the input can hold does not size the
-	// arrays.
-	capHint := min(nnz, len(sc.rest)/4+1)
-	if h.symmetry != General {
-		capHint *= 2
+	chunks := split(sc.rest, k)
+	// slots holds each chunk's line count until the bound below replaces it.
+	par.ForEach(len(chunks), func(i int) { chunks[i].slots = chunks[i].lines() })
+	mult := 1
+	if f.symmetry != General {
+		mult = 2 // a mirrored entry stores two nonzeros
 	}
-	pattern := h.field == "pattern"
-	m := sparse.NewCOO(n, capHint)
-	for read := 0; read < nnz; read++ {
-		line, ok := sc.nextContent()
-		if !ok {
-			return nil, fmt.Errorf("mm: expected %d entries, got %d: %w", nnz, read, io.ErrUnexpectedEOF)
-		}
-		rtok, rest := field(line)
-		ctok, rest := field(rest)
-		vtok, _ := field(rest)
-		if ctok == nil || (!pattern && vtok == nil) {
-			return nil, fmt.Errorf("mm: entry %d malformed: %q", read, line)
-		}
-		ri, rok := atoi(rtok)
-		ci, cok := atoi(ctok)
-		if !rok || !cok {
-			return nil, fmt.Errorf("mm: entry %d indices %q %q are not integers", read, rtok, ctok)
-		}
-		v := 1.0
-		if !pattern {
-			var perr error
-			if v, perr = strconv.ParseFloat(unsafe.String(&vtok[0], len(vtok)), 64); perr != nil {
-				return nil, fmt.Errorf("mm: entry %d value %q: %w", read, vtok, numCause(perr))
-			}
-		}
-		// MatrixMarket is 1-indexed.
-		if ri < 1 || ri > n || ci < 1 || ci > n {
-			return nil, fmt.Errorf("mm: entry %d (%d,%d) out of range for N=%d", read, ri, ci, n)
-		}
-		r0, c0 := int32(ri-1), int32(ci-1)
-		m.Append(r0, c0, v)
-		if h.symmetry != General && r0 != c0 {
-			mv := v
-			if h.symmetry == SkewSymmetric {
-				mv = -v
-			}
-			m.Append(c0, r0, mv)
-		}
+	total := 0
+	for i := range chunks {
+		c := &chunks[i]
+		c.base = total
+		c.slots = mult * min(c.slots, len(c.data)/4+1, nnz)
+		total += c.slots
 	}
+	rows := make([]int32, total)
+	cols := make([]int32, total)
+	vals := make([]float64, total)
+	for i := range chunks {
+		c := &chunks[i]
+		hi := c.base + c.slots
+		c.rows, c.cols, c.vals = rows[c.base:hi], cols[c.base:hi], vals[c.base:hi]
+	}
+
+	par.ForEach(len(chunks), func(i int) { chunks[i].scan(f, 0, nnz) })
+	got, stored := 0, 0
+	for i := 0; got < nnz && i < len(chunks); i++ {
+		c := &chunks[i]
+		if got > 0 && (c.err != nil || got+c.entries > nnz) {
+			c.scan(f, got, nnz-got)
+		}
+		if c.err != nil {
+			return nil, c.err
+		}
+		got += c.entries
+		if c.base != stored {
+			copy(rows[stored:], c.rows[:c.stored])
+			copy(cols[stored:], c.cols[:c.stored])
+			copy(vals[stored:], c.vals[:c.stored])
+		}
+		stored += c.stored
+	}
+	if got < nnz {
+		return nil, fmt.Errorf("mm: expected %d entries, got %d: %w", nnz, got, io.ErrUnexpectedEOF)
+	}
+	m := &sparse.COO{N: n, Rows: rows[:stored], Cols: cols[:stored], Vals: vals[:stored]}
 	m.SortRowMajor()
 	m.DedupSum()
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("mm: parsed matrix invalid: %w", err)
 	}
 	return m, nil
+}
+
+// entryFormat is what every chunk scan needs to read an entry line.
+type entryFormat struct {
+	n        int
+	pattern  bool
+	symmetry Symmetry
+}
+
+// chunk is one '\n'-aligned piece of the entry section, the window of the
+// matrix arrays its entries go to, and what scanning it found.
+type chunk struct {
+	data            []byte
+	base, slots     int // the window: [base, base+slots) of the arrays
+	rows, cols      []int32
+	vals            []float64
+	entries, stored int   // entries read; nonzeros written to the window
+	err             error // the first bad entry, if the scan met one
+}
+
+// split cuts body into k pieces, each ending just after a '\n' (the last
+// at the end of body), so the pieces' lines, in order, are body's lines.
+func split(body []byte, k int) []chunk {
+	chunks := make([]chunk, k)
+	start := 0
+	for i := range chunks {
+		end := len(body)
+		if i < k-1 {
+			end = max(start, (i+1)*len(body)/k)
+			if j := bytes.IndexByte(body[end:], '\n'); j >= 0 {
+				end += j + 1
+			} else {
+				end = len(body)
+			}
+		}
+		chunks[i].data = body[start:end]
+		start = end
+	}
+	return chunks
+}
+
+// lines counts the lines of c's piece; the last may lack its '\n'.
+func (c *chunk) lines() int {
+	l := bytes.Count(c.data, []byte{'\n'})
+	if len(c.data) > 0 && c.data[len(c.data)-1] != '\n' {
+		l++
+	}
+	return l
+}
+
+// scan reads c's lines as entries first, first+1, … into c's window,
+// stopping after limit entries or at the first bad line, whose error
+// (numbered from first) it records. The window holds every nonzero the
+// chunk can yield (see parse), so an index past it is a bug, and it panics
+// rather than writing into a neighbour's window.
+func (c *chunk) scan(f entryFormat, first, limit int) {
+	rows, cols, vals := c.rows, c.cols, c.vals
+	entries, stored := 0, 0
+	var err error
+	sc := lineScanner{rest: c.data}
+	for entries < limit {
+		line, ok := sc.nextContent()
+		if !ok {
+			break
+		}
+		var r, col int32
+		var v float64
+		if r, col, v, err = f.entry(line, first+entries); err != nil {
+			break
+		}
+		rows[stored], cols[stored], vals[stored] = r, col, v
+		stored++
+		if f.symmetry != General && r != col {
+			if f.symmetry == SkewSymmetric {
+				v = -v
+			}
+			rows[stored], cols[stored], vals[stored] = col, r, v
+			stored++
+		}
+		entries++
+	}
+	c.entries, c.stored, c.err = entries, stored, err
+}
+
+// entry parses one content line into a 0-based (row, col, value); idx
+// numbers the entry in the error.
+func (f entryFormat) entry(line []byte, idx int) (int32, int32, float64, error) {
+	rtok, rest := field(line)
+	ctok, rest := field(rest)
+	vtok, _ := field(rest)
+	if ctok == nil || (!f.pattern && vtok == nil) {
+		return 0, 0, 0, fmt.Errorf("mm: entry %d malformed: %q", idx, line)
+	}
+	ri, rok := atoi(rtok)
+	ci, cok := atoi(ctok)
+	if !rok || !cok {
+		return 0, 0, 0, fmt.Errorf("mm: entry %d indices %q %q are not integers", idx, rtok, ctok)
+	}
+	v := 1.0
+	if !f.pattern {
+		var perr error
+		if v, perr = strconv.ParseFloat(unsafe.String(&vtok[0], len(vtok)), 64); perr != nil {
+			return 0, 0, 0, fmt.Errorf("mm: entry %d value %q: %w", idx, vtok, numCause(perr))
+		}
+	}
+	// MatrixMarket is 1-indexed.
+	if ri < 1 || ri > f.n || ci < 1 || ci > f.n {
+		return 0, 0, 0, fmt.Errorf("mm: entry %d (%d,%d) out of range for N=%d", idx, ri, ci, f.n)
+	}
+	return int32(ri - 1), int32(ci - 1), v, nil
 }
 
 // parseSize reads the "rows cols nnz" line of a square matrix and returns

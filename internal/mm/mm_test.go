@@ -7,12 +7,16 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gen"
+	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -156,6 +160,148 @@ func sameCOO(a, b *sparse.COO) bool {
 		}
 	}
 	return true
+}
+
+// identical reports whether two matrices hold the same nonzeros bit for
+// bit (NaN payloads and the sign of zero included).
+func identical(a, b *sparse.COO) bool {
+	if a.N != b.N || !slices.Equal(a.Rows, b.Rows) || !slices.Equal(a.Cols, b.Cols) || len(a.Vals) != len(b.Vals) {
+		return false
+	}
+	for i := range a.Vals {
+		if math.Float64bits(a.Vals[i]) != math.Float64bits(b.Vals[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// parseEveryCut parses in as one chunk, then at every chunk count up to
+// len(in)+1 — enough that every line boundary of the body is a cut for
+// some count — and fails unless each result is the one-chunk matrix bit
+// for bit, or its exact error text. It returns the one-chunk result.
+func parseEveryCut(t *testing.T, in string) (*sparse.COO, error) {
+	t.Helper()
+	want, wantErr := parse([]byte(in), 1)
+	for k := 2; k <= len(in)+1; k++ {
+		got, err := parse([]byte(in), k)
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("%d chunks: err %v, one chunk: err %v", k, err, wantErr)
+		case err != nil && err.Error() != wantErr.Error():
+			t.Fatalf("%d chunks: error %q, one chunk: %q", k, err, wantErr)
+		case err == nil && !identical(got, want):
+			t.Fatalf("%d chunks: matrix differs from the one-chunk parse", k)
+		}
+	}
+	return want, wantErr
+}
+
+// TestParseChunkBoundaries pins the chunked scan on inputs whose outcome
+// spans chunks: each case parses identically at every chunk count, to the
+// outcome a serial line-by-line read gives.
+func TestParseChunkBoundaries(t *testing.T) {
+	const general = "%%MatrixMarket matrix coordinate real general\n"
+	cases := []struct {
+		name, in string
+		want     []entry // nil: the parse fails with err
+		err      string
+	}{
+		{
+			name: "two malformed lines, the lower entry is reported",
+			in:   general + "4 4 6\n1 1 1\n2 2 2\n3 x 3\n4 4 4\n1 2 5\n2 y 6\n",
+			err:  `mm: entry 2 indices "3" "x" are not integers`,
+		},
+		{
+			name: "bad value before a malformed line",
+			in:   general + "4 4 5\n1 1 1\n2 2 zz\n3 3 3\n4 4\n1 2 5\n",
+			err:  `mm: entry 1 value "zz": invalid syntax`,
+		},
+		{
+			name: "out of range in the last chunk",
+			in:   general + "4 4 4\n1 1 1\n2 2 2\n3 3 3\n9 4 4\n",
+			err:  "mm: entry 3 (9,4) out of range for N=4",
+		},
+		{
+			name: "garbage after the nnz-th entry spans the cut",
+			in:   general + "4 4 2\n1 1 1\n2 2 2\nnot an entry\n9 9 9\n% c\nx y z\n1\n",
+			want: []entry{{0, 0, 1}, {1, 1, 2}},
+		},
+		{
+			name: "valid entries after the nnz-th are dropped",
+			in:   general + "4 4 2\n1 1 1\n2 2 2\n3 3 3\n4 4 4\n1 1 5\n",
+			want: []entry{{0, 0, 1}, {1, 1, 2}},
+		},
+		{
+			name: "comment, blank and CRLF lines at the cuts",
+			in:   general + "3 3 3\r\n% c\r\n1 1 1\r\n\r\n\n% d\n  \t\n2 2 2\r\n%\n\r\n3 3 3\r\n% e\n",
+			want: []entry{{0, 0, 1}, {1, 1, 2}, {2, 2, 3}},
+		},
+		{
+			name: "last line without a newline",
+			in:   general + "3 3 3\n3 1 1\n1 2 2\n2 3 3",
+			want: []entry{{0, 1, 2}, {1, 2, 3}, {2, 0, 1}},
+		},
+		{
+			name: "symmetric mirrors straddle the cuts",
+			in:   "%%MatrixMarket matrix coordinate real symmetric\n3 3 4\n2 1 1\n3 3 2\n3 1 3\n3 2 4\n",
+			want: []entry{{0, 1, 1}, {0, 2, 3}, {1, 0, 1}, {1, 2, 4}, {2, 0, 3}, {2, 1, 4}, {2, 2, 2}},
+		},
+		{
+			name: "skew-symmetric mirrors and duplicates straddle the cuts",
+			in:   "%%MatrixMarket matrix coordinate real skew-symmetric\n3 3 4\n2 1 1\n3 2 2\n2 1 4\n3 1 8\n",
+			want: []entry{{0, 1, -5}, {0, 2, -8}, {1, 0, 5}, {1, 2, -2}, {2, 0, 8}, {2, 1, 2}},
+		},
+		{
+			name: "size line claims more entries than present",
+			in:   general + "3 3 9\n1 1 1\n% c\n2 2 2\n\n3 3 3\n",
+			err:  "mm: expected 9 entries, got 3: unexpected EOF",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := parseEveryCut(t, tc.in)
+			if tc.want == nil {
+				if err == nil || err.Error() != tc.err {
+					t.Fatalf("err %v, want %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.NNZ() != len(tc.want) {
+				t.Fatalf("nnz %d, want %d", m.NNZ(), len(tc.want))
+			}
+			for i, w := range tc.want {
+				if r, c, v := m.At(i); r != w.r || c != w.c || v != w.v {
+					t.Errorf("entry %d = (%d,%d,%g), want (%d,%d,%g)", i, r, c, v, w.r, w.c, w.v)
+				}
+			}
+		})
+	}
+}
+
+// TestParseChunksDaemonBody checks the chunked scan at bench scale: a
+// daemon-shaped body parses to the same matrix at every worker and chunk
+// count.
+func TestParseChunksDaemonBody(t *testing.T) {
+	data := daemonBody(t, "del", 256, 1)
+	want, err := parse(data, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 3, 8} {
+		func() {
+			defer par.SetWorkers(par.SetWorkers(w))
+			for _, k := range []int{2, 5, Chunks(len(data))} {
+				got, err := parse(data, k)
+				if err != nil || !identical(got, want) {
+					t.Fatalf("%d workers, %d chunks: err %v, or the matrix differs", w, k, err)
+				}
+			}
+		}()
+	}
 }
 
 func TestReadGeneral(t *testing.T) {
@@ -521,32 +667,110 @@ func TestSymmetryString(t *testing.T) {
 	}
 }
 
-// BenchmarkMMRead parses one internal/gen matrix per structural class —
-// community (pap), RMAT (kro), near-dense (myc), mesh (del) — at the
-// scales the serving benchmark uses, so ns/op and allocs/op here track the
-// MatrixMarket layer of a daemon plan build.
+// daemonBody renders gen class short at scale the way the repository
+// benchmark builds a POST /plan body: the base matrix in row-major order
+// followed by 64 random out-of-order entries, so the parse also pays for
+// the row-major sort. The entry lines are written repeat times (the
+// duplicates sum on parse).
+func daemonBody(tb testing.TB, short string, scale, repeat int) []byte {
+	bm, ok := gen.ByShort(short)
+	if !ok {
+		tb.Fatalf("no generator %q", short)
+	}
+	m := bm.Build(1, scale)
+	const extra = 64
+	var entries bytes.Buffer
+	for i := 0; i < m.NNZ(); i++ {
+		r, c, v := m.At(i)
+		fmt.Fprintf(&entries, "%d %d %.17g\n", r+1, c+1, v)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < extra; k++ {
+		fmt.Fprintf(&entries, "%d %d %g\n", rng.Intn(m.N)+1, rng.Intn(m.N)+1, rng.Float64()+0.5)
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n", m.N, m.N, repeat*(m.NNZ()+extra))
+	for k := 0; k < repeat; k++ {
+		b.Write(entries.Bytes())
+	}
+	return b.Bytes()
+}
+
+// TestParseAllocBudget pins the 2-worker parse of the repository
+// benchmark's first serving class (gen "pap" at scale 400 as a
+// daemon-shaped body: two chunks, and the row-major sort runs). Its
+// allocation count must not grow with the line count — the body with
+// every entry written twice costs the same — and its bytes stay within
+// the measured value plus a small margin, so chunk buffers cannot quietly
+// inflate parse memory. Measured on go1.24 linux/amd64: 70 allocs and
+// 4.98 MB per op.
+func TestParseAllocBudget(t *testing.T) {
+	const bytesBudget = 5_100_000
+	defer par.SetWorkers(par.SetWorkers(2))
+	measure := func(data []byte) (allocs, bytes float64) {
+		if k := Chunks(len(data)); k != 2 {
+			t.Fatalf("%d-byte body parses in %d chunks, want 2", len(data), k)
+		}
+		fn := func() {
+			if _, err := Parse(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const runs = 5
+		allocs = testing.AllocsPerRun(runs, fn)
+		// The sort's scatter buffer comes from a sync.Pool, which misses
+		// when a collection empties it or the goroutine changed Ps since
+		// the Put. The bytes are the steady state: the collector is off,
+		// and the least of three rounds discounts the remaining misses.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		bytes = math.Inf(1)
+		for round := 0; round < 3; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				fn()
+			}
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return allocs, bytes
+	}
+	once, b := measure(daemonBody(t, "pap", 400, 1))
+	twice, _ := measure(daemonBody(t, "pap", 400, 2))
+	t.Logf("2 workers: %.0f allocs/op, %.0f B/op; twice the entries: %.0f allocs/op", once, b, twice)
+	if twice > once+2 {
+		t.Errorf("parse allocations grow with input: %.0f allocs, %.0f for twice the entries", once, twice)
+	}
+	if !raceEnabled && b > bytesBudget {
+		t.Errorf("2-worker parse allocates %.0f B, budget %d", b, bytesBudget)
+	}
+}
+
+// BenchmarkMMRead parses one daemon-shaped body (daemonBody) per
+// structural class — community (pap), RMAT (kro), near-dense (myc), mesh
+// (del) — at the scales the serving benchmark uses, on one worker and on
+// the default pool, so ns/op and allocs/op here track the MatrixMarket
+// layer of a daemon plan build.
 func BenchmarkMMRead(b *testing.B) {
 	for _, c := range []struct {
 		short string
 		scale int
 	}{{"pap", 400}, {"kro", 256}, {"myc", 64}, {"del", 256}} {
-		bm, ok := gen.ByShort(c.short)
-		if !ok {
-			b.Fatalf("no generator %q", c.short)
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, bm.Build(1, c.scale)); err != nil {
-			b.Fatal(err)
-		}
-		data := buf.Bytes()
-		b.Run(c.short, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Read(bytes.NewReader(data)); err != nil {
-					b.Fatal(err)
+		data := daemonBody(b, c.short, c.scale, 1)
+		for _, w := range []struct {
+			name    string
+			workers int
+		}{{"serial", 1}, {"parallel", 0}} {
+			b.Run(c.short+"/"+w.name, func(b *testing.B) {
+				defer par.SetWorkers(par.SetWorkers(w.workers))
+				b.SetBytes(int64(len(data)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Read(bytes.NewReader(data)); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

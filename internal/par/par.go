@@ -130,11 +130,17 @@ func release() {
 // ForEach runs fn(i) for every i in [0, n), fanning out over the worker
 // pool. It returns once every call has completed. With a pool size of 1
 // (or no budget) the calls run on the calling goroutine in index order.
+// A single item with no timeline attached is a plain call, so a fan-out
+// that degenerates to one item allocates nothing of its own.
 func ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
 	tl := timeline.Load()
+	if n == 1 && tl == nil {
+		fn(0)
+		return
+	}
 	if tl != nil {
 		tl.Append(obs.Event{
 			TS: tl.Now(), Track: tl.TrackID(poolTrack), Name: -1,

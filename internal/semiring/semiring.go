@@ -51,13 +51,24 @@ const (
 // element. The explicit float64 conversion rounds the product before the
 // add, which forbids fused multiply-add (the Go spec allows fusing x*y + z
 // and arm64 does it): the result is bit-identical to the generic path on
-// every GOARCH.
+// every GOARCH. The loop is unrolled by four so that its speed does not
+// hang on where the linker places it: the one-element body is 27 bytes,
+// and placed across a 64-byte line it made a daemon GNN request ~12%
+// slower on a 2-core Xeon.
 //
 //hot:path
 func (s *Semiring) MulAddRow(out, in []float64, v float64) {
 	in = in[:len(out)]
 	if s.kind == plusTimes {
-		for x := range out {
+		x := 0
+		for ; x+4 <= len(out); x += 4 {
+			o, i := out[x:x+4:x+4], in[x:x+4:x+4]
+			o[0] += float64(v * i[0])
+			o[1] += float64(v * i[1])
+			o[2] += float64(v * i[2])
+			o[3] += float64(v * i[3])
+		}
+		for ; x < len(out); x++ {
 			out[x] += float64(v * in[x])
 		}
 		return

@@ -106,10 +106,16 @@ func TestMonoidLawsProperty(t *testing.T) {
 
 // TestRowKernelsMatchElementwise checks both row kernels of every stock
 // semiring against the element-wise Add/Mul definition, bit for bit,
-// including the non-finite values min-plus and max-plus start from.
+// including the non-finite values min-plus and max-plus start from, at
+// row lengths below, at and past the plus-times unroll width.
 func TestRowKernelsMatchElementwise(t *testing.T) {
+	for _, k := range []int{3, 4, 17} {
+		testRowKernels(t, k)
+	}
+}
+
+func testRowKernels(t *testing.T, k int) {
 	rng := rand.New(rand.NewSource(3))
-	const k = 17
 	in := make([]float64, k+3) // longer than out: the kernels read len(out)
 	base := make([]float64, k)
 	for i := range in {

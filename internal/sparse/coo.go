@@ -12,8 +12,11 @@ package sparse
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
+
+	"repro/internal/par"
 )
 
 // COO is a coordinate-format sparse matrix. Nonzeros are stored as parallel
@@ -71,13 +74,11 @@ func (m *COO) Clone() *COO {
 // traversal of the SPADE workers.
 //
 // The hot path packs (row, col, original index) into one uint64 key per
-// nonzero and sorts the keys with the non-reflective slices.Sort — the
-// index tiebreak makes the comparison a total order, so the resulting
-// permutation is exactly the stable (row, col) order the old
-// sort.Stable-based implementation produced, at a fraction of the cost
-// (matrix generation is dominated by this sort). Matrices too large for
-// the packing fall back to sorting an index permutation with the same
-// three-way comparator.
+// nonzero and radix-sorts the keys on the par pool (sortPacked) — the
+// index tiebreak makes the keys distinct, so the resulting permutation is
+// exactly the stable (row, col) order for every worker count. Matrices too
+// large for the packing fall back to sorting an index permutation with the
+// same three-way comparator.
 //
 //hot:path
 func (m *COO) SortRowMajor() {
@@ -85,28 +86,45 @@ func (m *COO) SortRowMajor() {
 		return
 	}
 	nnz := m.NNZ()
-	if nnz <= 1<<24 && coordsFit(m, 1<<20) {
-		// row:20 | col:20 | idx:24 — total order, stable by construction.
+	if nnz <= 1<<24 {
+		// row:20 | col:20 | idx:24 — total order, stable by construction,
+		// once the OR of every coordinate shows that each fits its field:
+		// the sort may run on not-yet-validated input (a malformed
+		// MatrixMarket file), where a coordinate can be anything.
 		keys := make([]uint64, nnz)
-		for i := 0; i < nnz; i++ {
-			keys[i] = uint64(m.Rows[i])<<44 | uint64(m.Cols[i])<<24 | uint64(i)
+		k := sortChunks(nnz)
+		ors := make([]int32, k)
+		eachChunk(nnz, k, func(c, lo, hi int) {
+			or := int32(0)
+			for i := lo; i < hi; i++ {
+				r, col := m.Rows[i], m.Cols[i]
+				or |= r | col
+				keys[i] = uint64(r)<<44 | uint64(col)<<24 | uint64(i)
+			}
+			ors[c] = or
+		})
+		or := int32(0)
+		for _, o := range ors {
+			or |= o
 		}
-		// The low 24 bits hold the append index, already ascending, so the
-		// stable LSD passes over those bytes are identity permutations the
-		// sort can skip outright (see sortUint64). The permutation is applied
-		// straight off the sorted keys — no materialized perm array.
-		sortUint64(keys, 3)
-		rows := make([]int32, nnz)
-		cols := make([]int32, nnz)
-		vals := make([]float64, nnz)
-		for i, k := range keys {
-			p := k & (1<<24 - 1)
-			rows[i] = m.Rows[p]
-			cols[i] = m.Cols[p]
-			vals[i] = m.Vals[p]
+		if or >= 0 && or < 1<<20 {
+			sortPacked(keys)
+			// Row and column come back out of the key; only the value is
+			// gathered through the permutation.
+			rows := make([]int32, nnz)
+			cols := make([]int32, nnz)
+			vals := make([]float64, nnz)
+			eachChunk(nnz, k, func(_, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					key := keys[i]
+					rows[i] = int32(key >> 44)
+					cols[i] = int32(key >> 24 & (1<<20 - 1))
+					vals[i] = m.Vals[key&(1<<24-1)]
+				}
+			})
+			m.Rows, m.Cols, m.Vals = rows, cols, vals
+			return
 		}
-		m.Rows, m.Cols, m.Vals = rows, cols, vals
-		return
 	}
 	perm := make([]int32, nnz)
 	for i := range perm {
@@ -125,20 +143,6 @@ func (m *COO) SortRowMajor() {
 	m.applyPerm(perm)
 }
 
-// coordsFit reports whether every coordinate lies in [0, limit) — the sort
-// may run on not-yet-validated input (e.g. a malformed MatrixMarket file),
-// and the packed-key path must not be taken when a coordinate would
-// overflow its bit field.
-//
-//hot:path
-func coordsFit(m *COO, limit int32) bool {
-	or := int32(0)
-	for i := range m.Rows {
-		or |= m.Rows[i] | m.Cols[i]
-	}
-	return or >= 0 && or < limit
-}
-
 // applyPerm reorders the nonzeros so position i holds old entry perm[i].
 //
 //hot:path
@@ -152,6 +156,105 @@ func (m *COO) applyPerm(perm []int32) {
 		vals[i] = m.Vals[p]
 	}
 	m.Rows, m.Cols, m.Vals = rows, cols, vals
+}
+
+// sortChunkMin is the fewest keys per chunk that the packed sort hands to
+// a pool worker: below it the fan-out costs more than the work it splits.
+const sortChunkMin = 1 << 15
+
+// sortChunks is the number of contiguous chunks the packed sort splits n
+// keys into: one per par worker, none under sortChunkMin keys.
+func sortChunks(n int) int { return max(1, min(par.Workers(), n/sortChunkMin)) }
+
+// eachChunk runs fn(c, lo, hi) for the k contiguous ranges [lo, hi) that
+// split [0, n) — on the calling goroutine when k is 1, else on the pool.
+func eachChunk(n, k int, fn func(c, lo, hi int)) {
+	if k == 1 {
+		fn(0, 0, n)
+		return
+	}
+	par.ForEach(k, func(c int) { fn(c, c*n/k, (c+1)*n/k) })
+}
+
+// sortPacked sorts packed (row:20 | col:20 | idx:24) keys ascending. The
+// low 24 bits must already ascend in slice order (they are the append
+// index), which lets every radix pass skip those bytes (see sortUint64).
+//
+// With one chunk (one worker, or fewer than 2·sortChunkMin keys) it is
+// sortUint64. Otherwise it makes one most-significant-digit pass on the
+// pool, on the highest byte any key occupies: per-chunk histograms, an
+// exclusive prefix sum in (bucket, chunk) order, and a scatter in which
+// each chunk writes its keys, in order, to its own run of every bucket.
+// The scatter is therefore stable, so each bucket's idx bytes still
+// ascend, and every bucket is then radix-sorted on the pool from byte 3,
+// as sortUint64 would, with its own range of keys as scratch. The keys
+// are distinct, so any correct sort yields the same sequence: the result
+// is identical for every worker count.
+//
+//hot:path
+func sortPacked(keys []uint64) {
+	n := len(keys)
+	k := sortChunks(n)
+	if k == 1 {
+		sortUint64(keys, 3)
+		return
+	}
+	ors := make([]uint64, k)
+	eachChunk(n, k, func(c, lo, hi int) {
+		or := uint64(0)
+		for _, v := range keys[lo:hi] {
+			or |= v
+		}
+		ors[c] = or
+	})
+	or := uint64(0)
+	for _, o := range ors {
+		or |= o
+	}
+	top := (bits.Len64(or) - 1) / 8
+	if top < 3 {
+		return // every row and column is 0: the keys are their idx, ascending
+	}
+	shift := uint(top * 8)
+	hist := make([][256]int, k)
+	eachChunk(n, k, func(c, lo, hi int) {
+		h := &hist[c]
+		for _, v := range keys[lo:hi] {
+			h[v>>shift&0xff]++
+		}
+	})
+	var start [257]int
+	sum := 0
+	for b := 0; b < 256; b++ {
+		start[b] = sum
+		for c := range hist {
+			cnt := hist[c][b]
+			hist[c][b] = sum
+			sum += cnt
+		}
+	}
+	start[256] = n
+	auxp := radixAux.Get().(*[]uint64)
+	if cap(*auxp) < n {
+		*auxp = make([]uint64, n)
+	}
+	aux := (*auxp)[:n]
+	eachChunk(n, k, func(c, lo, hi int) {
+		h := &hist[c]
+		for _, v := range keys[lo:hi] {
+			b := v >> shift & 0xff
+			aux[h[b]] = v
+			h[b]++
+		}
+	})
+	// The keys are all in aux now, so each bucket's range of keys is its
+	// radix scratch.
+	par.ForEach(256, func(b int) {
+		lo, hi := start[b], start[b+1]
+		radixSort(aux[lo:hi], keys[lo:hi], 3)
+	})
+	eachChunk(n, k, func(_, lo, hi int) { copy(keys[lo:hi], aux[lo:hi]) })
+	radixAux.Put(auxp)
 }
 
 // sortUint64 sorts s ascending by the bytes from fromByte (0 = full keys)
@@ -169,7 +272,6 @@ func (m *COO) applyPerm(perm []int32) {
 //
 //hot:path
 func sortUint64(s []uint64, fromByte int) {
-	const radixMin = 256
 	if len(s) < radixMin {
 		slices.Sort(s)
 		return
@@ -178,7 +280,22 @@ func sortUint64(s []uint64, fromByte int) {
 	if cap(*auxp) < len(s) {
 		*auxp = make([]uint64, len(s))
 	}
-	aux := (*auxp)[:len(s)]
+	radixSort(s, (*auxp)[:len(s)], fromByte)
+	radixAux.Put(auxp)
+}
+
+// radixMin is the length below which the comparison sort beats radix.
+const radixMin = 256
+
+// radixSort is sortUint64 with a caller-supplied scratch buffer aux of
+// len(s); the sorted keys end in s.
+//
+//hot:path
+func radixSort(s, aux []uint64, fromByte int) {
+	if len(s) < radixMin {
+		slices.Sort(s)
+		return
+	}
 	var count [8][256]int
 	if fromByte == 3 { // packed (row, col, idx) keys: idx bytes pre-sorted
 		for _, v := range s {
@@ -224,13 +341,13 @@ func sortUint64(s []uint64, fromByte int) {
 	if &from[0] != &s[0] {
 		copy(s, from)
 	}
-	radixAux.Put(auxp)
 }
 
-// radixAux pools sortUint64's scatter buffer: sweeps radix-sort many
-// matrices back to back, and every executed pass scatters a full
-// permutation into the buffer before anything reads it, so reuse (including
-// stale contents) is invisible to the result.
+// radixAux pools the scatter buffer of sortUint64 and of sortPacked's
+// MSD pass: sweeps radix-sort many matrices back to back, and every
+// executed pass scatters a full permutation into the buffer before
+// anything reads it, so reuse (including stale contents) is invisible to
+// the result.
 var radixAux = sync.Pool{New: func() any { return new([]uint64) }}
 
 // IsRowMajor reports whether the nonzeros are sorted by (row, col).

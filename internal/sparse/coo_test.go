@@ -2,10 +2,13 @@ package sparse
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/par"
 )
 
 func mkCOO(t *testing.T, n int, trip [][3]int) *COO {
@@ -284,5 +287,77 @@ func TestClone(t *testing.T) {
 	c.Rows[0] = 2
 	if m.Vals[0] != 1 || m.Rows[0] != 0 {
 		t.Fatal("clone aliases original storage")
+	}
+}
+
+// serialRowMajor is the one-chunk packed sort SortRowMajor ran before it
+// went parallel: build the keys, sortUint64 them, gather through the
+// permutation. It is the oracle for the pool-parallel path.
+func serialRowMajor(m *COO) *COO {
+	keys := make([]uint64, m.NNZ())
+	for i := range keys {
+		keys[i] = uint64(m.Rows[i])<<44 | uint64(m.Cols[i])<<24 | uint64(i)
+	}
+	sortUint64(keys, 3)
+	out := NewCOO(m.N, len(keys))
+	for _, k := range keys {
+		p := k & (1<<24 - 1)
+		out.Append(m.Rows[p], m.Cols[p], m.Vals[p])
+	}
+	return out
+}
+
+// TestSortRowMajorParallelMatchesSerial pins the pool-parallel packed sort
+// (one MSD pass, then sortUint64 per bucket) to the serial sortUint64
+// result at 1, 2 and 5 workers, on inputs large enough to split into five
+// chunks: random coordinates with heavy duplication, coordinates that all
+// fall in one MSD bucket, and coordinates spread over the full 2^20 range.
+func TestSortRowMajorParallelMatchesSerial(t *testing.T) {
+	const nnz = 6 * sortChunkMin
+	inputs := map[string]func(rng *rand.Rand) (n int, r, c int32){
+		"duplicates": func(rng *rand.Rand) (int, int32, int32) {
+			return 64, int32(rng.Intn(64)), int32(rng.Intn(64))
+		},
+		"one bucket": func(rng *rand.Rand) (int, int32, int32) {
+			return 60000, 5, int32(rng.Intn(60000))
+		},
+		"full range": func(rng *rand.Rand) (int, int32, int32) {
+			return 1 << 20, int32(rng.Intn(1 << 20)), int32(rng.Intn(1 << 20))
+		},
+	}
+	for name, draw := range inputs {
+		rng := rand.New(rand.NewSource(11))
+		n, _, _ := draw(rng)
+		m := NewCOO(n, nnz)
+		for i := 0; i < nnz; i++ {
+			_, r, c := draw(rng)
+			m.Append(r, c, float64(i))
+		}
+		want := serialRowMajor(m)
+		for _, w := range []int{1, 2, 5} {
+			func() {
+				defer par.SetWorkers(par.SetWorkers(w))
+				got := m.Clone()
+				got.SortRowMajor()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, %d workers: parallel sort differs from the serial sortUint64 order", name, w)
+				}
+			}()
+		}
+	}
+}
+
+// TestSortPackedIdxOnly covers keys whose rows and columns are all zero:
+// no byte above the index is occupied, so the keys are already sorted.
+func TestSortPackedIdxOnly(t *testing.T) {
+	defer par.SetWorkers(par.SetWorkers(2))
+	keys := make([]uint64, 3*sortChunkMin)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	want := slices.Clone(keys)
+	sortPacked(keys)
+	if !slices.Equal(keys, want) {
+		t.Fatal("sortPacked reordered keys that were already ascending")
 	}
 }

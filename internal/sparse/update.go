@@ -55,7 +55,7 @@ func (m *COO) ApplyEdits(edits []Edit) error {
 		for i, e := range edits {
 			keys[i] = uint64(e.Row)<<44 | uint64(e.Col)<<24 | uint64(i)
 		}
-		sortUint64(keys, 3) // the idx bytes are already ascending
+		sortPacked(keys) // the idx bytes are already ascending
 		for _, k := range keys {
 			keep(int(k & (1<<24 - 1)))
 		}
