@@ -101,8 +101,12 @@ BENCH_PR ?= 9
 # baselines are measured on an otherwise idle machine with a few seconds
 # per benchmark; short-sample runs of the ~100ms studies are noise-bound.
 BENCHTIME ?= 3s
-TRACKED_BENCH = BenchmarkExperimentsFanout|BenchmarkTilePartition|BenchmarkModelEstimateGrid|BenchmarkSimulateHeterogeneous|BenchmarkPartitionHotTiles|BenchmarkSpMMParallel
-TRACKED_BENCH_SIM = BenchmarkEngine|BenchmarkWaterfill|BenchmarkRunnerReuse|BenchmarkColdPool
+TRACKED_BENCH_ROOT = BenchmarkExperimentsFanout|BenchmarkTilePartition|BenchmarkSimulateHeterogeneous|BenchmarkSpMMParallel
+TRACKED_BENCH_ROOT_FAST = BenchmarkModelEstimateGrid|BenchmarkPartitionHotTiles
+TRACKED_BENCH = $(TRACKED_BENCH_ROOT)|$(TRACKED_BENCH_ROOT_FAST)
+TRACKED_BENCH_SIM_SLOW = BenchmarkEngine|BenchmarkColdPool
+TRACKED_BENCH_SIM_FAST = BenchmarkWaterfill|BenchmarkRunnerReuse
+TRACKED_BENCH_SIM = $(TRACKED_BENCH_SIM_SLOW)|$(TRACKED_BENCH_SIM_FAST)
 TRACKED_BENCH_WORKLOAD = BenchmarkGNNForward|BenchmarkEvolveReplan|BenchmarkEvolveSweep
 TRACKED_BENCH_LINT = BenchmarkLintSuite
 TRACKED_BENCH_MM = BenchmarkMMRead
@@ -126,18 +130,35 @@ benchsmoke:
 
 # benchcmp guards the perf trajectory inside `make ci`: it re-runs the
 # tracked benchmarks briefly and compares against the committed
-# BENCH_$(BENCH_PR).json baseline. The short -benchtime keeps the gate
-# cheap, so the threshold is deliberately generous — this catches
-# order-of-magnitude regressions and zero-alloc benchmarks that started
-# allocating, not percent-level drift (use `make bench` + bin/benchdiff for
-# the precise comparison before updating the baseline).
+# BENCH_$(BENCH_PR).json baseline. The short runs keep the gate cheap, so
+# the threshold is deliberately generous — this catches order-of-magnitude
+# regressions and zero-alloc benchmarks that started allocating, not
+# percent-level drift (use `make bench` + bin/benchdiff for the precise
+# comparison before updating the baseline).
+#
+# Each line runs a fixed iteration count (-benchtime=Nx), not a duration:
+# a 10ms budget gives a ~10ms benchmark one iteration, where set-up cost
+# and a cold cache decide ns/op and allocs/op. The benchmarks are grouped
+# by cost per op, and each group's N keeps its line near two seconds on a
+# 2-core host while amortizing first-iteration set-up (a cache build, a
+# cold heap) below a few percent of ns/op:
+#   5000  sim micro-benchmarks under ~50µs (waterfill, runner reuse; the
+#         unit-cache row pays a ~5ms first iteration)
+#   200   sim engine and cold-pool runs (~1–2ms) and the two root
+#         benchmarks under ~3ms (model estimate, partition)
+#   10    workload sweeps (~10–120ms), the eight MatrixMarket parses
+#         (~20–50ms) and the root pipeline (tiling, simulation, SpMM and
+#         the ~110ms experiment fan-out)
+#   5     the lint suite (~90ms over the whole module)
 BENCHCMP_THRESHOLD ?= 4.0
 benchcmp: bin/benchdiff
-	{ $(GO) test -run=NONE -bench='$(TRACKED_BENCH_SIM)' -benchmem -benchtime=10ms ./internal/sim && \
-	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_WORKLOAD)' -benchmem -benchtime=10ms ./internal/workload && \
-	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_LINT)' -benchmem -benchtime=10ms ./internal/analysis && \
-	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_MM)' -benchmem -benchtime=10ms ./internal/mm && \
-	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH)' -benchmem -benchtime=10ms . ; } \
+	{ $(GO) test -run=NONE -bench='$(TRACKED_BENCH_SIM_FAST)' -benchmem -benchtime=5000x ./internal/sim && \
+	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_SIM_SLOW)' -benchmem -benchtime=200x ./internal/sim && \
+	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_WORKLOAD)' -benchmem -benchtime=10x ./internal/workload && \
+	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_LINT)' -benchmem -benchtime=5x ./internal/analysis && \
+	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_MM)' -benchmem -benchtime=10x ./internal/mm && \
+	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_ROOT)' -benchmem -benchtime=10x . && \
+	  $(GO) test -run=NONE -bench='$(TRACKED_BENCH_ROOT_FAST)' -benchmem -benchtime=200x . ; } \
 	| ./bin/benchdiff -emit bin/BENCH_head.json
 	./bin/benchdiff -threshold $(BENCHCMP_THRESHOLD) BENCH_$(BENCH_PR).json bin/BENCH_head.json
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/dense"
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -280,32 +279,6 @@ func (e *Env) exec(a arch.Arch, b gen.Benchmark, strat string, opsPerMAC float64
 func homogeneous(es *partition.Estimates, cfg *partition.Config, hot []bool) (partition.Result, error) {
 	pred, tot, err := partition.PredictFrom(es, cfg, hot, false)
 	return partition.Result{Hot: hot, Predicted: pred, Totals: tot}, err
-}
-
-// Verify functionally executes benchmark b's HotTiles partitioning on
-// architecture a and compares against the reference kernel, returning the
-// max absolute error. It backs the repository-wide correctness invariant.
-func (e *Env) Verify(a arch.Arch, b gen.Benchmark) (float64, error) {
-	a.TileH, a.TileW = e.TileSize(), e.TileSize()
-	m := e.Matrix(b)
-	g, err := e.Grid(b, a.TileH)
-	if err != nil {
-		return 0, err
-	}
-	part, err := partition.HotTiles(g, a.Config(2))
-	if err != nil {
-		return 0, err
-	}
-	din := dense.NewFilled(m.N, a.K, 1)
-	r, err := sim.Run(g, part.Hot, &a, din, sim.Options{Serial: part.Serial})
-	if err != nil {
-		return 0, err
-	}
-	want := dense.NewMatrix(m.N, a.K)
-	if err := dense.SpMM(m, din, want); err != nil {
-		return 0, err
-	}
-	return r.Output.MaxAbsDiff(want)
 }
 
 // geomean returns the geometric mean of positive values.

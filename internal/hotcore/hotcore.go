@@ -258,56 +258,59 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 
 // coldSection gathers the nonzeros of the non-hot tiles in row-major
 // order (the untiled traversal of Figure 6(a)): as CSR when csr is set,
-// else as COO. One counting pass over the cold rows sizes every row, and
-// one scatter in tile order places each nonzero. The grid is sorted by
-// (panel, tile column, row, col) and a row lives in one panel, whose tiles
-// cover ascending, disjoint column ranges, so each row's columns arrive
-// ascending: the order a stable row-major sort of the same nonzeros gives,
-// without the sort.
+// else as COO. It is one stable scatter by row (sparse.Scatter, DESIGN.md
+// §9) over the grid's tile-ordered nonzeros, whose chunks walk their tiles
+// and skip the hot ones. Ordering argument: the grid is sorted by (panel,
+// tile column, row, col) and a row lives in one panel, whose tiles cover
+// ascending, disjoint column ranges, so each row's columns arrive
+// ascending: the order a stable row-major sort of the same nonzeros
+// gives, without the sort.
 func coldSection(g *tile.Grid, hot []bool, csr bool) (*sparse.COO, *sparse.CSR) {
-	// ptr[r+1] counts row r; after the prefix sum ptr[r] is row r's first
-	// slot, and the scatter advances it to row r's end.
-	ptr := make([]int64, g.N+1)
+	nnz := 0
 	for i := range g.Tiles {
 		if !hot[i] {
-			t := &g.Tiles[i]
-			for _, r := range g.Rows[t.Start:t.End] {
-				ptr[r+1]++
-			}
+			nnz += g.Tiles[i].NNZ()
 		}
 	}
-	for r := 0; r < g.N; r++ {
-		ptr[r+1] += ptr[r]
-	}
-	nnz := ptr[g.N]
 	var rows []int32
 	if !csr {
 		rows = make([]int32, nnz)
 	}
 	cols := make([]int32, nnz)
 	vals := make([]float64, nnz)
-	for i := range g.Tiles {
-		if hot[i] {
-			continue
-		}
-		t := &g.Tiles[i]
-		for j := t.Start; j < t.End; j++ {
-			r := g.Rows[j]
-			o := ptr[r]
-			ptr[r] = o + 1
-			if rows != nil {
-				rows[o] = r
+	// The row ids are in range on a built or validated grid: no error.
+	ptr, _ := sparse.Scatter(g.NNZ(), g.N, func(lo, hi int, hist []int64) error {
+		for ti := g.TileOf(lo); lo < hi; ti++ {
+			end := min(g.Tiles[ti].End, hi)
+			if !hot[ti] {
+				for _, r := range g.Rows[lo:end] {
+					hist[r]++
+				}
 			}
-			cols[o] = g.Cols[j]
-			vals[o] = g.Vals[j]
+			lo = end
 		}
-	}
+		return nil
+	}, func(lo, hi int, next []int64) {
+		for ti := g.TileOf(lo); lo < hi; ti++ {
+			end := min(g.Tiles[ti].End, hi)
+			if !hot[ti] {
+				for j := lo; j < end; j++ {
+					r := g.Rows[j]
+					o := next[r]
+					next[r]++
+					if rows != nil {
+						rows[o] = r
+					}
+					cols[o] = g.Cols[j]
+					vals[o] = g.Vals[j]
+				}
+			}
+			lo = end
+		}
+	})
 	if !csr {
 		return &sparse.COO{N: g.N, Rows: rows, Cols: cols, Vals: vals}, nil
 	}
-	// Each ptr[r] now holds row r's end: shift back to row starts.
-	copy(ptr[1:], ptr[:g.N])
-	ptr[0] = 0
 	return nil, &sparse.CSR{N: g.N, RowPtr: ptr, Cols: cols, Vals: vals}
 }
 

@@ -2,10 +2,12 @@ package hotcore
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/par"
 	"repro/internal/sparse"
 	"repro/internal/tile"
 )
@@ -29,13 +31,19 @@ func coldSectionSorted(g *tile.Grid, hot []bool) *sparse.COO {
 }
 
 // sectionGrids tiles every internal/gen benchmark mimic at a small scale,
-// with power-of-two and odd tile sizes, and pairs each grid with a random
-// assignment plus the all-hot and all-cold ones.
+// plus one mimic at a scale whose nonzeros the cold-section scatter splits
+// into chunks, with power-of-two and odd tile sizes, and pairs each grid
+// with a random assignment plus the all-hot and all-cold ones.
 func sectionGrids(t *testing.T) (grids []*tile.Grid, hots [][]bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(71))
+	ms := make([]*sparse.COO, 0, len(gen.Benchmarks())+1)
 	for i, b := range gen.Benchmarks() {
-		m := b.Build(int64(72+i), 4096)
+		ms = append(ms, b.Build(int64(72+i), 4096))
+	}
+	pap, _ := gen.ByShort("pap")
+	ms = append(ms, pap.Build(1, 400))
+	for _, m := range ms {
 		for _, ts := range [][2]int{{64, 64}, {48, 80}} {
 			g, err := tile.Partition(m, ts[0], ts[1])
 			if err != nil {
@@ -74,6 +82,27 @@ func TestColdSectionMatchesSortOracle(t *testing.T) {
 		if noCOO != nil || csr.N != wantCSR.N || !slices.Equal(csr.RowPtr, wantCSR.RowPtr) ||
 			!slices.Equal(csr.Cols, wantCSR.Cols) || !slices.Equal(csr.Vals, wantCSR.Vals) {
 			t.Fatalf("grid %d: CSR cold section differs from the sorted oracle", i)
+		}
+	}
+}
+
+// TestColdSectionSameAtEveryWorkerCount pins the chunked cold-section
+// scatter to its one-worker result at 2 and 5 workers, in both formats.
+func TestColdSectionSameAtEveryWorkerCount(t *testing.T) {
+	build := func(w int, g *tile.Grid, hot []bool, csr bool) (*sparse.COO, *sparse.CSR) {
+		defer par.SetWorkers(par.SetWorkers(w))
+		return coldSection(g, hot, csr)
+	}
+	grids, hots := sectionGrids(t)
+	for i, g := range grids {
+		for _, csr := range []bool{false, true} {
+			wantCOO, wantCSR := build(1, g, hots[i], csr)
+			for _, w := range []int{2, 5} {
+				coo, c := build(w, g, hots[i], csr)
+				if !reflect.DeepEqual(coo, wantCOO) || !reflect.DeepEqual(c, wantCSR) {
+					t.Fatalf("grid %d, csr %v, %d workers: cold section differs from one worker", i, csr, w)
+				}
+			}
 		}
 	}
 }

@@ -46,16 +46,6 @@ func (u *unit) addPhase(p phase) {
 	u.nph++
 }
 
-// unitOf builds a unit from its phases — construction-side convenience for
-// the builders and tests.
-func unitOf(flops float64, phs ...phase) unit {
-	u := unit{flops: flops}
-	for _, p := range phs {
-		u.addPhase(p)
-	}
-	return u
-}
-
 // pool is a set of identical workers self-scheduling from a shared unit
 // queue.
 type pool struct {
@@ -254,17 +244,6 @@ func (e *engine) reset(pools []*pool, totalBW float64) error {
 		}
 	}
 	return nil
-}
-
-// runEngine simulates the pools sharing totalBW of memory bandwidth and
-// returns the makespan plus per-pool statistics.
-func runEngine(pools []*pool, totalBW float64) (float64, []poolStats, error) {
-	return runEngineObserved(pools, totalBW, nil, nil)
-}
-
-// runEngineTraced is runEngine with an optional bandwidth-timeline tracer.
-func runEngineTraced(pools []*pool, totalBW float64, tr *tracer) (float64, []poolStats, error) {
-	return runEngineObserved(pools, totalBW, tr, nil)
 }
 
 // runEngineObserved is the full-observability entry point: tr records the

@@ -5,6 +5,27 @@ import (
 	"testing"
 )
 
+// unitOf builds a unit from its phases — construction-side convenience for
+// the engine tests.
+func unitOf(flops float64, phs ...phase) unit {
+	u := unit{flops: flops}
+	for _, p := range phs {
+		u.addPhase(p)
+	}
+	return u
+}
+
+// runEngine simulates the pools sharing totalBW of memory bandwidth and
+// returns the makespan plus per-pool statistics.
+func runEngine(pools []*pool, totalBW float64) (float64, []poolStats, error) {
+	return runEngineObserved(pools, totalBW, nil, nil)
+}
+
+// runEngineTraced is runEngine with an optional bandwidth-timeline tracer.
+func runEngineTraced(pools []*pool, totalBW float64, tr *tracer) (float64, []poolStats, error) {
+	return runEngineObserved(pools, totalBW, tr, nil)
+}
+
 func TestEngineSingleWorkerComputeBound(t *testing.T) {
 	p := &pool{name: "p", workers: 1, perWorkerBW: math.Inf(1)}
 	p.units = []unit{unitOf(42, phase{compute: 2e-3, bytes: 1e3})}

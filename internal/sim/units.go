@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/arch"
 	"repro/internal/model"
@@ -239,10 +240,7 @@ func buildColdPoolInto(p *pool, s *coldScratch, g *tile.Grid, hot []bool, a *arc
 	// the two agree exactly).
 	chunkShift := -1
 	if chunkRows&(chunkRows-1) == 0 {
-		for s := chunkRows; s > 1; s >>= 1 {
-			chunkShift++
-		}
-		chunkShift++
+		chunkShift = bits.TrailingZeros(uint(chunkRows))
 	}
 	var lineBuf, lineBuf2 []uint64
 	if s != nil {
@@ -350,13 +348,4 @@ func buildColdPoolInto(p *pool, s *coldScratch, g *tile.Grid, hot []bool, a *arc
 	if s != nil {
 		s.lineBuf, s.lineBuf2 = lineBuf, lineBuf2
 	}
-}
-
-// accessOrFull runs a cached access when a cache exists, else charges the
-// full size.
-func accessOrFull(c *cache, addr uint64, n int) int {
-	if c == nil {
-		return n
-	}
-	return c.accessRange(addr, n)
 }

@@ -158,34 +158,14 @@ func (m *COO) applyPerm(perm []int32) {
 	m.Rows, m.Cols, m.Vals = rows, cols, vals
 }
 
-// sortChunkMin is the fewest keys per chunk that the packed sort hands to
-// a pool worker: below it the fan-out costs more than the work it splits.
-const sortChunkMin = 1 << 15
-
-// sortChunks is the number of contiguous chunks the packed sort splits n
-// keys into: one per par worker, none under sortChunkMin keys.
-func sortChunks(n int) int { return max(1, min(par.Workers(), n/sortChunkMin)) }
-
-// eachChunk runs fn(c, lo, hi) for the k contiguous ranges [lo, hi) that
-// split [0, n) — on the calling goroutine when k is 1, else on the pool.
-func eachChunk(n, k int, fn func(c, lo, hi int)) {
-	if k == 1 {
-		fn(0, 0, n)
-		return
-	}
-	par.ForEach(k, func(c int) { fn(c, c*n/k, (c+1)*n/k) })
-}
-
 // sortPacked sorts packed (row:20 | col:20 | idx:24) keys ascending. The
 // low 24 bits must already ascend in slice order (they are the append
 // index), which lets every radix pass skip those bytes (see sortUint64).
 //
 // With one chunk (one worker, or fewer than 2·sortChunkMin keys) it is
 // sortUint64. Otherwise it makes one most-significant-digit pass on the
-// pool, on the highest byte any key occupies: per-chunk histograms, an
-// exclusive prefix sum in (bucket, chunk) order, and a scatter in which
-// each chunk writes its keys, in order, to its own run of every bucket.
-// The scatter is therefore stable, so each bucket's idx bytes still
+// pool, on the highest byte any key occupies, through scatter. The
+// scatter is stable (see Scatter), so each bucket's idx bytes still
 // ascend, and every bucket is then radix-sorted on the pool from byte 3,
 // as sortUint64 would, with its own range of keys as scratch. The keys
 // are distinct, so any correct sort yields the same sequence: the result
@@ -216,35 +196,21 @@ func sortPacked(keys []uint64) {
 		return // every row and column is 0: the keys are their idx, ascending
 	}
 	shift := uint(top * 8)
-	hist := make([][256]int, k)
-	eachChunk(n, k, func(c, lo, hi int) {
-		h := &hist[c]
-		for _, v := range keys[lo:hi] {
-			h[v>>shift&0xff]++
-		}
-	})
-	var start [257]int
-	sum := 0
-	for b := 0; b < 256; b++ {
-		start[b] = sum
-		for c := range hist {
-			cnt := hist[c][b]
-			hist[c][b] = sum
-			sum += cnt
-		}
-	}
-	start[256] = n
 	auxp := radixAux.Get().(*[]uint64)
 	if cap(*auxp) < n {
 		*auxp = make([]uint64, n)
 	}
 	aux := (*auxp)[:n]
-	eachChunk(n, k, func(c, lo, hi int) {
-		h := &hist[c]
+	start, _ := scatter(n, 256, k, func(lo, hi int, hist []int64) error {
+		for _, v := range keys[lo:hi] {
+			hist[v>>shift&0xff]++
+		}
+		return nil
+	}, func(lo, hi int, next []int64) {
 		for _, v := range keys[lo:hi] {
 			b := v >> shift & 0xff
-			aux[h[b]] = v
-			h[b]++
+			aux[next[b]] = v
+			next[b]++
 		}
 	})
 	// The keys are all in aux now, so each bucket's range of keys is its

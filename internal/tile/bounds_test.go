@@ -1,8 +1,10 @@
 package tile
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,13 +42,29 @@ func TestPartitionRejectsOutOfBoundsCoords(t *testing.T) {
 }
 
 // TestPartitionParallelMatchesSerial pins the determinism contract of the
-// parallel per-tile stat pass: the grid built with the worker pool enabled
-// is deeply identical to the serial build.
+// parallel scatter and per-tile stat passes: the grid built with the
+// worker pool enabled is deeply identical to the serial build. The inputs
+// cover the divide path (32×48 tiles), the shift path (32×32), a tile
+// side at least N (one tile column), and matrices of more than
+// 2·32,768 nonzeros, which the scatter splits into chunks.
 func TestPartitionParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	type input struct{ n, nnz, th, tw int }
+	var inputs []input
 	for trial := 0; trial < 5; trial++ {
 		n := 50 + rng.Intn(200)
-		nnz := rng.Intn(6 * n)
+		inputs = append(inputs, input{n, rng.Intn(6 * n), 32, 48})
+	}
+	inputs = append(inputs,
+		input{200, 1000, 32, 32},
+		input{200, 1000, 16, 200},
+		input{300, 900, 512, 512},
+		input{3000, 5*32768 + 17, 32, 32},
+		input{3000, 2*32768 + 1, 96, 80},
+		input{3000, 3 * 32768, 64, 4096},
+	)
+	for trial, in := range inputs {
+		n, nnz := in.n, in.nnz
 		m := sparse.NewCOO(n, nnz)
 		for i := 0; i < nnz; i++ {
 			m.Append(int32(rng.Intn(n)), int32(rng.Intn(n)), rng.Float64())
@@ -57,11 +75,11 @@ func TestPartitionParallelMatchesSerial(t *testing.T) {
 		var serr, perr error
 		func() {
 			defer par.SetWorkers(par.SetWorkers(1))
-			serial, serr = Partition(m, 32, 48)
+			serial, serr = Partition(m, in.th, in.tw)
 		}()
 		func() {
 			defer par.SetWorkers(par.SetWorkers(8))
-			parallel, perr = Partition(m, 32, 48)
+			parallel, perr = Partition(m, in.th, in.tw)
 		}()
 		if serr != nil || perr != nil {
 			t.Fatalf("trial %d: serial err %v, parallel err %v", trial, serr, perr)
@@ -69,5 +87,70 @@ func TestPartitionParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("trial %d: parallel grid differs from serial", trial)
 		}
+	}
+}
+
+// TestPartitionReportsLowestOutOfBounds places out-of-bounds nonzeros in
+// two different scatter chunks and checks that the lower index is the one
+// reported, with the serial message, at every worker count.
+func TestPartitionReportsLowestOutOfBounds(t *testing.T) {
+	const n, nnz = 1000, 4 * 32768
+	rng := rand.New(rand.NewSource(9))
+	m := sparse.NewCOO(n, nnz)
+	for i := 0; i < nnz; i++ {
+		m.Append(int32(rng.Intn(n)), int32(rng.Intn(n)), 1)
+	}
+	m.SortRowMajor()
+	// The last chunk and, at 2 and 4 workers, an earlier one.
+	m.Cols[nnz-10] = n + 5
+	m.Rows[nnz/4+3] = -2
+	want := fmt.Sprintf("tile: nonzero %d at (-2, %d) outside the 1000x1000 matrix", nnz/4+3, m.Cols[nnz/4+3])
+	for _, w := range []int{1, 2, 4} {
+		func() {
+			defer par.SetWorkers(par.SetWorkers(w))
+			if _, err := Partition(m, 32, 32); err == nil || err.Error() != want {
+				t.Fatalf("%d workers: error %v, want %q", w, err, want)
+			}
+		}()
+	}
+}
+
+// TestRowMajorMatchesSort pins the scatter-built row-major view to
+// slices.Sort of the packed keys at 1, 2 and 5 workers, on a matrix large
+// enough to split into five chunks, and checks that every key's tile holds
+// it.
+func TestRowMajorMatchesSort(t *testing.T) {
+	const n, nnz = 2000, 5*32768 + 100
+	rng := rand.New(rand.NewSource(13))
+	m := sparse.NewCOO(n, nnz)
+	for i := 0; i < nnz; i++ {
+		m.Append(int32(rng.Intn(n)), int32(rng.Intn(n)), 1)
+	}
+	m.SortRowMajor()
+	m.DedupSum()
+	for _, w := range []int{1, 2, 5} {
+		func() {
+			defer par.SetWorkers(par.SetWorkers(w))
+			g, err := Partition(m, 64, 96)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]uint64, g.NNZ())
+			for j := range want {
+				want[j] = uint64(g.Rows[j])<<32 | uint64(g.Cols[j])
+			}
+			slices.Sort(want)
+			keys, tileOf := g.RowMajor()
+			if !slices.Equal(keys, want) {
+				t.Fatalf("%d workers: RowMajor differs from the sorted packed keys", w)
+			}
+			for j, key := range keys {
+				tl := &g.Tiles[tileOf[j]]
+				if int(key>>32)/g.TileH != tl.TR || int(uint32(key))/g.TileW != tl.TC {
+					t.Fatalf("%d workers: key %d (%d, %d) not in its tile (%d, %d)",
+						w, j, key>>32, uint32(key), tl.TR, tl.TC)
+				}
+			}
+		}()
 	}
 }

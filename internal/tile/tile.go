@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/obs"
@@ -81,75 +81,61 @@ func Partition(m *sparse.COO, tileH, tileW int) (*Grid, error) {
 	}
 	g.PanelStart = make([]int, g.NumTR+1)
 
-	// Counting sort nonzeros into (panel, tile column) buckets. The input is
-	// row-major, so within a bucket entries arrive already ordered by
-	// (row, col) — exactly the intra-tile order of a tiled row-ordered
-	// traversal. Coordinates are validated here, before they index any
-	// bucket: a malformed input (e.g. a MatrixMarket file with entries
-	// outside the declared dimensions) must surface as an error, not an
-	// index-out-of-range panic.
-	nbuckets := g.NumTR * g.NumTC
-	counts := make([]int, nbuckets+1)
-	nnz := m.NNZ()
-	if tileH&(tileH-1) == 0 && tileW&(tileW-1) == 0 {
-		// Power-of-two tiles — the TileSize default and every benchmark
-		// configuration — map to buckets with shifts instead of two integer
-		// divisions per nonzero. Identical mapping, and the loop bodies are
-		// spelled out (no per-nonzero closure call) because these two loops
-		// sit on the sweep hot path.
-		hs := uint(bits.TrailingZeros(uint(tileH)))
-		ws := uint(bits.TrailingZeros(uint(tileW)))
-		numTC := g.NumTC
-		for i := 0; i < nnz; i++ {
+	// Scatter nonzeros into (panel, tile column) buckets. The input is
+	// row-major and the scatter is stable (sparse.Scatter, DESIGN.md §9),
+	// so within a bucket entries stay ordered by (row, col) — exactly the
+	// intra-tile order of a tiled row-ordered traversal. Coordinates are
+	// validated in the count, before they index any bucket: a malformed
+	// input (e.g. a MatrixMarket file with entries outside the declared
+	// dimensions) must surface as an error naming its lowest bad nonzero,
+	// not an index-out-of-range panic. Both loops are spelled out, with no
+	// per-nonzero closure call (bk.of inlines), because they sit on the
+	// sweep hot path.
+	bk := bucketer{
+		pow2: tileH&(tileH-1) == 0 && tileW&(tileW-1) == 0,
+		hs:   uint(bits.TrailingZeros(uint(tileH))),
+		ws:   uint(bits.TrailingZeros(uint(tileW))),
+		th:   tileH, tw: tileW, numTC: g.NumTC,
+	}
+	counts, err := sparse.Scatter(m.NNZ(), g.NumTR*g.NumTC, func(lo, hi int, hist []int64) error {
+		for i := lo; i < hi; i++ {
 			r, c := m.Rows[i], m.Cols[i]
 			if r < 0 || int(r) >= m.N || c < 0 || int(c) >= m.N {
-				return nil, fmt.Errorf("tile: nonzero %d at (%d, %d) outside the %dx%d matrix", i, r, c, m.N, m.N)
+				return fmt.Errorf("tile: nonzero %d at (%d, %d) outside the %dx%d matrix", i, r, c, m.N, m.N)
 			}
-			counts[(int(r)>>hs)*numTC+int(c)>>ws+1]++
+			hist[bk.of(r, c)]++
 		}
-		for b := 0; b < nbuckets; b++ {
-			counts[b+1] += counts[b]
-		}
-		offsets := append([]int(nil), counts[:nbuckets]...)
-		for i := 0; i < nnz; i++ {
-			b := (int(m.Rows[i])>>hs)*numTC + int(m.Cols[i])>>ws
-			o := offsets[b]
-			offsets[b]++
+		return nil
+	}, func(lo, hi int, next []int64) {
+		for i := lo; i < hi; i++ {
+			b := bk.of(m.Rows[i], m.Cols[i])
+			o := next[b]
+			next[b]++
 			g.Rows[o] = m.Rows[i]
 			g.Cols[o] = m.Cols[i]
 			g.Vals[o] = m.Vals[i]
 		}
-	} else {
-		for i := 0; i < nnz; i++ {
-			r, c := m.Rows[i], m.Cols[i]
-			if r < 0 || int(r) >= m.N || c < 0 || int(c) >= m.N {
-				return nil, fmt.Errorf("tile: nonzero %d at (%d, %d) outside the %dx%d matrix", i, r, c, m.N, m.N)
-			}
-			counts[(int(r)/tileH)*g.NumTC+int(c)/tileW+1]++
-		}
-		for b := 0; b < nbuckets; b++ {
-			counts[b+1] += counts[b]
-		}
-		offsets := append([]int(nil), counts[:nbuckets]...)
-		for i := 0; i < nnz; i++ {
-			b := (int(m.Rows[i])/tileH)*g.NumTC + int(m.Cols[i])/tileW
-			o := offsets[b]
-			offsets[b]++
-			g.Rows[o] = m.Rows[i]
-			g.Cols[o] = m.Cols[i]
-			g.Vals[o] = m.Vals[i]
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Materialize non-empty tiles, then compute the per-tile statistics on
-	// the worker pool: the UniqCols sort dominates tiling time and each
-	// tile's stats are independent, so every tile writes only its own
-	// fields and the result matches the serial evaluation bit for bit.
+	// the worker pool: each tile's stats are independent, so every tile
+	// writes only its own fields and the result matches the serial
+	// evaluation bit for bit.
+	nt := 0
+	for b := range g.NumTR * g.NumTC {
+		if counts[b] != counts[b+1] {
+			nt++
+		}
+	}
+	g.Tiles = make([]Tile, 0, nt)
 	for tr := 0; tr < g.NumTR; tr++ {
 		g.PanelStart[tr] = len(g.Tiles)
 		for tc := 0; tc < g.NumTC; tc++ {
 			b := tr*g.NumTC + tc
-			start, end := counts[b], counts[b+1]
+			start, end := int(counts[b]), int(counts[b+1])
 			if start == end {
 				continue
 			}
@@ -160,66 +146,41 @@ func Partition(m *sparse.COO, tileH, tileW int) (*Grid, error) {
 	gridsBuilt.Inc()
 	tilesPartitioned.Add(int64(len(g.Tiles)))
 	par.Chunks(len(g.Tiles), func(lo, hi int) {
-		var scratch, aux []int32
+		// seen marks a tile's columns and is cleared by walking them again,
+		// so a tile costs its nonzeros, not the tile width.
+		seen := make([]bool, min(tileW, g.N))
 		for ti := lo; ti < hi; ti++ {
 			t := &g.Tiles[ti]
 			t.UniqRows = countRuns(g.Rows[t.Start:t.End])
-			scratch = append(scratch[:0], g.Cols[t.Start:t.End]...)
-			aux = sortInt32(scratch, aux)
-			t.UniqCols = countRuns(scratch)
+			cols, c0 := g.Cols[t.Start:t.End], int32(t.TC*tileW)
+			for _, c := range cols {
+				if !seen[c-c0] {
+					seen[c-c0] = true
+					t.UniqCols++
+				}
+			}
+			for _, c := range cols {
+				seen[c-c0] = false
+			}
 		}
 	})
 	return g, nil
 }
 
-// sortInt32 sorts s (non-negative int32 values) ascending in place. Small
-// inputs take the generic pdqsort; larger ones an LSD radix sort over aux,
-// which the caller reuses across tiles (the returned slice is the possibly
-// grown aux). Both paths produce the identical sorted order.
-//
-//hot:path
-func sortInt32(s, aux []int32) []int32 {
-	const radixMin = 128
-	if len(s) < radixMin {
-		slices.Sort(s)
-		return aux
+// bucketer maps a coordinate to its (panel, tile column) bucket, by shifts
+// for power-of-two tiles (the presets' 512, every benchmark) and by
+// division for the other sizes -tile accepts: the same mapping either way.
+type bucketer struct {
+	pow2          bool
+	hs, ws        uint
+	th, tw, numTC int
+}
+
+func (b *bucketer) of(r, c int32) int {
+	if b.pow2 {
+		return (int(r)>>b.hs)*b.numTC + int(c)>>b.ws
 	}
-	if cap(aux) < len(s) {
-		aux = make([]int32, len(s))
-	}
-	aux = aux[:len(s)]
-	var count [4][256]int
-	for _, v := range s {
-		count[0][v&0xff]++
-		count[1][(v>>8)&0xff]++
-		count[2][(v>>16)&0xff]++
-		count[3][(v>>24)&0xff]++
-	}
-	from, to := s, aux
-	for pass := 0; pass < 4; pass++ {
-		shift := uint(pass * 8)
-		c := &count[pass]
-		// All keys share this byte: the pass is the identity, skip it.
-		if c[(from[0]>>shift)&0xff] == len(s) {
-			continue
-		}
-		offs := 0
-		for b := 0; b < 256; b++ {
-			n := c[b]
-			c[b] = offs
-			offs += n
-		}
-		for _, v := range from {
-			b := (v >> shift) & 0xff
-			to[c[b]] = v
-			c[b]++
-		}
-		from, to = to, from
-	}
-	if &from[0] != &s[0] {
-		copy(s, from)
-	}
-	return aux
+	return int(r)/b.th*b.numTC + int(c)/b.tw
 }
 
 // countRuns counts distinct values in a slice where equal values are
@@ -249,10 +210,11 @@ func (g *Grid) NNZ() int { return len(g.Vals) }
 // traverse the same matrix untiled — the cold-pool builder does, once per
 // simulated run — stop re-sorting the nonzeros per run.
 //
-// Ordering argument: the build is a counting sort by row that is stable
-// over the tile order. A row lives in exactly one panel; that panel's tiles
-// are visited in ascending tile-column order, tile column ranges are
-// disjoint and ascending, and within a tile entries are (row, col) sorted.
+// Ordering argument: the build is a stable scatter by row over the tile
+// order (sparse.Scatter, DESIGN.md §9). A row lives in exactly one panel;
+// that panel's tiles are visited in ascending tile-column order, tile
+// column ranges are disjoint and ascending, and within a tile entries are
+// (row, col) sorted.
 // So within each row the columns come out ascending, and the result is
 // exactly the order slices.Sort would give the packed keys.
 func (g *Grid) RowMajor() (keys []uint64, tileOf []int32) {
@@ -264,23 +226,32 @@ func (g *Grid) buildRowMajor() {
 	nnz := g.NNZ()
 	g.rmKeys = make([]uint64, nnz)
 	g.rmTile = make([]int32, nnz)
-	counts := make([]int, g.N+1)
-	for _, r := range g.Rows {
-		counts[r+1]++
-	}
-	for r := 0; r < g.N; r++ {
-		counts[r+1] += counts[r]
-	}
-	for ti := range g.Tiles {
-		t := &g.Tiles[ti]
-		for j := t.Start; j < t.End; j++ {
-			r := g.Rows[j]
-			o := counts[r]
-			counts[r] = o + 1
-			g.rmKeys[o] = uint64(r)<<32 | uint64(uint32(g.Cols[j]))
-			g.rmTile[o] = int32(ti)
+	// The row ids are in range on a built or validated grid: no error.
+	_, _ = sparse.Scatter(nnz, g.N, func(lo, hi int, hist []int64) error {
+		for _, r := range g.Rows[lo:hi] {
+			hist[r]++
 		}
-	}
+		return nil
+	}, func(lo, hi int, next []int64) {
+		for ti := g.TileOf(lo); lo < hi; ti++ {
+			end := min(g.Tiles[ti].End, hi)
+			for j := lo; j < end; j++ {
+				r := g.Rows[j]
+				o := next[r]
+				next[r]++
+				g.rmKeys[o] = uint64(r)<<32 | uint64(uint32(g.Cols[j]))
+				g.rmTile[o] = int32(ti)
+			}
+			lo = end
+		}
+	})
+}
+
+// TileOf returns the index of the tile whose span holds nonzero j of the
+// tile-ordered arrays (len(g.Tiles) when j is past the last nonzero): the
+// entry point of a pass over a range of nonzeros that needs their tiles.
+func (g *Grid) TileOf(j int) int {
+	return sort.Search(len(g.Tiles), func(i int) bool { return g.Tiles[i].End > j })
 }
 
 // Panel returns the tiles of row panel tr as a sub-slice of g.Tiles.
@@ -305,20 +276,12 @@ func (g *Grid) TileNonzeros(ti int) (rows, cols []int32, vals []float64) {
 	return g.Rows[t.Start:t.End], g.Cols[t.Start:t.End], g.Vals[t.Start:t.End]
 }
 
-// PanelUniqRows returns, for panel tr, the number of distinct row ids among
-// the nonzeros of the tiles selected by keep (indexed by position within the
-// panel). It is used by the model's reuse readjustment: the Dout rows a
-// worker touches in a panel equal the distinct r_ids across the tiles
-// assigned to it.
-func (g *Grid) PanelUniqRows(tr int, keep func(i int) bool) int {
-	n, _ := g.PanelUniqRowsScratch(tr, keep, nil)
-	return n
-}
-
-// PanelUniqRowsScratch is PanelUniqRows over a caller-owned seen buffer,
-// for loops that visit every panel (the model's reuse readjustment): the
-// buffer is cleared and grown as needed and returned for reuse, so the
-// per-panel allocation disappears. Passing nil allocates a fresh buffer.
+// PanelUniqRowsScratch returns, for panel tr, the number of distinct row
+// ids among the nonzeros of the tiles selected by keep (indexed by position
+// within the panel): the Dout rows a worker touches in a panel, which the
+// model's reuse readjustment counts for the tiles assigned to it. seen is
+// a caller-owned buffer, cleared and grown as needed and returned for
+// reuse, so a loop over every panel allocates once; nil allocates one.
 func (g *Grid) PanelUniqRowsScratch(tr int, keep func(i int) bool, seen []bool) (int, []bool) {
 	lo, hi := g.PanelRows(tr)
 	if cap(seen) < hi-lo {

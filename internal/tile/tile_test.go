@@ -142,13 +142,13 @@ func TestPanelUniqRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := g.PanelUniqRows(0, nil); got != 2 {
+	if got, _ := g.PanelUniqRowsScratch(0, nil, nil); got != 2 {
 		t.Fatalf("all tiles: uniq rows = %d, want 2", got)
 	}
-	if got := g.PanelUniqRows(0, func(i int) bool { return i == 0 }); got != 2 {
+	if got, _ := g.PanelUniqRowsScratch(0, func(i int) bool { return i == 0 }, nil); got != 2 {
 		t.Fatalf("tile 0 only: uniq rows = %d, want 2", got)
 	}
-	if got := g.PanelUniqRows(0, func(i int) bool { return false }); got != 0 {
+	if got, _ := g.PanelUniqRowsScratch(0, func(i int) bool { return false }, nil); got != 0 {
 		t.Fatalf("no tiles: uniq rows = %d, want 0", got)
 	}
 }
