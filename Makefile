@@ -185,6 +185,7 @@ cover:
 # not a soak; the seed corpora also run in every plain `go test ./...`.
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINTIME) ./internal/mm
+	$(GO) test -fuzz=FuzzValue -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINTIME) ./internal/mm
 	$(GO) test -fuzz=FuzzCOOToCSR -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINTIME) ./internal/sparse
 	$(GO) test -fuzz=FuzzReadPlan -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINTIME) ./internal/hotcore
 

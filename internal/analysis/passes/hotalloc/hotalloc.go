@@ -45,14 +45,15 @@ import (
 
 // allowed lists the package path suffixes that may declare hot paths:
 // the simulator engine, the sparse/tile sort layers, the estimator, the
-// panel-parallel functional kernels, and the semiring row kernels they call.
-var allowed = []string{"internal/sim", "internal/sparse", "internal/tile", "internal/model", "internal/dense", "internal/semiring"}
+// panel-parallel functional kernels, the semiring row kernels they call,
+// and the MatrixMarket entry walk.
+var allowed = []string{"internal/sim", "internal/sparse", "internal/tile", "internal/model", "internal/dense", "internal/semiring", "internal/mm"}
 
 // Analyzer is the hotalloc pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "forbids heap allocations (growing append, map/slice literals, interface boxing, " +
-		"escaping closures, fmt calls) in //hot:path functions of the sim/sparse/tile/model/dense/semiring packages",
+		"escaping closures, fmt calls) in //hot:path functions of the sim/sparse/tile/model/dense/semiring/mm packages",
 	Run: run,
 }
 

@@ -2,6 +2,8 @@ package mm
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -40,6 +42,16 @@ func FuzzRead(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 1\n2 x 1\n3 3 1\n1 y 2\n")
 	f.Add("%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n2 1 1\n3 1 2\n3 2 3\njunk\n9 9 9\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 5\n1 1 1\n\n% c\n2 2 2")
+	// The edges of the one-pass entry walk and its exact value conversion:
+	// ties at 2^53, 19 and 20 significant digits, decimal exponents ±19 and
+	// ±20, signed zeros and bare points, lines it leaves to the per-line
+	// path (leading \v, a token running on, a column with a fraction).
+	f.Add("%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 9007199254740993\n1 2 4503599627370497.5\n2 1 1234567890123456789\n3 3 12345678901234567890\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 4\n1 1 1e19\n1 2 1e-19\n2 1 1e20\n2 2 0.00000000000000000001\n")
+	f.Add("%%MatrixMarket matrix coordinate real symmetric\n3 3 4\n1 1 -0\n2 1 0e5\n3 1 .5\n3 2 5.\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 3\n\v1 1 1\n1 2 007.5000\r\n2 1 1.5x\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1.5\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 2x\n2 1\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
 		m, err := Parse([]byte(input))
@@ -83,6 +95,30 @@ func FuzzRead(f *testing.F) {
 		}
 		if !sameCOO(back, m) {
 			t.Fatal("round trip changed the matrix")
+		}
+	})
+}
+
+// FuzzValue checks the entry walk's value conversion against
+// strconv.ParseFloat on arbitrary strings: whenever value reads a prefix
+// of s to a float64, ParseFloat must read that prefix to the same float64,
+// bit for bit.
+func FuzzValue(f *testing.F) {
+	for _, s := range []string{
+		"1", "-0", "0e5", ".5", "5.", "+.5e-3", "9007199254740993", "4503599627370497.5",
+		"1234567890123456789", "12345678901234567890", "1e19", "1e-19", "1e20", "1e-20",
+		"0.0054838709677419351", "1.2345678901234567e-05", "inf", "0x1p-3", "1_0", "1.5x", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		v, end, ok := value([]byte(s), 0)
+		if !ok {
+			return
+		}
+		want, err := strconv.ParseFloat(s[:end], 64)
+		if err != nil || math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("value read %q as %v; ParseFloat gives %v, %v", s[:end], v, want, err)
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -95,12 +96,15 @@ func Read(r io.Reader) (*sparse.COO, error) {
 // expanded to their full general form. Pattern matrices get value 1 for
 // every entry.
 //
-// The parse allocates nothing per line: lines and fields are sub-slices
-// of data, indices are parsed inline, and each value token reaches
-// strconv.ParseFloat as a zero-copy string view, so values are bit-exact.
-// Whitespace is the ASCII set (space, \t, \v, \f, \r); fields past the
-// ones an entry needs, and lines after the nnz-th entry, are ignored.
-// Returned errors never alias data.
+// The parse allocates nothing per line. An entry line is read in one
+// forward pass over its bytes, its value converted by exact integer
+// arithmetic when it has at most 19 significant digits and a decimal
+// exponent in [-19, 19]; any other line — comments, other value syntax,
+// every error — is split into fields, and its value token reaches
+// strconv.ParseFloat as a zero-copy string view. Both give the correctly
+// rounded value, so values are bit-exact. Whitespace is the ASCII set
+// (space, \t, \v, \f, \r); fields past the ones an entry needs, and lines
+// after the nnz-th entry, are ignored. Returned errors never alias data.
 //
 // The entry section is scanned in Chunks(len(data)) chunks on the par
 // pool. The result — matrix or error text — is the same for every chunk
@@ -265,20 +269,28 @@ func (c *chunk) lines() int {
 // (numbered from first) it records. The window holds every nonzero the
 // chunk can yield (see parse), so an index past it is a bug, and it panics
 // rather than writing into a neighbour's window.
+//
+// Each line is read by walk; a line walk declines goes to nextContent and
+// entry, which skip comments and blank lines and alone report errors.
 func (c *chunk) scan(f entryFormat, first, limit int) {
 	rows, cols, vals := c.rows, c.cols, c.vals
 	entries, stored := 0, 0
 	var err error
-	sc := lineScanner{rest: c.data}
+	rest := c.data
 	for entries < limit {
-		line, ok := sc.nextContent()
-		if !ok {
-			break
-		}
-		var r, col int32
-		var v float64
-		if r, col, v, err = f.entry(line, first+entries); err != nil {
-			break
+		r, col, v, n, ok := f.walk(rest)
+		if ok {
+			rest = rest[n:]
+		} else {
+			sc := lineScanner{rest: rest}
+			line, more := sc.nextContent()
+			if !more {
+				break
+			}
+			rest = sc.rest
+			if r, col, v, err = f.entry(line, first+entries); err != nil {
+				break
+			}
 		}
 		rows[stored], cols[stored], vals[stored] = r, col, v
 		stored++
@@ -292,6 +304,202 @@ func (c *chunk) scan(f entryFormat, first, limit int) {
 		entries++
 	}
 	c.entries, c.stored, c.err = entries, stored, err
+}
+
+// walk reads the entry line at the start of b in one forward pass over its
+// bytes: spaces or tabs, then the row and the column as unsigned decimals
+// in [1, f.n], then (unless f.pattern) the value, each token ending at
+// whitespace, and nothing but whitespace to the line's '\n' or the end of
+// b. It returns the 0-based entry and the bytes the line takes, its '\n'
+// included. At the first byte it does not handle, it declines (ok is
+// false) and the caller reads the line through entry: comments and blank
+// lines, other leading whitespace, signed or out-of-range indices, extra
+// fields, and the value tokens value declines.
+//
+//hot:path
+func (f entryFormat) walk(b []byte) (r, c int32, v float64, n int, ok bool) {
+	i := 0
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t') {
+		i++
+	}
+	var idx [2]int32
+	for k := range idx {
+		x, j := 0, i
+		for ; j < len(b) && b[j]-'0' <= 9; j++ {
+			if x = x*10 + int(b[j]-'0'); x > f.n {
+				return 0, 0, 0, 0, false
+			}
+		}
+		if x == 0 {
+			return 0, 0, 0, 0, false // no digits, or index 0
+		}
+		idx[k] = int32(x - 1)
+		// A token must end at whitespace; a pattern line may end at its
+		// column, which the switch below checks.
+		if i = skipSpace(b, j); i == j && (k == 0 || !f.pattern) {
+			return 0, 0, 0, 0, false
+		}
+	}
+	v = 1
+	if !f.pattern {
+		if v, i, ok = value(b, i); !ok {
+			return 0, 0, 0, 0, false
+		}
+		i = skipSpace(b, i)
+	}
+	switch {
+	case i == len(b):
+	case b[i] == '\n':
+		i++
+	default:
+		return 0, 0, 0, 0, false // another field, or a token running on
+	}
+	return idx[0], idx[1], v, i, true
+}
+
+// skipSpace returns the index of the first byte of b at or after i that is
+// not intra-line whitespace.
+//
+//hot:path
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && isSpace(b[i]) {
+		i++
+	}
+	return i
+}
+
+// value reads the decimal number at b[i:] — an optional sign, digits with
+// at most one '.', an optional exponent — and returns the index end after
+// it and its value, bit for bit what strconv.ParseFloat returns for
+// b[i:end]. It declines (ok is false) a number with no mantissa or no
+// exponent digits, and one outside decimal's exact range: more than 19
+// significant digits, or a decimal exponent outside [-19, 19]. It stops at
+// the first byte that cannot continue the number; whether the token ends
+// there (in an inf, nan, hex float or underscore it does not) is the
+// caller's to check.
+//
+//hot:path
+func value(b []byte, i int) (v float64, end int, ok bool) {
+	neg := false
+	if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		neg = b[i] == '-'
+		i++
+	}
+	var w uint64 // the significant digits
+	q, sig, digits, dot := 0, 0, 0, false
+	for ; i < len(b); i++ {
+		d := b[i] - '0'
+		if d > 9 {
+			if b[i] != '.' || dot {
+				break
+			}
+			dot = true
+			continue
+		}
+		digits++
+		if dot {
+			q--
+		}
+		if w == 0 && d == 0 {
+			continue // a leading zero
+		}
+		if sig++; sig > 19 {
+			return 0, i, false
+		}
+		w = w*10 + uint64(d)
+	}
+	if digits == 0 {
+		return 0, i, false
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		eneg := false
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
+			i++
+		}
+		e, j := 0, i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			// Declining past 9999 keeps e exact: a leading-zero run in
+			// the fraction can pull a large e back into range.
+			if e = e*10 + int(b[i]-'0'); e > 9999 {
+				return 0, i, false
+			}
+		}
+		if i == j {
+			return 0, i, false
+		}
+		if eneg {
+			e = -e
+		}
+		q += e
+	}
+	if q < -19 || q > 19 {
+		return 0, i, false
+	}
+	if v = decimal(w, q); neg {
+		v = -v
+	}
+	return v, i, true
+}
+
+// decimal returns the float64 nearest to w·10^q, ties to even, for
+// |q| <= 19, by exact integer arithmetic: for q >= 0 the 128-bit product
+// w·10^q, for q < 0 the quotient of w·2^s by 10^-q with s chosen so the
+// quotient has 63 or 64 bits and a nonzero remainder as the sticky bit.
+// Every such value lies between 1e-19 and 1e38, in float64's normal range,
+// so the one rounding in nearest is the only one (DESIGN.md §19).
+//
+//hot:path
+func decimal(w uint64, q int) float64 {
+	switch {
+	case w == 0:
+		return 0
+	case q >= 0:
+		hi, lo := bits.Mul64(w, pow10(q))
+		sh := bits.Len64(hi) // the product's bits above the low 64
+		return nearest(hi<<(64-sh)|lo>>sh, lo<<(64-sh) != 0, sh)
+	}
+	d := pow10(-q)
+	s := 63 - bits.Len64(w) + bits.Len64(d)
+	var hi, lo uint64 // w << s
+	if s < 64 {
+		hi, lo = w>>(64-s), w<<s
+	} else {
+		hi = w << (s - 64)
+	}
+	quo, rem := bits.Div64(hi, lo, d)
+	return nearest(quo, rem != 0, -s)
+}
+
+// nearest returns the float64 nearest to (m + f)·2^e, ties to even, where
+// 0 <= f < 1 and sticky reports f > 0. The result must be a normal float64.
+//
+//hot:path
+func nearest(m uint64, sticky bool, e int) float64 {
+	if drop := bits.Len64(m) - 53; drop > 0 {
+		rest, half := m&(1<<drop-1), uint64(1)<<(drop-1)
+		m >>= drop
+		e += drop
+		if rest > half || rest == half && (sticky || m&1 == 1) {
+			m++
+		}
+	}
+	return math.Ldexp(float64(m), e)
+}
+
+// pow10 returns 10^k for 0 <= k <= 19 by repeated squaring.
+//
+//hot:path
+func pow10(k int) uint64 {
+	p, b := uint64(1), uint64(10)
+	for ; k > 0; k >>= 1 {
+		if k&1 == 1 {
+			p *= b
+		}
+		b *= b
+	}
+	return p
 }
 
 // entry parses one content line into a 0-based (row, col, value); idx
@@ -405,10 +613,7 @@ func isSpace(c byte) bool { return c <= ' ' && spaceMask&(uint64(1)<<c) != 0 }
 // field splits the first whitespace-separated token off s; tok is nil when
 // s holds no token.
 func field(s []byte) (tok, rest []byte) {
-	i := 0
-	for i < len(s) && isSpace(s[i]) {
-		i++
-	}
+	i := skipSpace(s, 0)
 	if i == len(s) {
 		return nil, nil
 	}

@@ -148,7 +148,9 @@ func ForEach(n int, fn func(i int)) {
 		})
 	}
 	var next atomic.Int64
-	work := func(slot string) {
+	// work drains the shared index; slot 0 is the calling goroutine, whose
+	// timeline track is "par/caller", and slot k > 0 spawned worker k's.
+	work := func(slot int32) {
 		t0 := tl.Now()
 		drained := 0
 		for {
@@ -160,8 +162,12 @@ func ForEach(n int, fn func(i int)) {
 			drained++
 		}
 		if tl != nil {
+			track := "par/caller"
+			if slot > 0 {
+				track = "par/w" + strconv.Itoa(int(slot))
+			}
 			tl.Append(obs.Event{
-				TS: t0, Dur: tl.Now() - t0, Track: tl.TrackID("par/" + slot), Name: -1,
+				TS: t0, Dur: tl.Now() - t0, Track: tl.TrackID(track), Name: -1,
 				Kind: obs.EvTaskRun, Arg: int64(drained),
 			})
 		}
@@ -176,10 +182,10 @@ func ForEach(n int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			defer release()
-			work("w" + strconv.Itoa(int(slot)))
+			work(slot)
 		}()
 	}
-	work("caller")
+	work(0)
 	wg.Wait()
 }
 

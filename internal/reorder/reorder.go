@@ -98,11 +98,11 @@ func DegreeSort(m *sparse.COO) Permutation {
 // seed further traversals in degree order.
 func BFSCluster(m *sparse.COO) Permutation {
 	// Build adjacency (undirected view) as CSR of the symmetrized pattern.
-	adj := buildAdjacency(m)
+	off, nbrs := buildAdjacency(m)
 
 	deg := make([]int, m.N)
 	for v := range deg {
-		deg[v] = len(adj[v])
+		deg[v] = off[v+1] - off[v]
 	}
 	seeds := make([]int, m.N)
 	for i := range seeds {
@@ -125,7 +125,7 @@ func BFSCluster(m *sparse.COO) Permutation {
 			queue = queue[1:]
 			p[v] = next
 			next++
-			for _, u := range adj[v] {
+			for _, u := range nbrs[off[v]:off[v+1]] {
 				if !visited[u] {
 					visited[u] = true
 					queue = append(queue, u)
@@ -147,30 +147,34 @@ func Random(n int, seed int64) Permutation {
 	return p
 }
 
-// buildAdjacency returns the symmetrized neighbor lists of m.
-func buildAdjacency(m *sparse.COO) [][]int32 {
-	counts := make([]int, m.N)
+// buildAdjacency returns the symmetrized neighbor lists of m as one flat
+// array: v's neighbors are nbrs[off[v]:off[v+1]], in nonzero order.
+func buildAdjacency(m *sparse.COO) (off []int, nbrs []int32) {
+	off = make([]int, m.N+1)
 	for i := 0; i < m.NNZ(); i++ {
 		r, c, _ := m.At(i)
 		if r == c {
 			continue
 		}
-		counts[r]++
-		counts[c]++
+		off[r+1]++
+		off[c+1]++
 	}
-	adj := make([][]int32, m.N)
-	for v := range adj {
-		adj[v] = make([]int32, 0, counts[v])
+	for v := range m.N {
+		off[v+1] += off[v]
 	}
+	nbrs = make([]int32, off[m.N])
+	next := slices.Clone(off[:m.N])
 	for i := 0; i < m.NNZ(); i++ {
 		r, c, _ := m.At(i)
 		if r == c {
 			continue
 		}
-		adj[r] = append(adj[r], c)
-		adj[c] = append(adj[c], r)
+		nbrs[next[r]] = c
+		next[r]++
+		nbrs[next[c]] = r
+		next[c]++
 	}
-	return adj
+	return off, nbrs
 }
 
 // Bandwidth returns the matrix bandwidth max|r−c| over nonzeros — the

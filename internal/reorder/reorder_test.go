@@ -187,3 +187,22 @@ func TestBandwidth(t *testing.T) {
 		t.Fatalf("empty bandwidth = %d", bw)
 	}
 }
+
+// TestBFSClusterAllocBudget pins BFSCluster's allocations on the pap
+// matrix at scale 400 (N = 1,000, 123,753 nonzeros): the adjacency is one
+// offsets array and one neighbor array, not a slice per vertex, so the
+// count does not grow with N. Measured on go1.24 linux/amd64: 8 allocs per
+// call (1,007 with a slice per vertex).
+func TestBFSClusterAllocBudget(t *testing.T) {
+	const budget = 10
+	bm, ok := gen.ByShort("pap")
+	if !ok {
+		t.Fatal("no pap generator")
+	}
+	m := bm.Build(1, 400)
+	allocs := testing.AllocsPerRun(5, func() { BFSCluster(m) })
+	t.Logf("BFSCluster on N=%d, %d nonzeros: %.0f allocs/op", m.N, m.NNZ(), allocs)
+	if allocs > budget {
+		t.Errorf("BFSCluster makes %.0f allocations, budget %d", allocs, budget)
+	}
+}
