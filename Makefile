@@ -1,6 +1,6 @@
 # Development entry points. `make ci` is the gate every change must pass:
-# vet, formatting, build, the hottileslint analyzer suite (plus the shadow
-# pass through `go vet -vettool`; see DESIGN.md §11), the full test suite
+# vet (its copylocks check owns lock copies), formatting, build, the
+# hottileslint analyzer suite (DESIGN.md §11), the full test suite
 # under the race detector (the parallel experiment engine makes -race
 # meaningful; see DESIGN.md §9), and the coverage report with its
 # per-package floor.
@@ -21,12 +21,14 @@ FUZZTIME ?= 10s
 # plan seed and execute almost nothing else.
 FUZZMINTIME ?= 1s
 
-.PHONY: help ci vet benchvet fmtcheck build lint shadow test race bench benchsmoke benchcmp cover fuzz golden servesmoke worksmoke loc
+.PHONY: help ci vet benchvet fmtcheck build lint test race bench benchsmoke benchcmp cover fuzz golden servesmoke worksmoke loc
 
-ci: vet benchvet fmtcheck build lint shadow race cover benchsmoke benchcmp servesmoke worksmoke
+ci: vet benchvet fmtcheck build lint race cover benchsmoke benchcmp servesmoke worksmoke
 
 help:
-	@echo "make ci          - full gate: vet, benchvet, fmtcheck, build, lint, shadow, race, cover, benchsmoke"
+	@echo "make ci          - full gate: vet, benchvet, fmtcheck, build, lint, race, cover, benchsmoke,"
+	@echo "                   benchcmp, servesmoke, worksmoke"
+	@echo "make vet         - go vet ./... (its copylocks check owns lock copies, par.Cache included)"
 	@echo "make benchvet    - vet the bench/ module (its own go.mod) against this tree's API"
 	@echo "make test        - go test ./..."
 	@echo "make race        - go test -race ./..."
@@ -67,20 +69,15 @@ fmtcheck:
 build:
 	$(GO) build ./...
 
-# lint runs the hottileslint analyzer suite (DESIGN.md §11) over the whole
-# module in standalone mode. Any diagnostic fails the build.
+# lint runs the whole hottileslint analyzer suite (DESIGN.md §11) over the
+# module and audits its //lint:ignore directives. Any diagnostic fails the
+# build.
 bin/hottileslint: FORCE
 	@mkdir -p bin
 	$(GO) build -o bin/hottileslint ./cmd/hottileslint
 
 lint: bin/hottileslint
 	./bin/hottileslint ./...
-
-# shadow runs the same binary through the `go vet -vettool` protocol with
-# only the shadow analyzer enabled — exercising the unitchecker path in CI
-# and catching shadowed variables that plain `go vet` no longer reports.
-shadow: bin/hottileslint
-	$(GO) vet -vettool=$(CURDIR)/bin/hottileslint -shadow ./...
 
 FORCE:
 

@@ -1,31 +1,22 @@
 // Command hottileslint runs the repository's custom static-analysis suite
 // (internal/analysis/passes): the determinism, concurrency and
 // observability invariants DESIGN.md §11 documents, enforced mechanically.
-//
-// Standalone (what `make lint` runs):
+// Every run applies the whole suite and audits //lint:ignore directives.
 //
 //	hottileslint [flags] [packages]     # patterns default to ./...
 //	hottileslint -json ./...            # machine-readable diagnostics
-//	hottileslint -spanend=false ./...   # disable one analyzer
-//	hottileslint -shadow ./...          # run only the named analyzers
+//	hottileslint -C dir ./...           # analyze the module in dir
 //
-// As a vet tool (unitchecker protocol; what `make ci`'s shadow pass runs):
-//
-//	go vet -vettool=$(pwd)/bin/hottileslint -shadow ./...
-//
-// Exit status: 0 clean, 1 diagnostics or usage errors, 2 diagnostics in
-// vet mode (the go command's convention).
+// Exit status: 0 clean, 1 diagnostics or usage errors.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes"
-	"repro/internal/analysis/unitchecker"
 )
 
 func main() {
@@ -35,77 +26,22 @@ func main() {
 func run(args []string) int {
 	suite := passes.All()
 
-	// The go command probes vet tools before use: -V=full for a cache
-	// fingerprint, -flags for the accepted flag set. Answer both before
-	// ordinary flag parsing.
-	if len(args) == 1 {
-		switch args[0] {
-		case "-V=full", "--V=full":
-			if err := unitchecker.Fingerprint(os.Stdout, "hottileslint"); err != nil {
-				fmt.Fprintln(os.Stderr, "hottileslint:", err)
-				return 1
-			}
-			return 0
-		case "-flags", "--flags":
-			if err := unitchecker.FlagsJSON(os.Stdout, suite); err != nil {
-				fmt.Fprintln(os.Stderr, "hottileslint:", err)
-				return 1
-			}
-			return 0
-		}
-	}
-
 	fs := flag.NewFlagSet("hottileslint", flag.ContinueOnError)
 	asJSON := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	dir := fs.String("C", ".", "module directory to analyze from")
-	enable := map[string]*bool{}
-	for _, a := range suite {
-		enable[a.Name] = fs.Bool(a.Name, true, "analyzer: "+a.Doc)
-	}
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: hottileslint [flags] [package patterns]\n\nAnalyzers:\n")
 		for _, a := range suite {
 			fmt.Fprintf(fs.Output(), "  %-10s %s\n", a.Name, a.Doc)
 		}
-		fmt.Fprintf(fs.Output(), "\nSetting -NAME selects only the named analyzers; -NAME=false disables one.\nFlags:\n")
+		fmt.Fprintf(fs.Output(), "\nFlags:\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
 
-	// Flag semantics match go vet: any analyzer flag set explicitly true
-	// selects exactly those analyzers; explicit false disables; untouched
-	// flags mean "all analyzers".
-	selected, disabled := map[string]bool{}, map[string]bool{}
-	fs.Visit(func(f *flag.Flag) {
-		if _, ok := enable[f.Name]; !ok {
-			return
-		}
-		if *enable[f.Name] {
-			selected[f.Name] = true
-		} else {
-			disabled[f.Name] = true
-		}
-	})
-	var active []*analysis.Analyzer
-	for _, a := range suite {
-		switch {
-		case len(selected) > 0 && selected[a.Name]:
-			active = append(active, a)
-		case len(selected) == 0 && !disabled[a.Name]:
-			active = append(active, a)
-		}
-	}
-
-	// A single .cfg argument means the go command is driving us as a
-	// vettool over one package unit.
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unitchecker.Main(rest[0], active, suite, *asJSON)
-	}
-
-	patterns := rest
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -122,7 +58,7 @@ func run(args []string) int {
 			return 1
 		}
 	}
-	diags, err := analysis.RunChecked(pkgs, active, suite)
+	diags, err := analysis.RunChecked(pkgs, suite)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hottileslint:", err)
 		return 1

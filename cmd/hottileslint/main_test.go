@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/analysis/passes"
 )
 
 // buildTool compiles the hottileslint binary once per test process and
@@ -31,54 +29,6 @@ func repoRoot(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return root
-}
-
-// TestVettoolHandshake checks the two probes the go command sends before
-// trusting a -vettool: -V=full must print a stable fingerprint line and
-// -flags must describe every analyzer as a boolean flag.
-func TestVettoolHandshake(t *testing.T) {
-	bin := buildTool(t)
-
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("-V=full: %v", err)
-	}
-	if !strings.HasPrefix(string(out), "hottileslint version ") || !strings.Contains(string(out), "buildID=") {
-		t.Errorf("-V=full output %q lacks name/buildID", out)
-	}
-
-	out, err = exec.Command(bin, "-flags").Output()
-	if err != nil {
-		t.Fatalf("-flags: %v", err)
-	}
-	var flags []struct {
-		Name string
-		Bool bool
-	}
-	if err := json.Unmarshal(out, &flags); err != nil {
-		t.Fatalf("-flags is not JSON: %v\n%s", err, out)
-	}
-	byName := map[string]bool{}
-	for _, f := range flags {
-		byName[f.Name] = f.Bool
-	}
-	for _, a := range passes.All() {
-		if !byName[a.Name] {
-			t.Errorf("-flags does not advertise analyzer %q as boolean", a.Name)
-		}
-	}
-}
-
-// TestVetIntegration drives the binary through the real `go vet -vettool`
-// protocol over the whole module with the shadow pass; the repo must be
-// clean.
-func TestVetIntegration(t *testing.T) {
-	bin := buildTool(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "-shadow", "./...")
-	cmd.Dir = repoRoot(t)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool: %v\n%s", err, out)
-	}
 }
 
 // TestStandaloneCleanRepo runs the full suite in standalone mode over the
@@ -132,12 +82,6 @@ func Leak(fn func()) {
 	if len(diags) != 1 || diags[0].Analyzer != "nakedgo" {
 		t.Errorf("-json diagnostics = %+v, want one nakedgo finding", diags)
 	}
-
-	// Disabling the analyzer silences the finding.
-	cmd = exec.Command(bin, "-C", dir, "-nakedgo=false", "./...")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("-nakedgo=false run: %v\n%s", err, out)
-	}
 }
 
 func writeFile(t *testing.T, path, content string) {
@@ -151,7 +95,7 @@ func writeFile(t *testing.T, path, content string) {
 }
 
 // writeSyntheticModule lays out a scratch module whose package paths mirror
-// the scoped suffixes (internal/sim, internal/obs) and which violates every
+// the scoped suffixes (internal/sim, internal/obs, internal/par) and which violates every
 // analyzer in the suite exactly once.
 func writeSyntheticModule(t *testing.T) string {
 	t.Helper()
@@ -172,6 +116,13 @@ func (s *Span) End()                                     {}
 type Counter struct{}
 
 func NewCounter(name string) *Counter { return &Counter{} }
+`)
+	writeFile(t, filepath.Join(dir, "internal", "par", "par.go"), `// Package par stubs the singleflight cache lockcopy matches by path.
+package par
+
+type Cache[K comparable, V any] struct{ m map[K]V }
+
+func (c *Cache[K, V]) Get(key K, build func() (V, error)) (V, error) { return build() }
 `)
 	writeFile(t, filepath.Join(dir, "internal", "sim", "sim.go"), `// Package sim trips the path-scoped analyzers.
 package sim
@@ -197,19 +148,19 @@ package work
 
 import (
 	"fmt"
-	"sync"
 
 	"scratch/internal/obs"
+	"scratch/internal/par"
 )
 
 var reqs = obs.NewCounter("Bad.Name") // metricname
 
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
+type entry struct{ n int }
 
-func byValue(g guarded) int { return g.n } // lockcopy
+func Rewrap(c *par.Cache[string, *entry]) {
+	e, _ := c.Get("k", func() (*entry, error) { return &entry{}, nil })
+	e.n = 2 // lockcopy
+}
 
 func Leak(fn func()) { go fn() } // nakedgo
 
@@ -244,7 +195,7 @@ var suiteMessages = map[string]string{
 	"nakedgo":    "raw go statement",
 	"spanend":    "result of Start discarded",
 	"floateq":    "exact == on floating point",
-	"lockcopy":   "passes lock by value",
+	"lockcopy":   "a value shared via par.Cache.Get",
 	"shadow":     "shadows the predeclared builtin",
 	"hotalloc":   "map literal in hot path",
 	"detrand":    "time.Now in deterministic core",
@@ -253,56 +204,21 @@ var suiteMessages = map[string]string{
 	"metricname": "does not match the registry grammar",
 }
 
-// TestVetSyntheticModule drives the real `go vet -vettool` protocol over
-// the synthetic module: all eleven analyzers must fire through the
-// unitchecker path, and the per-analyzer vet flags must select and disable
-// passes exactly as in standalone mode.
-func TestVetSyntheticModule(t *testing.T) {
+// TestStandaloneSyntheticModule runs the real binary over the synthetic
+// module: all eleven analyzers must fire through the driver `make lint`
+// uses.
+func TestStandaloneSyntheticModule(t *testing.T) {
 	bin := buildTool(t)
 	dir := writeSyntheticModule(t)
 
-	vet := func(extra ...string) string {
-		t.Helper()
-		args := append([]string{"vet", "-vettool=" + bin}, extra...)
-		args = append(args, "./...")
-		cmd := exec.Command("go", args...)
-		cmd.Dir = dir
-		out, _ := cmd.CombinedOutput()
-		return string(out)
-	}
-
-	out := vet()
-	for name, msg := range suiteMessages {
-		if !strings.Contains(out, msg) {
-			t.Errorf("full vet run missing %s diagnostic (%q):\n%s", name, msg, out)
-		}
-	}
-
-	// Selection: -nakedgo runs only nakedgo.
-	out = vet("-nakedgo")
-	if !strings.Contains(out, suiteMessages["nakedgo"]) {
-		t.Errorf("-nakedgo selection lost its own finding:\n%s", out)
+	cmd := exec.Command(bin, "-C", dir, "./...")
+	out, _ := cmd.CombinedOutput()
+	if code := cmd.ProcessState.ExitCode(); code != 1 {
+		t.Fatalf("exit code = %d, want 1\n%s", code, out)
 	}
 	for name, msg := range suiteMessages {
-		if name == "nakedgo" {
-			continue
-		}
-		if strings.Contains(out, msg) {
-			t.Errorf("-nakedgo selection still ran %s:\n%s", name, out)
-		}
-	}
-
-	// Disabling: -nakedgo=false runs everything else.
-	out = vet("-nakedgo=false")
-	if strings.Contains(out, suiteMessages["nakedgo"]) {
-		t.Errorf("-nakedgo=false still reported nakedgo:\n%s", out)
-	}
-	for name, msg := range suiteMessages {
-		if name == "nakedgo" {
-			continue
-		}
-		if !strings.Contains(out, msg) {
-			t.Errorf("-nakedgo=false lost the %s finding (%q):\n%s", name, msg, out)
+		if !strings.Contains(string(out), msg) {
+			t.Errorf("run missing %s diagnostic (%q):\n%s", name, msg, out)
 		}
 	}
 }

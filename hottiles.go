@@ -33,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/arch"
@@ -275,8 +276,9 @@ func PartitionCtx(ctx context.Context, m *Matrix, a *Arch, o PartitionOptions) (
 }
 
 // ParseArch resolves the CLI spelling of an architecture preset:
-// "spade-sextans[:scale]", "spade-sextans-pcie", "piuma" or "cpu-dsa". The
-// hottiles CLI and the hottilesd daemon share this one vocabulary.
+// "spade-sextans[:scale]" (scale a positive integer, default 4),
+// "spade-sextans-pcie", "piuma" or "cpu-dsa". The hottiles CLI and the
+// hottilesd daemon share this one vocabulary.
 func ParseArch(name string) (Arch, error) {
 	switch {
 	case name == "piuma":
@@ -285,12 +287,12 @@ func ParseArch(name string) (Arch, error) {
 		return CPUDSA(), nil
 	case name == "spade-sextans-pcie":
 		return SpadeSextansPCIe(), nil
-	case strings.HasPrefix(name, "spade-sextans"):
-		scale := 4
-		if i := strings.IndexByte(name, ':'); i >= 0 {
-			if _, err := fmt.Sscanf(name[i+1:], "%d", &scale); err != nil {
-				return Arch{}, fmt.Errorf("hottiles: bad scale in %q", name)
-			}
+	case name == "spade-sextans":
+		return SpadeSextans(4), nil
+	case strings.HasPrefix(name, "spade-sextans:"):
+		scale, err := strconv.Atoi(strings.TrimPrefix(name, "spade-sextans:"))
+		if err != nil || scale <= 0 {
+			return Arch{}, fmt.Errorf("hottiles: bad scale in %q: want a positive integer", name)
 		}
 		return SpadeSextans(scale), nil
 	default:

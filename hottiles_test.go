@@ -21,6 +21,43 @@ func demoArch() Arch {
 	return a
 }
 
+// TestParseArchSpellings pins the exact preset vocabulary: a SPADE-Sextans
+// scale is a positive integer after one colon and nothing else, so a
+// near-miss name is an error instead of a silent SPADE-Sextans 4-4.
+func TestParseArchSpellings(t *testing.T) {
+	accepted := map[string]string{
+		"spade-sextans":      "SPADE-Sextans 4-4",
+		"spade-sextans:4":    "SPADE-Sextans 4-4",
+		"spade-sextans:1":    "SPADE-Sextans 1-1",
+		"spade-sextans:8":    "SPADE-Sextans 8-8",
+		"spade-sextans-pcie": SpadeSextansPCIe().Name,
+		"piuma":              PIUMA().Name,
+		"cpu-dsa":            CPUDSA().Name,
+	}
+	for name, want := range accepted {
+		a, err := ParseArch(name)
+		if err != nil || a.Name != want {
+			t.Errorf("ParseArch(%q) = %q, %v; want %q", name, a.Name, err, want)
+		}
+	}
+	for _, name := range []string{
+		"spade-sextans-pci",
+		"spade-sextansfoo",
+		"spade-sextans:4x",
+		"spade-sextans:0",
+		"spade-sextans:-1",
+		"spade-sextans:",
+		"spade-sextans:x",
+		"spade-sextans:4:4",
+		"spade-sextans: 4",
+		"tpu",
+	} {
+		if a, err := ParseArch(name); err == nil {
+			t.Errorf("ParseArch(%q) = %q, want an error", name, a.Name)
+		}
+	}
+}
+
 func TestPartitionAndSimulateEndToEnd(t *testing.T) {
 	m := demoMatrix(1)
 	a := demoArch()

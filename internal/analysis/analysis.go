@@ -10,8 +10,7 @@
 // The subset implemented here is deliberately small: no facts, no
 // cross-package dependencies between analyzers, no suggested fixes. Each
 // analyzer sees one type-checked package at a time and reports positioned
-// diagnostics; cmd/hottileslint drives the suite over the module and in
-// `go vet -vettool` mode (internal/analysis/unitchecker).
+// diagnostics; cmd/hottileslint drives the whole suite over the module.
 package analysis
 
 import (
@@ -25,8 +24,8 @@ import (
 // Requires/ResultOf edges: every analyzer is self-contained over a single
 // package's syntax and types.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, command-line flags and
-	// //lint:ignore directives. It must be a valid Go identifier.
+	// Name identifies the analyzer in diagnostics and //lint:ignore
+	// directives. It must be a valid Go identifier.
 	Name string
 	// Doc is the one-paragraph description shown by -help; its first line
 	// states the invariant the analyzer enforces.
@@ -35,12 +34,9 @@ type Analyzer struct {
 	// pass.Report. The error return is for operational failures (it aborts
 	// the run), not for findings.
 	Run func(pass *Pass) error
-	// Begin, if set, is called once at the start of each driver Run, before
+	// Begin, if set, is called once at the start of each driver run, before
 	// any package is analyzed. It exists for whole-suite state (metricname's
-	// cross-package collision map); such state is only complete when the
-	// driver sees the whole module in one invocation — unitchecker runs one
-	// package per process, so cross-package checks degrade to per-package
-	// there.
+	// cross-package collision map).
 	Begin func()
 }
 

@@ -58,8 +58,8 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 }
 
 // LoadPackage loads one GOPATH-style package from dir/src/path and returns
-// it, for driver-level tests that call analysis.Run or analysis.RunChecked
-// directly instead of going through Run's want matching.
+// it, for driver-level tests that call the analysis driver directly instead
+// of going through Run's want matching.
 func LoadPackage(t *testing.T, dir, path string) *analysis.Package {
 	t.Helper()
 	l := &loader{

@@ -21,7 +21,7 @@ func BenchmarkLintSuite(b *testing.B) {
 	suite := passes.All()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		diags, err := analysis.RunChecked(pkgs, suite, suite)
+		diags, err := analysis.RunChecked(pkgs, suite)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -21,21 +21,22 @@ const AuditName = "lintignore"
 // diagnostics, sorted by position then analyzer. Diagnostics on a line
 // covered by a matching //lint:ignore directive are dropped. Run performs
 // no suppression audit — analysistest fixtures legitimately carry
-// directives for analyzers outside the one under test; whole-suite drivers
-// use RunChecked.
+// directives for analyzers outside the one under test; the drivers use
+// RunChecked.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunChecked(pkgs, analyzers, nil)
+	return run(pkgs, analyzers, false)
 }
 
-// RunChecked is Run plus the suppression audit: when known is non-nil,
-// every //lint:ignore directive in the analyzed packages must name an
-// analyzer in known, and — when that analyzer is in the active set — must
-// actually suppress a diagnostic. Violations surface as AuditName
-// diagnostics, so a stale or misspelled suppression fails the lint run
-// exactly like a finding would. Names not in the active subset are left
-// unaudited (a `go vet -shadow`-style partial run cannot tell whether the
-// directive still fires).
-func RunChecked(pkgs []*Package, analyzers, known []*Analyzer) ([]Diagnostic, error) {
+// RunChecked is Run plus the suppression audit, for the drivers that run
+// the whole suite: every //lint:ignore directive in the analyzed packages
+// must name an analyzer in suite and must actually suppress a diagnostic.
+// Violations surface as AuditName diagnostics, so a stale or misspelled
+// suppression fails the lint run exactly like a finding would.
+func RunChecked(pkgs []*Package, suite []*Analyzer) ([]Diagnostic, error) {
+	return run(pkgs, suite, true)
+}
+
+func run(pkgs []*Package, analyzers []*Analyzer, audit bool) ([]Diagnostic, error) {
 	for _, a := range analyzers {
 		if a.Begin != nil {
 			a.Begin()
@@ -66,8 +67,8 @@ func RunChecked(pkgs []*Package, analyzers, known []*Analyzer) ([]Diagnostic, er
 			}
 		}
 	}
-	if known != nil {
-		diags = append(diags, auditDirectives(directives, analyzers, known)...)
+	if audit {
+		diags = append(diags, auditDirectives(directives, analyzers)...)
 	}
 	slices.SortFunc(diags, func(a, b Diagnostic) int {
 		if c := strings.Compare(a.Posn.Filename, b.Posn.Filename); c != 0 {
@@ -84,43 +85,29 @@ func RunChecked(pkgs []*Package, analyzers, known []*Analyzer) ([]Diagnostic, er
 	return diags, nil
 }
 
-// auditDirectives checks every collected directive name against the known
-// suite and its usage during this run.
-func auditDirectives(directives []*directive, active, known []*Analyzer) []Diagnostic {
-	knownNames := make(map[string]bool, len(known))
-	for _, a := range known {
-		knownNames[a.Name] = true
+// auditDirectives checks every collected directive name against the suite
+// and its usage during this run.
+func auditDirectives(directives []*directive, suite []*Analyzer) []Diagnostic {
+	known := make(map[string]bool, len(suite))
+	for _, a := range suite {
+		known[a.Name] = true
 	}
-	activeNames := make(map[string]bool, len(active))
-	for _, a := range active {
-		activeNames[a.Name] = true
-	}
-	fullRun := len(activeNames) == len(knownNames)
 	var out []Diagnostic
 	for _, d := range directives {
 		for _, name := range d.names {
+			var msg string
 			switch {
 			case name == "all":
-				// Verifiable only when the whole suite ran.
-				if fullRun && !d.used[name] {
-					out = append(out, Diagnostic{
-						Posn:     d.posn,
-						Analyzer: AuditName,
-						Message:  "stale //lint:ignore all: no analyzer fires here",
-					})
+				if !d.used[name] {
+					msg = "stale //lint:ignore all: no analyzer fires here"
 				}
-			case !knownNames[name]:
-				out = append(out, Diagnostic{
-					Posn:     d.posn,
-					Analyzer: AuditName,
-					Message:  fmt.Sprintf("//lint:ignore names unknown analyzer %q", name),
-				})
-			case activeNames[name] && !d.used[name]:
-				out = append(out, Diagnostic{
-					Posn:     d.posn,
-					Analyzer: AuditName,
-					Message:  fmt.Sprintf("stale //lint:ignore: %s does not fire here", name),
-				})
+			case !known[name]:
+				msg = fmt.Sprintf("//lint:ignore names unknown analyzer %q", name)
+			case !d.used[name]:
+				msg = fmt.Sprintf("stale //lint:ignore: %s does not fire here", name)
+			}
+			if msg != "" {
+				out = append(out, Diagnostic{Posn: d.posn, Analyzer: AuditName, Message: msg})
 			}
 		}
 	}

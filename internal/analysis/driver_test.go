@@ -64,14 +64,14 @@ func diffLines(t *testing.T, got, want []string) {
 	}
 }
 
-// TestAuditFullSuite runs the audit fixture with the whole (two-analyzer)
-// suite active: stale and unknown directives become lintignore findings,
+// TestAuditFullSuite runs the audit fixture with the two-analyzer suite:
+// stale and unknown directives become lintignore findings,
 // used directives stay silent, and the directive naming the auditor itself
 // cannot suppress its own finding.
 func TestAuditFullSuite(t *testing.T) {
 	pkg := analysistest.LoadPackage(t, "testdata", "audit")
 	suite := []*analysis.Analyzer{fireAnalyzer(), quietAnalyzer()}
-	diags, err := analysis.RunChecked([]*analysis.Package{pkg}, suite, suite)
+	diags, err := analysis.RunChecked([]*analysis.Package{pkg}, suite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,27 +86,7 @@ func TestAuditFullSuite(t *testing.T) {
 	})
 }
 
-// TestAuditSubsetRun pins the partial-run semantics: with only fire active,
-// directives naming quiet (known but inactive) and "all" are left
-// unaudited, while fire staleness and unknown names are still errors.
-func TestAuditSubsetRun(t *testing.T) {
-	pkg := analysistest.LoadPackage(t, "testdata", "audit")
-	fire, quiet := fireAnalyzer(), quietAnalyzer()
-	known := []*analysis.Analyzer{fire, quiet}
-	diags, err := analysis.RunChecked([]*analysis.Package{pkg}, []*analysis.Analyzer{fire}, known)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffLines(t, lines(diags), []string{
-		"fire:9:Bad function BadLoud",
-		"lintignore:11:stale //lint:ignore: fire does not fire here",
-		`lintignore:14://lint:ignore names unknown analyzer "bogus"`,
-		`lintignore:26://lint:ignore names unknown analyzer "lintignore"`,
-		"fire:30:Bad function BadNoReason",
-	})
-}
-
-// TestAuditDisabled pins Run's contract: no known suite, no audit — only
+// TestAuditDisabled pins Run's contract: no audit — only
 // unsuppressed analyzer findings come back, so analysistest fixtures can
 // carry directives for analyzers outside the one under test.
 func TestAuditDisabled(t *testing.T) {

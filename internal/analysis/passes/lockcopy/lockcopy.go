@@ -1,21 +1,13 @@
-// Package lockcopy extends go vet's copylocks with the repository's own
-// synchronization types and with the singleflight-cache aliasing rule.
+// Package lockcopy enforces the singleflight-cache aliasing rule: results
+// obtained from par.Cache.Get are shared. Every concurrent caller for a
+// key observes the same pointer (DESIGN.md §9), so mutating through that
+// pointer ("re-wrapping" a cached value) is a data race and corrupts the
+// cache for every later reader. Writes through a variable bound directly
+// to a Cache.Get result are flagged.
 //
-// Two invariant families are enforced:
-//
-//  1. Values containing sync primitives or a par.Cache must never be
-//     copied: by-value parameters, results, receivers, copy-assignments
-//     from an existing value, and by-value range bindings all silently
-//     fork the lock (or the cache's flight map), splitting what must be a
-//     single synchronization domain. par.Cache fields embedded by value in
-//     a long-lived struct are the intended use and stay silent — it is the
-//     copy of an existing value that is flagged.
-//
-//  2. Results obtained from par.Cache.Get are shared: every concurrent
-//     caller for a key observes the same pointer (DESIGN.md §9), so
-//     mutating through that pointer ("re-wrapping" a cached value) is a
-//     data race and corrupts the cache for every later reader. Writes
-//     through a variable bound directly to a Cache.Get result are flagged.
+// Copies of lock-bearing values, par.Cache included (it holds a
+// sync.Mutex by value), are go vet's copylocks check, which `make vet`
+// runs.
 package lockcopy
 
 import (
@@ -28,154 +20,18 @@ import (
 // Analyzer is the lockcopy pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockcopy",
-	Doc:  "flags copies of sync/par.Cache-bearing values and mutation of par.Cache.Get results",
+	Doc:  "flags mutation of par.Cache.Get results",
 	Run:  run,
-}
-
-// syncTypes are the stdlib types whose by-value copy is always a bug.
-var syncTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true,
-	"Once": true, "Cond": true, "Map": true, "Pool": true,
 }
 
 func run(pass *analysis.Pass) error {
 	pass.Inspect(func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncDecl:
-			checkFieldList(pass, x.Recv, "receiver")
-			if x.Type.Params != nil {
-				checkFieldList(pass, x.Type.Params, "parameter")
-			}
-			if x.Type.Results != nil {
-				checkFieldList(pass, x.Type.Results, "result")
-			}
-			checkCacheAliasing(pass, x.Body)
-		case *ast.FuncLit:
-			if x.Type.Params != nil {
-				checkFieldList(pass, x.Type.Params, "parameter")
-			}
-			if x.Type.Results != nil {
-				checkFieldList(pass, x.Type.Results, "result")
-			}
-		case *ast.AssignStmt:
-			checkAssign(pass, x)
-		case *ast.RangeStmt:
-			checkRange(pass, x)
+		if fd, ok := n.(*ast.FuncDecl); ok {
+			checkCacheAliasing(pass, fd.Body)
 		}
 		return true
 	})
 	return nil
-}
-
-// checkFieldList flags by-value lock-bearing parameters/results/receivers.
-func checkFieldList(pass *analysis.Pass, fl *ast.FieldList, kind string) {
-	if fl == nil {
-		return
-	}
-	for _, f := range fl.List {
-		t := pass.TypesInfo.Types[f.Type].Type
-		if t == nil {
-			continue
-		}
-		if name := lockPath(t); name != "" {
-			pass.Reportf(f.Type.Pos(), "%s passes lock by value: type contains %s; use a pointer", kind, name)
-		}
-	}
-}
-
-// checkAssign flags statements that copy an existing lock-bearing value.
-// Fresh values (composite literals, new(T)) are fine — it is aliasing an
-// existing lock that forks the synchronization domain.
-func checkAssign(pass *analysis.Pass, as *ast.AssignStmt) {
-	if len(as.Lhs) != len(as.Rhs) {
-		return
-	}
-	for i, rhs := range as.Rhs {
-		if !copiesExistingValue(rhs) {
-			continue
-		}
-		t := pass.TypesInfo.Types[rhs].Type
-		if t == nil {
-			continue
-		}
-		if name := lockPath(t); name != "" {
-			pass.Reportf(as.Lhs[i].Pos(), "assignment copies lock value: type contains %s; use a pointer", name)
-		}
-	}
-}
-
-// checkRange flags `for _, v := range xs` where v copies a lock-bearing
-// element.
-func checkRange(pass *analysis.Pass, rng *ast.RangeStmt) {
-	if rng.Value == nil {
-		return
-	}
-	// A `:=` range binding is a definition, not a typed expression; resolve
-	// its type through the defined object.
-	t := pass.TypesInfo.Types[rng.Value].Type
-	if t == nil {
-		if id, ok := rng.Value.(*ast.Ident); ok {
-			if obj := pass.ObjectOf(id); obj != nil {
-				t = obj.Type()
-			}
-		}
-	}
-	if t == nil {
-		return
-	}
-	if name := lockPath(t); name != "" {
-		pass.Reportf(rng.Value.Pos(), "range binding copies lock value: type contains %s; range over indices or pointers", name)
-	}
-}
-
-// copiesExistingValue reports whether e denotes an existing addressable-ish
-// value (whose assignment is a copy) rather than a freshly constructed one.
-func copiesExistingValue(e ast.Expr) bool {
-	switch x := analysis.Unparen(e).(type) {
-	case *ast.Ident:
-		return x.Name != "nil"
-	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return true
-	}
-	return false
-}
-
-// lockPath returns a human-readable description of the first sync primitive
-// or par.Cache found by value inside t, or "" if t is copy-safe. Pointers,
-// slices, maps and channels stop the walk: copying a pointer to a lock is
-// fine.
-func lockPath(t types.Type) string {
-	seen := map[types.Type]bool{}
-	var walk func(t types.Type) string
-	walk = func(t types.Type) string {
-		if seen[t] {
-			return ""
-		}
-		seen[t] = true
-		if named, ok := t.(*types.Named); ok {
-			obj := named.Obj()
-			if obj.Pkg() != nil {
-				if obj.Pkg().Path() == "sync" && syncTypes[obj.Name()] {
-					return "sync." + obj.Name()
-				}
-				if obj.Name() == "Cache" && analysis.PathHasSuffix(obj.Pkg().Path(), "internal/par") {
-					return "par.Cache"
-				}
-			}
-		}
-		switch u := t.Underlying().(type) {
-		case *types.Struct:
-			for i := 0; i < u.NumFields(); i++ {
-				if name := walk(u.Field(i).Type()); name != "" {
-					return name
-				}
-			}
-		case *types.Array:
-			return walk(u.Elem())
-		}
-		return ""
-	}
-	return walk(t)
 }
 
 // checkCacheAliasing flags writes through variables bound to par.Cache.Get

@@ -1,46 +1,15 @@
 // Package locks exercises the lockcopy analyzer.
 package locks
 
-import (
-	"sync"
+import "repro/internal/par"
 
-	"repro/internal/par"
-)
-
-// guarded embeds locks by value, the intended way to own them.
+// guarded owns a singleflight cache.
 type guarded struct {
-	mu    sync.Mutex
 	cache par.Cache[string, *entry]
-	n     int
 }
 
 type entry struct {
 	Val int
-}
-
-// byValueParam receives a lock-bearing struct by value.
-func byValueParam(g guarded) int { // want `parameter passes lock by value: type contains sync.Mutex`
-	return g.n
-}
-
-// byValueCacheParam receives the cache itself by value.
-func byValueCacheParam(c par.Cache[string, *entry]) { // want `parameter passes lock by value: type contains par.Cache`
-	_, _ = c.Get("k", func() (*entry, error) { return &entry{}, nil })
-}
-
-// copyAssign forks an existing mutex.
-func copyAssign(g *guarded) {
-	mu := g.mu // want `assignment copies lock value: type contains sync.Mutex`
-	mu.Lock()
-}
-
-// rangeCopy copies lock-bearing elements per iteration.
-func rangeCopy(gs []guarded) int {
-	n := 0
-	for _, g := range gs { // want `range binding copies lock value: type contains sync.Mutex`
-		n += g.n
-	}
-	return n
 }
 
 // mutateCached rewrites a value shared through the singleflight cache.
@@ -49,32 +18,10 @@ func mutateCached(g *guarded) {
 	e.Val = 2 // want `mutation of "e", a value shared via par.Cache.Get`
 }
 
-// freshValue constructs locks in place: silent.
-func freshValue() *guarded {
-	g := guarded{n: 1}
-	return &g
-}
-
-// pointerParam passes the lock by pointer: silent.
-func pointerParam(g *guarded) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.n++
-}
-
 // readCached only reads the shared value and rebinds the variable: silent.
 func readCached(g *guarded) int {
 	e, _ := g.cache.Get("k", func() (*entry, error) { return &entry{Val: 1}, nil })
 	n := e.Val
 	e = &entry{Val: n} // rebinding the local is not mutation of the shared value
 	return e.Val
-}
-
-// indexPointers iterates pointers, no lock copies: silent.
-func indexPointers(gs []*guarded) int {
-	n := 0
-	for _, g := range gs {
-		n += g.n
-	}
-	return n
 }

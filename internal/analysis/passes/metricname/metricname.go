@@ -1,8 +1,8 @@
 // Package metricname polices the obs metrics namespace at compile time.
-// PR 6 had to teach the debug plane's promNamer to suffix colliding
-// Prometheus series with _2 because two dotted registry names can sanitize
-// to the same prom base — a silent rename that breaks dashboards. This
-// pass makes that machinery unreachable:
+// Two dotted registry names can sanitize to the same Prometheus base, and
+// a collided exposition is a malformed scrape. The /metrics writer
+// (obs.WriteMetricsText) sanitizes each name directly and relies on this
+// pass to make such collisions impossible:
 //
 //   - every obs.NewCounter/NewGauge/NewHistogram name must be a
 //     compile-time constant — a dynamic name defeats grepping and can
@@ -15,13 +15,12 @@
 //   - histogram names end in ".ns" — every histogram in the repo is a
 //     nanosecond latency, and the convention keeps units out of
 //     dashboards' guesswork;
-//   - across the whole suite (Begin resets the state once per driver
-//     run), no two registrations may claim the same name, and no two
-//     names may collide in prom space, where a counter claims {base}, a
-//     gauge {base, base_max} and a histogram {base, base_bucket,
-//     base_sum, base_count}. Whole-suite means whole-module standalone
-//     runs; under unitchecker (one package per process) the check
-//     degrades to per-package.
+//   - across the module (Begin resets the state once per driver run;
+//     `make lint` analyzes the whole module in one run), no two
+//     registrations may claim the same name, and no two names may
+//     collide in prom space, where a counter claims {base}, a gauge
+//     {base, base_max} and a histogram {base, base_bucket, base_sum,
+//     base_count}.
 //
 // Constant obs Timeline track names (Timeline.TrackID)
 // get a lighter grammar check (slash/underscore/dash separators allowed);
@@ -55,7 +54,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "metricname",
 	Doc: "obs metric registrations use constant dotted-lowercase names, unique across the suite " +
-		"and collision-free after prom sanitization (promNamer's _2 suffixing must be unreachable)",
+		"and collision-free after prom sanitization",
 	Run:   run,
 	Begin: reset,
 }
@@ -113,9 +112,6 @@ var slogAttrCtors = map[string]bool{
 var obsAttrCtors = map[string]bool{"Str": true, "Int": true, "F64": true}
 
 func run(pass *analysis.Pass) error {
-	if suite.names == nil {
-		reset() // standalone Run without Begin (unitchecker path)
-	}
 	// The span-end line forwards dynamic span names and attr keys; the
 	// log-name rules apply to the callers of obs, not to obs itself.
 	selfObs := analysis.PathHasSuffix(pass.Pkg.Path(), "internal/obs")

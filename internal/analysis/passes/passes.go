@@ -1,7 +1,6 @@
 // Package passes registers the repository's analyzer suite in its
-// canonical order. cmd/hottileslint, the unitchecker mode and the repo
-// smoke test all consume this one list so a new analyzer lands everywhere
-// by being appended here.
+// canonical order. cmd/hottileslint and the repo smoke test both consume
+// this one list so a new analyzer lands everywhere by being appended here.
 package passes
 
 import (

@@ -44,57 +44,16 @@ func sanitizeMetricName(name string) string {
 	return b.String()
 }
 
-// promNamer assigns each registry name a unique Prometheus name.
-// Sanitization is lossy ("sim.engine.steps" and "sim_engine_steps" both map
-// to "sim_engine_steps"), and a collided exposition carries duplicate # TYPE
-// lines and duplicate series, which Prometheus rejects as a malformed
-// scrape. The namer claims every series a metric will emit (the base name
-// plus kind-specific companions like a gauge's _max or a histogram's
-// _bucket/_sum/_count) and resolves collisions by suffixing _2, _3, ... —
-// deterministic because metrics are assigned in a fixed order (counters,
-// gauges, histograms; each sorted by registry name).
-type promNamer struct {
-	taken map[string]bool
-}
-
-// assign returns the unique exposition name for a registry name, reserving
-// name+suffix for every companion series the metric emits.
-func (p *promNamer) assign(name string, companions ...string) string {
-	if p.taken == nil {
-		p.taken = map[string]bool{}
-	}
-	base := sanitizeMetricName(name)
-	for n := 1; ; n++ {
-		cand := base
-		if n > 1 {
-			cand = fmt.Sprintf("%s_%d", base, n)
-		}
-		free := !p.taken[cand]
-		for _, c := range companions {
-			free = free && !p.taken[cand+c]
-		}
-		if !free {
-			continue
-		}
-		p.taken[cand] = true
-		for _, c := range companions {
-			p.taken[cand+c] = true
-		}
-		return cand
-	}
-}
-
 // WriteMetricsText renders the view in the Prometheus text exposition
 // format (version 0.0.4): counters, gauges (level plus a companion _max
 // gauge for the high-water mark), and histograms with cumulative _bucket
 // series, _sum, and _count. Output is sorted by metric name so scrapes
-// diff cleanly, and distinct registry names that sanitize to the same
-// Prometheus name are disambiguated through promNamer so one exposition
-// never carries duplicate series.
+// diff cleanly. Each registry name serves under sanitizeMetricName(name):
+// the metricname analyzer rejects every pair of registrations that would
+// collide after sanitization, companion series included.
 func (v *RegistryView) WriteMetricsText(w io.Writer) error {
-	var namer promNamer
 	for _, name := range sortedKeys(v.Counters) {
-		p := namer.assign(name)
+		p := sanitizeMetricName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", p, p, v.Counters[name]); err != nil {
 			return err
 		}
@@ -102,7 +61,7 @@ func (v *RegistryView) WriteMetricsText(w io.Writer) error {
 
 	for _, name := range sortedKeys(v.Gauges) {
 		g := v.Gauges[name]
-		p := namer.assign(name, "_max")
+		p := sanitizeMetricName(name)
 		_, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n# TYPE %s_max gauge\n%s_max %d\n",
 			p, p, g.Value, p, p, g.Max)
 		if err != nil {
@@ -112,7 +71,7 @@ func (v *RegistryView) WriteMetricsText(w io.Writer) error {
 
 	for _, name := range sortedKeys(v.Histograms) {
 		h := v.Histograms[name]
-		p := namer.assign(name, "_bucket", "_sum", "_count")
+		p := sanitizeMetricName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", p); err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net"
@@ -51,80 +50,6 @@ func parseExposition(t *testing.T, body string) (types []string, series []string
 	return types, series
 }
 
-// TestWriteMetricsTextCollisions is the regression test for the sanitizer
-// collision bug: "sim.engine.steps" and "sim_engine_steps" both sanitize to
-// "sim_engine_steps", and the pre-fix exposition emitted two # TYPE lines
-// and two series under that one name — a scrape Prometheus rejects as
-// malformed. Collided registry names must now serve under distinct,
-// deterministic exposition names, companions (_max, _bucket, _sum, _count)
-// included.
-func TestWriteMetricsTextCollisions(t *testing.T) {
-	v := &RegistryView{
-		Counters: map[string]int64{
-			"sim.engine.steps": 3,
-			"sim_engine_steps": 4,
-			"queue.depth.max":  9, // collides with the gauge's _max companion
-		},
-		Gauges: map[string]GaugeSnapshot{
-			"queue.depth": {Value: 1, Max: 2},
-			"queue_depth": {Value: 5, Max: 6},
-		},
-		Histograms: map[string]HistogramSnapshot{
-			"req.lat.ns": {Count: 1, SumNS: 10, Buckets: []HistBucket{{UpperNS: 15, Count: 1}}},
-			"req_lat.ns": {Count: 2, SumNS: 20, Buckets: []HistBucket{{UpperNS: 31, Count: 2}}},
-		},
-	}
-	var buf bytes.Buffer
-	if err := v.WriteMetricsText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	body := buf.String()
-
-	types, series := parseExposition(t, body)
-	seenType := map[string]bool{}
-	for _, name := range types {
-		if seenType[name] {
-			t.Errorf("duplicate # TYPE line for %q", name)
-		}
-		seenType[name] = true
-	}
-	// Within one # TYPE block repeated series names are legitimate only for
-	// histogram buckets; here every histogram has distinct buckets, so a
-	// duplicated (name, kind) pair can only come from a collision.
-	seenSeries := map[string]int{}
-	for _, name := range series {
-		seenSeries[name]++
-	}
-	for name, n := range seenSeries {
-		if n > 1 && !strings.HasSuffix(name, "_bucket") {
-			t.Errorf("series %q emitted %d times", name, n)
-		}
-	}
-
-	// Every registry value must still be present under its deterministic
-	// name: the counter claims queue_depth_max, which pushes both gauges
-	// (whose _max companion would collide) onto suffixed names.
-	for _, want := range []string{
-		"sim_engine_steps 3", "sim_engine_steps_2 4",
-		"queue_depth_max 9",
-		"queue_depth_2 1", "queue_depth_2_max 2",
-		"queue_depth_3 5", "queue_depth_3_max 6",
-		"req_lat_ns_sum 10", "req_lat_ns_2_sum 20",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("exposition lost a collided metric: missing %q in\n%s", want, body)
-		}
-	}
-	// Determinism: two renders of the same view are identical.
-	var buf2 bytes.Buffer
-	if err := v.WriteMetricsText(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != body {
-		t.Error("collision resolution is not deterministic")
-	}
-}
-
 // TestMetricsEndpoint asserts the acceptance criterion: /metrics returns
 // every registered metric in the Prometheus text exposition format.
 func TestMetricsEndpoint(t *testing.T) {
@@ -158,6 +83,26 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, sanitizeMetricName(name)) {
 			t.Errorf("/metrics missing registered metric %q", name)
 		}
+	}
+
+	// The exposition serves each registry name under its sanitized form
+	// with no renaming, so a collision would show here as a repeated
+	// # TYPE line or series, a scrape Prometheus rejects. The metricname
+	// analyzer keeps the registry collision-free.
+	types, series := parseExposition(t, body)
+	seen := map[string]bool{}
+	for _, name := range types {
+		if seen[name] {
+			t.Errorf("duplicate # TYPE line for %q", name)
+		}
+		seen[name] = true
+	}
+	seen = map[string]bool{}
+	for _, name := range series {
+		if seen[name] && !strings.HasSuffix(name, "_bucket") {
+			t.Errorf("series %q emitted twice", name)
+		}
+		seen[name] = true
 	}
 
 	// Shape checks on the metrics this test owns.

@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -218,4 +219,19 @@ func TestCacheDistinctKeysConcurrent(t *testing.T) {
 			t.Errorf("key %d: got %d, %v", i%8, v, err)
 		}
 	})
+}
+
+// TestCacheHoldsMutexByValue pins the field that makes a copied Cache a
+// go vet finding: copylocks flags any by-value copy of a struct holding a
+// sync.Mutex, and the lockcopy analyzer leaves Cache copies to it. A
+// pointer or an interface in that field would let copies through silently.
+func TestCacheHoldsMutexByValue(t *testing.T) {
+	mutex := reflect.TypeOf(sync.Mutex{})
+	typ := reflect.TypeOf(Cache[string, int]{})
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type == mutex {
+			return
+		}
+	}
+	t.Fatalf("%v holds no sync.Mutex by value", typ)
 }
