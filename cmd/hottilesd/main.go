@@ -18,6 +18,9 @@
 //	GET  /debug/requests  flight recorder: recent requests + post-mortems
 //	GET  /debug/pprof  standard Go profiling
 //
+// Distinct uploads build concurrently, one per core by default
+// (-max-active 0): a single build has serial stages (hashing, HTTP, the
+// serial parts of preprocessing, encode) that leave the other cores idle.
 // Overload is refused, not buffered: past -max-active concurrent builds
 // and a -max-queue wait line, POST /plan answers 429 with a Retry-After
 // estimate. SIGINT/SIGTERM drains in-flight requests before exiting;
@@ -62,7 +65,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for IUnaware's random assignment")
 	storeDir := flag.String("store-dir", "", "spill built plans to this directory (survives restarts)")
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "in-memory plan cache budget")
-	maxActive := flag.Int("max-active", 1, "concurrent preprocessing builds")
+	maxActive := flag.Int("max-active", 0, "concurrent preprocessing builds (0: one per core, GOMAXPROCS)")
 	maxQueue := flag.Int("max-queue", 64, "builds waiting for a slot before 429 (negative: no queue)")
 	reqTimeout := flag.Duration("request-timeout", 60*time.Second, "per-request preprocessing deadline")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "shutdown drain deadline for in-flight requests")

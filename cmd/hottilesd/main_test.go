@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -278,6 +279,81 @@ func TestConcurrentUploadsCoalesce(t *testing.T) {
 	}
 	if _, err := hottiles.ReadPlan(bytes.NewReader(bodies[0])); err != nil {
 		t.Fatalf("shared plan invalid: %v", err)
+	}
+}
+
+// TestConcurrentBuildsMatchSerial: distinct uploads that build at the same
+// time, one slot each, get the same plan bytes as each upload built with
+// no other request in flight. The bodies span two shape classes, two
+// seeds each: a small matrix parsed and sorted in one chunk, and one with
+// over 65,536 nonzeros in a body over 512 KiB, whose parse, sort and
+// tiling fan out on the shared par pool.
+func TestConcurrentBuildsMatchSerial(t *testing.T) {
+	bodies := [][]byte{
+		matrixBytes(t, 61, 512, 4000),
+		matrixBytes(t, 62, 512, 4000),
+		matrixBytes(t, 63, 1024, 70000),
+		matrixBytes(t, 64, 1024, 70000),
+	}
+	n := len(bodies)
+	plan := func(s *server, body []byte) []byte {
+		rec := httptest.NewRecorder()
+		s.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/plan", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Errorf("POST /plan: status %d: %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+
+	cfg := testConfig()
+	cfg.store = planstore.Config{MaxActive: n}
+	conc, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every build waits at the start until all n are in flight, so the
+	// pipelines overlap; the timeout keeps a slot shortage from hanging.
+	var entered atomic.Int32
+	all := make(chan struct{})
+	conc.buildHook = func() {
+		if int(entered.Add(1)) == n {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(10 * time.Second):
+		}
+	}
+	got := make([][]byte, n)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = plan(conc, bodies[i])
+		}()
+	}
+	wg.Wait()
+	select {
+	case <-all:
+	default:
+		t.Fatalf("only %d of %d builds were in flight at once", entered.Load(), n)
+	}
+
+	cfg.store = planstore.Config{MaxActive: 1}
+	serial, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range bodies {
+		want := plan(serial, body)
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("upload %d: concurrent build returned %d plan bytes that differ from the %d of a serial build",
+				i, len(got[i]), len(want))
+		}
+	}
+	if st := conc.store.Stats(); st.Builds != int64(n) {
+		t.Fatalf("concurrent store ran %d builds, want %d", st.Builds, n)
 	}
 }
 

@@ -15,10 +15,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/planstore"
 )
 
 // syncBuffer is a Writer the daemon logger can share with a test that
@@ -381,5 +383,84 @@ func TestRequestIDsStayOutOfNameTable(t *testing.T) {
 	}
 	if total := s.tl.Dropped() + uint64(len(s.tl.Events())); total < n {
 		t.Fatalf("timeline saw %d events, want at least %d", total, n)
+	}
+}
+
+// TestQueueWaitIsSpanned: a build that waits for the only build slot
+// records a planstore.queue span on its request's tree, carrying the
+// queue depth it joined at and lasting at least as long as the slot was
+// held. The build that found its slot free records no queue span.
+func TestQueueWaitIsSpanned(t *testing.T) {
+	obs.ConfigureFlight(time.Nanosecond)
+	defer obs.ConfigureFlight(0)
+
+	cfg := testConfig()
+	cfg.store = planstore.Config{MaxActive: 1}
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	enteredCh := make(chan struct{})
+	var builds atomic.Int32
+	s.buildHook = func() {
+		if builds.Add(1) == 1 {
+			close(enteredCh)
+			<-release
+		}
+	}
+	post := func(wg *sync.WaitGroup, id string, body []byte) {
+		defer wg.Done()
+		req := httptest.NewRequest(http.MethodPost, "/plan", bytes.NewReader(body))
+		req.Header.Set(obs.RequestIDHeader, id)
+		rec := httptest.NewRecorder()
+		s.mux.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s: status %d: %s", id, rec.Code, rec.Body)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go post(&wg, "queue-holder", matrixBytes(t, 41, 256, 2000))
+	<-enteredCh // the only build slot is now held
+	go post(&wg, "queue-waiter", matrixBytes(t, 42, 256, 2000))
+	deadline := time.Now().Add(10 * time.Second)
+	for s.store.Stats().Queued < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("second upload never queued: %+v", s.store.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	const hold = 50 * time.Millisecond
+	time.Sleep(hold)
+	close(release)
+	wg.Wait()
+
+	view := obs.Flight().Snapshot()
+	queueSpans := func(id string) []*obs.SpanRecord {
+		post := findPostmortem(view, id)
+		if post == nil || post.Spans == nil {
+			t.Fatalf("no post-mortem span tree for %s", id)
+		}
+		var spans []*obs.SpanRecord
+		for _, c := range post.Spans.Children {
+			if c.Name == "planstore.queue" {
+				spans = append(spans, c)
+			}
+		}
+		return spans
+	}
+	if got := queueSpans("queue-holder"); len(got) != 0 {
+		t.Fatalf("the build that found a free slot recorded a queue span: %+v", got[0])
+	}
+	got := queueSpans("queue-waiter")
+	if len(got) != 1 {
+		t.Fatalf("queued build recorded %d planstore.queue spans, want 1", len(got))
+	}
+	if got[0].DurationNS < hold.Nanoseconds() {
+		t.Fatalf("planstore.queue lasted %v, less than the %v hold", time.Duration(got[0].DurationNS), hold)
+	}
+	if got[0].Attrs["depth"] != "1" {
+		t.Fatalf("planstore.queue attrs %v, want depth 1", got[0].Attrs)
 	}
 }

@@ -2,21 +2,47 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// toolDir is the directory TestMain creates for the shared hottileslint
+// binary and removes once every test has run.
+var toolDir string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "hottileslint-test-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	toolDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// builtTool runs the go build the first time a test asks for the binary.
+var builtTool = sync.OnceValues(func() (string, error) {
+	bin := filepath.Join(toolDir, "hottileslint")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		return "", fmt.Errorf("go build: %v\n%s", err, out)
+	}
+	return bin, nil
+})
 
 // buildTool compiles the hottileslint binary once per test process and
 // returns its path.
 func buildTool(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "hottileslint")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	bin, err := builtTool()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return bin
 }

@@ -147,46 +147,61 @@ func ForEach(n int, fn func(i int)) {
 			Kind: obs.EvTaskEnqueue, Arg: int64(n),
 		})
 	}
-	var next atomic.Int64
-	// work drains the shared index; slot 0 is the calling goroutine, whose
-	// timeline track is "par/caller", and slot k > 0 spawned worker k's.
-	work := func(slot int32) {
-		t0 := tl.Now()
-		drained := 0
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				break
-			}
-			fn(i)
-			drained++
-		}
-		if tl != nil {
-			track := "par/caller"
-			if slot > 0 {
-				track = "par/w" + strconv.Itoa(int(slot))
-			}
-			tl.Append(obs.Event{
-				TS: t0, Dur: tl.Now() - t0, Track: tl.TrackID(track), Name: -1,
-				Kind: obs.EvTaskRun, Arg: int64(drained),
-			})
-		}
-	}
-	var wg sync.WaitGroup
+	f := &fanout{n: n, fn: fn, tl: tl}
 	for spawned := 0; spawned < n-1; spawned++ {
 		slot, ok := tryAcquire()
 		if !ok {
 			break
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer release()
-			work(slot)
-		}()
+		f.wg.Add(1)
+		go f.spawn(slot)
 	}
-	work(0)
-	wg.Wait()
+	f.work(0)
+	f.wg.Wait()
+}
+
+// fanout is one ForEach call's shared state, in one allocation: the index
+// its participants drain, the wait for the spawned ones, and the work.
+type fanout struct {
+	next atomic.Int64
+	wg   sync.WaitGroup
+	n    int
+	fn   func(i int)
+	tl   *obs.Timeline
+}
+
+// spawn is a spawned participant: it drains items, then returns its pool
+// slot.
+func (f *fanout) spawn(slot int32) {
+	defer f.wg.Done()
+	defer release()
+	f.work(slot)
+}
+
+// work drains the shared index; slot 0 is the calling goroutine, whose
+// timeline track is "par/caller", and slot k > 0 spawned worker k's.
+func (f *fanout) work(slot int32) {
+	tl := f.tl
+	t0 := tl.Now()
+	drained := 0
+	for {
+		i := int(f.next.Add(1)) - 1
+		if i >= f.n {
+			break
+		}
+		f.fn(i)
+		drained++
+	}
+	if tl != nil {
+		track := "par/caller"
+		if slot > 0 {
+			track = "par/w" + strconv.Itoa(int(slot))
+		}
+		tl.Append(obs.Event{
+			TS: t0, Dur: tl.Now() - t0, Track: tl.TrackID(track), Name: -1,
+			Kind: obs.EvTaskRun, Arg: int64(drained),
+		})
+	}
 }
 
 // ForEachErr is ForEach for fallible work: every fn runs to completion and

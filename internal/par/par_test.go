@@ -49,6 +49,22 @@ func TestForEachNested(t *testing.T) {
 	}
 }
 
+// TestForEachAllocs pins the fan-out's allocation count: one per call
+// for the shared state (fanout), plus one per spawned goroutine for the
+// go statement's argument closure. Four items on two workers spawn one
+// goroutine, so 2 allocs/op; before the state was folded into one struct
+// the same call made 4.
+func TestForEachAllocs(t *testing.T) {
+	defer SetWorkers(SetWorkers(2))
+	fn := func(int) {}
+	if got := testing.AllocsPerRun(1000, func() { ForEach(4, fn) }); got > 2 {
+		t.Fatalf("ForEach(4) at 2 workers: %.1f allocs/op, want <= 2", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() { ForEach(1, fn) }); got != 0 {
+		t.Fatalf("ForEach(1): %.1f allocs/op, want 0", got)
+	}
+}
+
 func TestForEachErrReturnsLowestIndex(t *testing.T) {
 	defer SetWorkers(SetWorkers(8))
 	errAt := func(i int) error { return fmt.Errorf("item %d", i) }

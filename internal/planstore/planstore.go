@@ -19,6 +19,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,8 +51,9 @@ var (
 var ErrBusy = errors.New("planstore: build queue full")
 
 // Config sizes a Store. The zero value is usable: defaults are one active
-// build (preprocessing saturates the machine; more builds than cores just
-// thrash), a 64-deep wait queue, a 256 MiB memory cache, and no disk spill.
+// build per core (GOMAXPROCS; a build has serial stages, so one build
+// alone leaves cores idle — DESIGN.md §14), a 64-deep wait queue, a
+// 256 MiB memory cache, and no disk spill.
 type Config struct {
 	// Dir, when non-empty, is the disk spill directory: every built plan
 	// is persisted there (write-to-temp, rename) and memory misses check
@@ -59,7 +61,8 @@ type Config struct {
 	Dir string
 	// MaxBytes bounds the in-memory cache (sum of value lengths).
 	MaxBytes int64
-	// MaxActive bounds concurrently running builds.
+	// MaxActive bounds concurrently running builds; zero or negative
+	// means one per core (runtime.GOMAXPROCS at New).
 	MaxActive int
 	// MaxQueue bounds builders waiting for an active slot; a request
 	// arriving with the queue full gets ErrBusy. Negative means "no
@@ -68,9 +71,8 @@ type Config struct {
 }
 
 const (
-	defaultMaxBytes  = 256 << 20
-	defaultMaxActive = 1
-	defaultMaxQueue  = 64
+	defaultMaxBytes = 256 << 20
+	defaultMaxQueue = 64
 )
 
 // Stats is a point-in-time view of one Store's behavior. Builds counts
@@ -131,7 +133,7 @@ func New(cfg Config) (*Store, error) {
 		cfg.MaxBytes = defaultMaxBytes
 	}
 	if cfg.MaxActive <= 0 {
-		cfg.MaxActive = defaultMaxActive
+		cfg.MaxActive = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = defaultMaxQueue
@@ -269,7 +271,9 @@ func (s *Store) runBuild(ctx context.Context, key string, build func(ctx context
 }
 
 // acquire claims a build slot, waiting in the bounded queue if none is
-// free. Full queue → ErrBusy; canceled wait → ctx error.
+// free. Full queue → ErrBusy; canceled wait → ctx error. A wait is a
+// planstore.queue span on the request's tree, carrying the queue depth it
+// joined at; a slot taken at once records nothing.
 func (s *Store) acquire(ctx context.Context) error {
 	select {
 	case s.slots <- struct{}{}:
@@ -277,7 +281,8 @@ func (s *Store) acquire(ctx context.Context) error {
 		return nil
 	default:
 	}
-	if q := s.queued.Add(1); q > int64(s.cfg.MaxQueue) || s.cfg.MaxQueue < 0 {
+	q := s.queued.Add(1)
+	if q > int64(s.cfg.MaxQueue) || s.cfg.MaxQueue < 0 {
 		s.queued.Add(-1)
 		s.rejected.Add(1)
 		storeRejected.Inc()
@@ -285,7 +290,9 @@ func (s *Store) acquire(ctx context.Context) error {
 		return ErrBusy
 	}
 	storeQueued.Set(s.queued.Load())
+	sp := obs.CtxSpan(ctx).Start("planstore.queue", obs.Int("depth", int(q)))
 	defer func() {
+		sp.End()
 		storeQueued.Set(s.queued.Add(-1))
 	}()
 	select {

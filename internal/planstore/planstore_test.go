@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -181,6 +182,54 @@ func TestNoQueueMode(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
+}
+
+// TestDefaultSlotsPerCore: the zero Config runs one build per core. With
+// GOMAXPROCS 3, three distinct builds held open all run at once, and a
+// fourth waits in the queue.
+func TestDefaultSlotsPerCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	s := newStore(t, Config{})
+	release := make(chan struct{})
+	held := func(context.Context) ([]byte, error) {
+		<-release
+		return []byte("v"), nil
+	}
+	var wg sync.WaitGroup
+	get := func(key string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Get(context.Background(), key, held); err != nil {
+				t.Errorf("build %s: %v", key, err)
+			}
+		}()
+	}
+	waitFor := func(what string, ok func(Stats) bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !ok(s.Stats()) {
+			if time.Now().After(deadline) {
+				t.Errorf("%s: %+v", what, s.Stats())
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, key := range []string{"a", "b", "c"} {
+		get(key)
+	}
+	waitFor("three builds never ran at once", func(st Stats) bool { return st.Active == 3 })
+	get("d")
+	waitFor("fourth build never queued", func(st Stats) bool { return st.Queued == 1 })
+	if st := s.Stats(); st.Active != 3 || st.Queued != 1 {
+		t.Errorf("stats %+v: want 3 active, 1 queued", st)
+	}
+	close(release)
+	wg.Wait()
+	if st := s.Stats(); st.Builds != 4 {
+		t.Fatalf("stats %+v: want 4 builds", st)
+	}
 }
 
 // TestCanceledWhileQueued: a builder waiting for a slot honors its
