@@ -14,7 +14,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 
 	hottiles "repro"
@@ -42,12 +41,7 @@ func main() {
 	loadPlan := flag.String("load-plan", "", "skip preprocessing and load a serialized plan")
 	mapFile := flag.String("map", "", "write the tile-assignment map (Figure 5 style) as PGM")
 	bwTraceFile := flag.String("bwtrace", "", "with -simulate: write the bandwidth trace strip as PGM")
-	tracePath := flag.String("trace", "", `write a JSON run manifest to this path ("-" prints a summary)`)
-	timelinePath := flag.String("timeline", "", `with -simulate: write a Chrome trace-event timeline (Perfetto) to this path ("-" prints a per-track summary)`)
-	debugAddr := flag.String("debug-addr", "", "serve the live debug endpoint (pprof, /metrics, /progress) on this address, e.g. :6060")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	logSpec := flag.String("log", "info:text", "diagnostic log level and format: level[:format], e.g. debug, warn:json")
+	cli := obs.NewCLI(flag.CommandLine, "hottiles", true)
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -55,49 +49,19 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	logOpts, err := obs.ParseLogFlag(*logSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hottiles:", err)
-		os.Exit(2)
-	}
-	logger = obs.NewLogger(os.Stderr, logOpts)
-
-	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fail(err)
-	}
-	if *debugAddr != "" {
-		addr, stop, srvErr := obs.ServeDebug(*debugAddr)
-		if srvErr != nil {
-			fail(srvErr)
-		}
-		defer stop()
-		logger.LogAttrs(context.Background(), slog.LevelInfo, "hottiles.debug.listen", slog.String("addr", addr))
-	}
-	obs.SetDeepTiming(*tracePath != "" || *timelinePath != "" || *debugAddr != "")
-	var tl *obs.Timeline
-	if *timelinePath != "" || *debugAddr != "" {
-		tl = obs.NewTimeline(0)
-		par.SetTimeline(tl)
-	}
-	// The tracer feeds both the manifest and the timeline; nil when neither
-	// (nor the debug endpoint) is on, and every trace call below is then a
-	// no-op.
-	var tr *obs.Tracer
-	if *tracePath != "" || *timelinePath != "" || *debugAddr != "" {
-		tr = obs.New("hottiles")
-		tr.SetTimeline(tl)
-		tr.SetConfig("matrix", flag.Arg(0))
-		tr.SetConfig("arch", *archName)
-		tr.SetConfig("strategy", *strategy)
-		tr.SetConfig("kernel", *kernelName)
-		tr.SetConfig("seed", fmt.Sprint(*seed))
-		tr.SetConfig("ops", fmt.Sprint(*opsPerMAC))
-	}
+	cli.Start()
+	par.SetTimeline(cli.Timeline)
+	tr := cli.Tracer
+	tr.SetConfig("matrix", flag.Arg(0))
+	tr.SetConfig("arch", *archName)
+	tr.SetConfig("strategy", *strategy)
+	tr.SetConfig("kernel", *kernelName)
+	tr.SetConfig("seed", fmt.Sprint(*seed))
+	tr.SetConfig("ops", fmt.Sprint(*opsPerMAC))
 
 	a, err := hottiles.ParseArch(*archName)
 	if err != nil {
-		fail(err)
+		cli.Fail(err)
 	}
 	if *tileSize > 0 {
 		a.TileH, a.TileW = *tileSize, *tileSize
@@ -108,18 +72,18 @@ func main() {
 
 	strat, err := hottiles.ParseStrategy(*strategy)
 	if err != nil {
-		fail(err)
+		cli.Fail(err)
 	}
 
 	f, err := os.Open(flag.Arg(0))
 	if err != nil {
-		fail(err)
+		cli.Fail(err)
 	}
 	readSp := tr.Phase("read").Start(flag.Arg(0))
 	m, err := hottiles.ReadMatrixMarket(f)
 	f.Close()
 	if err != nil {
-		fail(err)
+		cli.Fail(err)
 	}
 	readSp.SetAttr("nnz", fmt.Sprint(m.NNZ()))
 	readSp.End()
@@ -127,7 +91,7 @@ func main() {
 
 	kernel, err := hottiles.ParseKernel(*kernelName)
 	if err != nil {
-		fail(err)
+		cli.Fail(err)
 	}
 	if kernel == hottiles.KernelSpMV {
 		a.K = 1
@@ -143,10 +107,10 @@ func main() {
 	case "random":
 		m, err = hottiles.ApplyReorder(m, hottiles.ReorderRandom(m.N, *seed))
 	default:
-		fail(fmt.Errorf("unknown reordering pass %q", *reorderPass))
+		cli.Fail(fmt.Errorf("unknown reordering pass %q", *reorderPass))
 	}
 	if err != nil {
-		fail(err)
+		cli.Fail(err)
 	}
 	reorderSp.End()
 	if *reorderPass != "none" {
@@ -158,7 +122,7 @@ func main() {
 		best, sweep, atErr := hottiles.AutoTileSize(m, &a, []int{64, 128, 256, 512, 1024}, *opsPerMAC)
 		atSp.End()
 		if atErr != nil {
-			fail(atErr)
+			cli.Fail(atErr)
 		}
 		a.TileH, a.TileW = best, best
 		fmt.Printf("auto tile sizing picked %d:", best)
@@ -176,16 +140,16 @@ func main() {
 		// stored plan instead of re-running scan/model/partition.
 		pf, openErr := os.Open(*loadPlan)
 		if openErr != nil {
-			fail(openErr)
+			cli.Fail(openErr)
 		}
 		var planErr error
 		plan, planErr = hottiles.ReadPlan(pf)
 		pf.Close()
 		if planErr != nil {
-			fail(planErr)
+			cli.Fail(planErr)
 		}
 		if plan.Grid.N != m.N || plan.Grid.NNZ() != m.NNZ() {
-			fail(fmt.Errorf("stored plan is for a %d/%d matrix, input is %d/%d",
+			cli.Fail(fmt.Errorf("stored plan is for a %d/%d matrix, input is %d/%d",
 				plan.Grid.N, plan.Grid.NNZ(), m.N, m.NNZ()))
 		}
 		a.TileH, a.TileW = plan.Grid.TileH, plan.Grid.TileW
@@ -199,7 +163,7 @@ func main() {
 			Seed:      *seed,
 		})
 		if err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		partSp.SetAttr("tiles", fmt.Sprint(len(plan.Grid.Tiles)))
 		partSp.End()
@@ -209,14 +173,14 @@ func main() {
 	if *savePlan != "" {
 		pf, err := os.Create(*savePlan)
 		if err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		if err := hottiles.WritePlan(pf, plan); err != nil {
 			pf.Close()
-			fail(err)
+			cli.Fail(err)
 		}
 		if err := pf.Close(); err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		hashFile(tr, *savePlan)
 		fmt.Printf("saved plan to %s\n", *savePlan)
@@ -224,7 +188,7 @@ func main() {
 
 	if *outHot != "" {
 		if err := writeSection(*outHot, hotSectionCOO(plan)); err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		hashFile(tr, *outHot)
 	}
@@ -234,7 +198,7 @@ func main() {
 			cold = plan.ColdCSR.ToCOO()
 		}
 		if err := writeSection(*outCold, cold); err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		hashFile(tr, *outCold)
 	}
@@ -242,14 +206,14 @@ func main() {
 	if *mapFile != "" {
 		f, err := os.Create(*mapFile)
 		if err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		if err := viz.TileMap(f, plan.Grid, plan.Partition.Hot, 512); err != nil {
 			f.Close()
-			fail(err)
+			cli.Fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		hashFile(tr, *mapFile)
 		fmt.Printf("wrote tile map to %s\n", *mapFile)
@@ -269,24 +233,24 @@ func main() {
 			Serial:        plan.Partition.Serial && !a.AtomicRMW,
 			Kernel:        kernel,
 			Trace:         *bwTraceFile != "",
-			Timeline:      tl,
+			Timeline:      cli.Timeline,
 			TimelineLabel: "sim",
 		})
 		simSp.End()
 		if err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		if *bwTraceFile != "" {
 			f, err := os.Create(*bwTraceFile)
 			if err != nil {
-				fail(err)
+				cli.Fail(err)
 			}
 			if err := viz.TraceStrip(f, res.Trace, a.BWBytes, 512, 48); err != nil {
 				f.Close()
-				fail(err)
+				cli.Fail(err)
 			}
 			if err := f.Close(); err != nil {
-				fail(err)
+				cli.Fail(err)
 			}
 			hashFile(tr, *bwTraceFile)
 			fmt.Printf("wrote bandwidth trace to %s\n", *bwTraceFile)
@@ -301,33 +265,14 @@ func main() {
 		default:
 			want, err := hottiles.Reference(m, din)
 			if err != nil {
-				fail(err)
+				cli.Fail(err)
 			}
 			diff, _ := res.Output.MaxAbsDiff(want)
 			fmt.Printf("functional check vs reference kernel: max |diff| = %.2e\n", diff)
 		}
 	}
 
-	tr.Finish()
-	if *tracePath != "" {
-		if err := obs.WriteTrace(tr, *tracePath, os.Stdout); err != nil {
-			fail(err)
-		}
-		if *tracePath != "-" {
-			fmt.Printf("wrote run manifest to %s\n", *tracePath)
-		}
-	}
-	if *timelinePath != "" {
-		if err := obs.WriteTimeline(tl, *timelinePath, os.Stdout); err != nil {
-			fail(err)
-		}
-		if *timelinePath != "-" {
-			fmt.Printf("wrote timeline to %s (load in ui.perfetto.dev)\n", *timelinePath)
-		}
-	}
-	if err := stopProfiles(); err != nil {
-		fail(err)
-	}
+	cli.Finish()
 }
 
 // hashFile records a produced artifact's content hash in the manifest. A
@@ -390,21 +335,9 @@ func writeSection(path string, m *sparse.COO) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return hottiles.WriteMatrixMarket(f, m)
-}
-
-// logger is the CLI's diagnostic stream (stderr; stdout stays the report).
-// main replaces it once the -log flag is parsed.
-var logger *slog.Logger
-
-// fail logs a fatal error as a structured line and exits. Before flag
-// parsing installs the logger, fall back to plain stderr.
-func fail(err error) {
-	if logger == nil {
-		fmt.Fprintln(os.Stderr, "hottiles:", err)
-		os.Exit(1)
+	if err := hottiles.WriteMatrixMarket(f, m); err != nil {
+		f.Close()
+		return err
 	}
-	logger.LogAttrs(context.Background(), slog.LevelError, "hottiles.fatal", slog.String("err", err.Error()))
-	os.Exit(1)
+	return f.Close()
 }

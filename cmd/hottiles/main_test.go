@@ -1,72 +1,61 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
+	"errors"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
-
-	hottiles "repro"
 )
 
-func TestParseArch(t *testing.T) {
-	a, err := hottiles.ParseArch("piuma")
-	if err != nil || a.Name != "PIUMA" {
-		t.Fatalf("piuma: %v %s", err, a.Name)
+// runMainEnv, set in a child process's environment, makes TestMain run the
+// CLI's main instead of the tests.
+const runMainEnv = "HOTTILES_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
 	}
-	a, err = hottiles.ParseArch("spade-sextans")
-	if err != nil || a.Cold.Count != 16 {
-		t.Fatalf("default scale: %v %d", err, a.Cold.Count)
-	}
-	a, err = hottiles.ParseArch("spade-sextans:8")
-	if err != nil || a.Cold.Count != 32 {
-		t.Fatalf("scale 8: %v %d", err, a.Cold.Count)
-	}
-	if _, err := hottiles.ParseArch("spade-sextans:x"); err == nil {
-		t.Fatal("expected bad-scale error")
-	}
-	a, err = hottiles.ParseArch("spade-sextans-pcie")
-	if err != nil || a.Hot.NNZPerCycle != 20 {
-		t.Fatalf("pcie: %v", err)
-	}
-	if _, err := hottiles.ParseArch("tpu"); err == nil {
-		t.Fatal("expected unknown-arch error")
-	}
+	os.Exit(m.Run())
 }
 
-func TestParseStrategy(t *testing.T) {
-	cases := map[string]hottiles.Strategy{
-		"hottiles": hottiles.StrategyHotTiles,
-		"IUnaware": hottiles.StrategyIUnaware,
-		"HOTONLY":  hottiles.StrategyHotOnly,
-		"coldonly": hottiles.StrategyColdOnly,
+// TestFatalExitKeepsProfiles runs the CLI (this test binary, re-entered
+// through TestMain) on a missing input with both profiles on: the run must
+// exit 1 through the fatal path and still leave two complete profiles,
+// since a failing run is the one whose profiles are most wanted.
+func TestFatalExitKeepsProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	cmd := exec.Command(os.Args[0], "-cpuprofile", cpu, "-memprofile", mem, filepath.Join(dir, "missing.mtx"))
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = io.Discard, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("err = %v, want exit status 1 (stderr: %s)", err, stderr.String())
 	}
-	for in, want := range cases {
-		got, err := hottiles.ParseStrategy(in)
-		if err != nil || got != want {
-			t.Fatalf("%s: %v %v", in, got, err)
+	if !strings.Contains(stderr.String(), "hottiles.fatal") {
+		t.Fatalf("stderr lacks the hottiles.fatal line:\n%s", stderr.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("profile not written: %v", err)
 		}
-	}
-	if _, err := hottiles.ParseStrategy("magic"); err == nil {
-		t.Fatal("expected unknown-strategy error")
-	}
-}
-
-func TestParseKernel(t *testing.T) {
-	cases := map[string]hottiles.Kernel{
-		"spmm": hottiles.KernelSpMM, "SpMV": hottiles.KernelSpMV, "SDDMM": hottiles.KernelSDDMM,
-	}
-	for in, want := range cases {
-		got, err := hottiles.ParseKernel(in)
-		if err != nil || got != want {
-			t.Fatalf("%s: %v %v", in, got, err)
+		// A pprof profile is a gzip-compressed protobuf.
+		zr, err := gzip.NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s (%d bytes) is not gzip data: %v", path, len(data), err)
 		}
-	}
-	if _, err := hottiles.ParseKernel("gemm"); err == nil {
-		t.Fatal("expected unknown-kernel error")
-	}
-}
-
-func TestParseArchCPUDSA(t *testing.T) {
-	a, err := hottiles.ParseArch("cpu-dsa")
-	if err != nil || a.Name != "CPU+DSA" {
-		t.Fatalf("cpu-dsa: %v %s", err, a.Name)
+		body, err := io.ReadAll(zr)
+		if err != nil || len(body) == 0 {
+			t.Fatalf("%s: truncated profile (%d bytes decoded): %v", path, len(body), err)
+		}
 	}
 }

@@ -133,8 +133,9 @@ func main() {
 	}
 	srv := &http.Server{Handler: s.mux}
 	// The accept loop outlives any single fan-out and terminates with
-	// the listener — like obs.ServeDebug's, it cannot run on the bounded
-	// task pool, so cmd/hottilesd is nakedgo-allowlisted.
+	// the listener — like the debug endpoint obs.CLI starts for the batch
+	// CLIs' -debug-addr, it cannot run on the bounded task pool, so
+	// cmd/hottilesd is nakedgo-allowlisted.
 	go srv.Serve(ln)
 	logger.LogAttrs(context.Background(), slog.LevelInfo, "hottilesd.listen",
 		slog.String("addr", ln.Addr().String()),

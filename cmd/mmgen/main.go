@@ -34,32 +34,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator seed")
 	out := flag.String("o", "", "output file (default stdout)")
 	list := flag.Bool("list", false, "list available benchmarks")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	debugAddr := flag.String("debug-addr", "", "serve the live debug endpoint (pprof, /metrics, /progress) on this address, e.g. :6060")
-	logSpec := flag.String("log", "info:text", "diagnostic log level and format: level[:format], e.g. debug, warn:json")
+	cli := obs.NewCLI(flag.CommandLine, "mmgen", false)
 	flag.Parse()
-
-	logOpts, err := obs.ParseLogFlag(*logSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mmgen:", err)
-		os.Exit(2)
-	}
-	logger = obs.NewLogger(os.Stderr, logOpts)
-
-	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fail(err)
-	}
-	if *debugAddr != "" {
-		addr, stop, srvErr := obs.ServeDebug(*debugAddr)
-		if srvErr != nil {
-			fail(srvErr)
-		}
-		defer stop()
-		logger.LogAttrs(context.Background(), slog.LevelInfo, "mmgen.debug.listen", slog.String("addr", addr))
-		obs.SetDeepTiming(true)
-	}
+	cli.Start()
 
 	if *list {
 		fmt.Println("Table V (sparse suite):")
@@ -70,47 +47,35 @@ func main() {
 		for _, b := range gen.DenseBenchmarks() {
 			fmt.Printf("  %-4s %-26s %s\n", b.Short, b.Name, b.Domain)
 		}
+		cli.Finish()
 		return
 	}
 
 	m, err := build(*bench, *generator, *n, *deg, *gamma, *scale, *seed)
 	if err != nil {
-		fail(err)
+		cli.Fail(err)
 	}
 
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
-		defer f.Close()
 		w = f
 	}
 	if err := mm.Write(w, m); err != nil {
-		fail(err)
+		cli.Fail(err)
 	}
-	logger.LogAttrs(context.Background(), slog.LevelInfo, "mmgen.generated",
+	if *out != "" {
+		if err := w.Close(); err != nil {
+			cli.Fail(err)
+		}
+	}
+	cli.Logger.LogAttrs(context.Background(), slog.LevelInfo, "mmgen.generated",
 		slog.Int("rows", m.N), slog.Int("nnz", m.NNZ()),
 		slog.Float64("density", m.Density()))
-	if err := stopProfiles(); err != nil {
-		fail(err)
-	}
-}
-
-// logger is the CLI's diagnostic stream (stderr; stdout may carry the
-// matrix itself). main replaces it once the -log flag is parsed.
-var logger *slog.Logger
-
-// fail logs a fatal error as a structured line and exits. Before flag
-// parsing installs the logger, fall back to plain stderr.
-func fail(err error) {
-	if logger == nil {
-		fmt.Fprintln(os.Stderr, "mmgen:", err)
-		os.Exit(1)
-	}
-	logger.LogAttrs(context.Background(), slog.LevelError, "mmgen.fatal", slog.String("err", err.Error()))
-	os.Exit(1)
+	cli.Finish()
 }
 
 func build(bench, generator string, n int, deg, gamma float64, scale int, seed int64) (*sparse.COO, error) {

@@ -33,12 +33,7 @@ func main() {
 	scale := flag.Int("scale", 64, "matrix scale divisor (paper sizes / scale)")
 	seed := flag.Int64("seed", 1, "generator seed")
 	workers := flag.Int("par", 0, "worker-pool size for the parallel engine (0 = GOMAXPROCS, 1 = serial)")
-	tracePath := flag.String("trace", "", `write a JSON run manifest to this path ("-" prints a summary)`)
-	timelinePath := flag.String("timeline", "", `write a Chrome trace-event timeline (Perfetto) to this path ("-" prints a per-track summary)`)
-	debugAddr := flag.String("debug-addr", "", "serve the live debug endpoint (pprof, /metrics, /progress) on this address, e.g. :6060")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	logSpec := flag.String("log", "info:text", "diagnostic log level and format: level[:format], e.g. debug, warn:json")
+	cli := obs.NewCLI(flag.CommandLine, "spmmsim", true)
 	flag.Usage = usage
 	flag.Parse()
 
@@ -52,52 +47,17 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	logOpts, err := obs.ParseLogFlag(*logSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spmmsim:", err)
-		os.Exit(2)
-	}
-	logger = obs.NewLogger(os.Stderr, logOpts)
-	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fail(err)
-	}
-	if *debugAddr != "" {
-		addr, stop, err := obs.ServeDebug(*debugAddr)
-		if err != nil {
-			fail(err)
-		}
-		defer stop()
-		logger.LogAttrs(context.Background(), slog.LevelInfo, "spmmsim.debug.listen", slog.String("addr", addr))
-	}
+	cli.Start()
 	par.SetWorkers(*workers)
+	par.SetTimeline(cli.Timeline)
 	e := experiments.NewEnv(*scale, *seed)
-
-	// Any observability consumer turns on the deep-timing clock reads that
-	// feed the per-tile, per-step, and cache-lookup histograms.
-	obs.SetDeepTiming(*tracePath != "" || *timelinePath != "" || *debugAddr != "")
-
-	var tl *obs.Timeline
-	if *timelinePath != "" || *debugAddr != "" {
-		tl = obs.NewTimeline(0)
-		e.SetTimeline(tl)
-		par.SetTimeline(tl)
-	}
-
-	// The tracer records the study and pipeline spans for every consumer:
-	// the manifest reads its buffer, the timeline gets it flushed in at
-	// Finish. A nil tracer keeps the default path free of observability
-	// cost; every trace call below degrades to a nil check.
-	var tr *obs.Tracer
-	if *tracePath != "" || *timelinePath != "" || *debugAddr != "" {
-		tr = obs.New("spmmsim")
-		tr.SetTimeline(tl)
-		tr.SetConfig("scale", fmt.Sprint(*scale))
-		tr.SetConfig("seed", fmt.Sprint(*seed))
-		tr.SetConfig("par", fmt.Sprint(*workers))
-		tr.SetConfig("experiments", strings.Join(studyNames(studies), ","))
-		e.SetTracer(tr)
-	}
+	e.SetTimeline(cli.Timeline)
+	tr := cli.Tracer
+	tr.SetConfig("scale", fmt.Sprint(*scale))
+	tr.SetConfig("seed", fmt.Sprint(*seed))
+	tr.SetConfig("par", fmt.Sprint(*workers))
+	tr.SetConfig("experiments", strings.Join(studyNames(studies), ","))
+	e.SetTracer(tr)
 
 	// The process-root context: everything below the experiments facade
 	// inherits it (the ctxflow analyzer keeps internal code from minting
@@ -125,49 +85,15 @@ func main() {
 		doneProgress()
 		studyWallHist.ObserveSince(start)
 		if err != nil {
-			logger.LogAttrs(context.Background(), slog.LevelError, "spmmsim.study.fail",
+			cli.Logger.LogAttrs(ctx, slog.LevelError, "spmmsim.study.fail",
 				slog.String("study", name), slog.String("err", err.Error()))
-			os.Exit(1)
+			cli.Fail(err)
 		}
 		tr.AddOutput(name, buf.Bytes())
 		fmt.Printf("(%s in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
-	tr.Finish()
-	if *tracePath != "" {
-		if err := obs.WriteTrace(tr, *tracePath, os.Stdout); err != nil {
-			fail(err)
-		}
-		if *tracePath != "-" {
-			fmt.Printf("wrote run manifest to %s\n", *tracePath)
-		}
-	}
-	if *timelinePath != "" {
-		if err := obs.WriteTimeline(tl, *timelinePath, os.Stdout); err != nil {
-			fail(err)
-		}
-		if *timelinePath != "-" {
-			fmt.Printf("wrote timeline to %s (load in ui.perfetto.dev)\n", *timelinePath)
-		}
-	}
-	if err := stopProfiles(); err != nil {
-		fail(err)
-	}
-}
-
-// logger is the CLI's diagnostic stream (stderr; stdout stays the study
-// output). main replaces it once the -log flag is parsed.
-var logger *slog.Logger
-
-// fail logs a fatal error as a structured line and exits. Before flag
-// parsing installs the logger, fall back to plain stderr.
-func fail(err error) {
-	if logger == nil {
-		fmt.Fprintln(os.Stderr, "spmmsim:", err)
-		os.Exit(1)
-	}
-	logger.LogAttrs(context.Background(), slog.LevelError, "spmmsim.fatal", slog.String("err", err.Error()))
-	os.Exit(1)
+	cli.Finish()
 }
 
 // studyNames lists the names of studies, in order.

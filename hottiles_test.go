@@ -58,6 +58,39 @@ func TestParseArchSpellings(t *testing.T) {
 	}
 }
 
+func TestParseStrategy(t *testing.T) {
+	cases := map[string]Strategy{
+		"hottiles": StrategyHotTiles,
+		"IUnaware": StrategyIUnaware,
+		"HOTONLY":  StrategyHotOnly,
+		"coldonly": StrategyColdOnly,
+	}
+	for in, want := range cases {
+		got, err := ParseStrategy(in)
+		if err != nil || got != want {
+			t.Fatalf("%s: %v %v", in, got, err)
+		}
+	}
+	if _, err := ParseStrategy("magic"); err == nil {
+		t.Fatal("expected unknown-strategy error")
+	}
+}
+
+func TestParseKernel(t *testing.T) {
+	cases := map[string]Kernel{
+		"spmm": KernelSpMM, "SpMV": KernelSpMV, "SDDMM": KernelSDDMM,
+	}
+	for in, want := range cases {
+		got, err := ParseKernel(in)
+		if err != nil || got != want {
+			t.Fatalf("%s: %v %v", in, got, err)
+		}
+	}
+	if _, err := ParseKernel("gemm"); err == nil {
+		t.Fatal("expected unknown-kernel error")
+	}
+}
+
 func TestPartitionAndSimulateEndToEnd(t *testing.T) {
 	m := demoMatrix(1)
 	a := demoArch()

@@ -144,7 +144,7 @@ func serveJSON(view func() any) http.HandlerFunc {
 	}
 }
 
-// debugDrainTimeout bounds how long ServeDebug's stop function waits for
+// debugDrainTimeout bounds how long serveDebug's stop function waits for
 // in-flight scrapes before cutting their connections.
 const debugDrainTimeout = 2 * time.Second
 
@@ -164,14 +164,14 @@ func GracefulStop(srv *http.Server, drain time.Duration) error {
 	return nil
 }
 
-// ServeDebug starts the debug endpoint on addr (e.g. ":6060"). It returns
+// serveDebug starts the debug endpoint on addr (e.g. ":6060"). It returns
 // the bound address (useful when addr requested port 0) and a stop function
 // that drains in-flight requests (a scrape racing shutdown still gets its
 // full body) before closing the listener and any remaining connections. The
 // accept loop is the one goroutine the repository runs outside the par
 // pool: it must outlive any single fan-out and terminate with the
 // listener, which the pool's bounded-task shape cannot express.
-func ServeDebug(addr string) (string, func(), error) {
+func serveDebug(addr string) (string, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("obs: debug endpoint: %w", err)

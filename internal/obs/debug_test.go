@@ -214,7 +214,7 @@ func TestDebugIndexAndVars(t *testing.T) {
 }
 
 func TestServeDebug(t *testing.T) {
-	addr, stop, err := ServeDebug("127.0.0.1:0")
+	addr, stop, err := serveDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,12 +232,12 @@ func TestServeDebug(t *testing.T) {
 	}
 
 	// A second listener on the same port must surface the bind error.
-	addr2, stop2, err := ServeDebug("127.0.0.1:0")
+	addr2, stop2, err := serveDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stop2()
-	if _, _, err := ServeDebug(addr2); err == nil {
+	if _, _, err := serveDebug(addr2); err == nil {
 		t.Fatal("double bind did not error")
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"time"
@@ -272,36 +270,4 @@ func (t *Timeline) WriteTimelineSummary(w io.Writer) error {
 			util, bytes)
 	}
 	return nil
-}
-
-// WriteTimeline emits the timeline the way the CLIs' -timeline flag
-// specifies: path "-" prints the per-track summary to w; any other path
-// gets Chrome trace-event JSON, with parent directories created as needed.
-func WriteTimeline(t *Timeline, path string, w io.Writer) error {
-	if t == nil {
-		return fmt.Errorf("obs: WriteTimeline on nil timeline")
-	}
-	if path == "-" {
-		return t.WriteTimelineSummary(w)
-	}
-	return writeFile(path, t.WriteChromeTrace)
-}
-
-// writeFile creates path (and its parent directories) and fills it with
-// write.
-func writeFile(path string, write func(io.Writer) error) error {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

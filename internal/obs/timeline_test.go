@@ -297,7 +297,7 @@ func TestWriteTimelineFile(t *testing.T) {
 	tr.SetTimeline(tl)
 	tr.Finish()
 	path := filepath.Join(t.TempDir(), "sub", "tl.json")
-	if err := WriteTimeline(tl, path, nil); err != nil {
+	if err := writeTimeline(tl, path, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -311,7 +311,7 @@ func TestWriteTimelineFile(t *testing.T) {
 	if _, ok := parsed["traceEvents"]; !ok {
 		t.Fatal("written timeline lacks traceEvents")
 	}
-	if err := WriteTimeline(nil, path, nil); err == nil {
+	if err := writeTimeline(nil, path, nil); err == nil {
 		t.Fatal("nil timeline write did not error")
 	}
 }

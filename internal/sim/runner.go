@@ -64,15 +64,6 @@ func releaseRunner(r *Runner) {
 	}
 }
 
-// Run is RunInto with a freshly allocated Result.
-func (r *Runner) Run(g *tile.Grid, hot []bool, a *arch.Arch, din *dense.Matrix, opts Options) (*Result, error) {
-	res := &Result{}
-	if err := r.RunInto(res, g, hot, a, din, opts); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // RunInto simulates executing the partitioned SpMM on architecture a into
 // res, reusing the Runner's state. Results are bit-identical to a fresh
 // sim.Run: pool construction over reused arrays emits the same unit

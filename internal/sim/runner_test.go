@@ -93,8 +93,8 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.Run(g, res.Hot, &a, din, opts)
-		if err != nil {
+		got := &Result{}
+		if err := r.RunInto(got, g, res.Hot, &a, din, opts); err != nil {
 			t.Fatal(err)
 		}
 		if got.Time != want.Time || got.MergeTime != want.MergeTime ||
