@@ -38,9 +38,9 @@ help:
 	@echo "make benchsmoke  - compile-and-run every benchmark once (catches bit-rot)"
 	@echo "make worksmoke   - tiny end-to-end spmmsim gnn+evolve run"
 	@echo "make benchcmp    - quick tracked-benchmark run vs the committed baseline"
-	@echo "make lint        - hottileslint analyzer suite (DESIGN.md §11, §16), eleven passes:"
+	@echo "make lint        - hottileslint analyzer suite (DESIGN.md §11, §16), ten passes:"
 	@echo "                   mapiter nakedgo spanend floateq lockcopy shadow"
-	@echo "                   hotalloc detrand ctxflow errwrap metricname"
+	@echo "                   detrand ctxflow errwrap metricname"
 	@echo "make cover       - coverage with per-package floor"
 	@echo "make fuzz        - short coverage-guided fuzz pass (FUZZTIME=$(FUZZTIME), FUZZMINTIME=$(FUZZMINTIME))"
 	@echo "make golden      - regenerate pinned experiment outputs (review the diff!)"

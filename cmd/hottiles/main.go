@@ -220,11 +220,7 @@ func main() {
 	}
 
 	if *simulate {
-		k := a.K
-		if kernel == hottiles.KernelSpMV {
-			k = 1
-		}
-		din := hottiles.NewDense(m.N, k)
+		din := hottiles.NewDense(m.N, a.K)
 		for i := range din.Data {
 			din.Data[i] = 1
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // runMainEnv, set in a child process's environment, makes TestMain run the
@@ -25,25 +28,48 @@ func TestMain(m *testing.M) {
 }
 
 // TestFatalExitKeepsProfiles runs the CLI (this test binary, re-entered
-// through TestMain) on a missing input with both profiles on: the run must
-// exit 1 through the fatal path and still leave two complete profiles,
-// since a failing run is the one whose profiles are most wanted.
+// through TestMain) on a missing input: the run must exit 1 through the
+// fatal path and still leave every output its flags asked for — two
+// complete profiles in one case, a manifest and a Chrome timeline in the
+// other — since a failing run is the one whose artifacts are most wanted.
 func TestFatalExitKeepsProfiles(t *testing.T) {
-	dir := t.TempDir()
-	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
-	cmd := exec.Command(os.Args[0], "-cpuprofile", cpu, "-memprofile", mem, filepath.Join(dir, "missing.mtx"))
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = io.Discard, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("err = %v, want exit status 1 (stderr: %s)", err, stderr.String())
+	for _, tc := range []struct {
+		name  string
+		flags func(dir string) []string
+		check func(t *testing.T, dir string)
+	}{
+		{"profiles", func(dir string) []string {
+			return []string{"-cpuprofile", filepath.Join(dir, "cpu.prof"), "-memprofile", filepath.Join(dir, "mem.prof")}
+		}, checkProfiles},
+		{"trace", func(dir string) []string {
+			return []string{"-trace", filepath.Join(dir, "m.json"), "-timeline", filepath.Join(dir, "tl.json")}
+		}, checkTrace},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cmd := exec.Command(os.Args[0], append(tc.flags(dir), filepath.Join(dir, "missing.mtx"))...)
+			cmd.Env = append(os.Environ(), runMainEnv+"=1")
+			var stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = io.Discard, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("err = %v, want exit status 1 (stderr: %s)", err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "hottiles.fatal") {
+				t.Fatalf("stderr lacks the hottiles.fatal line:\n%s", stderr.String())
+			}
+			tc.check(t, dir)
+		})
 	}
-	if !strings.Contains(stderr.String(), "hottiles.fatal") {
-		t.Fatalf("stderr lacks the hottiles.fatal line:\n%s", stderr.String())
-	}
-	for _, path := range []string{cpu, mem} {
+}
+
+// checkProfiles requires cpu.prof and mem.prof in dir to be complete pprof
+// profiles.
+func checkProfiles(t *testing.T, dir string) {
+	t.Helper()
+	for _, name := range []string{"cpu.prof", "mem.prof"} {
+		path := filepath.Join(dir, name)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("profile not written: %v", err)
@@ -57,5 +83,29 @@ func TestFatalExitKeepsProfiles(t *testing.T) {
 		if err != nil || len(body) == 0 {
 			t.Fatalf("%s: truncated profile (%d bytes decoded): %v", path, len(body), err)
 		}
+	}
+}
+
+// checkTrace requires m.json in dir to read back as a run manifest and
+// tl.json to parse as a Chrome trace-event timeline.
+func checkTrace(t *testing.T, dir string) {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, "m.json"))
+	if err != nil {
+		t.Fatalf("manifest not written: %v", err)
+	}
+	defer f.Close()
+	if _, err := obs.ReadManifest(f); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "tl.json"))
+	if err != nil {
+		t.Fatalf("timeline not written: %v", err)
+	}
+	var chrome struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &chrome); err != nil || chrome.TraceEvents == nil {
+		t.Fatalf("timeline is not Chrome trace JSON (%v):\n%s", err, data)
 	}
 }

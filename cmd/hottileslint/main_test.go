@@ -158,11 +158,6 @@ import (
 	"time"
 )
 
-//hot:path
-func Table() map[int]int {
-	return map[int]int{1: 2} // hotalloc
-}
-
 func Seed() int64 { return time.Now().UnixNano() } // detrand
 
 func Mint() context.Context { return context.Background() } // ctxflow
@@ -223,7 +218,6 @@ var suiteMessages = map[string]string{
 	"floateq":    "exact == on floating point",
 	"lockcopy":   "a value shared via par.Cache.Get",
 	"shadow":     "shadows the predeclared builtin",
-	"hotalloc":   "map literal in hot path",
 	"detrand":    "time.Now in deterministic core",
 	"ctxflow":    "context.Background below the facade",
 	"errwrap":    "loses the chain",
@@ -231,7 +225,7 @@ var suiteMessages = map[string]string{
 }
 
 // TestStandaloneSyntheticModule runs the real binary over the synthetic
-// module: all eleven analyzers must fire through the driver `make lint`
+// module: all ten analyzers must fire through the driver `make lint`
 // uses.
 func TestStandaloneSyntheticModule(t *testing.T) {
 	bin := buildTool(t)

@@ -7,7 +7,7 @@ import (
 	"repro/internal/analysis/passes"
 )
 
-// BenchmarkLintSuite self-hosts the full eleven-analyzer suite over the
+// BenchmarkLintSuite self-hosts the full ten-analyzer suite over the
 // already-loaded module — the cost of one `make lint` minus package
 // loading. Tracked in BENCH_8.json so the lint gate's latency is part of
 // the perf trajectory: a quadratic blowup in the CFG builder or the

@@ -18,10 +18,10 @@ type CFGBlock struct {
 }
 
 // CFG is a lightweight intraprocedural control-flow graph over one function
-// body, built from syntax alone (DESIGN.md §16). It exists so the dataflow
-// passes (hotalloc's scratch-backed appends, ctxflow's derived-context
-// tracking) can be flow-sensitive: a variable rebound mid-function carries
-// its new provenance only on the paths below the rebinding.
+// body, built from syntax alone (DESIGN.md §16). It exists so a dataflow
+// pass (ctxflow's derived-context tracking) can be flow-sensitive: a
+// variable rebound mid-function carries its new provenance only on the
+// paths below the rebinding.
 //
 // Approximations, all conservative for may-analyses: defer and go
 // statements are ordinary nodes at their syntactic position; panics and

@@ -6,8 +6,7 @@ import (
 )
 
 // ObjSet is a set of typed objects — the lattice element of the forward
-// may-analyses built on the CFG (hotalloc's scratch-backed slices,
-// ctxflow's derived contexts).
+// may-analyses built on the CFG (ctxflow's derived contexts).
 type ObjSet map[types.Object]bool
 
 // Has reports membership (nil-safe).

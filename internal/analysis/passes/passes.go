@@ -9,7 +9,6 @@ import (
 	"repro/internal/analysis/passes/detrand"
 	"repro/internal/analysis/passes/errwrap"
 	"repro/internal/analysis/passes/floateq"
-	"repro/internal/analysis/passes/hotalloc"
 	"repro/internal/analysis/passes/lockcopy"
 	"repro/internal/analysis/passes/mapiter"
 	"repro/internal/analysis/passes/metricname"
@@ -18,8 +17,8 @@ import (
 	"repro/internal/analysis/passes/spanend"
 )
 
-// All returns the full analyzer suite in reporting order: the PR-3 six,
-// then the PR-8 dataflow-aware five.
+// All returns the full analyzer suite in reporting order: the first six,
+// then the four dataflow-aware passes (DESIGN.md §16).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		mapiter.Analyzer,
@@ -28,7 +27,6 @@ func All() []*analysis.Analyzer {
 		floateq.Analyzer,
 		lockcopy.Analyzer,
 		shadow.Analyzer,
-		hotalloc.Analyzer,
 		detrand.Analyzer,
 		ctxflow.Analyzer,
 		errwrap.Analyzer,

@@ -52,7 +52,7 @@ func TestSuiteShape(t *testing.T) {
 			t.Errorf("analyzer name %q is not identifier-like", a.Name)
 		}
 	}
-	if len(seen) != 11 {
-		t.Errorf("suite has %d analyzers, want the eleven-analyzer roster", len(seen))
+	if len(seen) != 10 {
+		t.Errorf("suite has %d analyzers, want the ten-analyzer roster", len(seen))
 	}
 }

@@ -57,8 +57,6 @@ func rowCuts(rows []int32, work int) []int {
 }
 
 // spmmRange is the SpMM inner loop over the nonzero range [lo, hi).
-//
-//hot:path
 func spmmRange(a *sparse.COO, din, dout *Matrix, lo, hi int) {
 	k := din.K
 	for i := lo; i < hi; i++ {
@@ -75,8 +73,6 @@ func spmmRange(a *sparse.COO, din, dout *Matrix, lo, hi int) {
 
 // gspmmRange is the semiring gSpMM loop over [lo, hi): one row kernel call
 // per nonzero.
-//
-//hot:path
 func gspmmRange(a *sparse.COO, din, dout *Matrix, s semiring.Semiring, lo, hi int) {
 	k := din.K
 	for i := lo; i < hi; i++ {
@@ -87,8 +83,6 @@ func gspmmRange(a *sparse.COO, din, dout *Matrix, s semiring.Semiring, lo, hi in
 }
 
 // spmvRange is the SpMV inner loop over [lo, hi).
-//
-//hot:path
 func spmvRange(a *sparse.COO, x, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		y[a.Rows[i]] += a.Vals[i] * x[a.Cols[i]]
@@ -98,8 +92,6 @@ func spmvRange(a *sparse.COO, x, y []float64, lo, hi int) {
 // spmmCSRRows is the CSR SpMM inner loop over the row range [lo, hi); CSR
 // rows are disjoint output slices by construction, so any row split is
 // deterministic.
-//
-//hot:path
 func spmmCSRRows(a *sparse.CSR, din, dout *Matrix, lo, hi int) {
 	k := din.K
 	for r := lo; r < hi; r++ {
@@ -117,8 +109,6 @@ func spmmCSRRows(a *sparse.CSR, din, dout *Matrix, lo, hi int) {
 
 // sddmmRange is the SDDMM inner loop over the nonzero range [lo, hi); every
 // nonzero writes only its own output slot, so any split is deterministic.
-//
-//hot:path
 func sddmmRange(a *sparse.COO, u, v *Matrix, out []float64, lo, hi int) {
 	k := u.K
 	for i := lo; i < hi; i++ {

@@ -245,3 +245,34 @@ func TestPlusTimesRowKernelBitIdentical(t *testing.T) {
 		t.Fatal("GMerge: plus-times row kernel differs from generic")
 	}
 }
+
+// TestPanelKernelAllocs pins the inner loops every SpMM/SpMV/SDDMM entry
+// point runs per panel to zero heap allocations per call: a kernel that
+// allocated per nonzero or per row would multiply its cost by the input
+// size on every fanned-out panel.
+func TestPanelKernelAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	n, nnz, k := 256, 4000, 8
+	m := randSortedBig(rng, n, nnz)
+	csr := sparse.ToCSR(m)
+	din := NewRandom(rng, n, k)
+	dout := NewMatrix(n, k)
+	x := make([]float64, n)
+	y := make([]float64, n)
+	out := make([]float64, nnz)
+	sr := semiring.MinPlus()
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"spmmRange", func() { spmmRange(m, din, dout, 0, nnz) }},
+		{"gspmmRange", func() { gspmmRange(m, din, dout, sr, 0, nnz) }},
+		{"spmvRange", func() { spmvRange(m, x, y, 0, nnz) }},
+		{"spmmCSRRows", func() { spmmCSRRows(csr, din, dout, 0, n) }},
+		{"sddmmRange", func() { sddmmRange(m, din, din, out, 0, nnz) }},
+	} {
+		if got := testing.AllocsPerRun(20, tc.fn); got != 0 {
+			t.Errorf("%s allocated %v times per call, want 0", tc.name, got)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -367,6 +368,22 @@ func TestFig17(t *testing.T) {
 	if f.AvgError[StratHotOnly] > f.AvgError[StratColdOnly] {
 		t.Errorf("HotOnly error %.2f should be below ColdOnly %.2f",
 			f.AvgError[StratHotOnly], f.AvgError[StratColdOnly])
+	}
+	// Oracle: on HotOnly the model's traffic is exact. The streaming hot
+	// workers have no cache for the simulator to model, so the predicted
+	// bytes equal the simulated bytes in every cell of the grid; the time
+	// error above comes from how the model composes time, not traffic.
+	for _, a := range []arch.Arch{arch.SpadeSextans(4), arch.PIUMA()} {
+		for _, b := range gen.Benchmarks() {
+			r, err := e.exec(a, b, StratHotOnly, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pred, simB := r.Part.Totals.Bytes(), r.Sim.TotalBytes()
+			if math.Abs(pred-simB) > 1e-9*math.Abs(simB) {
+				t.Errorf("%s/%s HotOnly: predicted bytes %v, simulated %v", a.Name, b.Short, pred, simB)
+			}
+		}
 	}
 	var buf bytes.Buffer
 	f.Render(&buf)

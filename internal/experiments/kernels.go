@@ -46,19 +46,17 @@ func (e *Env) Kernels() (*KernelsStudy, error) {
 		}
 		row := KernelsRow{Short: b.Short}
 		for _, k := range []model.Kernel{model.KernelSpMM, model.KernelSpMV, model.KernelSDDMM} {
-			a := base
-			cfg := a.Config(2)
+			cfg := base.Config(2)
 			cfg.Params.Kernel = k
 			if k == model.KernelSpMV {
 				cfg.Params.K = 1
-				a.K = 1
 			}
 			res, err := partition.HotTiles(g, cfg)
 			if err != nil {
 				return err
 			}
 			sr := semiring.PlusTimes()
-			r, err := sim.Run(g, res.Hot, &a, nil, sim.Options{
+			r, err := sim.Run(g, res.Hot, &base, nil, sim.Options{
 				Serial: res.Serial, Kernel: k, Semiring: &sr, SkipFunctional: true,
 			})
 			if err != nil {

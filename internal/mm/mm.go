@@ -315,8 +315,6 @@ func (c *chunk) scan(f entryFormat, first, limit int) {
 // false) and the caller reads the line through entry: comments and blank
 // lines, other leading whitespace, signed or out-of-range indices, extra
 // fields, and the value tokens value declines.
-//
-//hot:path
 func (f entryFormat) walk(b []byte) (r, c int32, v float64, n int, ok bool) {
 	i := 0
 	for i < len(b) && (b[i] == ' ' || b[i] == '\t') {
@@ -359,8 +357,6 @@ func (f entryFormat) walk(b []byte) (r, c int32, v float64, n int, ok bool) {
 
 // skipSpace returns the index of the first byte of b at or after i that is
 // not intra-line whitespace.
-//
-//hot:path
 func skipSpace(b []byte, i int) int {
 	for i < len(b) && isSpace(b[i]) {
 		i++
@@ -377,8 +373,6 @@ func skipSpace(b []byte, i int) int {
 // the first byte that cannot continue the number; whether the token ends
 // there (in an inf, nan, hex float or underscore it does not) is the
 // caller's to check.
-//
-//hot:path
 func value(b []byte, i int) (v float64, end int, ok bool) {
 	neg := false
 	if i < len(b) && (b[i] == '+' || b[i] == '-') {
@@ -449,8 +443,6 @@ func value(b []byte, i int) (v float64, end int, ok bool) {
 // quotient has 63 or 64 bits and a nonzero remainder as the sticky bit.
 // Every such value lies between 1e-19 and 1e38, in float64's normal range,
 // so the one rounding in nearest is the only one (DESIGN.md §19).
-//
-//hot:path
 func decimal(w uint64, q int) float64 {
 	switch {
 	case w == 0:
@@ -474,8 +466,6 @@ func decimal(w uint64, q int) float64 {
 
 // nearest returns the float64 nearest to (m + f)·2^e, ties to even, where
 // 0 <= f < 1 and sticky reports f > 0. The result must be a normal float64.
-//
-//hot:path
 func nearest(m uint64, sticky bool, e int) float64 {
 	if drop := bits.Len64(m) - 53; drop > 0 {
 		rest, half := m&(1<<drop-1), uint64(1)<<(drop-1)
@@ -489,8 +479,6 @@ func nearest(m uint64, sticky bool, e int) float64 {
 }
 
 // pow10 returns 10^k for 0 <= k <= 19 by repeated squaring.
-//
-//hot:path
 func pow10(k int) uint64 {
 	p, b := uint64(1), uint64(10)
 	for ; k > 0; k >>= 1 {

@@ -59,8 +59,6 @@ func newEstimator(w *Worker, g *tile.Grid, p Params) estimator {
 
 // panelHeight returns the row count of panel tr (only the last panel can be
 // short, because PanelRows clips at N).
-//
-//hot:path
 func (e *estimator) panelHeight(tr int) int {
 	if tr == e.g.NumTR-1 {
 		return e.lastH
@@ -70,8 +68,6 @@ func (e *estimator) panelHeight(tr int) int {
 
 // tileWidth returns the column count of tile column tc (only the last
 // column can be short).
-//
-//hot:path
 func (e *estimator) tileWidth(tc int) int {
 	if tc == e.g.NumTC-1 {
 		return e.lastW
@@ -82,8 +78,6 @@ func (e *estimator) tileWidth(tc int) int {
 // taskBytes returns the five tasks' main-memory byte counts for one tile
 // under the worker's reuse configuration (Table I), using the maximum-reuse
 // assumption for inter-tile reuse (charged zero here; see PanelAdjust).
-//
-//hot:path
 func (e *estimator) taskBytes(t *tile.Tile) [numTasks]float64 {
 	w := e.w
 	var b [numTasks]float64
@@ -108,8 +102,6 @@ func (e *estimator) taskBytes(t *tile.Tile) [numTasks]float64 {
 
 // combine folds per-task times through the worker's overlap groups: max
 // within a group, sum across groups (§IV-B).
-//
-//hot:path
 func combine(w *Worker, times [numTasks]float64) float64 {
 	total := 0.0
 	for _, group := range w.OverlapGroups {
@@ -131,8 +123,6 @@ func taskBytes(w *Worker, t *tile.Tile, g *tile.Grid, p Params) [numTasks]float6
 }
 
 // estimateTile is EstimateTile with the invariants already hoisted.
-//
-//hot:path
 func (e *estimator) estimateTile(t *tile.Tile) Estimate {
 	bytes := e.taskBytes(t)
 	var times [numTasks]float64
@@ -210,8 +200,6 @@ type Adjuster struct {
 }
 
 // PanelAdjust is the free function PanelAdjust over the Adjuster's scratch.
-//
-//hot:path
 func (a *Adjuster) PanelAdjust(w *Worker, g *tile.Grid, tr int, keep func(i int) bool, p Params) Estimate {
 	if w.DoutReuse != ReuseInter {
 		return Estimate{}

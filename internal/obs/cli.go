@@ -20,7 +20,7 @@ import (
 
 // CLI is the lifecycle a batch binary runs under: NewCLI registers the
 // flags, Start builds what they ask for, Finish writes the outputs, and
-// Fail exits 1 with the profiles flushed.
+// Fail exits 1 with the outputs flushed.
 type CLI struct {
 	name    string
 	tracing bool
@@ -104,28 +104,10 @@ func (c *CLI) start() error {
 	return nil
 }
 
-// Finish finishes the tracer, writes the manifest and the timeline the
-// flags name, and stops the profiles and the debug endpoint. A write
-// failure exits through Fail.
+// Finish writes the run's outputs (see flush) and stops the debug
+// endpoint. A write failure exits through Fail.
 func (c *CLI) Finish() {
-	c.Tracer.Finish()
-	if c.tracePath != "" {
-		if err := WriteTrace(c.Tracer, c.tracePath, c.stdout); err != nil {
-			c.Fail(err)
-		}
-		if c.tracePath != "-" {
-			fmt.Fprintf(c.stdout, "wrote run manifest to %s\n", c.tracePath)
-		}
-	}
-	if c.timelinePath != "" {
-		if err := writeTimeline(c.Timeline, c.timelinePath, c.stdout); err != nil {
-			c.Fail(err)
-		}
-		if c.timelinePath != "-" {
-			fmt.Fprintf(c.stdout, "wrote timeline to %s (load in ui.perfetto.dev)\n", c.timelinePath)
-		}
-	}
-	if err := c.stopProfiles(); err != nil {
+	if err := c.flush(); err != nil {
 		c.Fail(err)
 	}
 	if c.stopDebug != nil {
@@ -133,12 +115,39 @@ func (c *CLI) Finish() {
 	}
 }
 
-// Fail stops the profiles, so a failing run keeps them, logs err as
-// <name>.fatal, and exits 1. It is valid from Start on.
+// Fail writes what it can of the run's outputs (see flush), so a failing
+// run keeps its profiles, manifest and timeline, logs err as <name>.fatal,
+// and exits 1. It is valid from Start on.
 func (c *CLI) Fail(err error) {
-	err = errors.Join(err, c.stopProfiles())
+	err = errors.Join(err, c.flush())
 	c.Logger.LogAttrs(context.Background(), slog.LevelError, c.name+".fatal", slog.String("err", err.Error()))
 	os.Exit(1)
+}
+
+// flush finishes the tracer, writes the manifest and the timeline the
+// flags name, and stops the profiles. Each output is attempted at most
+// once, so the Fail that follows a failed Finish write does not retry it;
+// a failed write does not stop the others. It returns their errors joined.
+func (c *CLI) flush() error {
+	c.Tracer.Finish()
+	var errs []error
+	if path := c.tracePath; path != "" && c.Tracer != nil {
+		c.tracePath = ""
+		if err := WriteTrace(c.Tracer, path, c.stdout); err != nil {
+			errs = append(errs, err)
+		} else if path != "-" {
+			fmt.Fprintf(c.stdout, "wrote run manifest to %s\n", path)
+		}
+	}
+	if path := c.timelinePath; path != "" && c.Timeline != nil {
+		c.timelinePath = ""
+		if err := writeTimeline(c.Timeline, path, c.stdout); err != nil {
+			errs = append(errs, err)
+		} else if path != "-" {
+			fmt.Fprintf(c.stdout, "wrote timeline to %s (load in ui.perfetto.dev)\n", path)
+		}
+	}
+	return errors.Join(append(errs, c.stopProfiles())...)
 }
 
 // stopProfiles runs the profile stop function once; later calls are no-ops.

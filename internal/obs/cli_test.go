@@ -152,6 +152,30 @@ func TestCLISummaries(t *testing.T) {
 	}
 }
 
+// TestCLIFlushOnce pins the guard between Finish and Fail: a failed
+// manifest write does not stop the timeline, and a second flush — the
+// Fail that follows a failed Finish — retries neither.
+func TestCLIFlushOnce(t *testing.T) {
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	timeline := filepath.Join(dir, "tl.json")
+	c, out := newTestCLI(t, true, "-trace", filepath.Join(blocker, "m.json"), "-timeline", timeline)
+	c.Start()
+	if err := c.flush(); err == nil {
+		t.Fatal("manifest under a regular file did not error")
+	}
+	if _, err := os.Stat(timeline); err != nil {
+		t.Errorf("timeline not written after the manifest failed: %v", err)
+	}
+	out.Reset()
+	if err := c.flush(); err != nil || out.Len() != 0 {
+		t.Errorf("second flush = %v, output %q; want nothing retried", err, out)
+	}
+}
+
 // TestCLIStartErrors covers the set-up failures Start sends to Fail: an
 // unwritable CPU profile and a debug address already in use.
 func TestCLIStartErrors(t *testing.T) {

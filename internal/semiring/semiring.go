@@ -55,8 +55,6 @@ const (
 // hang on where the linker places it: the one-element body is 27 bytes,
 // and placed across a 64-byte line it made a daemon GNN request ~12%
 // slower on a 2-core Xeon.
-//
-//hot:path
 func (s *Semiring) MulAddRow(out, in []float64, v float64) {
 	in = in[:len(out)]
 	if s.kind == plusTimes {
@@ -80,8 +78,6 @@ func (s *Semiring) MulAddRow(out, in []float64, v float64) {
 
 // AddRow computes dst[x] = dst[x] ⊕ src[x] for every x: the merge of two
 // partial outputs. src must be at least as long as dst.
-//
-//hot:path
 func (s *Semiring) AddRow(dst, src []float64) {
 	src = src[:len(dst)]
 	if s.kind == plusTimes {

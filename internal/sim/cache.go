@@ -88,8 +88,6 @@ func (c *cache) lineOf(addr uint64) uint64 {
 // tag's old slot (a rotation), on a miss it runs off the end, dropping
 // the last way — the LRU line, or an invalid way while the set is not
 // yet full.
-//
-//hot:path
 func touch(set []uint64, tag uint64) bool {
 	prev := tag
 	for w, t := range set {
@@ -121,8 +119,6 @@ func (c *cache) accessLine(line uint64) bool {
 // once per key, as one loop that accessLine and touch inline into. It runs
 // on the cold-pool construction hot path, one probe per cold nonzero per
 // strategy.
-//
-//hot:path
 func (c *cache) missLinesFold(nzs []uint64, foldL uint64, out []uint64) []uint64 {
 	out = out[:0]
 	for _, k := range nzs {
@@ -137,8 +133,6 @@ func (c *cache) missLinesFold(nzs []uint64, foldL uint64, out []uint64) []uint64
 // missLines is missLinesFold over already-computed line numbers: it probes
 // each line through c (the shared level re-probing the private level's
 // misses) and appends the lines that miss again to out (reset first).
-//
-//hot:path
 func (c *cache) missLines(lines []uint64, out []uint64) []uint64 {
 	out = out[:0]
 	for _, line := range lines {

@@ -277,8 +277,6 @@ func (e *engine) run(tr *tracer, deep *engineDeep) (float64, []poolStats) {
 
 // step advances the simulation to the next counter completion. It reports
 // false once every pool has drained.
-//
-//hot:path
 func (e *engine) step(tr *tracer) bool {
 	if len(e.active) == 0 {
 		return false
@@ -404,8 +402,6 @@ func (e *engine) step(tr *tracer) bool {
 // this version computes the same grants (pinned bit-identically by
 // TestAllocateMatchesNaive and the engine property test) without
 // allocating, over the scratch sized at engine construction.
-//
-//hot:path
 func (e *engine) allocate() {
 	for pi := range e.pools {
 		e.poolCount[pi] = 0
@@ -455,8 +451,6 @@ func (e *engine) allocate() {
 // fully granted, and their slack is re-split among the rest until nobody
 // saturates, at which point the remainder is divided evenly. The written
 // grants sum to min(budget, sum(caps)). The worklist lives in e.unsat.
-//
-//hot:path
 func (e *engine) waterfill(caps, grants []float64, budget float64) {
 	unsat := e.unsat[:len(caps)]
 	for i := range grants {

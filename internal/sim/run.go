@@ -143,8 +143,6 @@ func executeSDDMM(g *tile.Grid, din *dense.Matrix) []float64 {
 
 // sddmmRange is the SDDMM inner loop over the grid's tile-ordered nonzero
 // range [lo, hi).
-//
-//hot:path
 func sddmmRange(g *tile.Grid, din *dense.Matrix, out []float64, lo, hi int) {
 	k := din.K
 	for i := lo; i < hi; i++ {
@@ -190,8 +188,6 @@ func execute(g *tile.Grid, hot []bool, din *dense.Matrix, sr semiring.Semiring) 
 
 // executeTile accumulates one tile's nonzeros into its pool buffer, one
 // K-wide dense row per nonzero through the semiring's row kernel.
-//
-//hot:path
 func executeTile(rows, cols []int32, vals []float64, din, buf *dense.Matrix, sr semiring.Semiring) {
 	k := din.K
 	for j := range rows {

@@ -121,29 +121,60 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRunnerRunAllocs extends the PR-4 zero-alloc pin from a single engine
+// TestRunnerRunAllocs extends the zero-alloc pin from a single engine
 // step to a whole reused run: once a Runner has warmed up on a (grid,
 // arch) shape, a timing-only RunInto performs zero heap allocations — pool
-// construction, the cold builder's cache replay, and the event loop all run
-// on scratch.
+// construction, the cold builder's cache replay (through the shared L2 on
+// CPU+DSA), and the event loop all run on scratch. A functional SDDMM run
+// sizes its one output slice per run, so there the pin is that the count
+// does not grow with the input.
 func TestRunnerRunAllocs(t *testing.T) {
-	a := scaledArch(arch.SpadeSextans(4), 64)
-	g, res, _ := testSetup(t, &a, 41)
-	r := NewRunner()
-	var out Result
-	opts := Options{SkipFunctional: true}
-	for i := 0; i < 3; i++ {
-		if err := r.RunInto(&out, g, res.Hot, &a, nil, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := r.RunInto(&out, g, res.Hot, &a, nil, opts); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm RunInto allocated %v times per run, want 0", allocs)
+	for _, tc := range []struct {
+		name  string
+		a     arch.Arch
+		opts  Options
+		exact bool // 0 allocs; otherwise the count at tile 64 and 128 agree
+	}{
+		{"spade-sextans", arch.SpadeSextans(4), Options{SkipFunctional: true}, true},
+		{"cpu-dsa-shared-l2", arch.CPUDSA(), Options{SkipFunctional: true}, true},
+		{"sddmm-functional", arch.SpadeSextans(4), Options{Kernel: model.KernelSDDMM}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.exact {
+				// The functional kernel fans out on the par pool, whose
+				// allocations vary with scheduling; one worker runs it inline.
+				defer par.SetWorkers(par.SetWorkers(1))
+			}
+			measure := func(tileSize int) float64 {
+				a := scaledArch(tc.a, tileSize)
+				g, res, m := testSetup(t, &a, 41)
+				var din *dense.Matrix
+				if !tc.opts.SkipFunctional {
+					din = dense.NewRandom(rand.New(rand.NewSource(42)), m.N, a.K)
+				}
+				r := NewRunner()
+				var out Result
+				run := func() {
+					if err := r.RunInto(&out, g, res.Hot, &a, din, tc.opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 3; i++ {
+					run()
+				}
+				return testing.AllocsPerRun(50, run)
+			}
+			small := measure(64)
+			if tc.exact {
+				if small != 0 {
+					t.Fatalf("warm RunInto allocated %v times per run, want 0", small)
+				}
+				return
+			}
+			if large := measure(128); large != small {
+				t.Fatalf("warm RunInto allocated %v times per run at tile 64, %v at tile 128: want a count independent of the input", small, large)
+			}
+		})
 	}
 }
 

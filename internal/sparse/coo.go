@@ -79,8 +79,6 @@ func (m *COO) Clone() *COO {
 // exactly the stable (row, col) order for every worker count. Matrices too
 // large for the packing fall back to sorting an index permutation with the
 // same three-way comparator.
-//
-//hot:path
 func (m *COO) SortRowMajor() {
 	if m.IsRowMajor() {
 		return
@@ -144,8 +142,6 @@ func (m *COO) SortRowMajor() {
 }
 
 // applyPerm reorders the nonzeros so position i holds old entry perm[i].
-//
-//hot:path
 func (m *COO) applyPerm(perm []int32) {
 	rows := make([]int32, len(perm))
 	cols := make([]int32, len(perm))
@@ -170,8 +166,6 @@ func (m *COO) applyPerm(perm []int32) {
 // as sortUint64 would, with its own range of keys as scratch. The keys
 // are distinct, so any correct sort yields the same sequence: the result
 // is identical for every worker count.
-//
-//hot:path
 func sortPacked(keys []uint64) {
 	n := len(keys)
 	k := sortChunks(n)
@@ -235,8 +229,6 @@ func sortPacked(keys []uint64) {
 // so sorting only the high bytes of such input reproduces exactly the full
 // lexicographic order — the skipped low-byte passes would have been identity
 // permutations — at a fraction of the histogram and shuffle cost.
-//
-//hot:path
 func sortUint64(s []uint64, fromByte int) {
 	if len(s) < radixMin {
 		slices.Sort(s)
@@ -255,8 +247,6 @@ const radixMin = 256
 
 // radixSort is sortUint64 with a caller-supplied scratch buffer aux of
 // len(s); the sorted keys end in s.
-//
-//hot:path
 func radixSort(s, aux []uint64, fromByte int) {
 	if len(s) < radixMin {
 		slices.Sort(s)

@@ -218,6 +218,30 @@ func TestSortUint64FromByte(t *testing.T) {
 	}
 }
 
+// TestSortUint64Allocs pins the key sort to zero allocations per call on
+// both sides of the radix cutover: the comparison sort below it, and the
+// radix sort above it once the pooled scratch has grown.
+func TestSortUint64Allocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{radixMin - 1, 4096} {
+		in := make([]uint64, n)
+		for i := range in {
+			in[i] = rng.Uint64()
+		}
+		s := make([]uint64, n)
+		run := func() {
+			copy(s, in)
+			sortUint64(s, 0)
+		}
+		run() // grow the pooled radix scratch
+		// -race drops a quarter of sync.Pool puts at random; over 100 runs
+		// the truncated per-run average of those refills stays 0.
+		if got := testing.AllocsPerRun(100, run); got != 0 {
+			t.Errorf("n=%d: sortUint64 allocated %v times per call, want 0", n, got)
+		}
+	}
+}
+
 // TestSortRowMajorMatchesStable pins the packed-key fast path against the
 // definitional stable comparison sort at a size well above the radix
 // cutover, with many duplicate coordinates so stability actually bites.
@@ -249,6 +273,34 @@ func TestSortRowMajorMatchesStable(t *testing.T) {
 			t.Fatalf("entry %d: got (%d,%d,%v), stable sort wants (%d,%d,%v)",
 				i, m.Rows[i], m.Cols[i], m.Vals[i], ents[i].r, ents[i].c, ents[i].v)
 		}
+	}
+}
+
+// TestSortRowMajorFallbackAllocs pins the comparison-sort fallback (taken
+// when a coordinate does not fit the packed key's 20-bit field) and its
+// applyPerm gather to an allocation count that does not grow with the
+// number of nonzeros: each array is made once per sort, never per entry.
+func TestSortRowMajorFallbackAllocs(t *testing.T) {
+	measure := func(nnz int) float64 {
+		rng := rand.New(rand.NewSource(int64(nnz)))
+		const n = 1 << 21
+		m := NewCOO(n, nnz)
+		for i := 0; i < nnz; i++ {
+			m.Append(int32(rng.Intn(n)), int32(rng.Intn(n)), float64(i))
+		}
+		rows, cols, vals := m.Rows, m.Cols, m.Vals
+		allocs := testing.AllocsPerRun(20, func() {
+			m.Rows, m.Cols, m.Vals = rows, cols, vals // the sort leaves these unsorted inputs intact
+			m.SortRowMajor()
+		})
+		if !m.IsRowMajor() {
+			t.Fatalf("nnz %d: fallback sort left the matrix out of row-major order", nnz)
+		}
+		return allocs
+	}
+	small, large := measure(256), measure(8192)
+	if small != large {
+		t.Fatalf("fallback SortRowMajor allocated %v times at nnz 256, %v at nnz 8192: want a count independent of nnz", small, large)
 	}
 }
 

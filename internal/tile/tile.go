@@ -185,8 +185,6 @@ func (b *bucketer) of(r, c int32) int {
 
 // countRuns counts distinct values in a slice where equal values are
 // contiguous (sorted or row-major grouped).
-//
-//hot:path
 func countRuns(s []int32) int {
 	if len(s) == 0 {
 		return 0
