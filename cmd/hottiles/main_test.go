@@ -30,8 +30,9 @@ func TestMain(m *testing.M) {
 // TestFatalExitKeepsProfiles runs the CLI (this test binary, re-entered
 // through TestMain) on a missing input: the run must exit 1 through the
 // fatal path and still leave every output its flags asked for — two
-// complete profiles in one case, a manifest and a Chrome timeline in the
-// other — since a failing run is the one whose artifacts are most wanted.
+// complete profiles in one case, a manifest that carries the error and a
+// Chrome timeline in the other — since a failing run is the one whose
+// artifacts are most wanted.
 func TestFatalExitKeepsProfiles(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -86,8 +87,9 @@ func checkProfiles(t *testing.T, dir string) {
 	}
 }
 
-// checkTrace requires m.json in dir to read back as a run manifest and
-// tl.json to parse as a Chrome trace-event timeline.
+// checkTrace requires m.json in dir to read back as a run manifest whose
+// error field names the missing input, and tl.json to parse as a Chrome
+// trace-event timeline.
 func checkTrace(t *testing.T, dir string) {
 	t.Helper()
 	f, err := os.Open(filepath.Join(dir, "m.json"))
@@ -95,8 +97,12 @@ func checkTrace(t *testing.T, dir string) {
 		t.Fatalf("manifest not written: %v", err)
 	}
 	defer f.Close()
-	if _, err := obs.ReadManifest(f); err != nil {
+	m, err := obs.ReadManifest(f)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(m.Error, "missing.mtx") {
+		t.Fatalf("manifest error = %q, want the failure naming missing.mtx", m.Error)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "tl.json"))
 	if err != nil {

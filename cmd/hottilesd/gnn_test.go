@@ -19,6 +19,7 @@ import (
 
 	hottiles "repro"
 	"repro/internal/obs"
+	"repro/internal/planstore"
 )
 
 func postGNN(t *testing.T, client *http.Client, url string, body []byte, query string) *http.Response {
@@ -325,5 +326,110 @@ func TestGNNOutputSHA256MatchesPerFloat(t *testing.T) {
 	}
 	if want := perFloatSHA256(res.Output.Data); g.OutputSHA256 != want {
 		t.Fatalf("output_sha256 = %s, per-float oracle %s", g.OutputSHA256, want)
+	}
+}
+
+// healthzStore reads the store counters an operator sees on /healthz.
+func healthzStore(t *testing.T, client *http.Client, url string) planstore.Stats {
+	t.Helper()
+	resp, err := client.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h struct {
+		Store planstore.Stats `json:"store"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	return h.Store
+}
+
+// TestBuildThenReuseSurvivesOneOffs is the paper's build-then-reuse flow
+// (§VI-B) beside one-off traffic: POST /plan builds a matrix's plan, one
+// reuse request follows, and then distinct one-off uploads cycle the plan
+// window twice. The reuse request promoted the plan out of the window, so
+// afterwards both GET /plan/{hash} and POST /gnn still hit and the store
+// counts no rebuild. Without a reuse request the plan ages out with the
+// one-offs.
+func TestBuildThenReuseSurvivesOneOffs(t *testing.T) {
+	const cacheBytes = 1 << 20 // a 128 KiB window
+	for _, reuse := range []string{"gnn", "get", "none"} {
+		t.Run(reuse, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.store.MaxBytes = cacheBytes
+			s, err := newServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.mux)
+			defer ts.Close()
+			c := ts.Client()
+			get := func(hash string) (int, []byte) {
+				t.Helper()
+				resp, err := c.Get(ts.URL + "/plan/" + hash)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, _ := io.ReadAll(resp.Body)
+				return resp.StatusCode, body
+			}
+			gnn := func(body []byte) {
+				t.Helper()
+				resp := postGNN(t, c, ts.URL, body, "")
+				defer resp.Body.Close()
+				if out, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusOK {
+					t.Fatalf("POST /gnn: %d: %s", resp.StatusCode, out)
+				}
+			}
+			post := func(body []byte) (string, []byte) {
+				t.Helper()
+				resp := postPlan(t, c, ts.URL, body)
+				defer resp.Body.Close()
+				plan, _ := io.ReadAll(resp.Body)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("POST /plan: %d: %s", resp.StatusCode, plan)
+				}
+				return resp.Header.Get("X-Plan-Hash"), plan
+			}
+
+			upload := matrixBytes(t, 30, 512, 4000)
+			hash, plan := post(upload)
+			switch reuse {
+			case "gnn":
+				gnn(upload)
+			case "get":
+				if code, _ := get(hash); code != http.StatusOK {
+					t.Fatalf("GET /plan/{hash} right after the build: %d", code)
+				}
+			}
+			flood := 0
+			for sum := 0; sum < 2*cacheBytes/8; flood++ {
+				_, once := post(matrixBytes(t, int64(100+flood), 256, 1500))
+				sum += len(once)
+			}
+
+			t.Logf("plan %d bytes, %d one-offs", len(plan), flood)
+			code, fetched := get(hash)
+			if reuse == "none" {
+				if code != http.StatusNotFound {
+					t.Fatalf("GET /plan/{hash} of an unreused plan after %d one-offs: %d, want 404", flood, code)
+				}
+				return
+			}
+			if code != http.StatusOK || !bytes.Equal(fetched, plan) {
+				t.Fatalf("GET /plan/{hash} after %d one-offs: %d, %d bytes; want the built plan", flood, code, len(fetched))
+			}
+			gnn(upload)
+			st := healthzStore(t, c, ts.URL)
+			if st.Builds != int64(1+flood) {
+				t.Fatalf("/healthz store %+v: %d builds, want %d (no rebuild)", st, st.Builds, 1+flood)
+			}
+			if st.Promotions != 1 || st.WindowPlans == 0 || st.WindowPlans == st.CachedPlans {
+				t.Fatalf("/healthz store %+v: want 1 promotion and one-offs in the window beside main", st)
+			}
+		})
 	}
 }

@@ -26,6 +26,15 @@
 // estimate. SIGINT/SIGTERM drains in-flight requests before exiting;
 // SIGQUIT dumps the post-mortem ring to stderr and keeps serving.
 //
+// Built plans are kept in memory under the -cache-bytes budget, in two
+// segments: a new plan enters a window of 1/8 of the budget and moves to
+// the main LRU on its second request (a repeat POST /plan or /gnn, or a
+// GET /plan/{hash}), so one-off uploads age out of the window without
+// displacing the plans that are reused. A plan read back from -store-dir
+// goes straight to main. The process holds about twice what main holds,
+// because the garbage collector lets the heap grow to twice its live
+// size: ~1.8× the budget once main is full (DESIGN.md §14).
+//
 // Every request carries one ID (inbound X-Request-ID / traceparent, minted
 // otherwise) through the access log, the response header, the span tree,
 // and /debug/requests — DESIGN.md §18. The daemon logs structured lines
@@ -64,7 +73,8 @@ func main() {
 	opsPerMAC := flag.Float64("ops", 2, "arithmetic-intensity factor (2 = plain SpMM)")
 	seed := flag.Int64("seed", 1, "seed for IUnaware's random assignment")
 	storeDir := flag.String("store-dir", "", "spill built plans to this directory (survives restarts)")
-	cacheBytes := flag.Int64("cache-bytes", 256<<20, "in-memory plan cache budget")
+	cacheBytes := flag.Int64("cache-bytes", 256<<20,
+		"in-memory plan cache budget in bytes: 1/8 is the window new plans enter, the rest holds plans requested again")
 	maxActive := flag.Int("max-active", 0, "concurrent preprocessing builds (0: one per core, GOMAXPROCS)")
 	maxQueue := flag.Int("max-queue", 64, "builds waiting for a slot before 429 (negative: no queue)")
 	reqTimeout := flag.Duration("request-timeout", 60*time.Second, "per-request preprocessing deadline")

@@ -116,9 +116,11 @@ func (c *CLI) Finish() {
 }
 
 // Fail writes what it can of the run's outputs (see flush), so a failing
-// run keeps its profiles, manifest and timeline, logs err as <name>.fatal,
-// and exits 1. It is valid from Start on.
+// run keeps its profiles, manifest and timeline, with err in the
+// manifest's error field; it logs err as <name>.fatal and exits 1. It is
+// valid from Start on.
 func (c *CLI) Fail(err error) {
+	c.Tracer.fail(err)
 	err = errors.Join(err, c.flush())
 	c.Logger.LogAttrs(context.Background(), slog.LevelError, c.name+".fatal", slog.String("err", err.Error()))
 	os.Exit(1)

@@ -27,6 +27,9 @@ type Manifest struct {
 	Counters   map[string]int64             `json:"counters"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	Outputs    []Output                     `json:"outputs,omitempty"`
+	// Error is the error a fatal exit ended the run with (CLI.Fail); a
+	// manifest without it is a run that finished.
+	Error string `json:"error,omitempty"`
 }
 
 // SpanRecord is the serialized form of one span.
@@ -106,7 +109,7 @@ func (t *Tracer) Manifest() *Manifest {
 	}
 	t.Finish()
 	t.mu.Lock()
-	spans, cfg, outputs := t.spanTree(), maps.Clone(t.config), slices.Clone(t.outputs)
+	spans, cfg, outputs, runErr := t.spanTree(), maps.Clone(t.config), slices.Clone(t.outputs), t.err
 	t.mu.Unlock()
 
 	view := RegistrySnapshot()
@@ -124,6 +127,7 @@ func (t *Tracer) Manifest() *Manifest {
 		Counters:   view.flatten(),
 		Histograms: hists,
 		Outputs:    outputs,
+		Error:      runErr,
 	}
 }
 

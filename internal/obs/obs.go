@@ -56,6 +56,7 @@ type Tracer struct {
 	flushed int          // events[:flushed] are already in tl
 	config  map[string]string
 	outputs []Output
+	err     string // the fatal error the run ended with, for the manifest
 }
 
 // spanAttr is one attribute in the tracer's buffer, keyed by span id.
@@ -164,6 +165,16 @@ func (t *Tracer) SetConfig(key, val string) {
 	}
 	t.mu.Lock()
 	t.config[key] = val
+	t.mu.Unlock()
+}
+
+// fail records the error a fatal exit ends the run with, for the manifest.
+func (t *Tracer) fail(err error) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.err = err.Error()
 	t.mu.Unlock()
 }
 

@@ -2,11 +2,15 @@
 // hottilesd daemon: a bounded byte store keyed by matrix+config hash, with
 // singleflight build deduplication, admission control (bounded active
 // builds plus a bounded wait queue — overload is refused, not buffered
-// without limit), an in-memory LRU over the serialized plans, and an
-// optional disk spill so plans survive restarts. It stores opaque bytes on
-// purpose: the daemon serializes plans with hotcore.WritePlan, but nothing
-// here depends on the plan format, so the store is testable without
-// running the pipeline.
+// without limit), an in-memory cache over the serialized plans, and an
+// optional disk spill so plans survive restarts. The memory cache splits
+// its byte budget into two LRU segments, the W-TinyLFU shape: a newly
+// built plan enters a window of 1/8 of the budget and earns a place in the
+// main segment with its second request, so one-off uploads age out of the
+// window without displacing the plans that are reused. It stores opaque
+// bytes on purpose: the daemon serializes plans with hotcore.WritePlan,
+// but nothing here depends on the plan format, so the store is testable
+// without running the pipeline.
 package planstore
 
 import (
@@ -38,6 +42,7 @@ var (
 	storeCoalesced    = obs.NewCounter("planstore.coalesced")
 	storeRejected     = obs.NewCounter("planstore.rejected")
 	storeEvictions    = obs.NewCounter("planstore.evictions")
+	storePromotions   = obs.NewCounter("planstore.promotions")
 	storeSpillErrs    = obs.NewCounter("planstore.spill.errors")
 	storeSpillCorrupt = obs.NewCounter("planstore.spill.corrupt")
 	storeActive       = obs.NewGauge("planstore.active")
@@ -59,7 +64,9 @@ type Config struct {
 	// is persisted there (write-to-temp, rename) and memory misses check
 	// it before rebuilding. The directory is created if missing.
 	Dir string
-	// MaxBytes bounds the in-memory cache (sum of value lengths).
+	// MaxBytes bounds the in-memory cache (sum of value lengths): 1/8 of
+	// it is the window that new values enter, the rest the main segment
+	// that a second request promotes them to.
 	MaxBytes int64
 	// MaxActive bounds concurrently running builds; zero or negative
 	// means one per core (runtime.GOMAXPROCS at New).
@@ -73,6 +80,10 @@ type Config struct {
 const (
 	defaultMaxBytes = 256 << 20
 	defaultMaxQueue = 64
+	// windowShare is the budget's divisor for the window segment: 32 MiB of
+	// the default 256 MiB, room for the plans a serving workload primes
+	// before it reuses them (DESIGN.md §14).
+	windowShare = 8
 )
 
 // Stats is a point-in-time view of one Store's behavior. Builds counts
@@ -85,13 +96,16 @@ type Stats struct {
 	DiskHits     int64 // lookups served from the spill directory
 	Coalesced    int64 // lookups that joined another caller's in-flight build
 	Rejected     int64 // lookups refused with ErrBusy
-	Evictions    int64 // values dropped from the memory LRU
+	Evictions    int64 // values dropped from either memory segment
+	Promotions   int64 // window values moved to main by a memory hit
 	SpillErrors  int64 // built values the spill directory failed to persist
 	SpillCorrupt int64 // spill files that failed their checksum and were removed
 	Active       int   // builds running now
 	Queued       int   // builders waiting for a slot now
-	CachedPlans  int   // values in the memory LRU
-	CachedBytes  int64 // sum of value lengths in the memory LRU
+	CachedPlans  int   // values in memory, both segments
+	CachedBytes  int64 // sum of value lengths in memory, both segments
+	WindowPlans  int   // of CachedPlans, values in the window
+	WindowBytes  int64 // of CachedBytes, bytes in the window
 }
 
 type flight struct {
@@ -100,26 +114,36 @@ type flight struct {
 	err  error
 }
 
+// segment is one LRU of the memory cache, bounded by its own share of
+// Config.MaxBytes.
+type segment struct {
+	name  string     // "window" or "main", the planstore.evict segment attr
+	lru   *list.List // front = most recently used
+	bytes int64
+	max   int64
+}
+
 type memEntry struct {
 	key string
 	val []byte
+	seg *segment
 }
 
 // Store is the content-addressed cache. Create with New.
 type Store struct {
 	cfg Config
 
-	mu      sync.Mutex
-	flights map[string]*flight
-	mem     map[string]*list.Element
-	lru     *list.List // front = most recently used
-	bytes   int64
+	mu           sync.Mutex
+	flights      map[string]*flight
+	mem          map[string]*list.Element // both segments
+	window, main segment
 
 	slots  chan struct{} // buffered MaxActive: holding a token = building
 	queued atomic.Int64
 
 	builds, buildErrs, memHits, diskHits atomic.Int64
 	coalesced, rejected, evictions       atomic.Int64
+	promotions                           atomic.Int64
 	spillErrs, spillCorrupt              atomic.Int64
 
 	// ewmaBuildNS tracks recent build cost for Retry-After estimation.
@@ -143,11 +167,13 @@ func New(cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("planstore: spill dir: %w", err)
 		}
 	}
+	win := cfg.MaxBytes / windowShare
 	return &Store{
 		cfg:     cfg,
 		flights: map[string]*flight{},
 		mem:     map[string]*list.Element{},
-		lru:     list.New(),
+		window:  segment{name: "window", lru: list.New(), max: win},
+		main:    segment{name: "main", lru: list.New(), max: cfg.MaxBytes - win},
 		slots:   make(chan struct{}, cfg.MaxActive),
 	}, nil
 }
@@ -163,11 +189,8 @@ func (s *Store) Get(ctx context.Context, key string, build func(ctx context.Cont
 	log := obs.CtxLog(ctx)
 	s.mu.Lock()
 	if e, ok := s.mem[key]; ok {
-		s.lru.MoveToFront(e)
-		val := e.Value.(*memEntry).val
+		val := s.hitLocked(ctx, e)
 		s.mu.Unlock()
-		s.memHits.Add(1)
-		storeMemHits.Inc()
 		log.LogAttrs(ctx, slog.LevelDebug, "planstore.hit", slog.String("key", keyShort(key)))
 		return val, nil
 	}
@@ -189,12 +212,13 @@ func (s *Store) Get(ctx context.Context, key string, build func(ctx context.Cont
 	s.flights[key] = f
 	s.mu.Unlock()
 
-	f.val, f.err = s.runBuild(ctx, key, build)
+	var disk bool
+	f.val, disk, f.err = s.runBuild(ctx, key, build)
 
 	s.mu.Lock()
 	delete(s.flights, key)
 	if f.err == nil {
-		s.putLocked(ctx, key, f.val)
+		s.putLocked(ctx, key, f.val, disk)
 	}
 	s.mu.Unlock()
 	close(f.done)
@@ -202,22 +226,20 @@ func (s *Store) Get(ctx context.Context, key string, build func(ctx context.Cont
 }
 
 // Peek returns the bytes for key if they are already cached in memory or
-// on disk, without ever building. It promotes disk hits into memory; the
-// spill and eviction lines that can cause go to ctx's logger.
+// on disk, without ever building. A hit counts as a request for key like a
+// Get hit does: it promotes a window entry, and a disk hit enters the main
+// segment. The spill and eviction lines that can cause go to ctx's logger.
 func (s *Store) Peek(ctx context.Context, key string) ([]byte, bool) {
 	s.mu.Lock()
 	if e, ok := s.mem[key]; ok {
-		s.lru.MoveToFront(e)
-		val := e.Value.(*memEntry).val
+		val := s.hitLocked(ctx, e)
 		s.mu.Unlock()
-		s.memHits.Add(1)
-		storeMemHits.Inc()
 		return val, true
 	}
 	s.mu.Unlock()
 	if val, ok := s.readDisk(ctx, key); ok {
 		s.mu.Lock()
-		s.putLocked(ctx, key, val)
+		s.putLocked(ctx, key, val, true)
 		s.mu.Unlock()
 		return val, true
 	}
@@ -225,20 +247,21 @@ func (s *Store) Peek(ctx context.Context, key string) ([]byte, bool) {
 }
 
 // runBuild admits the build through the gate, checks disk, and runs it.
-func (s *Store) runBuild(ctx context.Context, key string, build func(ctx context.Context) ([]byte, error)) ([]byte, error) {
+// Its bool reports a value read back from the spill instead of built.
+func (s *Store) runBuild(ctx context.Context, key string, build func(ctx context.Context) ([]byte, error)) ([]byte, bool, error) {
 	log := obs.CtxLog(ctx)
 	// Disk check happens before admission: reading a spilled plan back is
 	// IO, not preprocessing, and must not be refused under build load.
 	if val, ok := s.readDisk(ctx, key); ok {
 		log.LogAttrs(ctx, slog.LevelDebug, "planstore.hit.disk", slog.String("key", keyShort(key)))
-		return val, nil
+		return val, true, nil
 	}
 	if err := s.acquire(ctx); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	defer s.release()
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("planstore: canceled before build: %w", err)
+		return nil, false, fmt.Errorf("planstore: canceled before build: %w", err)
 	}
 	log.LogAttrs(ctx, slog.LevelDebug, "planstore.build.start", slog.String("key", keyShort(key)))
 	t0 := time.Now()
@@ -255,7 +278,7 @@ func (s *Store) runBuild(ctx context.Context, key string, build func(ctx context
 			slog.String("key", keyShort(key)),
 			slog.String("dur", time.Duration(dur).String()),
 			slog.String("err", err.Error()))
-		return nil, err
+		return nil, false, err
 	}
 	log.LogAttrs(ctx, slog.LevelInfo, "planstore.build.done",
 		slog.String("key", keyShort(key)),
@@ -267,7 +290,7 @@ func (s *Store) runBuild(ctx context.Context, key string, build func(ctx context
 		log.LogAttrs(ctx, slog.LevelWarn, "planstore.spill.fail",
 			slog.String("key", keyShort(key)), slog.String("err", err.Error()))
 	}
-	return val, nil
+	return val, false, nil
 }
 
 // acquire claims a build slot, waiting in the bounded queue if none is
@@ -309,30 +332,65 @@ func (s *Store) release() {
 	storeActive.Set(int64(len(s.slots)))
 }
 
-// putLocked inserts a value into the memory LRU and evicts from the cold
-// end until the byte budget holds again (the newest value always stays,
-// even when it alone exceeds the budget). Eviction lines go to ctx's
-// logger, tagged with the request that caused them.
-func (s *Store) putLocked(ctx context.Context, key string, val []byte) {
-	if e, ok := s.mem[key]; ok {
-		s.bytes += int64(len(val)) - int64(len(e.Value.(*memEntry).val))
-		e.Value.(*memEntry).val = val
-		s.lru.MoveToFront(e)
+// hitLocked serves a memory hit on e and returns its value. A window
+// entry is on its second request, so it is promoted to the front of main;
+// a main entry moves to main's front.
+func (s *Store) hitLocked(ctx context.Context, e *list.Element) []byte {
+	ent := e.Value.(*memEntry)
+	if ent.seg == &s.main {
+		s.main.lru.MoveToFront(e)
 	} else {
-		s.mem[key] = s.lru.PushFront(&memEntry{key: key, val: val})
-		s.bytes += int64(len(val))
+		s.unlinkLocked(e)
+		s.linkLocked(ctx, &s.main, ent)
+		s.promotions.Add(1)
+		storePromotions.Inc()
 	}
-	for s.bytes > s.cfg.MaxBytes && s.lru.Len() > 1 {
-		back := s.lru.Back()
-		ent := back.Value.(*memEntry)
-		s.lru.Remove(back)
-		delete(s.mem, ent.key)
-		s.bytes -= int64(len(ent.val))
+	s.memHits.Add(1)
+	storeMemHits.Inc()
+	return ent.val
+}
+
+// putLocked inserts a value into memory: into the window when it was just
+// built, into main when it is a repeat request — a value read back from
+// the spill, or a key already resident (a Peek read it from disk while
+// this build ran).
+func (s *Store) putLocked(ctx context.Context, key string, val []byte, repeat bool) {
+	if e, ok := s.mem[key]; ok {
+		s.unlinkLocked(e)
+		repeat = true
+	}
+	seg := &s.window
+	if repeat {
+		seg = &s.main
+	}
+	s.linkLocked(ctx, seg, &memEntry{key: key, val: val})
+}
+
+// linkLocked puts ent at the front of seg and evicts from seg's cold end
+// until seg's byte share holds again (the newest value always stays, even
+// when it alone exceeds the share). Eviction lines go to ctx's logger,
+// tagged with the request that caused them.
+func (s *Store) linkLocked(ctx context.Context, seg *segment, ent *memEntry) {
+	ent.seg = seg
+	s.mem[ent.key] = seg.lru.PushFront(ent)
+	seg.bytes += int64(len(ent.val))
+	for seg.bytes > seg.max && seg.lru.Len() > 1 {
+		old := s.unlinkLocked(seg.lru.Back())
+		delete(s.mem, old.key)
 		s.evictions.Add(1)
 		storeEvictions.Inc()
 		obs.CtxLog(ctx).LogAttrs(ctx, slog.LevelDebug, "planstore.evict",
-			slog.String("key", keyShort(ent.key)), slog.Int("bytes", len(ent.val)))
+			slog.String("key", keyShort(old.key)), slog.Int("bytes", len(old.val)),
+			slog.String("segment", seg.name))
 	}
+}
+
+// unlinkLocked removes e from its segment; the caller owns the map entry.
+func (s *Store) unlinkLocked(e *list.Element) *memEntry {
+	ent := e.Value.(*memEntry)
+	ent.seg.lru.Remove(e)
+	ent.seg.bytes -= int64(len(ent.val))
+	return ent
 }
 
 // keyShort abbreviates a content hash for log lines: the full 64 hex chars
@@ -378,7 +436,8 @@ func (s *Store) RetryAfter() time.Duration {
 // Stats snapshots the store's counters and occupancy.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	plans, bytes := s.lru.Len(), s.bytes
+	winPlans, winBytes := s.window.lru.Len(), s.window.bytes
+	plans, bytes := winPlans+s.main.lru.Len(), winBytes+s.main.bytes
 	s.mu.Unlock()
 	return Stats{
 		Builds:       s.builds.Load(),
@@ -388,12 +447,15 @@ func (s *Store) Stats() Stats {
 		Coalesced:    s.coalesced.Load(),
 		Rejected:     s.rejected.Load(),
 		Evictions:    s.evictions.Load(),
+		Promotions:   s.promotions.Load(),
 		SpillErrors:  s.spillErrs.Load(),
 		SpillCorrupt: s.spillCorrupt.Load(),
 		Active:       len(s.slots),
 		Queued:       int(s.queued.Load()),
 		CachedPlans:  plans,
 		CachedBytes:  bytes,
+		WindowPlans:  winPlans,
+		WindowBytes:  winBytes,
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -363,6 +364,14 @@ func TestDiskSpillRoundTrip(t *testing.T) {
 	if got, ok := s3.Peek(context.Background(), "abc123"); !ok || !bytes.Equal(got, want) {
 		t.Fatalf("peek: %d bytes, %v", len(got), ok)
 	}
+
+	// A disk hit is a repeat request by definition: through Get and
+	// through Peek alike it enters main, with no promotion counted.
+	for _, store := range []*Store{s2, s3} {
+		if got, st := segmentOf(store, "abc123"), store.Stats(); got != "main" || st.Promotions != 0 || st.WindowPlans != 0 {
+			t.Errorf("disk hit in %q, stats %+v; want main and no promotion", got, st)
+		}
+	}
 }
 
 // TestCorruptSpillIsRebuilt flips one byte of a spill file, in the frame
@@ -478,28 +487,233 @@ func TestDiskPathRejectsHostileKeys(t *testing.T) {
 	}
 }
 
-// TestLRUEvicts: the memory cache drops cold entries once over budget and
-// the newest value always stays resident.
+// segmentOf names the segment holding key ("" when it is not in memory)
+// without touching recency, as a Get or Peek would.
+func segmentOf(s *Store, key string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.mem[key]; ok {
+		return e.Value.(*memEntry).seg.name
+	}
+	return ""
+}
+
+// checkSegments walks both segments and requires the store's bookkeeping
+// to agree with them: every map entry sits in the list of the segment it
+// names, each segment's byte count is the sum of its values, and each
+// segment holds its share of the budget or exactly one entry (the newest
+// always stays).
+func checkSegments(t *testing.T, s *Store) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	seen := 0
+	for _, seg := range []*segment{&s.window, &s.main} {
+		var bytes int64
+		for e := seg.lru.Front(); e != nil; e = e.Next() {
+			ent := e.Value.(*memEntry)
+			if ent.seg != seg || s.mem[ent.key] != e {
+				t.Fatalf("%s: entry %q is out of place", seg.name, ent.key)
+			}
+			bytes += int64(len(ent.val))
+			seen++
+		}
+		if bytes != seg.bytes {
+			t.Fatalf("%s: counts %d bytes, holds %d", seg.name, seg.bytes, bytes)
+		}
+		if seg.bytes > seg.max && seg.lru.Len() > 1 {
+			t.Fatalf("%s: %d entries, %d bytes over its %d-byte share", seg.name, seg.lru.Len(), seg.bytes, seg.max)
+		}
+	}
+	if seen != len(s.mem) {
+		t.Fatalf("segments hold %d entries, the map %d", seen, len(s.mem))
+	}
+}
+
+// TestLRUEvicts covers eviction in both segments: with a 16-byte budget
+// the window's share is 2 bytes, so it keeps only the newest 4-byte value,
+// and main's 14 bytes keep the three most recently promoted values.
 func TestLRUEvicts(t *testing.T) {
-	s := newStore(t, Config{MaxBytes: 10})
-	for i := 0; i < 4; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if _, err := s.Get(context.Background(), key, constBuild([]byte("1234"))); err != nil {
+	s := newStore(t, Config{MaxBytes: 16})
+	ctx := context.Background()
+	get := func(key string) {
+		t.Helper()
+		if _, err := s.Get(ctx, key, constBuild([]byte("1234"))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for i := 0; i < 4; i++ {
+		key := fmt.Sprintf("k%d", i)
+		get(key) // built into the window
+		get(key) // second request: promoted to main
+	}
+	get("k4")
+	get("k5")
+	checkSegments(t, s)
+	want := map[string]string{"k0": "", "k1": "main", "k2": "main", "k3": "main", "k4": "", "k5": "window"}
+	for key, seg := range want {
+		if got := segmentOf(s, key); got != seg {
+			t.Errorf("%s in %q, want %q", key, got, seg)
+		}
+	}
 	st := s.Stats()
-	if st.CachedBytes > 10 {
-		t.Fatalf("cache over budget: %+v", st)
+	if st.CachedBytes > 16 || st.CachedPlans != 4 || st.WindowPlans != 1 || st.WindowBytes != 4 {
+		t.Fatalf("stats %+v: want 4 plans in 16 bytes, 1 of them in the window", st)
 	}
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions: %+v", st)
+	// k0 left main's cold end, k4 the window's.
+	if st.Evictions != 2 || st.Promotions != 4 || st.Builds != 6 {
+		t.Fatalf("stats %+v: want 2 evictions, 4 promotions, 6 builds", st)
 	}
-	if _, ok := s.Peek(context.Background(), "k3"); !ok {
-		t.Fatal("newest entry evicted")
+}
+
+// TestOneOffMixStaysInWindow drives the plan-build shape: every key is
+// new, and the values add up to ten times the budget. Nothing is requested
+// twice, so main stays empty and what is resident never exceeds the
+// window's share, except when the newest value alone is larger.
+func TestOneOffMixStaysInWindow(t *testing.T) {
+	const budget = 8 << 10
+	s := newStore(t, Config{MaxBytes: budget})
+	rng := rand.New(rand.NewSource(1))
+	var total int
+	for i := 0; total < 10*budget; i++ {
+		// Sizes span the window's 1 KiB share, so some values exceed it.
+		val := make([]byte, 50+rng.Intn(1500))
+		total += len(val)
+		if _, err := s.Get(context.Background(), fmt.Sprintf("once%d", i), constBuild(val)); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if st.CachedPlans != st.WindowPlans || st.CachedBytes != st.WindowBytes {
+			t.Fatalf("request %d: main holds values nobody asked for twice: %+v", i, st)
+		}
+		if st.CachedBytes > budget/windowShare && st.CachedPlans != 1 {
+			t.Fatalf("request %d: %d plans in %d bytes, over the %d-byte window", i, st.CachedPlans, st.CachedBytes, budget/windowShare)
+		}
 	}
-	if _, ok := s.Peek(context.Background(), "k0"); ok {
-		t.Fatal("oldest entry survived a full cache")
+	checkSegments(t, s)
+	if st := s.Stats(); st.MemHits != 0 || st.Promotions != 0 || st.Evictions == 0 {
+		t.Fatalf("stats %+v: want no hits, no promotions, some evictions", st)
+	}
+}
+
+// TestRepeatedKeyMixSurvivesFlood drives the reuse shape beside one-off
+// traffic: hot keys requested again are promoted to main, and they keep
+// hitting while one-offs worth ten budgets pass through the window. A
+// round (four 100-byte hot values, two 200-byte one-offs) fits the 1 KiB
+// window, so a hot key is still there when its second request comes.
+func TestRepeatedKeyMixSurvivesFlood(t *testing.T) {
+	const budget = 8 << 10
+	s := newStore(t, Config{MaxBytes: budget})
+	ctx := context.Background()
+	hot := []string{"hot0", "hot1", "hot2", "hot3"}
+	builds := map[string]int{}
+	hotBuild := func(key string) func(context.Context) ([]byte, error) {
+		return func(context.Context) ([]byte, error) {
+			builds[key]++
+			return bytes.Repeat([]byte(key), 25), nil
+		}
+	}
+	oneOff := 0
+	flood := func(n int) {
+		for i := 0; i < n; i++ {
+			oneOff++
+			if _, err := s.Get(ctx, fmt.Sprintf("once%d", oneOff), constBuild(make([]byte, 200))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for round := 0; round < 100; round++ {
+		for _, key := range hot {
+			if _, err := s.Get(ctx, key, hotBuild(key)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		flood(2)
+	}
+	// One last flood of ten budgets with no hot request in between.
+	flood(10 * budget / 200)
+	for _, key := range hot {
+		if got := segmentOf(s, key); got != "main" {
+			t.Fatalf("%s in %q after the flood, want main", key, got)
+		}
+		if _, err := s.Get(ctx, key, hotBuild(key)); err != nil {
+			t.Fatal(err)
+		}
+		if builds[key] != 1 {
+			t.Fatalf("%s built %d times, want 1", key, builds[key])
+		}
+	}
+	checkSegments(t, s)
+	st := s.Stats()
+	if st.Promotions != int64(len(hot)) || st.MemHits != int64(100*len(hot)) {
+		t.Fatalf("stats %+v: want %d promotions and %d hits", st, len(hot), 100*len(hot))
+	}
+	if st.WindowBytes > budget/windowShare {
+		t.Fatalf("window holds %d bytes, over its %d-byte share", st.WindowBytes, budget/windowShare)
+	}
+}
+
+// TestPeekPromotes: GET /plan/{hash} is a request too, so a Peek hit on a
+// window entry promotes it, and it outlives a window's worth of one-offs.
+func TestPeekPromotes(t *testing.T) {
+	s := newStore(t, Config{MaxBytes: 800})
+	ctx := context.Background()
+	if _, err := s.Get(ctx, "k", constBuild([]byte("plan"))); err != nil {
+		t.Fatal(err)
+	}
+	if got := segmentOf(s, "k"); got != "window" {
+		t.Fatalf("new value in %q, want window", got)
+	}
+	if _, ok := s.Peek(ctx, "k"); !ok {
+		t.Fatal("Peek missed a resident value")
+	}
+	if got, st := segmentOf(s, "k"), s.Stats(); got != "main" || st.Promotions != 1 || st.MemHits != 1 {
+		t.Fatalf("after Peek: k in %q, stats %+v; want main, 1 promotion, 1 hit", got, st)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := s.Get(ctx, fmt.Sprintf("once%d", i), constBuild(make([]byte, 50))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, ok := s.Peek(ctx, "k"); !ok || string(got) != "plan" {
+		t.Fatalf("promoted value lost to one-offs: %q, %v", got, ok)
+	}
+}
+
+// TestPromoteEvictConcurrent runs promotions and evictions in both
+// segments from several goroutines at once (meant for -race): hot keys hit
+// through Get and Peek while one-offs flood the window, and the segments'
+// bookkeeping must agree with their contents afterwards.
+func TestPromoteEvictConcurrent(t *testing.T) {
+	s := newStore(t, Config{MaxBytes: 4 << 10, MaxQueue: 1 << 10})
+	ctx := context.Background()
+	const workers, rounds = 4, 300
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < rounds; i++ {
+				key := fmt.Sprintf("hot%d", rng.Intn(12))
+				if rng.Intn(2) == 0 {
+					key = fmt.Sprintf("once%d-%d", w, i)
+				}
+				if rng.Intn(4) == 0 {
+					s.Peek(ctx, key)
+					continue
+				}
+				if _, err := s.Get(ctx, key, constBuild(make([]byte, 64+rng.Intn(256)))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	checkSegments(t, s)
+	if st := s.Stats(); st.Promotions == 0 || st.Evictions == 0 {
+		t.Fatalf("stats %+v: the mix never promoted or never evicted", st)
 	}
 }
 
