@@ -7,11 +7,15 @@
 //
 // -emit parses `go test -bench` output from stdin into a JSON map of
 // benchmark name to {ns/op, B/op, allocs/op} (the committed BENCH_*.json
-// perf-trajectory points; repeated runs of one benchmark are averaged).
+// perf-trajectory points; repeated runs of one benchmark are averaged),
+// stamped with the host: the CPU `go test` names, the GOMAXPROCS the
+// benchmarks ran at, runtime.NumCPU and the Go version.
 // Compare mode prints the per-benchmark time ratio between two such files
 // and exits non-zero when any shared benchmark slowed down by more than
 // the threshold factor, or when a zero-allocation benchmark started
-// allocating — the regressions `make bench` is meant to catch.
+// allocating — the regressions `make bench` is meant to catch. It refuses
+// two stamped files from different hosts, and names an unstamped file
+// (one written before the stamp existed) without refusing it.
 // -trajectory reads the baselines in argument order (the PR sequence) and
 // prints one ns/op column per file plus the cumulative drift, flagging any
 // consecutive step that worsened beyond the threshold; it is informational
@@ -29,6 +33,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -44,7 +49,20 @@ type Metrics struct {
 // File is the committed BENCH_*.json schema.
 type File struct {
 	Schema     string             `json:"schema"`
+	Host       *Host              `json:"host,omitempty"` // nil in files from before the stamp
 	Benchmarks map[string]Metrics `json:"benchmarks"`
+}
+
+// Host identifies the machine and toolchain a baseline was measured on.
+type Host struct {
+	CPU        string `json:"cpu"`        // the "cpu:" line of the go test output
+	GOMAXPROCS int    `json:"gomaxprocs"` // the benchmark names' -N suffix (none: 1)
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
+}
+
+func (h Host) String() string {
+	return fmt.Sprintf("%s, %d CPUs, GOMAXPROCS %d, %s", h.CPU, h.NumCPU, h.GOMAXPROCS, h.GoVersion)
 }
 
 const schema = "hottiles-bench/1"
@@ -54,31 +72,47 @@ const schema = "hottiles-bench/1"
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
 // trimProcs strips the trailing -<GOMAXPROCS> suffix go test appends to
-// benchmark names, so baselines compare across machines.
-func trimProcs(name string) string {
+// benchmark names, so baselines compare across machines, and returns the
+// GOMAXPROCS it names: 1 when there is none, as go test omits it then.
+func trimProcs(name string) (string, int) {
 	i := strings.LastIndex(name, "-")
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }
 
-// parseBench reads `go test -bench` output and averages the recognized
-// metrics per benchmark name.
-func parseBench(r io.Reader) (map[string]Metrics, error) {
+// parseBench reads `go test -bench` output, averages the recognized
+// metrics per benchmark name, and stamps the file with what the output
+// says of the host: its CPU and GOMAXPROCS.
+func parseBench(r io.Reader) (*File, error) {
 	sums := map[string]*Metrics{}
 	counts := map[string]int{}
+	host := Host{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
+		line := strings.TrimSpace(sc.Text())
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			if host.CPU != "" && host.CPU != cpu {
+				return nil, fmt.Errorf("benchdiff: output from two CPUs: %q and %q", host.CPU, cpu)
+			}
+			host.CPU = cpu
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		name := trimProcs(m[1])
+		name, procs := trimProcs(m[1])
+		if host.GOMAXPROCS != 0 && host.GOMAXPROCS != procs {
+			return nil, fmt.Errorf("benchdiff: %s ran at GOMAXPROCS %d, earlier benchmarks at %d", m[1], procs, host.GOMAXPROCS)
+		}
+		host.GOMAXPROCS = procs
 		fields := strings.Fields(m[3])
 		var cur Metrics
 		seen := false
@@ -122,7 +156,7 @@ func parseBench(r io.Reader) (map[string]Metrics, error) {
 			AllocsPerOp: s.AllocsPerOp / n,
 		}
 	}
-	return out, nil
+	return &File{Schema: schema, Host: &host, Benchmarks: out}, nil
 }
 
 func readFile(path string) (*File, error) {
@@ -169,22 +203,26 @@ func compare(old, new map[string]Metrics, threshold float64) []diffLine {
 	return out
 }
 
+// emit writes the baseline for the benchmark output on in, stamped with
+// this process's host: the benchmarks must have run on this machine and
+// toolchain, as when go test pipes into benchdiff.
 func emit(path string, in io.Reader) error {
-	bs, err := parseBench(in)
+	f, err := parseBench(in)
 	if err != nil {
 		return err
 	}
-	if len(bs) == 0 {
+	if len(f.Benchmarks) == 0 {
 		return fmt.Errorf("benchdiff: no benchmark lines on stdin")
 	}
-	data, err := json.MarshalIndent(&File{Schema: schema, Benchmarks: bs}, "", "  ")
+	f.Host.NumCPU, f.Host.GoVersion = runtime.NumCPU(), runtime.Version()
+	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("benchdiff: wrote %d benchmarks to %s\n", len(bs), path)
+	fmt.Printf("benchdiff: wrote %d benchmarks to %s (%s)\n", len(f.Benchmarks), path, f.Host)
 	return nil
 }
 
@@ -197,6 +235,17 @@ func run(oldPath, newPath string, threshold float64, w io.Writer) (bool, error) 
 	if err != nil {
 		return false, err
 	}
+	if oldF.Host != nil && newF.Host != nil && *oldF.Host != *newF.Host {
+		return false, fmt.Errorf("benchdiff: %s and %s come from different hosts (%s; %s): their times do not compare",
+			oldPath, newPath, oldF.Host, newF.Host)
+	}
+	unstamped := func(path string, f *File) {
+		if f.Host == nil {
+			fmt.Fprintf(w, "benchdiff: %s is unstamped: its host is unknown, so its times may not compare\n", path)
+		}
+	}
+	unstamped(oldPath, oldF)
+	unstamped(newPath, newF)
 	lines := compare(oldF.Benchmarks, newF.Benchmarks, threshold)
 	if len(lines) == 0 {
 		return false, fmt.Errorf("benchdiff: no benchmarks in common")

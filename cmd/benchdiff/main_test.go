@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -20,10 +22,14 @@ ok  	repro/internal/sim	12.3s
 `
 
 func TestParseBench(t *testing.T) {
-	bs, err := parseBench(strings.NewReader(sampleOutput))
+	f, err := parseBench(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if f.Host.CPU != "some cpu" || f.Host.GOMAXPROCS != 8 {
+		t.Fatalf("host = %+v, want cpu %q and GOMAXPROCS 8", *f.Host, "some cpu")
+	}
+	bs := f.Benchmarks
 	if len(bs) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3: %v", len(bs), bs)
 	}
@@ -48,16 +54,19 @@ func TestParseBench(t *testing.T) {
 }
 
 func TestTrimProcs(t *testing.T) {
-	for in, want := range map[string]string{
-		"BenchmarkEngine-8":           "BenchmarkEngine",
-		"BenchmarkEngine":             "BenchmarkEngine",
-		"BenchmarkFanout/parallel-16": "BenchmarkFanout/parallel",
-		"BenchmarkKernels/cache-on-8": "BenchmarkKernels/cache-on",
-		"BenchmarkKernels/cache-on":   "BenchmarkKernels/cache-on",
-		"BenchmarkAblation/512-4":     "BenchmarkAblation/512",
+	for in, want := range map[string]struct {
+		name  string
+		procs int
+	}{
+		"BenchmarkEngine-8":           {"BenchmarkEngine", 8},
+		"BenchmarkEngine":             {"BenchmarkEngine", 1},
+		"BenchmarkFanout/parallel-16": {"BenchmarkFanout/parallel", 16},
+		"BenchmarkKernels/cache-on-8": {"BenchmarkKernels/cache-on", 8},
+		"BenchmarkKernels/cache-on":   {"BenchmarkKernels/cache-on", 1},
+		"BenchmarkAblation/512-4":     {"BenchmarkAblation/512", 4},
 	} {
-		if got := trimProcs(in); got != want {
-			t.Errorf("trimProcs(%q) = %q, want %q", in, got, want)
+		if got, procs := trimProcs(in); got != want.name || procs != want.procs {
+			t.Errorf("trimProcs(%q) = %q, %d, want %q, %d", in, got, procs, want.name, want.procs)
 		}
 	}
 }
@@ -120,6 +129,72 @@ func TestEmitAndRunRoundTrip(t *testing.T) {
 	}
 	if !regressed {
 		t.Fatal("2x slowdown not flagged as regression")
+	}
+}
+
+// TestParseBenchRejectsMixedHosts checks that one baseline cannot mix
+// benchmarks run at two GOMAXPROCS values or on two CPUs.
+func TestParseBenchRejectsMixedHosts(t *testing.T) {
+	for _, in := range []string{
+		sampleOutput + "BenchmarkOther-4\t10\t100 ns/op\n",
+		sampleOutput + "BenchmarkOther\t10\t100 ns/op\n",
+		sampleOutput + "cpu: another cpu\n",
+	} {
+		if _, err := parseBench(strings.NewReader(in)); err == nil {
+			t.Errorf("mixed output accepted:\n%s", in)
+		}
+	}
+}
+
+// TestRunChecksHosts pins compare mode's three outcomes for the host
+// stamp: two files from one host compare, two from different hosts are
+// refused, and an unstamped baseline (one written before the stamp, as
+// BENCH_9.json) is named as unstamped and still compared.
+func TestRunChecksHosts(t *testing.T) {
+	dir := t.TempDir()
+	stamped := filepath.Join(dir, "stamped.json")
+	if err := emit(stamped, strings.NewReader(sampleOutput)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := readFile(stamped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Host == nil || f.Host.NumCPU != runtime.NumCPU() || f.Host.GoVersion != runtime.Version() ||
+		f.Host.CPU != "some cpu" || f.Host.GOMAXPROCS != 8 {
+		t.Fatalf("emit stamped %+v", f.Host)
+	}
+	write := func(name string, f File) string {
+		data, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	other := *f.Host
+	other.GOMAXPROCS = 1
+	elsewhere := write("elsewhere.json", File{Schema: schema, Host: &other, Benchmarks: f.Benchmarks})
+	unstamped := write("unstamped.json", File{Schema: schema, Benchmarks: f.Benchmarks})
+
+	var sb strings.Builder
+	if _, err := run(stamped, stamped, 1.25, &sb); err != nil || strings.Contains(sb.String(), "unstamped") {
+		t.Errorf("same host: err %v, report:\n%s", err, sb.String())
+	}
+	sb.Reset()
+	if _, err := run(stamped, elsewhere, 1.25, &sb); err == nil || !strings.Contains(err.Error(), "different hosts") {
+		t.Errorf("different hosts: err %v, want a refusal", err)
+	}
+	sb.Reset()
+	regressed, err := run(unstamped, stamped, 1.25, &sb)
+	if err != nil || regressed {
+		t.Fatalf("unstamped baseline: regressed %v, err %v", regressed, err)
+	}
+	if out := sb.String(); !strings.Contains(out, unstamped+" is unstamped") || !strings.Contains(out, "BenchmarkEngine") {
+		t.Errorf("unstamped baseline not named, or not compared:\n%s", out)
 	}
 }
 

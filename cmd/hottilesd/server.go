@@ -151,11 +151,12 @@ func (s *server) buildPlan(ctx context.Context, matrix []byte) ([]byte, error) {
 		return nil, err
 	}
 	sp := obs.CtxSpan(ctx).Start("mm.parse")
-	m, err := mm.Parse(matrix)
+	m, st, err := mm.ParseStats(matrix)
 	if sp != nil {
-		sp.SetAttr("chunks", strconv.Itoa(mm.Chunks(len(matrix))))
+		sp.SetAttr("chunks", strconv.Itoa(st.Chunks))
 		if err == nil {
 			sp.SetAttr("nnz", strconv.Itoa(m.NNZ()))
+			sp.SetAttr("sorted_prefix", strconv.Itoa(st.SortedPrefix))
 		}
 	}
 	sp.End()

@@ -57,7 +57,7 @@ func FuzzRead(f *testing.F) {
 		m, err := Parse([]byte(input))
 		ref, refErr := readReference(strings.NewReader(input))
 		for _, k := range []int{1, 2, 3, 7} {
-			mk, errk := parse([]byte(input), k)
+			mk, _, errk := parse([]byte(input), k)
 			switch {
 			case (errk == nil) != (err == nil):
 				t.Fatalf("%d chunks: err %v, Parse err %v", k, errk, err)
@@ -108,6 +108,12 @@ func FuzzValue(f *testing.F) {
 		"1", "-0", "0e5", ".5", "5.", "+.5e-3", "9007199254740993", "4503599627370497.5",
 		"1234567890123456789", "12345678901234567890", "1e19", "1e-19", "1e20", "1e-20",
 		"0.0054838709677419351", "1.2345678901234567e-05", "inf", "0x1p-3", "1_0", "1.5x", "",
+		// The eight-digit step: 7, 8, 9, 16, 17 and 19 digits, a point,
+		// an exponent or a line end inside the window, leading zeros.
+		"1234567", "12345678", "123456789", "1234567890123456", "12345678901234567",
+		"1234567890123456789", "1234.5678", "1.2345678e5", "12345678\n9", "1234567e5",
+		"00000000123456789", "0.0000000012345678", "1234567.8", "123456789012345.67",
+		"45035996273704965e-1",
 	} {
 		f.Add(s)
 	}

@@ -8,9 +8,11 @@ package mm
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -97,12 +99,13 @@ func Read(r io.Reader) (*sparse.COO, error) {
 // every entry.
 //
 // The parse allocates nothing per line. An entry line is read in one
-// forward pass over its bytes, its value converted by exact integer
-// arithmetic when it has at most 19 significant digits and a decimal
-// exponent in [-19, 19]; any other line — comments, other value syntax,
-// every error — is split into fields, and its value token reaches
-// strconv.ParseFloat as a zero-copy string view. Both give the correctly
-// rounded value, so values are bit-exact. Whitespace is the ASCII set
+// forward pass over its bytes, its value converted with one table
+// multiply (toFloat) when it has at most 19 significant digits, a decimal
+// exponent in [-19, 19], and the product settles its rounding; any other
+// line — comments, other value syntax, every error — is split into
+// fields, and its value token reaches strconv.ParseFloat as a zero-copy
+// string view. Both give the correctly rounded value, so values are
+// bit-exact. Whitespace is the ASCII set
 // (space, \t, \v, \f, \r); fields past the ones an entry needs, and lines
 // after the nnz-th entry, are ignored. Returned errors never alias data.
 //
@@ -110,7 +113,26 @@ func Read(r io.Reader) (*sparse.COO, error) {
 // pool. The result — matrix or error text — is the same for every chunk
 // count: see parse.
 func Parse(data []byte) (*sparse.COO, error) {
-	return parse(data, Chunks(len(data)))
+	m, _, err := ParseStats(data)
+	return m, err
+}
+
+// Stats reports how Parse read an input.
+type Stats struct {
+	Chunks int // the entry section's chunks: Chunks(len(data))
+	// SortedPrefix is how many nonzeros the row-major sort left in place
+	// (sparse.COO.SortRowMajor): all of them for a row-major input, the
+	// sorted prefix when a short unsorted rest was merged into it, 0 when
+	// everything was sorted. It is 0 when the parse fails.
+	SortedPrefix int
+}
+
+// ParseStats is Parse that also reports how the parse went.
+func ParseStats(data []byte) (*sparse.COO, Stats, error) {
+	st := Stats{Chunks: Chunks(len(data))}
+	m, kept, err := parse(data, st.Chunks)
+	st.SortedPrefix = kept
+	return m, st, err
 }
 
 // minChunk is the fewest input bytes per parse chunk: a smaller chunk
@@ -139,27 +161,27 @@ func Chunks(size int) int { return max(1, min(par.Workers(), size/minChunk)) }
 //     one-chunk parse would. Lines past the nnz-th entry, garbage
 //     included, are never reported.
 //  4. The windows are closed up in order and the matrix is sorted,
-//     deduplicated and validated.
+//     deduplicated and validated. kept is what the sort left in place.
 //
 // With k = 1 the first scan is already exact and nothing moves: that is
 // the serial parse.
-func parse(data []byte, k int) (*sparse.COO, error) {
+func parse(data []byte, k int) (m *sparse.COO, kept int, err error) {
 	sc := lineScanner{rest: data}
 	banner, ok := sc.next()
 	if !ok {
-		return nil, fmt.Errorf("mm: empty input: %w", io.ErrUnexpectedEOF)
+		return nil, 0, fmt.Errorf("mm: empty input: %w", io.ErrUnexpectedEOF)
 	}
 	h, err := parseHeader(string(banner))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sizeLine, ok := sc.nextContent()
 	if !ok {
-		return nil, fmt.Errorf("mm: missing size line: %w", io.ErrUnexpectedEOF)
+		return nil, 0, fmt.Errorf("mm: missing size line: %w", io.ErrUnexpectedEOF)
 	}
 	n, nnz, err := parseSize(sizeLine)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	f := entryFormat{n: n, pattern: h.field == "pattern", symmetry: h.symmetry}
 
@@ -194,7 +216,7 @@ func parse(data []byte, k int) (*sparse.COO, error) {
 			c.scan(f, got, nnz-got)
 		}
 		if c.err != nil {
-			return nil, c.err
+			return nil, 0, c.err
 		}
 		got += c.entries
 		if c.base != stored {
@@ -205,15 +227,15 @@ func parse(data []byte, k int) (*sparse.COO, error) {
 		stored += c.stored
 	}
 	if got < nnz {
-		return nil, fmt.Errorf("mm: expected %d entries, got %d: %w", nnz, got, io.ErrUnexpectedEOF)
+		return nil, 0, fmt.Errorf("mm: expected %d entries, got %d: %w", nnz, got, io.ErrUnexpectedEOF)
 	}
-	m := &sparse.COO{N: n, Rows: rows[:stored], Cols: cols[:stored], Vals: vals[:stored]}
-	m.SortRowMajor()
+	m = &sparse.COO{N: n, Rows: rows[:stored], Cols: cols[:stored], Vals: vals[:stored]}
+	kept = m.SortRowMajor()
 	m.DedupSum()
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("mm: parsed matrix invalid: %w", err)
+		return nil, 0, fmt.Errorf("mm: parsed matrix invalid: %w", err)
 	}
-	return m, nil
+	return m, kept, nil
 }
 
 // entryFormat is what every chunk scan needs to read an entry line.
@@ -368,11 +390,16 @@ func skipSpace(b []byte, i int) int {
 // at most one '.', an optional exponent — and returns the index end after
 // it and its value, bit for bit what strconv.ParseFloat returns for
 // b[i:end]. It declines (ok is false) a number with no mantissa or no
-// exponent digits, and one outside decimal's exact range: more than 19
-// significant digits, or a decimal exponent outside [-19, 19]. It stops at
+// exponent digits, one with more than 19 significant digits or a decimal
+// exponent outside [-19, 19], and one toFloat cannot round. It stops at
 // the first byte that cannot continue the number; whether the token ends
 // there (in an inf, nan, hex float or underscore it does not) is the
 // caller's to check.
+//
+// Past the first significant digit it reads eight digits a step
+// (eightDigits) while eight bytes remain and the 19-digit limit allows
+// them; a step that meets another byte is not tried again before the
+// point.
 func value(b []byte, i int) (v float64, end int, ok bool) {
 	neg := false
 	if i < len(b) && (b[i] == '+' || b[i] == '-') {
@@ -380,27 +407,42 @@ func value(b []byte, i int) (v float64, end int, ok bool) {
 		i++
 	}
 	var w uint64 // the significant digits
-	q, sig, digits, dot := 0, 0, 0, false
-	for ; i < len(b); i++ {
+	q, sig, digits, dot, wide := 0, 0, 0, false, true
+	for i < len(b) {
 		d := b[i] - '0'
 		if d > 9 {
 			if b[i] != '.' || dot {
 				break
 			}
-			dot = true
+			dot, wide = true, true
+			i++
 			continue
+		}
+		if w != 0 && wide && sig <= 19-8 && len(b)-i >= 8 {
+			if x, all := eightDigits(binary.LittleEndian.Uint64(b[i:])); all {
+				w = w*1e8 + x
+				sig += 8
+				if dot {
+					q -= 8
+				}
+				i += 8
+				continue
+			}
+			wide = false
 		}
 		digits++
 		if dot {
 			q--
 		}
 		if w == 0 && d == 0 {
+			i++
 			continue // a leading zero
 		}
 		if sig++; sig > 19 {
 			return 0, i, false
 		}
 		w = w*10 + uint64(d)
+		i++
 	}
 	if digits == 0 {
 		return 0, i, false
@@ -431,63 +473,110 @@ func value(b []byte, i int) (v float64, end int, ok bool) {
 	if q < -19 || q > 19 {
 		return 0, i, false
 	}
-	if v = decimal(w, q); neg {
-		v = -v
+	if v, ok = toFloat(w, q, neg); !ok {
+		return 0, i, false
 	}
 	return v, i, true
 }
 
-// decimal returns the float64 nearest to w·10^q, ties to even, for
-// |q| <= 19, by exact integer arithmetic: for q >= 0 the 128-bit product
-// w·10^q, for q < 0 the quotient of w·2^s by 10^-q with s chosen so the
-// quotient has 63 or 64 bits and a nonzero remainder as the sticky bit.
-// Every such value lies between 1e-19 and 1e38, in float64's normal range,
-// so the one rounding in nearest is the only one (DESIGN.md §19).
-func decimal(w uint64, q int) float64 {
+// eightDigits reports whether the eight bytes of x, read little-endian
+// (the first byte lowest), are all ASCII digits, and if so returns the
+// number they spell, the first byte most significant.
+func eightDigits(x uint64) (uint64, bool) {
+	const ones = 0x0101010101010101
+	// A byte is a digit iff its high nibble is 3 and stays 3 when 6 is
+	// added. A byte that carries into its neighbour has a high nibble
+	// other than 3 already, so the carry cannot hide it.
+	if x&(0xf0*ones)|(x+6*ones)&(0xf0*ones)>>4 != 0x33*ones {
+		return 0, false
+	}
+	x -= '0' * ones
+	x = x*10 + x>>8 // byte 2k: the two-digit number of bytes 2k and 2k+1
+	// Bytes 0, 2, 4, 6 hold the pairs a, b, c, d; the top half of the
+	// sum is a·10^6 + b·10^4 + c·100 + d.
+	return (x&0xff000000ff*(100+1000000<<32) + x>>16&0xff000000ff*(1+10000<<32)) >> 32, true
+}
+
+// pow10s[q+19] is 10^q for q in [-19, 19] as a 128-bit mantissa hi·2^64 +
+// lo in [2^127, 2^128) times 2^exp: exact for q >= 0 (10^19 < 2^64), and
+// truncated towards zero for q < 0.
+var pow10s = func() (t [39]struct {
+	hi, lo uint64
+	exp    int
+}) {
+	var buf [16]byte
+	for q := -19; q <= 19; q++ {
+		p := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(max(q, -q))), nil)
+		e := p.BitLen() - 128 // 10^q = (10^q << -e) · 2^e
+		if q < 0 {
+			e = -127 - p.BitLen() // 10^q = (2^-e / 10^-q) · 2^e
+			p.Quo(new(big.Int).Lsh(big.NewInt(1), uint(-e)), p)
+		} else {
+			p.Lsh(p, uint(-e))
+		}
+		p.FillBytes(buf[:])
+		t[q+19].hi = binary.BigEndian.Uint64(buf[:8])
+		t[q+19].lo = binary.BigEndian.Uint64(buf[8:])
+		t[q+19].exp = e
+	}
+	return t
+}()
+
+// toFloat returns ±w·10^q rounded to the nearest float64, ties to even,
+// for w < 10^19 and |q| <= 19 — every such value but zero lies between
+// 10^-19 and 10^38, in float64's normal range — by the Eisel–Lemire method
+// (Lemire, "Number Parsing at a Gigabyte per Second", 2021): w shifted to
+// the top of 64 bits times the high half of pow10s[q+19] is one 64×64→128
+// multiply, whose top 53 bits, rounded, are the mantissa.
+//
+// For q >= 0 the product is exact and rounds as it stands. For q < 0 the
+// power is truncated, so the true product lies above the computed one by
+// less than m+1 units of its low word, m being the shifted w. That can
+// change the rounding only when the bits below the mantissa sit just under
+// the halfway point; then the power's low half is multiplied in too, and
+// if they still sit just under it, ok is false and the caller rounds the
+// number exactly (strconv.ParseFloat). An exact tie with q < 0 is such a
+// number; so is none other with w < 10^19 and q >= -19: a non-tie lies at
+// least 2^-118 of its value away from the halfway point, and the undecided
+// window is under 2^-125 wide.
+func toFloat(w uint64, q int, neg bool) (float64, bool) {
+	var sign uint64
+	if neg {
+		sign = 1 << 63
+	}
+	if w == 0 {
+		return math.Float64frombits(sign), true
+	}
+	clz := bits.LeadingZeros64(w)
+	m := w << clz
+	p := &pow10s[q+19]
+	hi, lo := bits.Mul64(m, p.hi) // hi >= 2^62: both factors have their top bit set
+	s := 10 + hi>>63              // the bits of hi below the 53 kept
+	half := uint64(1) << (s - 1)
+	drop := hi & (half<<1 - 1)
+	mant := hi >> s
+	var up bool
 	switch {
-	case w == 0:
-		return 0
 	case q >= 0:
-		hi, lo := bits.Mul64(w, pow10(q))
-		sh := bits.Len64(hi) // the product's bits above the low 64
-		return nearest(hi<<(64-sh)|lo>>sh, lo<<(64-sh) != 0, sh)
+		up = drop > half || drop == half && (lo != 0 || mant&1 == 1)
+	case drop != half-1 || lo <= ^m:
+		up = drop >= half // the true product cannot cross the halfway point
+	default:
+		yhi, ylo := bits.Mul64(m, p.lo)
+		lo, carry := bits.Add64(lo, yhi, 0)
+		if carry == 0 && lo == ^uint64(0) && ylo > ^m {
+			return 0, false
+		}
+		up = carry == 1
 	}
-	d := pow10(-q)
-	s := 63 - bits.Len64(w) + bits.Len64(d)
-	var hi, lo uint64 // w << s
-	if s < 64 {
-		hi, lo = w>>(64-s), w<<s
-	} else {
-		hi = w << (s - 64)
-	}
-	quo, rem := bits.Div64(hi, lo, d)
-	return nearest(quo, rem != 0, -s)
-}
-
-// nearest returns the float64 nearest to (m + f)·2^e, ties to even, where
-// 0 <= f < 1 and sticky reports f > 0. The result must be a normal float64.
-func nearest(m uint64, sticky bool, e int) float64 {
-	if drop := bits.Len64(m) - 53; drop > 0 {
-		rest, half := m&(1<<drop-1), uint64(1)<<(drop-1)
-		m >>= drop
-		e += drop
-		if rest > half || rest == half && (sticky || m&1 == 1) {
-			m++
+	exp := int(s) + 128 + p.exp - clz + 52 // the binary exponent of mant's top bit
+	if up {
+		if mant++; mant == 1<<53 {
+			mant >>= 1
+			exp++
 		}
 	}
-	return math.Ldexp(float64(m), e)
-}
-
-// pow10 returns 10^k for 0 <= k <= 19 by repeated squaring.
-func pow10(k int) uint64 {
-	p, b := uint64(1), uint64(10)
-	for ; k > 0; k >>= 1 {
-		if k&1 == 1 {
-			p *= b
-		}
-		b *= b
-	}
-	return p
+	return math.Float64frombits(sign | uint64(exp+1023)<<52 | mant&(1<<52-1)), true
 }
 
 // entry parses one content line into a 0-based (row, col, value); idx

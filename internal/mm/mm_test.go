@@ -182,9 +182,9 @@ func identical(a, b *sparse.COO) bool {
 // for bit, or its exact error text. It returns the one-chunk result.
 func parseEveryCut(t *testing.T, in string) (*sparse.COO, error) {
 	t.Helper()
-	want, wantErr := parse([]byte(in), 1)
+	want, _, wantErr := parse([]byte(in), 1)
 	for k := 2; k <= len(in)+1; k++ {
-		got, err := parse([]byte(in), k)
+		got, _, err := parse([]byte(in), k)
 		switch {
 		case (err == nil) != (wantErr == nil):
 			t.Fatalf("%d chunks: err %v, one chunk: err %v", k, err, wantErr)
@@ -287,7 +287,7 @@ func TestParseChunkBoundaries(t *testing.T) {
 // count.
 func TestParseChunksDaemonBody(t *testing.T) {
 	data := daemonBody(t, "del", 256, 1)
-	want, err := parse(data, 1)
+	want, _, err := parse(data, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestParseChunksDaemonBody(t *testing.T) {
 		func() {
 			defer par.SetWorkers(par.SetWorkers(w))
 			for _, k := range []int{2, 5, Chunks(len(data))} {
-				got, err := parse(data, k)
+				got, _, err := parse(data, k)
 				if err != nil || !identical(got, want) {
 					t.Fatalf("%d workers, %d chunks: err %v, or the matrix differs", w, k, err)
 				}
@@ -696,23 +696,47 @@ func daemonBody(tb testing.TB, short string, scale, repeat int) []byte {
 	return b.Bytes()
 }
 
+// eachLineTwice rewrites a general MatrixMarket body with every entry line
+// written twice in a row and the entry count doubled: the order the sort
+// sees keeps its shape (a row-major run stays row-major), and the
+// duplicates sum on parse.
+func eachLineTwice(tb testing.TB, data []byte) []byte {
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	var n, nnz int
+	if _, err := fmt.Sscan(string(lines[1]), &n, &n, &nnz); err != nil {
+		tb.Fatal(err)
+	}
+	var b bytes.Buffer
+	b.Write(lines[0])
+	fmt.Fprintf(&b, "%d %d %d\n", n, n, 2*nnz)
+	for _, l := range lines[2:] {
+		b.Write(l)
+		b.Write(l)
+	}
+	return b.Bytes()
+}
+
 // TestParseAllocBudget pins the 2-worker parse of the repository
 // benchmark's first serving class (gen "pap" at scale 400 as a
-// daemon-shaped body: two chunks, and the row-major sort runs). Its
-// allocation count must not grow with the line count — the body with
-// every entry written twice costs the same — and its bytes stay within
-// the measured value plus a small margin, so chunk buffers cannot quietly
-// inflate parse memory. Measured on go1.24 linux/amd64: 54 allocs and
-// 4.98 MB per op.
+// daemon-shaped body: two chunks) on each of the sort's two paths. The
+// daemon body, a sorted base and 64 appended entries, takes the merge; the
+// body with its entry lines written twice over (repeat 2: half of it is
+// the unsorted rest) takes the full sort. Neither path's allocation count
+// may grow with the line count — the same body with every entry line
+// duplicated in place, which keeps the path, costs the same — and each
+// path's bytes stay within the measured value plus a small margin, so
+// chunk buffers cannot quietly inflate parse memory. Measured on go1.24
+// linux/amd64: merge 22-23 allocs and 1.99 MB per op, full sort 53-55 allocs
+// and 9.92 MB.
 func TestParseAllocBudget(t *testing.T) {
-	const bytesBudget = 5_100_000
 	defer par.SetWorkers(par.SetWorkers(2))
-	measure := func(data []byte) (allocs, bytes float64) {
+	measure := func(data []byte) (allocs, bytes float64, st Stats) {
 		if k := Chunks(len(data)); k != 2 {
 			t.Fatalf("%d-byte body parses in %d chunks, want 2", len(data), k)
 		}
 		fn := func() {
-			if _, err := Parse(data); err != nil {
+			var err error
+			if _, st, err = ParseStats(data); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -733,16 +757,33 @@ func TestParseAllocBudget(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/runs)
 		}
-		return allocs, bytes
+		return allocs, bytes, st
 	}
-	once, b := measure(daemonBody(t, "pap", 400, 1))
-	twice, _ := measure(daemonBody(t, "pap", 400, 2))
-	t.Logf("2 workers: %.0f allocs/op, %.0f B/op; twice the entries: %.0f allocs/op", once, b, twice)
-	if twice > once+2 {
-		t.Errorf("parse allocations grow with input: %.0f allocs, %.0f for twice the entries", once, twice)
-	}
-	if !raceEnabled && b > bytesBudget {
-		t.Errorf("2-worker parse allocates %.0f B, budget %d", b, bytesBudget)
+	for _, c := range []struct {
+		path        string
+		repeat      int
+		merge       bool
+		bytesBudget float64
+	}{
+		{"merge", 1, true, 2_110_000},
+		{"full sort", 2, false, 10_040_000},
+	} {
+		data := daemonBody(t, "pap", 400, c.repeat)
+		once, b, st := measure(data)
+		twice, _, st2 := measure(eachLineTwice(t, data))
+		t.Logf("2 workers, %s: %.0f allocs/op, %.0f B/op, sorted prefix %d; lines twice: %.0f allocs/op",
+			c.path, once, b, st.SortedPrefix, twice)
+		for _, s := range []Stats{st, st2} {
+			if merged := s.SortedPrefix > 0; merged != c.merge {
+				t.Fatalf("%s body: the sort kept a prefix of %d", c.path, s.SortedPrefix)
+			}
+		}
+		if twice > once+2 {
+			t.Errorf("%s: parse allocations grow with input: %.0f allocs, %.0f with every line twice", c.path, once, twice)
+		}
+		if !raceEnabled && b > c.bytesBudget {
+			t.Errorf("%s: 2-worker parse allocates %.0f B, budget %.0f", c.path, b, c.bytesBudget)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/big"
@@ -62,9 +63,29 @@ func halfwayCorpus() []string {
 	return out
 }
 
+// isTie reports whether the decimal string s lies exactly halfway between
+// two adjacent float64s, by exact rational arithmetic.
+func isTie(t *testing.T, s string) bool {
+	t.Helper()
+	x, ok := new(big.Rat).SetString(s)
+	f, err := strconv.ParseFloat(s, 64)
+	if !ok || err != nil {
+		t.Fatalf("isTie(%q): not a finite decimal (%v)", s, err)
+	}
+	fr := new(big.Rat).SetFloat64(f)
+	c := x.Cmp(fr)
+	if c == 0 {
+		return false
+	}
+	g := new(big.Rat).SetFloat64(math.Nextafter(f, math.Inf(c)))
+	return new(big.Rat).Add(x, x).Cmp(g.Add(g, fr)) == 0
+}
+
 // TestValueMatchesParseFloatOnBoundaries pins the converter on the cases
 // where an exact conversion is easiest to get wrong. Inside the fast range
-// every string must be read and match; outside it value must decline.
+// every string must be read and match, except that an exact tie may be
+// declined (toFloat leaves a tie it cannot settle to strconv); outside it
+// value must decline.
 func TestValueMatchesParseFloatOnBoundaries(t *testing.T) {
 	accept := []string{
 		// 2^53 - 1 … 2^54 + 6: the first integers float64 rounds.
@@ -87,8 +108,8 @@ func TestValueMatchesParseFloatOnBoundaries(t *testing.T) {
 		"0." + strings.Repeat("0", 30) + "5e25", "0." + strings.Repeat("0", 4990) + "1e4999",
 	}
 	for _, s := range append(accept, halfwayCorpus()...) {
-		if !checkValue(t, s) {
-			t.Errorf("value declined %q", s)
+		if !checkValue(t, s) && !isTie(t, s) {
+			t.Errorf("value declined %q, which is not a tie", s)
 		}
 	}
 	decline := []string{
@@ -104,10 +125,138 @@ func TestValueMatchesParseFloatOnBoundaries(t *testing.T) {
 	}
 }
 
+// TestValueHalfwayReachesFallback checks that the halfway corpus drives
+// toFloat into its undecided case — every string in it is in value's
+// digit and exponent range, so a decline is toFloat's — and that Parse
+// reads each declined tie through the strconv.ParseFloat fallback to the
+// correctly rounded value.
+func TestValueHalfwayReachesFallback(t *testing.T) {
+	declined := 0
+	for _, s := range halfwayCorpus() {
+		if _, _, ok := value([]byte(s), 0); ok {
+			continue
+		}
+		declined++
+		m, err := Parse([]byte("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 " + s + "\n"))
+		want, _ := strconv.ParseFloat(s, 64)
+		if err != nil || math.Float64bits(m.Vals[0]) != math.Float64bits(want) {
+			t.Errorf("Parse read the declined tie %q as %v (%v), want %v", s, m, err, want)
+		}
+	}
+	if declined == 0 {
+		t.Fatal("no halfway string reached the undecided-rounding fallback")
+	}
+	t.Logf("%d halfway strings took the fallback", declined)
+}
+
+// fastRange reports whether the number token s (sign, digits with at most
+// one point, optional exponent) has at most 19 significant digits and a
+// decimal exponent in [-19, 19], worked out on the text alone.
+func fastRange(s string) bool {
+	mant, exp, _ := strings.Cut(strings.ToLower(strings.TrimLeft(s, "+-")), "e")
+	e := 0
+	if exp != "" {
+		e, _ = strconv.Atoi(exp)
+	}
+	intPart, frac, _ := strings.Cut(mant, ".")
+	digits := intPart + frac
+	if digits == "" || strings.Trim(digits, "0123456789") != "" {
+		return false // inf, nan
+	}
+	q := e - len(frac)
+	return len(strings.TrimLeft(digits, "0")) <= 19 && q >= -19 && q <= 19
+}
+
+// TestValueMatchesParseFloatEightDigitSteps covers the eight-digit step on
+// tokens of 7, 8, 9, 16, 17 and 19 digits: a point at every offset, runs
+// of leading zeros before the first significant digit, an exponent, '\n'
+// or the end of the input falling inside an eight-byte window. value must
+// read exactly the token, bit for bit as ParseFloat does, unless the token
+// is outside the fast range or an exact tie.
+func TestValueMatchesParseFloatEightDigitSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var tokens []string
+	for _, n := range []int{7, 8, 9, 16, 17, 19} {
+		digits := []byte{byte('1' + rng.Intn(9))}
+		for len(digits) < n {
+			digits = append(digits, byte('0'+rng.Intn(10)))
+		}
+		for _, lead := range []string{"", "0", "00000000", "0.", "0.0000000", "000.00"} {
+			for point := -1; point <= n; point++ {
+				if point >= 0 && strings.Contains(lead, ".") {
+					continue
+				}
+				tok := lead + string(digits)
+				if point >= 0 {
+					at := len(lead) + point
+					tok = tok[:at] + "." + tok[at:]
+				}
+				for _, exp := range []string{"", "e5", "E-3", "e+01"} {
+					tokens = append(tokens, tok+exp, "-"+tok+exp)
+				}
+			}
+		}
+	}
+	read := 0
+	for _, tok := range tokens {
+		want, err := strconv.ParseFloat(tok, 64)
+		if err != nil {
+			t.Fatalf("%q: %v", tok, err)
+		}
+		for _, rest := range []string{"", "\n", "\n12 34 5.678\n", " 1", "\t"} {
+			s := tok + rest
+			v, end, ok := value([]byte(s), 0)
+			switch {
+			case !ok:
+				if fastRange(tok) && !isTie(t, tok) {
+					t.Errorf("value declined %q", s)
+				}
+			case end != len(tok):
+				t.Errorf("value(%q) ended at %d, want %d", s, end, len(tok))
+			case math.Float64bits(v) != math.Float64bits(want):
+				t.Errorf("value(%q) = %v, ParseFloat %v", s, v, want)
+			default:
+				read++
+			}
+		}
+	}
+	t.Logf("value read %d of %d strings", read, 5*len(tokens))
+	if read < 5*len(tokens)/2 {
+		t.Errorf("value read only %d of %d strings", read, 5*len(tokens))
+	}
+}
+
+// TestEightDigits checks the eight-digit step against the byte loop's
+// definition on every window of one digit or non-digit per byte,
+// including bytes next to '0' and '9' in ASCII and high bytes that carry.
+func TestEightDigits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	odd := []byte{'/', ':', '.', 'e', '\n', ' ', 0, 0x30 + 0x80, 0xff, 0xfa, 0x39 + 0x10}
+	for range 200_000 {
+		var b [8]byte
+		all := true
+		for k := range b {
+			if rng.Intn(16) == 0 {
+				b[k], all = odd[rng.Intn(len(odd))], false
+			} else {
+				b[k] = byte('0' + rng.Intn(10))
+			}
+		}
+		x, ok := eightDigits(binary.LittleEndian.Uint64(b[:]))
+		if ok != all {
+			t.Fatalf("eightDigits(%q) ok = %v, want %v", b, ok, all)
+		}
+		if want, _ := strconv.ParseUint(string(b[:]), 10, 64); ok && x != want {
+			t.Fatalf("eightDigits(%q) = %d, want %d", b, x, want)
+		}
+	}
+}
+
 // TestValueMatchesParseFloatRandom compares value with ParseFloat on 10^6
 // seeded strings: %.17g and %g renderings of values across the fast
 // range's magnitudes, random digit strings with random points and
-// exponents, and %.17g renderings of random bit patterns.
+// exponents, and %.17g renderings of random bit patterns. value may
+// decline only strings outside the fast range and exact ties.
 func TestValueMatchesParseFloatRandom(t *testing.T) {
 	const n = 1_000_000
 	rng := rand.New(rand.NewSource(1))
@@ -141,8 +290,10 @@ func TestValueMatchesParseFloatRandom(t *testing.T) {
 		case 3:
 			buf = strconv.AppendFloat(buf, math.Float64frombits(rng.Uint64()), 'g', 17, 64)
 		}
-		if checkValue(t, string(buf)) {
+		if s := string(buf); checkValue(t, s) {
 			read++
+		} else if fastRange(s) && !isTie(t, s) {
+			t.Fatalf("value declined %q, which is in range and not a tie", s)
 		}
 	}
 	t.Logf("value read %d of %d strings", read, n)

@@ -71,7 +71,90 @@ func (m *COO) Clone() *COO {
 // duplicate coordinates (a stable sort, so DedupSum accumulates values in
 // append order). Row-major ordering is what the paper calls "row-ordered
 // nonzeros" (Figure 6) and is assumed by the tiler and the untiled
-// traversal of the SPADE workers.
+// traversal of the SPADE workers. It returns how many leading nonzeros it
+// left in place: all of them when the matrix was already row-major, the
+// sorted prefix when it merged a short unsorted rest into it, and 0 when
+// it sorted everything.
+//
+// A matrix that is row-major up to a short rest — a sorted base with a
+// few entries appended, at most 1/restShare of them — keeps its arrays:
+// the rest is sorted on its own (sortAll) and merged into the prefix from
+// the back, in place, a prefix entry going first on equal coordinates.
+// Every prefix entry precedes every rest entry in the input, so that is
+// exactly the stable order. Any other matrix goes to sortAll.
+func (m *COO) SortRowMajor() (kept int) {
+	nnz := m.NNZ()
+	p := m.sortedPrefix()
+	switch {
+	case p == nnz:
+		return nnz
+	case nnz-p <= nnz/restShare:
+		m.mergeRest(p)
+		return p
+	}
+	m.sortAll()
+	return 0
+}
+
+// restShare bounds the unsorted rest SortRowMajor merges instead of
+// sorting everything: at most 1/restShare of the nonzeros. DESIGN.md §9
+// has the measured crossover.
+const restShare = 8
+
+// sortedPrefix returns the length of the longest row-major prefix: the
+// index of the first nonzero that sorts before its predecessor, or NNZ.
+func (m *COO) sortedPrefix() int {
+	for i := 1; i < m.NNZ(); i++ {
+		if m.Rows[i] < m.Rows[i-1] ||
+			(m.Rows[i] == m.Rows[i-1] && m.Cols[i] < m.Cols[i-1]) {
+			return i
+		}
+	}
+	return m.NNZ()
+}
+
+// mergeRest sorts the nonzeros from p on and merges them into the
+// row-major prefix before p, in place, from the back: for each rest entry,
+// last first, the prefix entries that sort after it — found by galloping
+// back from the last unplaced one, then bisecting — move up as one block,
+// and the rest entry goes just below them. A prefix entry with the same
+// coordinates stays below it. Each block moves to slots at or above its
+// own, and every slot it lands on is free: the rest was copied out by the
+// sort, and the prefix entries there have already moved.
+func (m *COO) mergeRest(p int) {
+	rest := COO{N: m.N, Rows: m.Rows[p:], Cols: m.Cols[p:], Vals: m.Vals[p:]}
+	rest.sortAll()     // into fresh arrays
+	i, k := p, m.NNZ() // m[:i] is the unplaced prefix; slots from k up are filled
+	for j := rest.NNZ() - 1; j >= 0; j-- {
+		r, c := rest.Rows[j], rest.Cols[j]
+		after := func(x int) bool { return m.Rows[x] > r || m.Rows[x] == r && m.Cols[x] > c }
+		// Every entry in [hi, i) sorts after (r, c), none below lo does.
+		lo, hi := 0, i
+		for d := 1; d <= i; d *= 2 {
+			if !after(i - d) {
+				lo = i - d + 1
+				break
+			}
+			hi = i - d
+		}
+		for lo < hi {
+			if h := int(uint(lo+hi) >> 1); after(h) {
+				hi = h
+			} else {
+				lo = h + 1
+			}
+		}
+		k -= i - lo
+		copy(m.Rows[k:], m.Rows[lo:i])
+		copy(m.Cols[k:], m.Cols[lo:i])
+		copy(m.Vals[k:], m.Vals[lo:i])
+		i, k = lo, k-1
+		m.Rows[k], m.Cols[k], m.Vals[k] = r, c, rest.Vals[j]
+	}
+}
+
+// sortAll sorts every nonzero into fresh arrays, leaving the old ones as
+// they were.
 //
 // The hot path packs (row, col, original index) into one uint64 key per
 // nonzero and radix-sorts the keys on the par pool (sortPacked) — the
@@ -79,10 +162,7 @@ func (m *COO) Clone() *COO {
 // exactly the stable (row, col) order for every worker count. Matrices too
 // large for the packing fall back to sorting an index permutation with the
 // same three-way comparator.
-func (m *COO) SortRowMajor() {
-	if m.IsRowMajor() {
-		return
-	}
+func (m *COO) sortAll() {
 	nnz := m.NNZ()
 	if nnz <= 1<<24 {
 		// row:20 | col:20 | idx:24 — total order, stable by construction,
@@ -307,15 +387,7 @@ func radixSort(s, aux []uint64, fromByte int) {
 var radixAux = sync.Pool{New: func() any { return new([]uint64) }}
 
 // IsRowMajor reports whether the nonzeros are sorted by (row, col).
-func (m *COO) IsRowMajor() bool {
-	for i := 1; i < m.NNZ(); i++ {
-		if m.Rows[i] < m.Rows[i-1] ||
-			(m.Rows[i] == m.Rows[i-1] && m.Cols[i] < m.Cols[i-1]) {
-			return false
-		}
-	}
-	return true
-}
+func (m *COO) IsRowMajor() bool { return m.sortedPrefix() == m.NNZ() }
 
 // DedupSum collapses duplicate (row, col) entries by summing their values.
 // The matrix must be row-major sorted; the result remains row-major.

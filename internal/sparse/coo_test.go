@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -411,5 +412,43 @@ func TestSortPackedIdxOnly(t *testing.T) {
 	sortPacked(keys)
 	if !slices.Equal(keys, want) {
 		t.Fatal("sortPacked reordered keys that were already ascending")
+	}
+}
+
+// BenchmarkSortRowMajorRest measures the two ways SortRowMajor can order a
+// row-major base of 2^17 nonzeros followed by an unsorted rest of
+// 1/share of them: merging the sorted rest into the base ("merge", the
+// path up to 1/restShare) and sorting everything ("full"). The crossover
+// of the two sets restShare (DESIGN.md §9).
+func BenchmarkSortRowMajorRest(b *testing.B) {
+	const n, nnz = 1 << 16, 1 << 17
+	for _, share := range []int{2048, 64, 16, 8, 4, 2} {
+		rng := rand.New(rand.NewSource(int64(share)))
+		base := randomCOO(rng, n, nnz-nnz/share)
+		base.sortAll()
+		for range nnz / share {
+			base.Append(int32(rng.Intn(n)), int32(rng.Intn(n)), rng.Float64())
+		}
+		p := base.sortedPrefix()
+		for _, path := range []struct {
+			name string
+			sort func(m *COO)
+		}{{"merge", func(m *COO) { m.mergeRest(p) }}, {"full", (*COO).sortAll}} {
+			for _, w := range []int{1, 2} {
+				b.Run(fmt.Sprintf("rest=1/%d/%s/workers=%d", share, path.name, w), func(b *testing.B) {
+					defer par.SetWorkers(par.SetWorkers(w))
+					m := base.Clone()
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						copy(m.Rows, base.Rows)
+						copy(m.Cols, base.Cols)
+						copy(m.Vals, base.Vals)
+						b.StartTimer()
+						path.sort(m)
+					}
+				})
+			}
+		}
 	}
 }
