@@ -89,8 +89,10 @@ race:
 
 # bench runs the perf-trajectory benchmarks (DESIGN.md §12): the zero-alloc
 # engine and waterfill microbenches, the tiler, the analytical model, the
-# simulator, the experiment fan-out, and the MatrixMarket parse of the
-# serving benchmark's bodies on one worker and on the pool. Output lands in
+# preprocessing pipeline, the simulator, the experiment fan-out, and the
+# MatrixMarket parse of the serving benchmark's bodies on one worker and on
+# the pool. A row the committed baseline lacks is skipped by benchdiff until
+# the next baseline records it. Output lands in
 # BENCH_$(BENCH_PR).json (committed as this PR's baseline); diff two baselines with
 # `./bin/benchdiff [-threshold 1.25] BENCH_old.json BENCH_new.json`.
 BENCH_PR ?= 9
@@ -98,7 +100,7 @@ BENCH_PR ?= 9
 # baselines are measured on an otherwise idle machine with a few seconds
 # per benchmark; short-sample runs of the ~100ms studies are noise-bound.
 BENCHTIME ?= 3s
-TRACKED_BENCH_ROOT = BenchmarkExperimentsFanout|BenchmarkTilePartition|BenchmarkSimulateHeterogeneous|BenchmarkSpMMParallel
+TRACKED_BENCH_ROOT = BenchmarkExperimentsFanout|BenchmarkTilePartition|BenchmarkSimulateHeterogeneous|BenchmarkSpMMParallel|BenchmarkPreprocessPipeline
 TRACKED_BENCH_ROOT_FAST = BenchmarkModelEstimateGrid|BenchmarkPartitionHotTiles
 TRACKED_BENCH = $(TRACKED_BENCH_ROOT)|$(TRACKED_BENCH_ROOT_FAST)
 TRACKED_BENCH_SIM_SLOW = BenchmarkEngine|BenchmarkColdPool
@@ -144,8 +146,8 @@ benchsmoke:
 #   200   sim engine and cold-pool runs (~1–2ms) and the two root
 #         benchmarks under ~3ms (model estimate, partition)
 #   10    workload sweeps (~10–120ms), the eight MatrixMarket parses
-#         (~20–50ms) and the root pipeline (tiling, simulation, SpMM and
-#         the ~110ms experiment fan-out)
+#         (~10–50ms) and the root pipeline (tiling, simulation, SpMM, the
+#         ~30ms preprocessing pipeline and the ~110ms experiment fan-out)
 #   5     the lint suite (~90ms over the whole module)
 BENCHCMP_THRESHOLD ?= 4.0
 benchcmp: bin/benchdiff

@@ -169,6 +169,21 @@ func BenchmarkModelEstimateGrid(b *testing.B) {
 	}
 }
 
+// runStrategy partitions g with strategy s as the preprocessing pipeline
+// does: the model's estimates, then partition.Run.
+func runStrategy(tb testing.TB, g *tile.Grid, cfg partition.Config, s partition.Strategy, seed int64) partition.Result {
+	tb.Helper()
+	es, err := partition.NewEstimates(g, &cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := partition.Run(es, cfg, s, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func BenchmarkPartitionHotTiles(b *testing.B) {
 	m := benchMatrix()
 	a := arch.SpadeSextans(4)
@@ -179,9 +194,7 @@ func BenchmarkPartitionHotTiles(b *testing.B) {
 	cfg := a.Config(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := partition.HotTiles(g, cfg); err != nil {
-			b.Fatal(err)
-		}
+		runStrategy(b, g, cfg, partition.HotTiles, 0)
 	}
 }
 
@@ -195,9 +208,7 @@ func BenchmarkPartitionIUnaware(b *testing.B) {
 	cfg := a.Config(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := partition.IUnaware(g, cfg, int64(i)); err != nil {
-			b.Fatal(err)
-		}
+		runStrategy(b, g, cfg, partition.IUnaware, int64(i))
 	}
 }
 
@@ -221,10 +232,7 @@ func BenchmarkSimulateHeterogeneous(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := partition.HotTiles(g, a.Config(2))
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := runStrategy(b, g, a.Config(2), partition.HotTiles, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(g, res.Hot, &a, nil, sim.Options{SkipFunctional: true}); err != nil {
@@ -269,10 +277,7 @@ func BenchmarkAblationHeuristics(b *testing.B) {
 		b.Run(h.String(), func(b *testing.B) {
 			var simTime float64
 			for i := 0; i < b.N; i++ {
-				res, err := partition.RunHeuristic(g, cfg, h)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := runStrategy(b, g, cfg, partition.Forced(h), 0)
 				r, err := sim.Run(g, res.Hot, &a, nil, sim.Options{Serial: res.Serial, SkipFunctional: true})
 				if err != nil {
 					b.Fatal(err)
@@ -332,10 +337,7 @@ func BenchmarkAblationTileSize(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := partition.HotTiles(g, a.Config(2))
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := runStrategy(b, g, a.Config(2), partition.HotTiles, 0)
 				r, err := sim.Run(g, res.Hot, &a, nil, sim.Options{Serial: res.Serial, SkipFunctional: true})
 				if err != nil {
 					b.Fatal(err)
@@ -368,10 +370,7 @@ func BenchmarkKernels(b *testing.B) {
 			if kernel == model.KernelSpMV {
 				cfg.Params.K = 1
 			}
-			res, err := partition.HotTiles(g, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := runStrategy(b, g, cfg, partition.HotTiles, 0)
 			var simTime float64
 			for i := 0; i < b.N; i++ {
 				r, err := sim.Run(g, res.Hot, &ka, nil, sim.Options{
@@ -406,10 +405,7 @@ func BenchmarkAblationReorder(b *testing.B) {
 			}
 			var simTime float64
 			for i := 0; i < b.N; i++ {
-				res, err := partition.HotTiles(g, a.Config(2))
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := runStrategy(b, g, a.Config(2), partition.HotTiles, 0)
 				r, err := sim.Run(g, res.Hot, &a, nil, sim.Options{Serial: res.Serial, SkipFunctional: true})
 				if err != nil {
 					b.Fatal(err)

@@ -69,7 +69,7 @@ type (
 	Grid = tile.Grid
 	// Plan is the output of the preprocessing pipeline (paper Figure 7).
 	Plan = hotcore.Prep
-	// Strategy selects the partitioning method.
+	// Strategy selects the partitioning method (partition.Run).
 	Strategy = hotcore.Strategy
 	// PartitionResult is a partitioning decision with its predicted runtime.
 	PartitionResult = partition.Result
@@ -300,20 +300,16 @@ func ParseArch(name string) (Arch, error) {
 	}
 }
 
-// ParseStrategy resolves the CLI spelling of a partitioning strategy.
+// ParseStrategy resolves the CLI spelling of a partitioning strategy: a
+// strategy's name in any case ("hottiles", "IUnaware", "hotonly",
+// "coldonly").
 func ParseStrategy(s string) (Strategy, error) {
-	switch strings.ToLower(s) {
-	case "hottiles":
-		return StrategyHotTiles, nil
-	case "iunaware":
-		return StrategyIUnaware, nil
-	case "hotonly":
-		return StrategyHotOnly, nil
-	case "coldonly":
-		return StrategyColdOnly, nil
-	default:
-		return 0, fmt.Errorf("hottiles: unknown strategy %q", s)
+	for _, st := range []Strategy{StrategyHotTiles, StrategyIUnaware, StrategyHotOnly, StrategyColdOnly} {
+		if strings.EqualFold(s, st.String()) {
+			return st, nil
+		}
 	}
+	return 0, fmt.Errorf("hottiles: unknown strategy %q", s)
 }
 
 // ParseKernel resolves the CLI spelling of a sparse kernel.

@@ -71,8 +71,12 @@ func TestParseStrategy(t *testing.T) {
 			t.Fatalf("%s: %v %v", in, got, err)
 		}
 	}
-	if _, err := ParseStrategy("magic"); err == nil {
-		t.Fatal("expected unknown-strategy error")
+	// Only the four named strategies have a spelling: a forced heuristic
+	// or an out-of-range value does not parse.
+	for _, in := range []string{"magic", "heur:MinTime Parallel", "Strategy(4)", ""} {
+		if got, err := ParseStrategy(in); err == nil {
+			t.Errorf("ParseStrategy(%q) = %v, want an error", in, got)
+		}
 	}
 }
 

@@ -44,6 +44,10 @@ func Calibrate(a *arch.Arch, mats []*sparse.COO) ([]Report, error) {
 		actual float64
 	}
 	fit := func(w *model.Worker, hotSide bool) (Report, error) {
+		strategy := partition.ColdOnly
+		if hotSide {
+			strategy = partition.HotOnly
+		}
 		var profiles []profile
 		for _, m := range mats {
 			g, err := tile.Partition(m, a.TileH, a.TileW)
@@ -76,15 +80,15 @@ func Calibrate(a *arch.Arch, mats []*sparse.COO) ([]Report, error) {
 			}
 			sum := 0.0
 			for _, p := range profiles {
-				assign := partition.AllCold(p.g)
-				if hotSide {
-					assign = partition.AllHot(p.g)
-				}
-				pred, _, err := partition.Predict(p.g, &cfg, assign, false)
+				es, err := partition.NewEstimates(p.g, &cfg)
 				if err != nil {
 					return math.Inf(1)
 				}
-				sum += math.Abs(pred-p.actual) / p.actual
+				res, err := partition.Run(es, cfg, strategy, 0)
+				if err != nil {
+					return math.Inf(1)
+				}
+				sum += math.Abs(res.Predicted-p.actual) / p.actual
 			}
 			return sum / float64(len(profiles))
 		}

@@ -50,7 +50,11 @@ func meanRelError(t *testing.T, a *arch.Arch, mats []*sparse.COO, hotSide bool) 
 			t.Fatal(err)
 		}
 		cfg := a.Config(2)
-		pred, _, err := partition.Predict(g, &cfg, assign, false)
+		es, err := partition.NewEstimates(g, &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, _, err := partition.Predict(es, &cfg, assign, false)
 		if err != nil {
 			t.Fatal(err)
 		}

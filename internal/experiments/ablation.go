@@ -52,7 +52,12 @@ func (e *Env) Reorder() (*ReorderAblation, error) {
 			if err != nil {
 				return 0, 0, err
 			}
-			res, err := partition.HotTiles(g, a.Config(2))
+			cfg := a.Config(2)
+			es, err := partition.NewEstimates(g, &cfg)
+			if err != nil {
+				return 0, 0, err
+			}
+			res, err := partition.Run(es, cfg, partition.HotTiles, 0)
 			if err != nil {
 				return 0, 0, err
 			}

@@ -10,7 +10,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/arch"
@@ -156,35 +155,11 @@ func (e *Env) archPtr(a arch.Arch) (*arch.Arch, error) {
 	})
 }
 
-// Strategy identifiers reused across experiments. A strategy may also
-// force one HotTiles heuristic, spelled "heur:<Heuristic>" (heurStrategy).
-const (
-	StratHotOnly  = "HotOnly"
-	StratColdOnly = "ColdOnly"
-	StratIUnaware = "IUnaware"
-	StratHotTiles = "HotTiles"
-)
-
 // heuristics are the four HotTiles subproblems (Table II), in Figure 12's
 // column order.
 var heuristics = []partition.Heuristic{
 	partition.MinTimeParallel, partition.MinTimeSerial,
 	partition.MinByteParallel, partition.MinByteSerial,
-}
-
-// heurStrategy is the strategy that forces heuristic h (Figure 12).
-func heurStrategy(h partition.Heuristic) string { return "heur:" + h.String() }
-
-// heuristicOf reports the heuristic a "heur:" strategy forces.
-func heuristicOf(strat string) (partition.Heuristic, bool) {
-	if name, ok := strings.CutPrefix(strat, "heur:"); ok {
-		for _, h := range heuristics {
-			if h.String() == name {
-				return h, true
-			}
-		}
-	}
-	return 0, false
 }
 
 // runOut is one cached simulated execution.
@@ -195,18 +170,12 @@ type runOut struct {
 	Predicted float64          // the model's predicted runtime for this run
 }
 
-// exec runs strategy strat for benchmark b on architecture a (with the
-// arch's tile size overridden to the Env's) and caches the outcome.
-// opsPerMAC carries the gSpMM intensity (2 = plain SpMM). Forced
-// heuristics are only run for plain SpMM (Figure 12), so their cache key
-// carries no intensity; callers pass 2.
-func (e *Env) exec(a arch.Arch, b gen.Benchmark, strat string, opsPerMAC float64) (*runOut, error) {
+// exec runs strategy s for benchmark b on architecture a (with the arch's
+// tile size overridden to the Env's) and caches the outcome. opsPerMAC
+// carries the gSpMM intensity (2 = plain SpMM).
+func (e *Env) exec(a arch.Arch, b gen.Benchmark, s partition.Strategy, opsPerMAC float64) (*runOut, error) {
 	a.TileH, a.TileW = e.TileSize(), e.TileSize()
-	h, isHeur := heuristicOf(strat)
-	key := fmt.Sprintf("%s|%s|%s|%g", a.Name, b.Short, strat, opsPerMAC)
-	if isHeur {
-		key = fmt.Sprintf("%s|%s|%s", a.Name, b.Short, strat)
-	}
+	key := fmt.Sprintf("%s|%s|%v|%g", a.Name, b.Short, s, opsPerMAC)
 	return e.runs.Get(key, func() (*runOut, error) {
 		done := obs.StartProgress("exec " + key)
 		defer done()
@@ -218,48 +187,24 @@ func (e *Env) exec(a arch.Arch, b gen.Benchmark, strat string, opsPerMAC float64
 		}
 		sp := e.trace.Phase("exec").Start(key)
 		defer sp.End()
-		g := es.Grid
-		cfg := a.Config(opsPerMAC)
-
-		var part partition.Result
-		serial := false
-		switch {
-		case isHeur:
-			part, err = partition.RunHeuristicFrom(es, cfg, h)
-			serial = part.Serial
-		case strat == StratHotOnly:
-			part, err = homogeneous(es, &cfg, partition.AllHot(g))
-		case strat == StratColdOnly:
-			part, err = homogeneous(es, &cfg, partition.AllCold(g))
-		case strat == StratIUnaware:
-			part, err = partition.IUnawareFrom(es, cfg, e.Seed)
-		case strat == StratHotTiles:
-			part, err = partition.HotTilesFrom(es, cfg)
-			serial = part.Serial
-		default:
-			err = fmt.Errorf("experiments: unknown strategy %q", strat)
-		}
+		part, err := partition.Run(es, a.Config(opsPerMAC), s, e.Seed)
 		if err != nil {
 			return nil, err
 		}
 
 		// The simulator must see the same arithmetic intensity the
-		// partitioner planned for; forced heuristics run the simulator's
-		// default semiring.
-		var sr *semiring.Semiring
-		if !isHeur {
-			s := semiring.PlusTimes()
-			s.OpsPerMAC = opsPerMAC
-			sr = &s
-		}
+		// partitioner planned for.
+		sr := semiring.PlusTimes()
+		sr.OpsPerMAC = opsPerMAC
 		ap, err := e.archPtr(a)
 		if err != nil {
 			return nil, err
 		}
+		g := es.Grid
 		sim1 := sp.Start("sim")
 		r, err := sim.Run(g, part.Hot, ap, nil, sim.Options{
-			Serial:         serial,
-			Semiring:       sr,
+			Serial:         part.Serial,
+			Semiring:       &sr,
 			SkipFunctional: true,
 			Timeline:       e.timeline,
 			TimelineLabel:  key,
@@ -272,13 +217,6 @@ func (e *Env) exec(a arch.Arch, b gen.Benchmark, strat string, opsPerMAC float64
 		sp.SetAttr("hotNNZ", fmt.Sprint(part.HotNNZ(g)))
 		return &runOut{Time: r.Time, Sim: r, Part: part, Predicted: part.Predicted}, nil
 	})
-}
-
-// homogeneous is the result of sending every tile the way hot says, with
-// the model's prediction for it.
-func homogeneous(es *partition.Estimates, cfg *partition.Config, hot []bool) (partition.Result, error) {
-	pred, tot, err := partition.PredictFrom(es, cfg, hot, false)
-	return partition.Result{Hot: hot, Predicted: pred, Totals: tot}, err
 }
 
 // geomean returns the geometric mean of positive values.

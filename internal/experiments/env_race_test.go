@@ -7,6 +7,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/gen"
 	"repro/internal/par"
+	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/tile"
 )
@@ -39,7 +40,7 @@ func TestEnvConcurrentCachesSingleflight(t *testing.T) {
 				return
 			}
 			grids[i] = g
-			r, err := e.exec(a, b, StratColdOnly, 2)
+			r, err := e.exec(a, b, partition.ColdOnly, 2)
 			if err != nil {
 				errs[i] = err
 				return

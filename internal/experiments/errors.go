@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/gen"
+	"repro/internal/partition"
 )
 
 // Fig17Result is the prediction-error study: per matrix and architecture,
@@ -16,7 +17,7 @@ type Fig17Result struct {
 	Archs []Fig17Arch
 	// AvgError maps strategy name to the mean |error| across matrices and
 	// architectures (the paper reports 4.8% / 19.6% / 12.4%).
-	AvgError map[string]float64
+	AvgError map[partition.Strategy]float64
 }
 
 // Fig17Arch is one architecture's error rows.
@@ -36,12 +37,12 @@ type Fig17Row struct {
 // and PIUMA: the predicted and simulated times of the strategy grid.
 func (e *Env) Fig17() (*Fig17Result, error) {
 	g, err := e.strategyGrid([]arch.Arch{arch.SpadeSextans(4), arch.PIUMA()}, gen.Benchmarks(),
-		[]string{StratHotOnly, StratColdOnly, StratHotTiles}, 2)
+		[]partition.Strategy{partition.HotOnly, partition.ColdOnly, partition.HotTiles}, 2)
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig17Result{AvgError: map[string]float64{}}
-	sums := map[string][]float64{}
+	out := &Fig17Result{AvgError: map[partition.Strategy]float64{}}
+	sums := map[partition.Strategy][]float64{}
 	for ai, a := range g.archs {
 		fa := Fig17Arch{ArchName: a.Name}
 		for bi, b := range g.suite {
@@ -73,5 +74,5 @@ func (f *Fig17Result) Render(w io.Writer) {
 		}
 	}
 	fmt.Fprintf(w, "average |error|: HotOnly %.1f%%, ColdOnly %.1f%%, HotTiles %.1f%%\n",
-		f.AvgError[StratHotOnly]*100, f.AvgError[StratColdOnly]*100, f.AvgError[StratHotTiles]*100)
+		f.AvgError[partition.HotOnly]*100, f.AvgError[partition.ColdOnly]*100, f.AvgError[partition.HotTiles]*100)
 }

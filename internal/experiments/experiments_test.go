@@ -34,16 +34,16 @@ func TestFig4(t *testing.T) {
 		for _, r := range st.Rows {
 			// Speedups are relative to the worst homogeneous execution, so
 			// the worst homogeneous bar is exactly 1.
-			worst := r.Speedups[StratHotOnly]
-			if r.Speedups[StratColdOnly] < worst {
-				worst = r.Speedups[StratColdOnly]
+			worst := r.Speedups[partition.HotOnly]
+			if r.Speedups[partition.ColdOnly] < worst {
+				worst = r.Speedups[partition.ColdOnly]
 			}
 			if worst != 1 {
 				t.Errorf("%s/%s: worst homogeneous speedup %.3f != 1", st.ArchName, r.Short, worst)
 			}
 			// IUnaware always helps against the worst homogeneous (§III-B).
-			if r.Speedups[StratIUnaware] < 0.9 {
-				t.Errorf("%s/%s: IUnaware speedup %.2f < 0.9", st.ArchName, r.Short, r.Speedups[StratIUnaware])
+			if r.Speedups[partition.IUnaware] < 0.9 {
+				t.Errorf("%s/%s: IUnaware speedup %.2f < 0.9", st.ArchName, r.Short, r.Speedups[partition.IUnaware])
 			}
 		}
 	}
@@ -102,15 +102,15 @@ func TestFig10AndTableVIConsistent(t *testing.T) {
 			t.Fatal("matrix order differs")
 		}
 		// The table's ms and the study's seconds describe the same runs.
-		if diff := r.HotTiles/1e3 - st.Rows[i].Times[StratHotTiles]; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("%s: table %.6f ms vs study %.6f ms", r.Short, r.HotTiles, st.Rows[i].Times[StratHotTiles]*1e3)
+		if diff := r.HotTiles/1e3 - st.Rows[i].Times[partition.HotTiles]; diff > 1e-12 || diff < -1e-12 {
+			t.Errorf("%s: table %.6f ms vs study %.6f ms", r.Short, r.HotTiles, st.Rows[i].Times[partition.HotTiles]*1e3)
 		}
 		if r.BestHom > r.HotOnly || r.BestHom > r.ColdOnly {
 			t.Errorf("%s: BestHom %.3f not the min", r.Short, r.BestHom)
 		}
 	}
 	// Headline result: HotTiles helps on average against every baseline.
-	for _, base := range []string{StratHotOnly, StratColdOnly, StratIUnaware} {
+	for _, base := range []partition.Strategy{partition.HotOnly, partition.ColdOnly, partition.IUnaware} {
 		if st.AvgSpeedupOver[base] < 1 {
 			t.Errorf("HotTiles average speedup vs %s = %.2f < 1", base, st.AvgSpeedupOver[base])
 		}
@@ -131,8 +131,8 @@ func TestFig11PIUMA(t *testing.T) {
 	if st.ArchName != "PIUMA" || len(st.Rows) != 10 {
 		t.Fatalf("study %s with %d rows", st.ArchName, len(st.Rows))
 	}
-	if st.AvgSpeedupOver[StratIUnaware] < 1 {
-		t.Errorf("HotTiles vs IUnaware on PIUMA = %.2f < 1", st.AvgSpeedupOver[StratIUnaware])
+	if st.AvgSpeedupOver[partition.IUnaware] < 1 {
+		t.Errorf("HotTiles vs IUnaware on PIUMA = %.2f < 1", st.AvgSpeedupOver[partition.IUnaware])
 	}
 }
 
@@ -151,14 +151,14 @@ func TestFig12(t *testing.T) {
 		// paper — can dip slightly below it when the model mispredicts
 		// under heavy bandwidth pressure.
 		best := 0.0
-		for name, s := range r.SpeedupVsBestHom {
-			if name != StratHotTiles && s > best {
+		for st, s := range r.SpeedupVsBestHom {
+			if st != partition.HotTiles && s > best {
 				best = s
 			}
 		}
-		if r.SpeedupVsBestHom[StratHotTiles] < 0.85*best {
+		if r.SpeedupVsBestHom[partition.HotTiles] < 0.85*best {
 			t.Errorf("scale %d: HotTiles %.3f far below best heuristic %.3f",
-				r.Scale, r.SpeedupVsBestHom[StratHotTiles], best)
+				r.Scale, r.SpeedupVsBestHom[partition.HotTiles], best)
 		}
 		if r.AvgHomBandwidthGBs <= 0 {
 			t.Errorf("scale %d: no bandwidth stat", r.Scale)
@@ -168,15 +168,15 @@ func TestFig12(t *testing.T) {
 	// MinTime Parallel is the strongest heuristic; at the largest scale the
 	// Serial heuristics overtake the Parallel ones by avoiding the merge.
 	small, large := f.Rows[0].SpeedupVsBestHom, f.Rows[3].SpeedupVsBestHom
-	if small["MinTime Parallel"] < small["MinTime Serial"] ||
-		small["MinTime Parallel"] < small["MinByte Serial"] {
+	if small[partition.Forced(partition.MinTimeParallel)] < small[partition.Forced(partition.MinTimeSerial)] ||
+		small[partition.Forced(partition.MinTimeParallel)] < small[partition.Forced(partition.MinByteSerial)] {
 		t.Error("scale 1: MinTime Parallel should lead the serial heuristics")
 	}
-	bestSerial := large["MinTime Serial"]
-	if large["MinByte Serial"] > bestSerial {
-		bestSerial = large["MinByte Serial"]
+	bestSerial := large[partition.Forced(partition.MinTimeSerial)]
+	if large[partition.Forced(partition.MinByteSerial)] > bestSerial {
+		bestSerial = large[partition.Forced(partition.MinByteSerial)]
 	}
-	if bestSerial < large["MinTime Parallel"] {
+	if bestSerial < large[partition.Forced(partition.MinTimeParallel)] {
 		t.Error("scale 8: a Serial heuristic should overtake MinTime Parallel")
 	}
 	// Bandwidth pressure grows with system scale (the paper's annotation).
@@ -201,20 +201,20 @@ func TestTableVII(t *testing.T) {
 		t.Fatal("scales wrong")
 	}
 	for _, sc := range tab.Scales {
-		if sc.BandwidthGBs[StratHotTiles] <= 0 || sc.LinesPerNNZ[StratColdOnly] <= 0 {
+		if sc.BandwidthGBs[partition.HotTiles] <= 0 || sc.LinesPerNNZ[partition.ColdOnly] <= 0 {
 			t.Fatalf("scale %d: missing stats", sc.Scale)
 		}
 		// HotOnly leaves the cold pool idle and vice versa.
-		if sc.ColdGFLOPs[StratHotOnly] != 0 {
+		if sc.ColdGFLOPs[partition.HotOnly] != 0 {
 			t.Errorf("scale %d: cold pool active under HotOnly", sc.Scale)
 		}
-		if sc.HotGFLOPs[StratColdOnly] != 0 {
+		if sc.HotGFLOPs[partition.ColdOnly] != 0 {
 			t.Errorf("scale %d: hot pool active under ColdOnly", sc.Scale)
 		}
 		// HotTiles reduces redundant traffic vs HotOnly (Table VII trend).
-		if sc.LinesPerNNZ[StratHotTiles] >= sc.LinesPerNNZ[StratHotOnly] {
+		if sc.LinesPerNNZ[partition.HotTiles] >= sc.LinesPerNNZ[partition.HotOnly] {
 			t.Errorf("scale %d: HotTiles lines/nnz %.2f not below HotOnly %.2f",
-				sc.Scale, sc.LinesPerNNZ[StratHotTiles], sc.LinesPerNNZ[StratHotOnly])
+				sc.Scale, sc.LinesPerNNZ[partition.HotTiles], sc.LinesPerNNZ[partition.HotOnly])
 		}
 	}
 	var buf bytes.Buffer
@@ -291,8 +291,8 @@ func TestFig15DenseSuite(t *testing.T) {
 		if len(st.Rows) != 5 {
 			t.Fatalf("%s: %d rows, want 5", st.ArchName, len(st.Rows))
 		}
-		if st.AvgSpeedupOver[StratIUnaware] < 1 {
-			t.Errorf("%s: HotTiles vs IUnaware %.2f < 1", st.ArchName, st.AvgSpeedupOver[StratIUnaware])
+		if st.AvgSpeedupOver[partition.IUnaware] < 1 {
+			t.Errorf("%s: HotTiles vs IUnaware %.2f < 1", st.ArchName, st.AvgSpeedupOver[partition.IUnaware])
 		}
 	}
 }
@@ -357,7 +357,7 @@ func TestFig17(t *testing.T) {
 	if len(f.Archs) != 2 {
 		t.Fatal("want 2 architectures")
 	}
-	for _, s := range []string{StratHotOnly, StratColdOnly, StratHotTiles} {
+	for _, s := range []partition.Strategy{partition.HotOnly, partition.ColdOnly, partition.HotTiles} {
 		if f.AvgError[s] < 0 {
 			t.Fatalf("%s: negative average |error|", s)
 		}
@@ -365,9 +365,9 @@ func TestFig17(t *testing.T) {
 	// The paper's error structure: HotOnly (no caches involved on the
 	// streaming side) predicts better than ColdOnly, whose matrices enjoy
 	// cache reuse the model ignores.
-	if f.AvgError[StratHotOnly] > f.AvgError[StratColdOnly] {
+	if f.AvgError[partition.HotOnly] > f.AvgError[partition.ColdOnly] {
 		t.Errorf("HotOnly error %.2f should be below ColdOnly %.2f",
-			f.AvgError[StratHotOnly], f.AvgError[StratColdOnly])
+			f.AvgError[partition.HotOnly], f.AvgError[partition.ColdOnly])
 	}
 	// Oracle: on HotOnly the model's traffic is exact. The streaming hot
 	// workers have no cache for the simulator to model, so the predicted
@@ -375,7 +375,7 @@ func TestFig17(t *testing.T) {
 	// error above comes from how the model composes time, not traffic.
 	for _, a := range []arch.Arch{arch.SpadeSextans(4), arch.PIUMA()} {
 		for _, b := range gen.Benchmarks() {
-			r, err := e.exec(a, b, StratHotOnly, 2)
+			r, err := e.exec(a, b, partition.HotOnly, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -426,7 +426,12 @@ func verify(e *Env, a arch.Arch, b gen.Benchmark) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	part, err := partition.HotTiles(g, a.Config(2))
+	cfg := a.Config(2)
+	es, err := partition.NewEstimates(g, &cfg)
+	if err != nil {
+		return 0, err
+	}
+	part, err := partition.Run(es, cfg, partition.HotTiles, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -486,15 +491,15 @@ func TestEnvCaching(t *testing.T) {
 		t.Fatal("grid not cached")
 	}
 	a := arch.SpadeSextans(4)
-	r1, err := e.exec(a, b, StratHotTiles, 2)
+	r1, err := e.exec(a, b, partition.HotTiles, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := e.exec(a, b, StratHotTiles, 2)
+	r2, _ := e.exec(a, b, partition.HotTiles, 2)
 	if r1 != r2 {
 		t.Fatal("run not cached")
 	}
-	if _, err := e.exec(a, b, "Nope", 2); err == nil {
+	if _, err := e.exec(a, b, partition.Strategy(-1), 2); err == nil {
 		t.Fatal("expected unknown-strategy error")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/gen"
 	"repro/internal/par"
+	"repro/internal/partition"
 )
 
 // StrategyRow holds one matrix's runtimes for the standard strategy set and
@@ -15,24 +16,24 @@ import (
 // 11/15 presentation.
 type StrategyRow struct {
 	Short string
-	// Times in seconds by strategy name.
-	Times map[string]float64
-	// Speedups over the worst homogeneous execution by strategy name.
-	Speedups map[string]float64
+	// Times in seconds by strategy.
+	Times map[partition.Strategy]float64
+	// Speedups over the worst homogeneous execution by strategy.
+	Speedups map[partition.Strategy]float64
 	// BestHom is min(HotOnly, ColdOnly).
 	BestHom float64
 }
 
-func makeRow(short string, times map[string]float64) StrategyRow {
-	worst := times[StratHotOnly]
-	if times[StratColdOnly] > worst {
-		worst = times[StratColdOnly]
+func makeRow(short string, times map[partition.Strategy]float64) StrategyRow {
+	worst := times[partition.HotOnly]
+	if times[partition.ColdOnly] > worst {
+		worst = times[partition.ColdOnly]
 	}
-	best := times[StratHotOnly]
-	if times[StratColdOnly] < best {
-		best = times[StratColdOnly]
+	best := times[partition.HotOnly]
+	if times[partition.ColdOnly] < best {
+		best = times[partition.ColdOnly]
 	}
-	row := StrategyRow{Short: short, Times: times, Speedups: map[string]float64{}, BestHom: best}
+	row := StrategyRow{Short: short, Times: times, Speedups: map[partition.Strategy]float64{}, BestHom: best}
 	for s, t := range times {
 		row.Speedups[s] = worst / t
 	}
@@ -43,16 +44,18 @@ func makeRow(short string, times map[string]float64) StrategyRow {
 // strategy set run over a benchmark suite on one architecture.
 type StrategyStudy struct {
 	ArchName   string
-	Strategies []string
+	Strategies []partition.Strategy
 	Rows       []StrategyRow
-	// AvgSpeedupOver[s] is HotTiles' geometric-mean speedup over strategy s
-	// (and over "BestHomogeneous").
-	AvgSpeedupOver map[string]float64
+	// AvgSpeedupOver[s] is HotTiles' geometric-mean speedup over strategy
+	// s, AvgSpeedupOverBestHom the one over BestHomogeneous; both are set
+	// only when the strategy set includes HotTiles.
+	AvgSpeedupOver        map[partition.Strategy]float64
+	AvgSpeedupOverBestHom float64
 }
 
 // paperStrategies is the strategy set of Figures 10, 11 and 15 and
 // Tables VI and VII.
-var paperStrategies = []string{StratHotOnly, StratColdOnly, StratIUnaware, StratHotTiles}
+var paperStrategies = []partition.Strategy{partition.HotOnly, partition.ColdOnly, partition.IUnaware, partition.HotTiles}
 
 // strategyGrid is the shared shape of most §VIII studies: one cached run
 // per (architecture, benchmark, strategy) cell. The cells run concurrently;
@@ -61,13 +64,13 @@ var paperStrategies = []string{StratHotOnly, StratColdOnly, StratIUnaware, Strat
 type strategyGrid struct {
 	archs      []arch.Arch
 	suite      []gen.Benchmark
-	strategies []string
+	strategies []partition.Strategy
 	runs       []*runOut
 }
 
 // strategyGrid runs every (architecture, benchmark, strategy) cell at the
 // given gSpMM intensity.
-func (e *Env) strategyGrid(archs []arch.Arch, suite []gen.Benchmark, strategies []string, opsPerMAC float64) (*strategyGrid, error) {
+func (e *Env) strategyGrid(archs []arch.Arch, suite []gen.Benchmark, strategies []partition.Strategy, opsPerMAC float64) (*strategyGrid, error) {
 	g := &strategyGrid{archs: archs, suite: suite, strategies: strategies,
 		runs: make([]*runOut, len(archs)*len(suite)*len(strategies))}
 	if err := par.ForEachErr(len(g.runs), func(i int) error {
@@ -95,34 +98,38 @@ func (g *strategyGrid) at(ai, bi, si int) *runOut {
 // HotTiles' geometric-mean speedup over every other strategy.
 func (g *strategyGrid) study(ai int) *StrategyStudy {
 	st := &StrategyStudy{ArchName: g.archs[ai].Name, Strategies: g.strategies}
-	ratios := map[string][]float64{}
+	ratios := map[partition.Strategy][]float64{}
+	var bestHom []float64
 	for bi, b := range g.suite {
-		times := map[string]float64{}
+		times := map[partition.Strategy]float64{}
 		for si, s := range g.strategies {
 			times[s] = g.at(ai, bi, si).Time
 		}
 		row := makeRow(b.Short, times)
 		st.Rows = append(st.Rows, row)
-		if ht, ok := times[StratHotTiles]; ok {
+		if ht, ok := times[partition.HotTiles]; ok {
 			for _, s := range g.strategies {
-				if s == StratHotTiles {
+				if s == partition.HotTiles {
 					continue
 				}
 				ratios[s] = append(ratios[s], times[s]/ht)
 			}
-			ratios["BestHomogeneous"] = append(ratios["BestHomogeneous"], row.BestHom/ht)
+			bestHom = append(bestHom, row.BestHom/ht)
 		}
 	}
-	st.AvgSpeedupOver = map[string]float64{}
-	for s, rs := range ratios {
-		st.AvgSpeedupOver[s] = geomean(rs)
+	if len(bestHom) > 0 {
+		st.AvgSpeedupOver = map[partition.Strategy]float64{}
+		for s, rs := range ratios {
+			st.AvgSpeedupOver[s] = geomean(rs)
+		}
+		st.AvgSpeedupOverBestHom = geomean(bestHom)
 	}
 	return st
 }
 
 // strategyStudies runs strategies over suite on every architecture, one
 // StrategyStudy each.
-func (e *Env) strategyStudies(archs []arch.Arch, suite []gen.Benchmark, strategies []string) (StrategyStudies, error) {
+func (e *Env) strategyStudies(archs []arch.Arch, suite []gen.Benchmark, strategies []partition.Strategy) (StrategyStudies, error) {
 	g, err := e.strategyGrid(archs, suite, strategies, 2)
 	if err != nil {
 		return nil, err
@@ -135,7 +142,7 @@ func (e *Env) strategyStudies(archs []arch.Arch, suite []gen.Benchmark, strategi
 }
 
 // runStudy is strategyStudies on one architecture.
-func (e *Env) runStudy(a arch.Arch, suite []gen.Benchmark, strategies []string) (*StrategyStudy, error) {
+func (e *Env) runStudy(a arch.Arch, suite []gen.Benchmark, strategies []partition.Strategy) (*StrategyStudy, error) {
 	sts, err := e.strategyStudies([]arch.Arch{a}, suite, strategies)
 	if err != nil {
 		return nil, err
@@ -168,15 +175,15 @@ func (st *StrategyStudy) Render(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-	if len(st.AvgSpeedupOver) > 0 {
+	if st.AvgSpeedupOver != nil {
 		fmt.Fprintf(w, "HotTiles average speedup:")
-		for _, s := range append([]string{}, st.Strategies...) {
-			if s == StratHotTiles {
+		for _, s := range st.Strategies {
+			if s == partition.HotTiles {
 				continue
 			}
 			fmt.Fprintf(w, "  %.2fx vs %s", st.AvgSpeedupOver[s], s)
 		}
-		fmt.Fprintf(w, "  %.2fx vs BestHomogeneous\n", st.AvgSpeedupOver["BestHomogeneous"])
+		fmt.Fprintf(w, "  %.2fx vs BestHomogeneous\n", st.AvgSpeedupOverBestHom)
 	}
 }
 
@@ -196,7 +203,7 @@ func (sts StrategyStudies) Render(w io.Writer) {
 // best homogeneous baseline.
 func (e *Env) Fig4() (StrategyStudies, error) {
 	return e.strategyStudies([]arch.Arch{arch.SpadeSextans(4), arch.PIUMA()}, gen.Benchmarks(),
-		[]string{StratHotOnly, StratColdOnly, StratIUnaware})
+		[]partition.Strategy{partition.HotOnly, partition.ColdOnly, partition.IUnaware})
 }
 
 // Fig5Result is the tile-assignment visualization of Figure 5: for the pap
@@ -215,11 +222,11 @@ type Fig5Result struct {
 func (e *Env) Fig5() (*Fig5Result, error) {
 	b, _ := gen.ByShort("pap")
 	a := arch.SpadeSextans(4)
-	iu, err := e.exec(a, b, StratIUnaware, 2)
+	iu, err := e.exec(a, b, partition.IUnaware, 2)
 	if err != nil {
 		return nil, err
 	}
-	ht, err := e.exec(a, b, StratHotTiles, 2)
+	ht, err := e.exec(a, b, partition.HotTiles, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -299,15 +306,15 @@ func (e *Env) Fig13() (*Fig13Result, error) {
 	rows := make([]Fig13Row, len(suite))
 	if err := par.ForEachErr(len(suite), func(i int) error {
 		b := suite[i]
-		ht4, err := e.exec(arch.SpadeSextans(4), b, StratHotTiles, 2)
+		ht4, err := e.exec(arch.SpadeSextans(4), b, partition.HotTiles, 2)
 		if err != nil {
 			return err
 		}
-		hot8, err := e.exec(arch.SpadeSextansSkewed(0, 8), b, StratHotOnly, 2)
+		hot8, err := e.exec(arch.SpadeSextansSkewed(0, 8), b, partition.HotOnly, 2)
 		if err != nil {
 			return err
 		}
-		cold8, err := e.exec(arch.SpadeSextansSkewed(8, 0), b, StratColdOnly, 2)
+		cold8, err := e.exec(arch.SpadeSextansSkewed(8, 0), b, partition.ColdOnly, 2)
 		if err != nil {
 			return err
 		}
@@ -366,7 +373,7 @@ type Fig14Row struct {
 // everything; as intensity grows the enhanced off-die Sextans wins work.
 func (e *Env) Fig14() (*Fig14Result, error) {
 	a := []arch.Arch{arch.SpadeSextansPCIe()}
-	strategies := []string{StratHotTiles, StratHotOnly, StratColdOnly}
+	strategies := []partition.Strategy{partition.HotTiles, partition.HotOnly, partition.ColdOnly}
 	out := &Fig14Result{}
 	var vh, vc, vb []float64
 	for _, ops := range []int{2, 8, 32, 128, 512} {

@@ -51,7 +51,11 @@ func (e *Env) Kernels() (*KernelsStudy, error) {
 			if k == model.KernelSpMV {
 				cfg.Params.K = 1
 			}
-			res, err := partition.HotTiles(g, cfg)
+			es, err := partition.NewEstimates(g, &cfg)
+			if err != nil {
+				return err
+			}
+			res, err := partition.Run(es, cfg, partition.HotTiles, 0)
 			if err != nil {
 				return err
 			}

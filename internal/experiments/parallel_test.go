@@ -7,6 +7,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/gen"
 	"repro/internal/par"
+	"repro/internal/partition"
 )
 
 // TestParallelStudyMatchesSerial pins the determinism contract of the
@@ -16,7 +17,7 @@ import (
 func TestParallelStudyMatchesSerial(t *testing.T) {
 	a := arch.SpadeSextans(4)
 	suite := gen.Benchmarks()[:3]
-	strategies := []string{StratHotOnly, StratColdOnly, StratIUnaware, StratHotTiles}
+	strategies := []partition.Strategy{partition.HotOnly, partition.ColdOnly, partition.IUnaware, partition.HotTiles}
 
 	run := func(workers int) *StrategyStudy {
 		defer par.SetWorkers(par.SetWorkers(workers))
@@ -33,7 +34,7 @@ func TestParallelStudyMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelFig12MatchesSerial covers the forced-heuristic ("heur:")
+// TestParallelFig12MatchesSerial covers the forced-heuristic (partition.Forced)
 // strategies the same way.
 func TestParallelFig12MatchesSerial(t *testing.T) {
 	if testing.Short() {

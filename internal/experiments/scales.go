@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/gen"
+	"repro/internal/partition"
 )
 
 // Fig12Result compares HotTiles against its four individual heuristics
@@ -18,9 +19,9 @@ type Fig12Result struct {
 // Fig12Row is one system scale's averages.
 type Fig12Row struct {
 	Scale int
-	// SpeedupVsBestHom maps "HotTiles" and each heuristic name to its
+	// SpeedupVsBestHom maps HotTiles and each forced heuristic to its
 	// geometric-mean speedup over BestHomogeneous across the suite.
-	SpeedupVsBestHom map[string]float64
+	SpeedupVsBestHom map[partition.Strategy]float64
 	// AvgHomBandwidthGBs is the system bandwidth utilization averaged
 	// across both homogeneous executions and the suite (the paper's
 	// per-scale annotation).
@@ -31,9 +32,9 @@ type Fig12Row struct {
 // forced heuristic against BestHomogeneous at every system scale.
 func (e *Env) Fig12() (*Fig12Result, error) {
 	scales := []int{1, 2, 4, 8}
-	strategies := []string{StratHotOnly, StratColdOnly, StratHotTiles}
+	strategies := []partition.Strategy{partition.HotOnly, partition.ColdOnly, partition.HotTiles}
 	for _, h := range heuristics {
-		strategies = append(strategies, heurStrategy(h))
+		strategies = append(strategies, partition.Forced(h))
 	}
 	g, err := e.strategyGrid(spadeScales(scales...), gen.Benchmarks(), strategies, 2)
 	if err != nil {
@@ -41,20 +42,19 @@ func (e *Env) Fig12() (*Fig12Result, error) {
 	}
 	out := &Fig12Result{}
 	for ai, scale := range scales {
-		ratios := map[string][]float64{}
+		ratios := map[partition.Strategy][]float64{}
 		var bw []float64
 		for bi := range g.suite {
 			ho, co := g.at(ai, bi, 0), g.at(ai, bi, 1)
 			best := min(ho.Time, co.Time)
 			bw = append(bw, (ho.Sim.BandwidthUtil()+co.Sim.BandwidthUtil())/2)
-			ratios[StratHotTiles] = append(ratios[StratHotTiles], best/g.at(ai, bi, 2).Time)
-			for hi, h := range heuristics {
-				ratios[h.String()] = append(ratios[h.String()], best/g.at(ai, bi, 3+hi).Time)
+			for si, s := range strategies[2:] {
+				ratios[s] = append(ratios[s], best/g.at(ai, bi, 2+si).Time)
 			}
 		}
-		row := Fig12Row{Scale: scale, SpeedupVsBestHom: map[string]float64{}}
-		for name, rs := range ratios {
-			row.SpeedupVsBestHom[name] = geomean(rs)
+		row := Fig12Row{Scale: scale, SpeedupVsBestHom: map[partition.Strategy]float64{}}
+		for s, rs := range ratios {
+			row.SpeedupVsBestHom[s] = geomean(rs)
 		}
 		row.AvgHomBandwidthGBs = mean(bw) / 1e9
 		out.Rows = append(out.Rows, row)
@@ -64,20 +64,16 @@ func (e *Env) Fig12() (*Fig12Result, error) {
 
 // Render prints the Figure 12 series.
 func (f *Fig12Result) Render(w io.Writer) {
-	names := []string{StratHotTiles}
-	for _, h := range heuristics {
-		names = append(names, h.String())
-	}
 	fmt.Fprintln(w, "SPADE-Sextans — average speedup vs BestHomogeneous per system scale")
-	fmt.Fprintf(w, "%-6s", "scale")
-	for _, n := range names {
-		fmt.Fprintf(w, "%18s", n)
+	fmt.Fprintf(w, "%-6s%18s", "scale", partition.HotTiles)
+	for _, h := range heuristics {
+		fmt.Fprintf(w, "%18s", h)
 	}
 	fmt.Fprintf(w, "%14s\n", "hom BW (GB/s)")
 	for _, r := range f.Rows {
-		fmt.Fprintf(w, "%-6d", r.Scale)
-		for _, n := range names {
-			fmt.Fprintf(w, "%18.2f", r.SpeedupVsBestHom[n])
+		fmt.Fprintf(w, "%-6d%18.2f", r.Scale, r.SpeedupVsBestHom[partition.HotTiles])
+		for _, h := range heuristics {
+			fmt.Fprintf(w, "%18.2f", r.SpeedupVsBestHom[partition.Forced(h)])
 		}
 		fmt.Fprintf(w, "%14.1f\n", r.AvgHomBandwidthGBs)
 	}
@@ -111,7 +107,7 @@ func (e *Env) isoScale() (*strategyGrid, error) {
 	for c := range archs {
 		archs[c] = arch.SpadeSextansSkewed(c, isoTotal-c)
 	}
-	return e.strategyGrid(archs, gen.Benchmarks(), []string{StratHotTiles}, 2)
+	return e.strategyGrid(archs, gen.Benchmarks(), []partition.Strategy{partition.HotTiles}, 2)
 }
 
 // Fig16 reproduces the fixed-architecture exploration scenario of §VIII-B:

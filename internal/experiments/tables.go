@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/gen"
+	"repro/internal/partition"
 )
 
 // TableVIResult holds the absolute simulated runtimes for SPADE-Sextans
@@ -28,10 +29,10 @@ func (e *Env) TableVI() (*TableVIResult, error) {
 	}
 	out := &TableVIResult{}
 	for _, r := range st.Rows {
-		ms := func(s string) float64 { return r.Times[s] * 1e3 }
+		ms := func(s partition.Strategy) float64 { return r.Times[s] * 1e3 }
 		out.Rows = append(out.Rows, TableVIRow{Short: r.Short,
-			HotOnly: ms(StratHotOnly), ColdOnly: ms(StratColdOnly), BestHom: r.BestHom * 1e3,
-			IUnaware: ms(StratIUnaware), HotTiles: ms(StratHotTiles)})
+			HotOnly: ms(partition.HotOnly), ColdOnly: ms(partition.ColdOnly), BestHom: r.BestHom * 1e3,
+			IUnaware: ms(partition.IUnaware), HotTiles: ms(partition.HotTiles)})
 	}
 	return out, nil
 }
@@ -56,10 +57,10 @@ type TableVIIResult struct {
 // TableVIIScale is one system scale's statistics.
 type TableVIIScale struct {
 	Scale      int
-	Strategies []string
-	// BandwidthGBs, LinesPerNNZ, ColdGFLOPs, HotGFLOPs map strategy name to
-	// the geomean statistic.
-	BandwidthGBs, LinesPerNNZ, ColdGFLOPs, HotGFLOPs map[string]float64
+	Strategies []partition.Strategy
+	// BandwidthGBs, LinesPerNNZ, ColdGFLOPs, HotGFLOPs map strategy to the
+	// geomean statistic.
+	BandwidthGBs, LinesPerNNZ, ColdGFLOPs, HotGFLOPs map[partition.Strategy]float64
 }
 
 // TableVII reproduces the utilization statistics table: the simulator
@@ -75,10 +76,10 @@ func (e *Env) TableVII() (*TableVIIResult, error) {
 		sc := TableVIIScale{
 			Scale:        scale,
 			Strategies:   g.strategies,
-			BandwidthGBs: map[string]float64{},
-			LinesPerNNZ:  map[string]float64{},
-			ColdGFLOPs:   map[string]float64{},
-			HotGFLOPs:    map[string]float64{},
+			BandwidthGBs: map[partition.Strategy]float64{},
+			LinesPerNNZ:  map[partition.Strategy]float64{},
+			ColdGFLOPs:   map[partition.Strategy]float64{},
+			HotGFLOPs:    map[partition.Strategy]float64{},
 		}
 		for si, s := range g.strategies {
 			var bw, lines, cold, hot []float64
@@ -114,7 +115,7 @@ func (t *TableVIIResult) Render(w io.Writer) {
 			fmt.Fprintf(w, "%12s", s)
 		}
 		fmt.Fprintln(w)
-		row := func(name string, m map[string]float64) {
+		row := func(name string, m map[partition.Strategy]float64) {
 			fmt.Fprintf(w, "%-28s", name)
 			for _, s := range sc.Strategies {
 				fmt.Fprintf(w, "%12.2f", m[s])

@@ -41,7 +41,7 @@ func (e *Env) VisLat() (*VisLatSensitivity, error) {
 	out := &VisLatSensitivity{}
 
 	// The calibrated baseline: HotTiles' cells of the strategy grid.
-	bg, err := e.strategyGrid([]arch.Arch{base}, gen.Benchmarks(), []string{StratHotTiles}, 2)
+	bg, err := e.strategyGrid([]arch.Arch{base}, gen.Benchmarks(), []partition.Strategy{partition.HotTiles}, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,12 @@ func (e *Env) VisLat() (*VisLatSensitivity, error) {
 		if err != nil {
 			return err
 		}
-		res, err := partition.HotTiles(g, a.Config(2))
+		cfg := a.Config(2)
+		es, err := partition.NewEstimates(g, &cfg)
+		if err != nil {
+			return err
+		}
+		res, err := partition.Run(es, cfg, partition.HotTiles, 0)
 		if err != nil {
 			return err
 		}

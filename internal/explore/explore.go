@@ -50,7 +50,12 @@ func IsoScale(m *sparse.COO, total, tileSize int) ([]Entry, error) {
 		h := total - c
 		a := arch.SpadeSextansSkewed(c, h)
 		a.TileH, a.TileW = tileSize, tileSize
-		res, err := partition.HotTiles(g, a.Config(2))
+		cfg := a.Config(2)
+		es, err := partition.NewEstimates(g, &cfg)
+		if err != nil {
+			return err
+		}
+		res, err := partition.Run(es, cfg, partition.HotTiles, 0)
 		if err != nil {
 			return err
 		}

@@ -43,7 +43,12 @@ func AutoTileSize(m *sparse.COO, a *arch.Arch, candidates []int, opsPerMAC float
 		if err != nil {
 			return 0, nil, err
 		}
-		res, err := partition.HotTiles(g, trial.Config(opsPerMAC))
+		cfg := trial.Config(opsPerMAC)
+		es, err := partition.NewEstimates(g, &cfg)
+		if err != nil {
+			return 0, nil, err
+		}
+		res, err := partition.Run(es, cfg, partition.HotTiles, 0)
 		if err != nil {
 			return 0, nil, err
 		}

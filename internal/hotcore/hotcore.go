@@ -94,33 +94,16 @@ type Prep struct {
 	Timing Timing
 }
 
-// Strategy selects how PreprocessCtx assigns tiles.
-type Strategy int
+// Strategy selects how PreprocessCtx assigns tiles (partition.Run).
+type Strategy = partition.Strategy
 
+// The partitioning strategies PreprocessCtx offers.
 const (
-	// StrategyHotTiles runs the full four-heuristic HotTiles method.
-	StrategyHotTiles Strategy = iota
-	// StrategyIUnaware runs the IMH-unaware baseline of §III-B.
-	StrategyIUnaware
-	// StrategyHotOnly and StrategyColdOnly are the homogeneous executions.
-	StrategyHotOnly
-	StrategyColdOnly
+	StrategyHotTiles = partition.HotTiles
+	StrategyIUnaware = partition.IUnaware
+	StrategyHotOnly  = partition.HotOnly
+	StrategyColdOnly = partition.ColdOnly
 )
-
-func (s Strategy) String() string {
-	switch s {
-	case StrategyHotTiles:
-		return "HotTiles"
-	case StrategyIUnaware:
-		return "IUnaware"
-	case StrategyHotOnly:
-		return "HotOnly"
-	case StrategyColdOnly:
-		return "ColdOnly"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
 
 // Options configures the preprocessing pipeline beyond the plain-SpMM
 // defaults.
@@ -152,8 +135,6 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 	if o.OpsPerMAC == 0 {
 		o.OpsPerMAC = 2
 	}
-	strategy := o.Strategy
-	seed := o.Seed
 	cfg := a.Config(o.OpsPerMAC)
 	cfg.Params.Kernel = o.Kernel
 	if o.Kernel == model.KernelSpMV {
@@ -199,26 +180,9 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 	sp = parent.Start("hotcore.partition")
 	t0 = time.Now()
 	var res partition.Result
-	switch strategy {
-	case StrategyHotTiles:
-		res, err = partition.HotTiles(g, cfg)
-	case StrategyIUnaware:
-		res, err = partition.IUnaware(g, cfg, seed)
-	case StrategyHotOnly:
-		hot := partition.AllHot(g)
-		var pred float64
-		var tot partition.Totals
-		pred, tot, err = partition.Predict(g, &cfg, hot, false)
-		res = partition.Result{Hot: hot, Predicted: pred, Totals: tot}
-	case StrategyColdOnly:
-		cold := partition.AllCold(g)
-		var pred float64
-		var tot partition.Totals
-		pred, tot, err = partition.Predict(g, &cfg, cold, false)
-		res = partition.Result{Hot: cold, Predicted: pred, Totals: tot}
-	default:
-		sp.End()
-		return nil, fmt.Errorf("hotcore: unknown strategy %d", int(strategy))
+	es, err := partition.NewEstimates(g, &cfg)
+	if err == nil {
+		res, err = partition.Run(es, cfg, o.Strategy, o.Seed)
 	}
 	if sp != nil && err == nil {
 		sp.SetAttr("predicted", strconv.FormatFloat(res.Predicted, 'g', 6, 64))

@@ -192,17 +192,6 @@ func Snapshot() map[string]int64 {
 	return RegistrySnapshot().flatten()
 }
 
-// MetricNames returns the registered counter, gauge, and histogram names,
-// sorted.
-func MetricNames() []string {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	names := append(sortedKeys(registry.counters), sortedKeys(registry.gauges)...)
-	names = append(names, sortedKeys(registry.histograms)...)
-	slices.Sort(names)
-	return names
-}
-
 // sortedKeys returns m's keys in order.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

@@ -120,14 +120,8 @@ func TestCountersAndGauges(t *testing.T) {
 	if snap["test.gauge"] != 2 || snap["test.gauge.max"] != 7 {
 		t.Fatalf("snapshot gauge %d/%d", snap["test.gauge"], snap["test.gauge.max"])
 	}
-	found := false
-	for _, n := range MetricNames() {
-		if n == "test.gauge" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("gauge missing from MetricNames")
+	if _, ok := RegistrySnapshot().Gauges["test.gauge"]; !ok {
+		t.Fatal("gauge missing from RegistrySnapshot")
 	}
 
 	var nilC *Counter

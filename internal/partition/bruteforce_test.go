@@ -19,13 +19,17 @@ func bruteForceBest(t *testing.T, g *tile.Grid, cfg *Config) float64 {
 	if n > 16 {
 		t.Fatalf("too many tiles (%d) for brute force", n)
 	}
+	es, err := NewEstimates(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	best := math.Inf(1)
 	hot := make([]bool, n)
 	for mask := 0; mask < 1<<n; mask++ {
 		for i := 0; i < n; i++ {
 			hot[i] = mask&(1<<i) != 0
 		}
-		tot := EvaluateTotals(g, cfg, hot)
+		tot := es.totals(cfg, hot)
 		for _, serial := range []bool{false, true} {
 			if p := predictedRuntime(g, cfg, hot, tot, serial); p < best {
 				best = p
@@ -61,10 +65,7 @@ func TestHotTilesNearOptimal(t *testing.T) {
 		if len(g.Tiles) > 12 {
 			t.Fatalf("seed %d: %d tiles", seed, len(g.Tiles))
 		}
-		res, err := HotTiles(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := run(t, g, cfg, HotTiles, 0)
 		opt := bruteForceBest(t, g, &cfg)
 		if opt <= 0 {
 			t.Fatalf("seed %d: degenerate optimum", seed)
@@ -92,14 +93,8 @@ func TestIUnawareNotBetterThanHotTiles(t *testing.T) {
 	cfg := testConfig()
 	for seed := int64(0); seed < 10; seed++ {
 		g := imhMatrix(t, 256, 32, 900, 300, seed+100)
-		ht, err := HotTiles(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		iu, err := IUnaware(g, cfg, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ht := run(t, g, cfg, HotTiles, 0)
+		iu := run(t, g, cfg, IUnaware, seed)
 		if ht.Predicted > iu.Predicted*(1+1e-9) {
 			t.Fatalf("seed %d: HotTiles %.3e predicted worse than IUnaware %.3e",
 				seed, ht.Predicted, iu.Predicted)

@@ -8,13 +8,13 @@ import (
 )
 
 // Estimates bundles the per-tile model estimates of both worker types for
-// one grid so that loops over candidate assignments or strategies — the
-// Figure 16/17 error studies, the iso-scale exploration, the experiment
-// harness's strategy grids — do not redo the O(tiles) model evaluation on
-// every Predict/EvaluateTotals/HotTiles call. Build once with NewEstimates,
-// then use the *From entry points.
+// one grid: the model's half of a partitioning, computed once. Run and
+// Predict take them, so loops over candidate assignments or strategies —
+// the Figure 16/17 error studies, the experiment harness's strategy grids,
+// the evolving-graph re-plan trigger — do not redo the O(tiles) model
+// evaluation per call.
 //
-// The Config passed to later *From calls may carry different worker Counts
+// The Config passed to Run or Predict may carry different worker Counts
 // than the one used to build the Estimates (counts only divide the pool
 // times), but the workers' model parameters and the Params must match the
 // build-time ones.
@@ -52,13 +52,11 @@ func (es *Estimates) check() error {
 	return nil
 }
 
-// EvaluateTotalsFrom is EvaluateTotals reusing precomputed estimates.
-func EvaluateTotalsFrom(es *Estimates, cfg *Config, hot []bool) Totals {
-	return evaluateTotals(es.Grid, cfg, hot, es.Hot, es.Cold)
-}
-
-// PredictFrom is Predict reusing precomputed estimates.
-func PredictFrom(es *Estimates, cfg *Config, hot []bool, serial bool) (float64, Totals, error) {
+// Predict returns the model's predicted runtime for an arbitrary
+// assignment executed in the given mode, with readjusted totals: the
+// evaluation every Run result carries, for assignments no Strategy makes
+// (the evolving-graph re-plan trigger prices a stale one).
+func Predict(es *Estimates, cfg *Config, hot []bool, serial bool) (float64, Totals, error) {
 	if err := cfg.validate(); err != nil {
 		return 0, Totals{}, err
 	}
@@ -68,6 +66,19 @@ func PredictFrom(es *Estimates, cfg *Config, hot []bool, serial bool) (float64, 
 	if len(hot) != len(es.Grid.Tiles) {
 		return 0, Totals{}, fmt.Errorf("partition: assignment length %d, want %d", len(hot), len(es.Grid.Tiles))
 	}
-	t := EvaluateTotalsFrom(es, cfg, hot)
-	return predictedRuntime(es.Grid, cfg, hot, t, serial), t, nil
+	r := es.evaluate(cfg, hot, 0, serial)
+	return r.Predicted, r.Totals, nil
+}
+
+// evaluate is the Result of assignment hot, produced by heuristic h (0 for
+// the baselines) and executed serially or in parallel.
+func (es *Estimates) evaluate(cfg *Config, hot []bool, h Heuristic, serial bool) Result {
+	t := es.totals(cfg, hot)
+	return Result{
+		Hot:       hot,
+		Heuristic: h,
+		Serial:    serial,
+		Predicted: predictedRuntime(es.Grid, cfg, hot, t, serial),
+		Totals:    t,
+	}
 }

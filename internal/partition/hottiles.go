@@ -9,75 +9,95 @@ import (
 	"repro/internal/tile"
 )
 
-// HotTiles runs the full partitioning method of §V-B: solve the four (or,
-// with atomic RMW, two) heuristic subproblems, predict each resulting
-// partitioning's runtime with the readjusted model, and keep the best.
-func HotTiles(g *tile.Grid, cfg Config) (Result, error) {
-	es, err := NewEstimates(g, &cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return HotTilesFrom(es, cfg)
-}
+// Strategy selects how Run assigns tiles to the two worker pools: the
+// HotTiles method, the IUnaware baseline, one of the homogeneous
+// executions, or one heuristic forced alone (Forced).
+type Strategy int
 
-// HotTilesFrom is HotTiles reusing precomputed estimates.
-func HotTilesFrom(es *Estimates, cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-	if err := es.check(); err != nil {
-		return Result{}, err
-	}
-	g, eh, ec := es.Grid, es.Hot, es.Cold
+const (
+	// HotTiles runs the full partitioning method of §V-B: solve the four
+	// (or, with atomic RMW, two) heuristic subproblems, predict each
+	// result with the readjusted model, and keep the best.
+	HotTiles Strategy = iota
+	// IUnaware is the IMH-unaware baseline of §III-B.
+	IUnaware
+	// HotOnly and ColdOnly are the homogeneous executions.
+	HotOnly
+	ColdOnly
 
-	heuristics := []Heuristic{MinTimeParallel, MinByteParallel}
-	if !cfg.AtomicRMW {
-		heuristics = append(heuristics, MinTimeSerial, MinByteSerial)
-	}
+	// forced is Forced(MinTimeParallel); the other heuristics follow it.
+	// It sits far above the named strategies so that no heuristic value a
+	// caller passes near the valid range lands on one of them.
+	forced Strategy = 1 << 8
+)
 
-	best := Result{Predicted: -1}
-	for _, h := range heuristics {
-		hot := solveSubproblem(g, &cfg, h, eh, ec)
-		t := evaluateTotals(g, &cfg, hot, eh, ec)
-		pred := predictedRuntime(g, &cfg, hot, t, h.Serial())
-		if best.Predicted < 0 || pred < best.Predicted {
-			best = Result{Hot: hot, Heuristic: h, Serial: h.Serial(), Predicted: pred, Totals: t}
-		}
-	}
-	return best, nil
-}
+var strategyNames = [...]string{"HotTiles", "IUnaware", "HotOnly", "ColdOnly"}
 
-// RunHeuristic forces a single heuristic (used by the Figure 12 study that
+// candidates are the heuristics HotTiles tries, Parallel first; on a tie
+// the earlier one wins.
+var candidates = [...]Heuristic{MinTimeParallel, MinByteParallel, MinTimeSerial, MinByteSerial}
+
+// Forced is the strategy that runs heuristic h alone (the Figure 12 study
 // compares the four heuristics individually across system scales).
-func RunHeuristic(g *tile.Grid, cfg Config, h Heuristic) (Result, error) {
-	es, err := NewEstimates(g, &cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunHeuristicFrom(es, cfg, h)
+func Forced(h Heuristic) Strategy { return forced + Strategy(h) }
+
+// heuristic reports the heuristic a Forced strategy runs.
+func (s Strategy) heuristic() (Heuristic, bool) {
+	h := Heuristic(s - forced)
+	return h, s >= forced && h < numHeuristics
 }
 
-// RunHeuristicFrom is RunHeuristic reusing precomputed estimates.
-func RunHeuristicFrom(es *Estimates, cfg Config, h Heuristic) (Result, error) {
+func (s Strategy) String() string {
+	if s >= 0 && int(s) < len(strategyNames) {
+		return strategyNames[s]
+	}
+	if s >= forced {
+		return "heur:" + Heuristic(s-forced).String()
+	}
+	return fmt.Sprintf("Strategy(%d)", int(s))
+}
+
+// Run partitions the tiles of es.Grid with strategy s. Every Result's
+// Predicted uses the same readjusted evaluation, so the strategies are
+// comparable; seed feeds IUnaware's random assignment. cfg may carry other
+// worker counts than the estimates were built with (see Estimates).
+func Run(es *Estimates, cfg Config, s Strategy, seed int64) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
 	if err := es.check(); err != nil {
 		return Result{}, err
 	}
-	if h < 0 || h >= numHeuristics {
-		return Result{}, fmt.Errorf("partition: unknown heuristic %d", int(h))
+	switch s {
+	case HotTiles:
+		hs := candidates[:]
+		if cfg.AtomicRMW {
+			hs = hs[:2] // only the Parallel heuristics (§V-B)
+		}
+		best := Result{Predicted: -1}
+		for _, h := range hs {
+			r := es.solve(&cfg, h)
+			if best.Predicted < 0 || r.Predicted < best.Predicted {
+				best = r
+			}
+		}
+		return best, nil
+	case IUnaware:
+		return es.evaluate(&cfg, es.iunaware(&cfg, seed), 0, false), nil
+	case HotOnly:
+		return es.evaluate(&cfg, AllHot(es.Grid), 0, false), nil
+	case ColdOnly:
+		return es.evaluate(&cfg, AllCold(es.Grid), 0, false), nil
 	}
-	g, eh, ec := es.Grid, es.Hot, es.Cold
-	hot := solveSubproblem(g, &cfg, h, eh, ec)
-	t := evaluateTotals(g, &cfg, hot, eh, ec)
-	return Result{
-		Hot:       hot,
-		Heuristic: h,
-		Serial:    h.Serial(),
-		Predicted: predictedRuntime(g, &cfg, hot, t, h.Serial()),
-		Totals:    t,
-	}, nil
+	if h, ok := s.heuristic(); ok {
+		return es.solve(&cfg, h), nil
+	}
+	return Result{}, fmt.Errorf("partition: unknown strategy %v", s)
+}
+
+// solve runs heuristic h's subproblem and predicts the result.
+func (es *Estimates) solve(cfg *Config, h Heuristic) Result {
+	return es.evaluate(cfg, solveSubproblem(es.Grid, cfg, h, es.Hot, es.Cold), h, h.Serial())
 }
 
 // solveSubproblem implements the cutoff-index placement of Figure 8: sort

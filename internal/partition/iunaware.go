@@ -4,33 +4,16 @@ import (
 	"math/rand"
 
 	"repro/internal/model"
-	"repro/internal/tile"
 )
 
-// IUnaware implements the IMH-unaware heterogeneous baseline of §III-B,
-// which resembles AESPA's partitioning: estimate the whole matrix's
+// iunaware is the assignment of the IMH-unaware heterogeneous baseline of
+// §III-B, which resembles AESPA's partitioning: estimate the whole matrix's
 // execution time on each worker type with a Roofline model under a uniform
 // nonzero distribution, derive the fraction of tiles for hot workers with
 // Huang et al.'s formula (Equation 1), and assign that fraction of tiles at
-// random. The returned Result's Predicted field uses the same readjusted
-// evaluation as HotTiles so baselines and HotTiles are comparable.
-func IUnaware(g *tile.Grid, cfg Config, seed int64) (Result, error) {
-	es, err := NewEstimates(g, &cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return IUnawareFrom(es, cfg, seed)
-}
-
-// IUnawareFrom is IUnaware reusing precomputed estimates (the readjusted
-// Predicted evaluation is the O(tiles) part; the roofline itself is cheap).
-func IUnawareFrom(es *Estimates, cfg Config, seed int64) (Result, error) {
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-	if err := es.check(); err != nil {
-		return Result{}, err
-	}
+// random. Run predicts it with the same readjusted evaluation as HotTiles
+// so baselines and HotTiles are comparable.
+func (es *Estimates) iunaware(cfg *Config, seed int64) []bool {
 	g := es.Grid
 
 	// Whole-matrix Roofline estimates: execution time is the max of
@@ -69,11 +52,5 @@ func IUnawareFrom(es *Estimates, cfg Config, seed int64) (Result, error) {
 		hot[perm[i]] = true
 	}
 
-	t := EvaluateTotalsFrom(es, &cfg, hot)
-	return Result{
-		Hot:       hot,
-		Serial:    false, // IUnaware always runs the pools in parallel
-		Predicted: predictedRuntime(g, &cfg, hot, t, false),
-		Totals:    t,
-	}, nil
+	return hot
 }

@@ -4,6 +4,11 @@
 // formulas used to select among them, and the IMH-unaware IUnaware baseline
 // of §III-B (whole-matrix roofline + Huang et al. fraction + random tile
 // assignment).
+//
+// A partitioning is model → Estimates → Run → Result: NewEstimates
+// evaluates the per-tile model once, Run applies one Strategy (HotTiles,
+// IUnaware, HotOnly, ColdOnly or a Forced heuristic), and Predict prices
+// any other assignment.
 package partition
 
 import (
@@ -157,16 +162,11 @@ func mergeTime(g *tile.Grid, cfg *Config, hot []bool) float64 {
 	return MergeBytes(g.N, cfg.Params, cfg.Hot.ElemBytes) / cfg.BWBytes
 }
 
-// EvaluateTotals computes the readjusted Totals of an assignment: per-tile
+// totals computes the readjusted Totals of an assignment: per-tile
 // estimates under maximum reuse, plus the per-panel first-tile charges of
 // §IV-C, divided by the pool sizes per Equation 2.
-func EvaluateTotals(g *tile.Grid, cfg *Config, hot []bool) Totals {
-	eh := model.EstimateGrid(cfg.Hot, g, cfg.Params)
-	ec := model.EstimateGrid(cfg.Cold, g, cfg.Params)
-	return evaluateTotals(g, cfg, hot, eh, ec)
-}
-
-func evaluateTotals(g *tile.Grid, cfg *Config, hot []bool, eh, ec []model.Estimate) Totals {
+func (es *Estimates) totals(cfg *Config, hot []bool) Totals {
+	g, eh, ec := es.Grid, es.Hot, es.Cold
 	var t Totals
 	for i := range g.Tiles {
 		if hot[i] {
@@ -207,22 +207,6 @@ func predictedRuntime(g *tile.Grid, cfg *Config, hot []bool, t Totals, serial bo
 	}
 	return maxf(maxf(t.HotTime, t.ColdTime), t.Bytes()/cfg.BWBytes) +
 		mergeTime(g, cfg, hot)
-}
-
-// Predict returns the model's predicted runtime for an arbitrary assignment
-// executed in the given mode, with readjusted totals. It backs the paper's
-// architecture-exploration use case (§VIII-B) and the Fig 17 error study.
-// Callers evaluating many assignments on the same grid should build the
-// estimates once with NewEstimates and use PredictFrom instead.
-func Predict(g *tile.Grid, cfg *Config, hot []bool, serial bool) (float64, Totals, error) {
-	if err := cfg.validate(); err != nil {
-		return 0, Totals{}, err
-	}
-	es, err := NewEstimates(g, cfg)
-	if err != nil {
-		return 0, Totals{}, err
-	}
-	return PredictFrom(es, cfg, hot, serial)
 }
 
 // AllHot returns the homogeneous hot assignment.

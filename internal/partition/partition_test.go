@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
@@ -71,6 +72,20 @@ func imhMatrix(t *testing.T, n, blockN, blockNNZ, bgNNZ int, seed int64) *tile.G
 	return g
 }
 
+// run partitions g with strategy s: the model's estimates, then Run.
+func run(t *testing.T, g *tile.Grid, cfg Config, s Strategy, seed int64) Result {
+	t.Helper()
+	es, err := NewEstimates(g, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Run(es, cfg, s, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestHeuristicMetadata(t *testing.T) {
 	// Paper Table II.
 	if MinTimeParallel.Serial() || !MinTimeSerial.Serial() ||
@@ -99,11 +114,7 @@ func TestHeuristicMetadata(t *testing.T) {
 
 func TestHotTilesAssignsDenseBlockHot(t *testing.T) {
 	g := imhMatrix(t, 256, 32, 800, 400, 1)
-	cfg := testConfig()
-	res, err := HotTiles(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, g, testConfig(), HotTiles, 0)
 	if len(res.Hot) != len(g.Tiles) {
 		t.Fatal("assignment length mismatch")
 	}
@@ -135,45 +146,21 @@ func TestHotTilesAssignsDenseBlockHot(t *testing.T) {
 func TestHotTilesBeatsHomogeneousAndIUnawareInPrediction(t *testing.T) {
 	g := imhMatrix(t, 256, 32, 800, 400, 2)
 	cfg := testConfig()
-	res, err := HotTiles(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	predFor := func(hot []bool) float64 {
-		p, _, err := Predict(g, &cfg, hot, false)
-		if err != nil {
-			t.Fatal(err)
+	res := run(t, g, cfg, HotTiles, 0)
+	for _, s := range []Strategy{HotOnly, ColdOnly, IUnaware} {
+		if r := run(t, g, cfg, s, 7); res.Predicted > r.Predicted*(1+1e-9) {
+			t.Errorf("HotTiles predicted %.3e worse than %v %.3e", res.Predicted, s, r.Predicted)
 		}
-		return p
-	}
-	if hotOnly := predFor(AllHot(g)); res.Predicted > hotOnly*(1+1e-9) {
-		t.Errorf("HotTiles predicted %.3e worse than HotOnly %.3e", res.Predicted, hotOnly)
-	}
-	if coldOnly := predFor(AllCold(g)); res.Predicted > coldOnly*(1+1e-9) {
-		t.Errorf("HotTiles predicted %.3e worse than ColdOnly %.3e", res.Predicted, coldOnly)
-	}
-	iu, err := IUnaware(g, cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Predicted > iu.Predicted*(1+1e-9) {
-		t.Errorf("HotTiles predicted %.3e worse than IUnaware %.3e", res.Predicted, iu.Predicted)
 	}
 }
 
 func TestRunHeuristicAllFour(t *testing.T) {
 	g := imhMatrix(t, 256, 32, 600, 500, 3)
 	cfg := testConfig()
-	best, err := HotTiles(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := run(t, g, cfg, HotTiles, 0)
 	minPred := math.Inf(1)
 	for h := MinTimeParallel; h <= MinByteSerial; h++ {
-		r, err := RunHeuristic(g, cfg, h)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := run(t, g, cfg, Forced(h), 0)
 		if r.Heuristic != h || r.Serial != h.Serial() {
 			t.Errorf("%v: metadata wrong", h)
 		}
@@ -184,8 +171,100 @@ func TestRunHeuristicAllFour(t *testing.T) {
 	if math.Abs(best.Predicted-minPred) > 1e-12*minPred {
 		t.Errorf("HotTiles (%.6e) should equal the best heuristic (%.6e)", best.Predicted, minPred)
 	}
-	if _, err := RunHeuristic(g, cfg, Heuristic(99)); err == nil {
+	es, err := NewEstimates(g, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(es, cfg, Forced(Heuristic(99)), 0); err == nil {
 		t.Error("expected unknown-heuristic error")
+	}
+}
+
+// TestRunStrategies pins Run over every Strategy: a forced heuristic
+// carries its heuristic and execution mode, the baselines are Predict of
+// their own assignment, HotTiles is the best forced result among the
+// heuristics it may use, unknown strategies fail, and the spellings hold.
+func TestRunStrategies(t *testing.T) {
+	g := imhMatrix(t, 256, 32, 600, 500, 3)
+	for _, atomic := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.AtomicRMW = atomic
+		es, err := NewEstimates(g, &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runOK := func(s Strategy) Result {
+			t.Helper()
+			r, err := Run(es, cfg, s, 7)
+			if err != nil {
+				t.Fatalf("atomic=%v %v: %v", atomic, s, err)
+			}
+			if len(r.Hot) != len(g.Tiles) {
+				t.Fatalf("atomic=%v %v: %d of %d tiles assigned", atomic, s, len(r.Hot), len(g.Tiles))
+			}
+			return r
+		}
+
+		minPred, applicable := math.Inf(1), 0
+		byHeuristic := map[Heuristic]Result{}
+		for h := MinTimeParallel; h < numHeuristics; h++ {
+			r := runOK(Forced(h))
+			if r.Heuristic != h || r.Serial != h.Serial() {
+				t.Errorf("atomic=%v Forced(%v): heuristic %v serial %v", atomic, h, r.Heuristic, r.Serial)
+			}
+			byHeuristic[h] = r
+			if atomic && h.Serial() {
+				continue
+			}
+			applicable++
+			minPred = math.Min(minPred, r.Predicted)
+		}
+		if want := map[bool]int{false: 4, true: 2}[atomic]; applicable != want {
+			t.Fatalf("atomic=%v: %d applicable heuristics, want %d", atomic, applicable, want)
+		}
+		ht := runOK(HotTiles)
+		if ht.Predicted != minPred {
+			t.Errorf("atomic=%v: HotTiles predicted %.6e, best forced %.6e", atomic, ht.Predicted, minPred)
+		}
+		if atomic && ht.Serial {
+			t.Errorf("atomic=%v: HotTiles picked serial %v", atomic, ht.Heuristic)
+		}
+		if !reflect.DeepEqual(ht, byHeuristic[ht.Heuristic]) {
+			t.Errorf("atomic=%v: HotTiles differs from Forced(%v)", atomic, ht.Heuristic)
+		}
+
+		for _, s := range []Strategy{HotOnly, ColdOnly, IUnaware} {
+			r := runOK(s)
+			pred, tot, err := Predict(es, &cfg, r.Hot, r.Serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Predicted != pred || r.Totals != tot || r.Serial || r.Heuristic != 0 {
+				t.Errorf("atomic=%v %v: %+v, Predict gives %.6e %+v", atomic, s, r, pred, tot)
+			}
+		}
+		if r := runOK(HotOnly); !reflect.DeepEqual(r.Hot, AllHot(g)) {
+			t.Errorf("atomic=%v: HotOnly is not all hot", atomic)
+		}
+		if r := runOK(ColdOnly); !reflect.DeepEqual(r.Hot, AllCold(g)) {
+			t.Errorf("atomic=%v: ColdOnly is not all cold", atomic)
+		}
+
+		for _, s := range []Strategy{Forced(Heuristic(99)), Forced(-1), Strategy(-1), Strategy(4)} {
+			if _, err := Run(es, cfg, s, 0); err == nil {
+				t.Errorf("Run(%v) succeeded, want an unknown-strategy error", s)
+			}
+		}
+	}
+
+	for s, want := range map[Strategy]string{
+		HotTiles: "HotTiles", IUnaware: "IUnaware", HotOnly: "HotOnly", ColdOnly: "ColdOnly",
+		Forced(MinTimeParallel): "heur:MinTime Parallel", Forced(MinByteSerial): "heur:MinByte Serial",
+		Strategy(-1): "Strategy(-1)",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("Strategy(%d).String() = %q, want %q", int(s), got, want)
+		}
 	}
 }
 
@@ -193,10 +272,7 @@ func TestAtomicRMWSkipsSerialHeuristics(t *testing.T) {
 	g := imhMatrix(t, 256, 32, 600, 500, 4)
 	cfg := testConfig()
 	cfg.AtomicRMW = true
-	res, err := HotTiles(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, g, cfg, HotTiles, 0)
 	if res.Serial {
 		t.Fatal("atomic-RMW architecture must not pick a serial heuristic")
 	}
@@ -241,10 +317,7 @@ func TestDegeneratePools(t *testing.T) {
 	// Count 0 fails worker validation in the model but the partitioner must
 	// still handle it for iso-scale exploration; bypass validation by using
 	// count 0 directly.
-	res, err := HotTiles(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, g, cfg, HotTiles, 0)
 	for _, h := range res.Hot {
 		if h {
 			t.Fatal("tiles assigned to empty hot pool")
@@ -252,10 +325,7 @@ func TestDegeneratePools(t *testing.T) {
 	}
 	cfg = testConfig()
 	cfg.Cold.Count = 0
-	res, err = HotTiles(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = run(t, g, cfg, HotTiles, 0)
 	for _, h := range res.Hot {
 		if !h {
 			t.Fatal("tiles assigned to empty cold pool")
@@ -266,14 +336,8 @@ func TestDegeneratePools(t *testing.T) {
 func TestIUnawareFractionAndDeterminism(t *testing.T) {
 	g := imhMatrix(t, 256, 32, 600, 500, 8)
 	cfg := testConfig()
-	r1, err := IUnaware(g, cfg, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := IUnaware(g, cfg, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := run(t, g, cfg, IUnaware, 42)
+	r2 := run(t, g, cfg, IUnaware, 42)
 	for i := range r1.Hot {
 		if r1.Hot[i] != r2.Hot[i] {
 			t.Fatal("IUnaware not deterministic for equal seeds")
@@ -290,10 +354,7 @@ func TestIUnawareFractionAndDeterminism(t *testing.T) {
 		t.Fatalf("IUnaware degenerate split: %d/%d hot", nHot, len(r1.Hot))
 	}
 	// Different seeds give different assignments (same count).
-	r3, err := IUnaware(g, cfg, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r3 := run(t, g, cfg, IUnaware, 43)
 	same := true
 	for i := range r1.Hot {
 		if r1.Hot[i] != r3.Hot[i] {
@@ -310,10 +371,7 @@ func TestIUnawareDegeneratePools(t *testing.T) {
 	g := imhMatrix(t, 128, 16, 200, 100, 9)
 	cfg := testConfig()
 	cfg.Hot.Count = 0
-	r, err := IUnaware(g, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, g, cfg, IUnaware, 1)
 	for _, h := range r.Hot {
 		if h {
 			t.Fatal("hot tiles with empty hot pool")
@@ -321,10 +379,7 @@ func TestIUnawareDegeneratePools(t *testing.T) {
 	}
 	cfg = testConfig()
 	cfg.Cold.Count = 0
-	r, err = IUnaware(g, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r = run(t, g, cfg, IUnaware, 1)
 	for _, h := range r.Hot {
 		if !h {
 			t.Fatal("cold tiles with empty cold pool")
@@ -335,47 +390,57 @@ func TestIUnawareDegeneratePools(t *testing.T) {
 func TestPredictValidation(t *testing.T) {
 	g := imhMatrix(t, 128, 16, 200, 100, 10)
 	cfg := testConfig()
-	if _, _, err := Predict(g, &cfg, make([]bool, 1), false); err == nil {
+	es, err := NewEstimates(g, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Predict(es, &cfg, make([]bool, 1), false); err == nil {
 		t.Fatal("expected assignment-length error")
 	}
-	bad := cfg
-	bad.BWBytes = 0
-	if _, _, err := Predict(g, &bad, AllCold(g), false); err == nil {
-		t.Fatal("expected bandwidth error")
+	if _, _, err := Predict(nil, &cfg, AllCold(g), false); err == nil {
+		t.Fatal("expected nil-estimates error")
 	}
-	bad = cfg
-	bad.Hot = nil
-	if _, _, err := Predict(g, &bad, AllCold(g), false); err == nil {
-		t.Fatal("expected nil-worker error")
+	short := &Estimates{Grid: g, Hot: es.Hot[:1], Cold: es.Cold}
+	if _, err := Run(short, cfg, HotTiles, 0); err == nil {
+		t.Fatal("expected estimates-coverage error")
 	}
-	bad = cfg
-	bad.Params.K = 0
-	if _, _, err := Predict(g, &bad, AllCold(g), false); err == nil {
-		t.Fatal("expected params error")
-	}
-	if _, err := HotTiles(g, bad); err == nil {
-		t.Fatal("expected HotTiles config error")
-	}
-	if _, err := IUnaware(g, bad, 1); err == nil {
-		t.Fatal("expected IUnaware config error")
-	}
-	if _, err := RunHeuristic(g, bad, MinTimeParallel); err == nil {
-		t.Fatal("expected RunHeuristic config error")
+	for name, mutate := range map[string]func(*Config){
+		"bandwidth":  func(c *Config) { c.BWBytes = 0 },
+		"nil-worker": func(c *Config) { c.Hot = nil },
+		"params":     func(c *Config) { c.Params.K = 0 },
+	} {
+		bad := cfg
+		mutate(&bad)
+		if _, _, err := Predict(es, &bad, AllCold(g), false); err == nil {
+			t.Errorf("Predict: expected %s error", name)
+		}
+		if _, err := NewEstimates(g, &bad); err == nil {
+			t.Errorf("NewEstimates: expected %s error", name)
+		}
+		for _, s := range []Strategy{HotTiles, IUnaware, HotOnly, Forced(MinTimeParallel)} {
+			if _, err := Run(es, bad, s, 1); err == nil {
+				t.Errorf("Run(%v): expected %s error", s, name)
+			}
+		}
 	}
 }
 
 func TestSerialVsParallelFormulas(t *testing.T) {
 	g := imhMatrix(t, 128, 16, 300, 200, 11)
 	cfg := testConfig()
+	es, err := NewEstimates(g, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hot := make([]bool, len(g.Tiles))
 	for i := range hot {
 		hot[i] = i%2 == 0
 	}
-	pp, tt, err := Predict(g, &cfg, hot, false)
+	pp, tt, err := Predict(es, &cfg, hot, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, ts, err := Predict(g, &cfg, hot, true)
+	ps, ts, err := Predict(es, &cfg, hot, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,10 +474,7 @@ func TestHotNNZ(t *testing.T) {
 func TestCutoffMinByteSemantics(t *testing.T) {
 	g := imhMatrix(t, 256, 32, 800, 400, 13)
 	cfg := testConfig()
-	r, err := RunHeuristic(g, cfg, MinByteParallel)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, g, cfg, Forced(MinByteParallel), 0)
 	eh := model.EstimateGrid(cfg.Hot, g, cfg.Params)
 	ec := model.EstimateGrid(cfg.Cold, g, cfg.Params)
 	for i := range g.Tiles {

@@ -99,7 +99,7 @@ func TestPropEveryStrategyAssignsEveryTileOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			for h := MinTimeParallel; h < numHeuristics; h++ {
-				r, err := RunHeuristicFrom(es, cfg, h)
+				r, err := Run(es, cfg, Forced(h), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,12 +120,12 @@ func TestPropEveryStrategyAssignsEveryTileOnce(t *testing.T) {
 					}
 				}
 			}
-			ht, err := HotTilesFrom(es, cfg)
+			ht, err := Run(es, cfg, HotTiles, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkTotalAssignment(t, g, ht, "HotTiles")
-			iu, err := IUnawareFrom(es, cfg, int64(gi*10+ci))
+			iu, err := Run(es, cfg, IUnaware, int64(gi*10+ci))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,12 +145,12 @@ func TestPropHotTilesDominatesForcedHeuristics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ht, err := HotTilesFrom(es, cfg)
+			ht, err := Run(es, cfg, HotTiles, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for h := MinTimeParallel; h < numHeuristics; h++ {
-				r, err := RunHeuristicFrom(es, cfg, h)
+				r, err := Run(es, cfg, Forced(h), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -175,12 +175,12 @@ func TestPropHotTilesNoWorseThanIUnaware(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ht, err := HotTilesFrom(es, cfg)
+			ht, err := Run(es, cfg, HotTiles, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for seed := int64(0); seed < 3; seed++ {
-				iu, err := IUnawareFrom(es, cfg, seed)
+				iu, err := Run(es, cfg, IUnaware, seed)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dense"
 	"repro/internal/gen"
 	"repro/internal/model"
-	"repro/internal/partition"
 	"repro/internal/semiring"
 	"repro/internal/tile"
 )
@@ -99,13 +98,13 @@ func BenchmarkRunnerReuse(b *testing.B) {
 		var out Result
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := NewRunner().RunInto(&out, g, res.Hot, &a, nil, opts); err != nil {
+			if err := (&Runner{}).RunInto(&out, g, res.Hot, &a, nil, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("reused", func(b *testing.B) {
-		r := NewRunner()
+		r := &Runner{}
 		var out Result
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -115,7 +114,7 @@ func BenchmarkRunnerReuse(b *testing.B) {
 		}
 	})
 	b.Run("unitcache", func(b *testing.B) {
-		r := NewRunner()
+		r := &Runner{}
 		var units UnitCache
 		cached := opts
 		cached.Units = &units
@@ -141,10 +140,7 @@ func BenchmarkExecute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	part, err := partition.HotTiles(g, a.Config(2))
-	if err != nil {
-		b.Fatal(err)
-	}
+	part := hotTiles(b, g, a.Config(2))
 	din := dense.NewRandom(rand.New(rand.NewSource(2)), g.N, a.K)
 	for _, tc := range []struct {
 		name string
@@ -154,7 +150,7 @@ func BenchmarkExecute(b *testing.B) {
 		{"generic", genericPlusTimes()},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			r := NewRunner()
+			r := &Runner{}
 			var units UnitCache
 			opts := Options{Serial: part.Serial, Semiring: &tc.sr, Units: &units}
 			var out Result

@@ -31,10 +31,7 @@ func TestPCIeLinkCapsHotBandwidth(t *testing.T) {
 
 	// The on-die SPADE pool is not PCIe-limited: a heterogeneous run may
 	// exceed 32 GB/s in aggregate.
-	res, err := partition.HotTiles(g, a.Config(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := hotTiles(t, g, a.Config(2))
 	both, err := Run(g, res.Hot, &a, nil, Options{Serial: res.Serial, SkipFunctional: true, Trace: true})
 	if err != nil {
 		t.Fatal(err)

@@ -32,12 +32,22 @@ func testSetup(t testing.TB, a *arch.Arch, seed int64) (*tile.Grid, *partition.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := a.Config(2)
-	res, err := partition.HotTiles(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := hotTiles(t, g, a.Config(2))
 	return g, &res, m
+}
+
+// hotTiles partitions g with the HotTiles strategy.
+func hotTiles(tb testing.TB, g *tile.Grid, cfg partition.Config) partition.Result {
+	tb.Helper()
+	es, err := partition.NewEstimates(g, &cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := partition.Run(es, cfg, partition.HotTiles, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }
 
 func scaledArch(base arch.Arch, tileSize int) arch.Arch {

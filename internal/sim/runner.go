@@ -22,7 +22,8 @@ import (
 // in a loop, and sim.Run draws Runners from a package free list so every
 // call site gets the reuse without a signature change.
 //
-// A Runner is not safe for concurrent use; use one per goroutine (the free
+// The zero Runner is ready to use; its scratch grows on first use. A
+// Runner is not safe for concurrent use; use one per goroutine (the free
 // list hands each concurrent sim.Run its own).
 type Runner struct {
 	hotPool, coldPool pool
@@ -31,9 +32,6 @@ type Runner struct {
 	one               [1]*pool
 	two               [2]*pool
 }
-
-// NewRunner returns an empty Runner; its scratch grows on first use.
-func NewRunner() *Runner { return &Runner{} }
 
 // runnerFree is the package free list sim.Run draws from. The list is
 // bounded so a burst of concurrent runs cannot pin an unbounded number of

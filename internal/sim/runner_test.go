@@ -76,7 +76,7 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 		scaledArch(arch.SpadeSextans(4), 64),
 		scaledArch(arch.PIUMA(), 64),
 	}
-	r := NewRunner()
+	r := &Runner{}
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 6; trial++ {
 		a := archs[trial%len(archs)]
@@ -152,7 +152,7 @@ func TestRunnerRunAllocs(t *testing.T) {
 				if !tc.opts.SkipFunctional {
 					din = dense.NewRandom(rand.New(rand.NewSource(42)), m.N, a.K)
 				}
-				r := NewRunner()
+				r := &Runner{}
 				var out Result
 				run := func() {
 					if err := r.RunInto(&out, g, res.Hot, &a, din, tc.opts); err != nil {

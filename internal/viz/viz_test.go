@@ -32,7 +32,12 @@ func testGrid(t *testing.T) (*tile.Grid, []bool) {
 	}
 	a := arch.SpadeSextans(4)
 	a.TileH, a.TileW = 32, 32
-	res, err := partition.HotTiles(g, a.Config(2))
+	cfg := a.Config(2)
+	es, err := partition.NewEstimates(g, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := partition.Run(es, cfg, partition.HotTiles, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,7 +195,7 @@ func sweepStep(ctx context.Context, cur *sparse.COO, a *arch.Arch, edits []spars
 		res := runs[i]
 		plan := res.Plan
 		hot := carryAssignment(plan, g)
-		stalePred, _, err := partition.PredictFrom(es, &pcfg, hot, plan.Partition.Serial)
+		stalePred, _, err := partition.Predict(es, &pcfg, hot, plan.Partition.Serial)
 		if err != nil {
 			return err
 		}

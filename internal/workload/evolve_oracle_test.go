@@ -73,7 +73,7 @@ func evolveStepOracle(ctx context.Context, cur *sparse.COO, a *arch.Arch, plan *
 		return st, nil, err
 	}
 	hot := carryAssignment(plan, g)
-	stalePred, _, err := partition.PredictFrom(es, pcfg, hot, plan.Partition.Serial)
+	stalePred, _, err := partition.Predict(es, pcfg, hot, plan.Partition.Serial)
 	if err != nil {
 		return st, nil, err
 	}
