@@ -168,7 +168,13 @@ func main() {
 		partSp.SetAttr("tiles", fmt.Sprint(len(plan.Grid.Tiles)))
 		partSp.End()
 	}
-	report(plan, &a)
+	// The sections are built only for the files that hold them: the
+	// plan, the tile map and the simulator need the grid and the decision.
+	var sec *hottiles.Sections
+	if *outHot != "" || *outCold != "" {
+		sec = hottiles.Formats(plan)
+	}
+	report(plan, &a, sec != nil)
 
 	if *savePlan != "" {
 		pf, err := os.Create(*savePlan)
@@ -187,15 +193,15 @@ func main() {
 	}
 
 	if *outHot != "" {
-		if err := writeSection(*outHot, hotSectionCOO(plan)); err != nil {
+		if err := writeSection(*outHot, hotSectionCOO(sec)); err != nil {
 			cli.Fail(err)
 		}
 		hashFile(tr, *outHot)
 	}
 	if *outCold != "" {
-		cold := plan.Cold
-		if cold == nil && plan.ColdCSR != nil {
-			cold = plan.ColdCSR.ToCOO()
+		cold := sec.Cold
+		if cold == nil {
+			cold = sec.ColdCSR.ToCOO()
 		}
 		if err := writeSection(*outCold, cold); err != nil {
 			cli.Fail(err)
@@ -285,7 +291,10 @@ func hashFile(tr *obs.Tracer, path string) {
 	tr.AddOutput(path, data)
 }
 
-func report(plan *hottiles.Plan, a *hottiles.Arch) {
+// report prints the plan and the preprocessing stages that ran: none for
+// a loaded plan, and the two format stages only when the sections were
+// built.
+func report(plan *hottiles.Plan, a *hottiles.Arch, formats bool) {
 	g := plan.Grid
 	hotTiles := 0
 	for _, h := range plan.Partition.Hot {
@@ -299,12 +308,18 @@ func report(plan *hottiles.Plan, a *hottiles.Arch) {
 	fmt.Printf("partition: %d hot tiles (%d nonzeros, %.0f%%), heuristic %v, %s execution\n",
 		hotTiles, nnz, frac*100, plan.Partition.Heuristic, mode(plan.Partition.Serial))
 	fmt.Printf("predicted runtime: %.3f ms\n", plan.Partition.Predicted*1e3)
-	if plan.Timing.Total() > 0 {
-		fmt.Printf("preprocessing: scan %v, partition %v, formats %v+%v (HotTiles overhead %.0f%%)\n",
-			plan.Timing.Scan, plan.Timing.Partition, plan.Timing.BaseFormat, plan.Timing.ExtraFormat,
-			float64(plan.Timing.Overhead())/float64(plan.Timing.Total())*100)
-	} else {
+	t := plan.Timing
+	switch {
+	case t.Scan == 0 && !formats:
 		fmt.Println("preprocessing: none (loaded plan)")
+	case t.Scan == 0:
+		fmt.Printf("preprocessing: formats %v+%v (loaded plan)\n", t.BaseFormat, t.ExtraFormat)
+	case !formats:
+		fmt.Printf("preprocessing: scan %v, partition %v\n", t.Scan, t.Partition)
+	default:
+		fmt.Printf("preprocessing: scan %v, partition %v, formats %v+%v (HotTiles overhead %.0f%%)\n",
+			t.Scan, t.Partition, t.BaseFormat, t.ExtraFormat,
+			float64(t.Overhead())/float64(t.Total())*100)
 	}
 }
 
@@ -315,9 +330,9 @@ func mode(serial bool) string {
 	return "parallel"
 }
 
-func hotSectionCOO(plan *hottiles.Plan) *sparse.COO {
-	m := sparse.NewCOO(plan.Grid.N, plan.Hot.NNZ())
-	for _, b := range plan.Hot.Blocks {
+func hotSectionCOO(sec *hottiles.Sections) *sparse.COO {
+	m := sparse.NewCOO(sec.Hot.N, sec.Hot.NNZ())
+	for _, b := range sec.Hot.Blocks {
 		m.Rows = append(m.Rows, b.Rows...)
 		m.Cols = append(m.Cols, b.Cols...)
 		m.Vals = append(m.Vals, b.Vals...)

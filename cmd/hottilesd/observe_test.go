@@ -120,15 +120,16 @@ func TestRequestIDCorrelation(t *testing.T) {
 		t.Fatalf("access line fields wrong: %v", access)
 	}
 
-	// 2b. The four preprocessing stages as span-end lines, tagged with the
-	// ID and carrying their stage attributes.
+	// 2b. The two preprocessing stages a plan runs (scan and partition; a
+	// plan builds no sections) as span-end lines, tagged with the ID and
+	// carrying their stage attributes.
 	stageLines := map[string]map[string]any{}
 	for _, rec := range jsonLines(t, &buf) {
 		if name, _ := rec["span"].(string); rec["msg"] == "obs.span.end" && rec["req"] == id && strings.HasPrefix(name, "hotcore.") {
 			stageLines[name] = rec
 		}
 	}
-	for _, stage := range []string{"hotcore.scan", "hotcore.partition", "hotcore.baseformat", "hotcore.extraformat"} {
+	for _, stage := range []string{"hotcore.scan", "hotcore.partition"} {
 		if stageLines[stage] == nil {
 			t.Fatalf("no obs.span.end line for %s with req=%s in:\n%s", stage, id, strings.Join(buf.Lines(), "\n"))
 		}

@@ -190,9 +190,6 @@ func runSmoke(client *http.Client, base string, seed int64, reqID string) error 
 	if err != nil {
 		return fmt.Errorf("uploaded plan does not deserialize: %w", err)
 	}
-	if verr := plan.Validate(); verr != nil {
-		return fmt.Errorf("uploaded plan invalid: %w", verr)
-	}
 	if plan.Grid.N != m.N {
 		return fmt.Errorf("plan is for a %d-row matrix, uploaded %d", plan.Grid.N, m.N)
 	}

@@ -9,8 +9,8 @@
 //   - the IMH-aware analytical performance model (paper §IV) and the four
 //     HotTiles partitioning heuristics plus the IUnaware baseline (§V,
 //     §III-B);
-//   - the Figure 7 preprocessing pipeline producing per-worker-type sparse
-//     formats;
+//   - the Figure 7 preprocessing pipeline: a plan (grid and decision),
+//     and the per-worker-type sparse formats built from it on request;
 //   - a fluid event-driven simulator of the three evaluated heterogeneous
 //     architectures (SPADE-Sextans, SPADE-Sextans+PCIe, PIUMA) that also
 //     executes SpMM functionally;
@@ -67,8 +67,11 @@ type (
 	Worker = model.Worker
 	// Grid is a tiling of a sparse matrix with per-tile statistics.
 	Grid = tile.Grid
-	// Plan is the output of the preprocessing pipeline (paper Figure 7).
+	// Plan is the output of the preprocessing pipeline (paper Figure 7):
+	// the tiling and the partitioning decision.
 	Plan = hotcore.Prep
+	// Sections are a plan's per-worker-type sparse formats (Formats).
+	Sections = hotcore.Sections
 	// Strategy selects the partitioning method (partition.Run).
 	Strategy = hotcore.Strategy
 	// PartitionResult is a partitioning decision with its predicted runtime.
@@ -265,15 +268,20 @@ func WritePlan(w io.Writer, p *Plan) error { return hotcore.WritePlan(w, p) }
 // Plans written under an older wire layout are rejected; rebuild them.
 func ReadPlan(r io.Reader) (*Plan, error) { return hotcore.ReadPlan(r) }
 
-// PartitionCtx runs the Figure 7 preprocessing pipeline: tile the matrix,
-// model every tile for both worker types, partition with o.Strategy, and
-// emit the per-worker-type sparse formats. The pipeline checks ctx at each
-// stage boundary, so a canceled caller (a timed-out hottilesd request, an
-// interrupted batch job) stops paying for the scan, model, partition and
-// format stages it no longer needs; pass context.Background() for none.
+// PartitionCtx runs the Figure 7 preprocessing pipeline up to the
+// decision: tile the matrix, model every tile for both worker types, and
+// partition with o.Strategy. The pipeline checks ctx at each stage
+// boundary, so a canceled caller (a timed-out hottilesd request, an
+// interrupted batch job) stops paying for the stages it no longer needs;
+// pass context.Background() for none.
 func PartitionCtx(ctx context.Context, m *Matrix, a *Arch, o PartitionOptions) (*Plan, error) {
 	return hotcore.PreprocessCtx(ctx, m, a, o)
 }
+
+// Formats runs the pipeline's last stage on a plan: it builds the
+// per-worker-type sparse sections and records their cost in p.Timing.
+// Simulate and WritePlan do not need them.
+func Formats(p *Plan) *Sections { return hotcore.Formats(p) }
 
 // ParseArch resolves the CLI spelling of an architecture preset:
 // "spade-sextans[:scale]" (scale a positive integer, default 4),

@@ -102,8 +102,15 @@ func TestPartitionAndSimulateEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Validate(); err != nil {
-		t.Fatal(err)
+	sec := Formats(plan)
+	coldNNZ := 0
+	if sec.Cold != nil {
+		coldNNZ = sec.Cold.NNZ()
+	} else {
+		coldNNZ = sec.ColdCSR.NNZ()
+	}
+	if sec.Hot.NNZ()+coldNNZ != m.NNZ() {
+		t.Fatalf("sections hold %d+%d nonzeros, matrix %d", sec.Hot.NNZ(), coldNNZ, m.NNZ())
 	}
 	din := NewDense(m.N, a.K)
 	for i := range din.Data {

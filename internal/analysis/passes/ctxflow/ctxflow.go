@@ -21,9 +21,9 @@
 //     ever derived (captured contexts are threaded, not minted).
 //
 // The pass cannot see a context-capable sibling called through a
-// context-free wrapper (a wrapper minting a root for PreprocessCtx would be
-// invisible at its callsites); that interprocedural gap is documented in
-// DESIGN.md §16 and held shut by rule 1.
+// context-free wrapper (a wrapper minting a root for PreprocessCtx or
+// Decide would be invisible at its callsites); that interprocedural gap is
+// documented in DESIGN.md §16 and held shut by rule 1.
 package ctxflow
 
 import (

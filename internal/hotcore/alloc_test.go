@@ -18,22 +18,21 @@ import (
 // serving class (gen "pap" at scale 400: 1,000 rows, 123,753 nonzeros) on
 // SPADE-Sextans 4-4 with one par worker. Each budget is the measured value
 // plus a small margin; budgets only ever tighten. Measured on go1.24
-// linux/amd64: the build at 57 allocs and 6.02 MB per op (58 and 8.00 MB
+// linux/amd64: the build at 45 allocs and 6.00 MB per op (46 and 7.98 MB
 // under -race, which defeats bytes.Buffer's single-allocation growth, so
-// the byte budgets apply only without it), the read at 23 allocs and
-// 2.04 MB per op for a 1.98 MB plan. A one-item par fan-out is a plain
-// call, which took the build from 61 allocs to 55. The tiler's UniqCols
-// without a sort took the build from 6.70 to 6.02 MB; each stable bucket
-// scatter (sparse.Scatter) costs its two callbacks and its per-row
-// cursors, which took the build from 55 to 57 allocs and the read from 20
-// to 23.
+// the byte budgets apply only without it), the read at 11 allocs and
+// 2.02 MB per op for a 1.98 MB plan. A plan builds and decodes no
+// sections (Formats does, on request), which took the build from 57
+// allocs and 6.02 MB to 45 and 6.00 MB (this class is all hot, so its
+// cold section was empty), and the read from 23 allocs and 2.04 MB to 11
+// and 2.02 MB.
 const (
 	// mm.Parse → PreprocessCtx → WritePlan into a fresh bytes.Buffer.
-	planBuildAllocsBudget = 60
-	planBuildBytesBudget  = 6_220_000
+	planBuildAllocsBudget = 48
+	planBuildBytesBudget  = 6_200_000
 	// ReadPlan from a bytes.Reader over the encoded plan.
-	planReadAllocsBudget = 24
-	planReadBytesBudget  = 2_100_000
+	planReadAllocsBudget = 12
+	planReadBytesBudget  = 2_085_000
 )
 
 // measureAllocs returns allocs/op (testing.AllocsPerRun) and bytes/op (a
@@ -51,30 +50,18 @@ func measureAllocs(fn func()) (allocs, bytes float64) {
 	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
-// heldBytes is the memory a plan's arrays hold: the grid, the assignment
-// and the rebuilt sections (hot blocks count only their headers, since
-// their nonzeros are views of the grid).
+// heldBytes is the memory a plan's arrays hold: the grid and the
+// assignment.
 func heldBytes(p *Prep) int {
 	g := p.Grid
-	n := cap(g.Tiles)*int(reflect.TypeOf(tile.Tile{}).Size()) + 8*cap(g.PanelStart) +
+	return cap(g.Tiles)*int(reflect.TypeOf(tile.Tile{}).Size()) + 8*cap(g.PanelStart) +
 		4*cap(g.Rows) + 4*cap(g.Cols) + 8*cap(g.Vals) + cap(p.Partition.Hot)
-	if c := p.Cold; c != nil {
-		n += 4*cap(c.Rows) + 4*cap(c.Cols) + 8*cap(c.Vals)
-	}
-	if c := p.ColdCSR; c != nil {
-		n += 8*cap(c.RowPtr) + 4*cap(c.Cols) + 8*cap(c.Vals)
-	}
-	n += cap(p.Hot.Blocks)*int(reflect.TypeOf(TileBlock{}).Size()) + 24*cap(p.Hot.RowPtr)
-	for _, ptr := range p.Hot.RowPtr {
-		n += 8 * cap(ptr)
-	}
-	return n
 }
 
 // TestPlanPathAllocBudget pins the allocations of building, encoding and
 // decoding one bench-scale plan, and checks the wire-format gates: writing
 // allocates at most 1.2× the encoded size, and reading about the memory
-// the rebuilt plan holds.
+// the decoded plan holds.
 func TestPlanPathAllocBudget(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	b, _ := gen.ByShort("pap")
@@ -120,7 +107,7 @@ func TestPlanPathAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := heldBytes(back)
-	t.Logf("nnz %d, plan %d B, rebuilt plan holds %d B", p.Grid.NNZ(), len(plan), held)
+	t.Logf("nnz %d, plan %d B, decoded plan holds %d B", p.Grid.NNZ(), len(plan), held)
 	t.Logf("build: %.0f allocs/op, %.0f B/op", buildAllocs, buildBytes)
 	t.Logf("read:  %.0f allocs/op, %.0f B/op", readAllocs, readBytes)
 	t.Logf("write: %.0f B/op", writeBytes)

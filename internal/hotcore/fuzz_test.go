@@ -62,9 +62,9 @@ func tinyPlanBytes(tb testing.TB) []byte {
 // FuzzReadPlan feeds arbitrary byte streams to the plan deserializer — the
 // bytes the daemon reads back from its content-addressed cache on disk.
 // ReadPlan must reject corruption with a clean error, never panic, and any
-// stream it accepts must re-serialize. Each input is also read resealed,
-// with its checksum recomputed, so mutations get past the CRC and reach
-// the count bounds, the grid validation and the section rebuild.
+// stream it accepts must re-serialize and build its sections. Each input
+// is also read resealed, with its checksum recomputed, so mutations get
+// past the CRC and reach the count bounds and the grid validation.
 func FuzzReadPlan(f *testing.F) {
 	coo := planBytes(f, false)
 	csr := planBytes(f, true)
@@ -90,6 +90,7 @@ func FuzzReadPlan(f *testing.F) {
 			if err != nil {
 				continue // rejected input is fine; panics are not
 			}
+			Formats(p)
 			var buf bytes.Buffer
 			if err := WritePlan(&buf, p); err != nil {
 				t.Fatalf("accepted plan does not re-serialize: %v", err)
@@ -185,8 +186,7 @@ func putHeader(data []byte, i int, v uint64) []byte {
 // wireCorruptions are hand-made damage to a valid v3 plan, returned as the
 // stream to read. Every one but the checksum row carries a valid CRC, so
 // it must be rejected by the version check, the count bounds, grid
-// validation or plan validation, never panic while the sections are
-// rebuilt.
+// validation or the assignment length check, never panic.
 var wireCorruptions = map[string]func(tb testing.TB, w *planWire) []byte{
 	"wrong magic": func(tb testing.TB, w *planWire) []byte {
 		data := encodeWire(tb, w)
@@ -264,6 +264,19 @@ var wireCorruptions = map[string]func(tb testing.TB, w *planWire) []byte{
 		w.Tiles[len(w.Tiles)-1].TR = w.NumTR
 		return encodeWire(tb, w)
 	},
+	// A repeated coordinate passes every bound and the uniq stats; only
+	// Grid.Validate's order check refuses it. TestReadPlanNonMonotoneColdCSR
+	// covers the cold tiles.
+	"repeated coordinate in a hot tile": func(tb testing.TB, w *planWire) []byte {
+		for i, tl := range w.Tiles {
+			if w.Hot[i] && tl.End-tl.Start >= 2 {
+				w.Rows[tl.Start+1], w.Cols[tl.Start+1] = w.Rows[tl.Start], w.Cols[tl.Start]
+				return encodeWire(tb, w)
+			}
+		}
+		tb.Fatal("test plan has no hot tile with two nonzeros")
+		return nil
+	},
 	// The last panel ends at N, not at a tile boundary: a row at N fits
 	// its tile's nominal bounds but would index past the rebuilt CSR row
 	// pointers.
@@ -300,11 +313,11 @@ func TestReadPlanAdversarialWire(t *testing.T) {
 	}
 }
 
-// TestReadPlanNonMonotoneColdCSR pins the rebuilt-section check: a grid
-// whose cold tile repeats a coordinate passes Grid.Validate, but the cold
-// section rebuilt from it is not strictly increasing within a row, and
-// ReadPlan must refuse it (the CSR shape used to index past its column
-// slice when its row pointers were stored on the wire).
+// TestReadPlanNonMonotoneColdCSR pins the order check: a grid whose cold
+// tile repeats a coordinate fits every bound, but the cold section built
+// from it would not be strictly increasing within a row (the CSR shape
+// used to index past its column slice when its row pointers were stored
+// on the wire), so Grid.Validate, and with it ReadPlan, must refuse it.
 func TestReadPlanNonMonotoneColdCSR(t *testing.T) {
 	for _, csr := range []bool{true, false} {
 		w := validWire(t, csr)
@@ -373,13 +386,14 @@ func v1Bytes(tb testing.TB, csr bool) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	s := Formats(p)
 	g := p.Grid
 	return gobBytes(tb, &planWireV1{
 		N: g.N, TileH: g.TileH, TileW: g.TileW, NumTR: g.NumTR, NumTC: g.NumTC,
 		Tiles: g.Tiles, PanelStart: g.PanelStart, Rows: g.Rows, Cols: g.Cols, Vals: g.Vals,
 		Hot: p.Partition.Hot, Heuristic: p.Partition.Heuristic, Serial: p.Partition.Serial,
 		Predicted: p.Partition.Predicted, Totals: p.Partition.Totals,
-		HotFormat: p.Hot, Cold: p.Cold, ColdCSR: p.ColdCSR,
+		HotFormat: s.Hot, Cold: s.Cold, ColdCSR: s.ColdCSR,
 	})
 }
 

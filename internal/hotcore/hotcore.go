@@ -1,11 +1,14 @@
 // Package hotcore implements the HotTiles preprocessing pipeline of the
-// paper's Figure 7, as run on the host of the heterogeneous architecture:
-// (1) scan the matrix into tiles and feed them to the hot and cold
-// performance models, (2) partition the tiles with the HotTiles heuristics,
-// and (3) generate the sparse-matrix sections in the compression format
-// each worker type consumes (tiled formats for the hot streamers, untiled
-// row-ordered formats for the cold workers). Stage wall-clock timings are
-// recorded for the preprocessing-cost study (Figure 18).
+// paper's Figure 7, as run on the host of the heterogeneous architecture,
+// as explicit stages: (1) scan the matrix into tiles, (2) decide — feed
+// the tiles to the hot and cold performance models and partition them
+// with the HotTiles heuristics — and (3) generate the sparse-matrix
+// sections in the compression format each worker type consumes (tiled
+// formats for the hot streamers, untiled row-ordered formats for the cold
+// workers). A plan (Prep) is the grid and the decision; the sections are a
+// function of the two, built by Formats only where they are read. Stage
+// wall-clock timings are recorded for the preprocessing-cost study
+// (Figure 18).
 package hotcore
 
 import (
@@ -56,11 +59,12 @@ func (t *TiledMatrix) NNZ() int {
 // Timing is the per-stage preprocessing cost breakdown of Figure 18.
 // BaseFormat is the cost any accelerator (homogeneous included) pays to
 // convert MatrixMarket input into its operating format; the other stages
-// are the HotTiles-specific overhead (scan+model, partitioning, and the
-// format for the second worker type).
+// are the HotTiles-specific overhead (scan, model and partitioning, and
+// the format for the second worker type). The format stages stay zero
+// until Formats runs.
 type Timing struct {
-	Scan        time.Duration // tiling + per-tile statistics + model
-	Partition   time.Duration // heuristic partitioning
+	Scan        time.Duration // tiling + per-tile statistics
+	Partition   time.Duration // per-tile model + heuristic partitioning
 	BaseFormat  time.Duration // format generation for one worker type
 	ExtraFormat time.Duration // format generation for the second worker type
 }
@@ -76,22 +80,28 @@ func (t Timing) Overhead() time.Duration {
 	return t.Scan + t.Partition + t.ExtraFormat
 }
 
-// Prep is the output of the preprocessing pipeline: the tiling, the
-// partitioning decision, the two per-worker-type formats, and stage
-// timings.
+// Prep is a preprocessing plan: the tiling, the partitioning decision, the
+// formats its two sections take, and stage timings.
 type Prep struct {
 	Grid      *tile.Grid
 	Partition partition.Result
 
-	// Hot is the tiled section for the hot workers (nil when no tile is
-	// hot); Cold the untiled row-ordered section for the cold workers
-	// (empty when everything is hot). ColdCSR is set instead of Cold when
-	// the cold worker consumes CSR.
+	// HotFormat is the hot workers' format (CSR adds per-panel-row pointers
+	// to each tile), ColdFormat the cold workers' untiled one.
+	HotFormat, ColdFormat model.SparseFormat
+
+	Timing Timing
+}
+
+// Sections are a plan's per-worker-type formats, the output of Formats.
+type Sections struct {
+	// Hot is the tiled section for the hot workers (no blocks when no
+	// tile is hot); Cold the untiled row-ordered section for the cold
+	// workers (empty when everything is hot). ColdCSR is set instead of
+	// Cold when the cold worker consumes CSR.
 	Hot     *TiledMatrix
 	Cold    *sparse.COO
 	ColdCSR *sparse.CSR
-
-	Timing Timing
 }
 
 // Strategy selects how PreprocessCtx assigns tiles (partition.Run).
@@ -118,12 +128,11 @@ type Options struct {
 	Seed int64
 }
 
-// PreprocessCtx runs the Figure 7 pipeline for matrix m on architecture a:
-// tiling, the per-tile model, partitioning with o.Strategy, and the
-// per-worker-type formats. ctx is checked at every stage boundary (scan, partition, each format generation), so a
-// caller-side timeout or a dropped daemon request abandons the pipeline
-// between stages rather than running it to completion. Cancellation
-// granularity is one stage — an individual stage, once started, runs to
+// PreprocessCtx plans matrix m on architecture a: it validates both, then
+// runs the scan (tiling and per-tile statistics) and Decide with
+// o.Strategy. It builds no sections (Formats does). ctx is checked before
+// each stage, so a caller-side timeout or a dropped daemon request
+// abandons the pipeline between stages; a stage, once started, runs to
 // its end on the par pool.
 func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) (*Prep, error) {
 	if err := a.Validate(); err != nil {
@@ -145,20 +154,17 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 	}
 
 	// The request's span rides ctx (a nil-safe no-op when absent): each
-	// stage boundary closes a child span on the caller's span tree, so a
-	// daemon post-mortem attributes preprocessing time stage by stage, and
-	// a tracer with a debug logger turns each End into the stage's log
+	// stage closes a child span on the caller's span tree, so a daemon
+	// post-mortem attributes preprocessing time stage by stage, and a
+	// tracer with a debug logger turns each End into the stage's log
 	// line. Span attributes are gated on the span: with no tracer attached
 	// (the CLI fast path) they are never built, keeping preprocessing
 	// allocation-free. Prep.Timing keeps its own clock pair because that
 	// path has no span to read it from.
-	parent := obs.CtxSpan(ctx)
-
-	// Stage 1: matrix scan — tiling and per-tile statistics.
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, fmt.Errorf("hotcore: preprocessing canceled: %w", cerr)
 	}
-	sp := parent.Start("hotcore.scan")
+	sp := obs.CtxSpan(ctx).Start("hotcore.scan")
 	if sp != nil {
 		sp.SetAttr("nnz", strconv.Itoa(m.NNZ()))
 	}
@@ -173,16 +179,36 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 	}
 	scan := time.Since(t0)
 
-	// Stage 2: partitioning heuristic.
+	p, err := Decide(ctx, g, nil, cfg, o.Strategy, o.Seed)
+	if err != nil {
+		return nil, err
+	}
+	p.Timing.Scan = scan
+	return p, nil
+}
+
+// Decide is the model-and-partition stage: it evaluates both worker
+// types' per-tile model on g — unless es, g's estimates under cfg, are
+// already in hand — and assigns the tiles with strategy s (seed feeds
+// IUnaware). The plan takes its section formats from cfg's workers.
+// Decide runs under the hotcore.partition span and records its cost as
+// Timing.Partition.
+func Decide(ctx context.Context, g *tile.Grid, es *partition.Estimates, cfg partition.Config, s Strategy, seed int64) (*Prep, error) {
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, fmt.Errorf("hotcore: preprocessing canceled: %w", cerr)
 	}
-	sp = parent.Start("hotcore.partition")
-	t0 = time.Now()
+	if es != nil && es.Grid != g {
+		return nil, fmt.Errorf("hotcore: estimates are for another grid")
+	}
+	sp := obs.CtxSpan(ctx).Start("hotcore.partition")
+	t0 := time.Now()
+	var err error
+	if es == nil {
+		es, err = partition.NewEstimates(g, &cfg)
+	}
 	var res partition.Result
-	es, err := partition.NewEstimates(g, &cfg)
 	if err == nil {
-		res, err = partition.Run(es, cfg, o.Strategy, o.Seed)
+		res, err = partition.Run(es, cfg, s, seed)
 	}
 	if sp != nil && err == nil {
 		sp.SetAttr("predicted", strconv.FormatFloat(res.Predicted, 'g', 6, 64))
@@ -191,33 +217,27 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 	if err != nil {
 		return nil, err
 	}
-	part := time.Since(t0)
+	return &Prep{
+		Grid:       g,
+		Partition:  res,
+		HotFormat:  cfg.Hot.Format,
+		ColdFormat: cfg.Cold.Format,
+		Timing:     Timing{Partition: time.Since(t0)},
+	}, nil
+}
 
-	p := &Prep{Grid: g, Partition: res}
-	p.Timing.Scan = scan
-	p.Timing.Partition = part
-
-	// Stage 3a: cold (base) format — the untiled row-ordered section.
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("hotcore: preprocessing canceled: %w", cerr)
-	}
-	sp = parent.Start("hotcore.baseformat")
-	t0 = time.Now()
-	p.Cold, p.ColdCSR = coldSection(g, res.Hot, a.Cold.Format == model.FormatCSR)
-	sp.End()
-	p.Timing.BaseFormat = time.Since(t0)
-
-	// Stage 3b: hot (extra) format — the tiled section.
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("hotcore: preprocessing canceled: %w", cerr)
-	}
-	sp = parent.Start("hotcore.extraformat")
-	t0 = time.Now()
-	p.Hot = hotSection(g, res.Hot, a.Hot.Format == model.FormatCSR)
-	sp.End()
-	p.Timing.ExtraFormat = time.Since(t0)
-
-	return p, nil
+// Formats is the format-generation stage: it builds p's cold (base)
+// section and then its hot (extra) one, and records their costs in
+// p.Timing. p's grid must be built or validated.
+func Formats(p *Prep) *Sections {
+	g, hot := p.Grid, p.Partition.Hot
+	s := &Sections{}
+	t0 := time.Now()
+	s.Cold, s.ColdCSR = coldSection(g, hot, p.ColdFormat == model.FormatCSR)
+	t1 := time.Now()
+	s.Hot = hotSection(g, hot, p.HotFormat == model.FormatCSR)
+	p.Timing.BaseFormat, p.Timing.ExtraFormat = t1.Sub(t0), time.Since(t1)
+	return s
 }
 
 // coldSection gathers the nonzeros of the non-hot tiles in row-major
@@ -311,58 +331,4 @@ func hotSection(g *tile.Grid, hot []bool, csr bool) *TiledMatrix {
 		}
 	}
 	return t
-}
-
-// Validate checks that the preprocessing output partitions the matrix: the
-// hot and cold sections together hold exactly the grid's nonzeros. It must
-// never panic, whatever the field values, so every invariant is checked
-// before it is relied on for indexing or division. ReadPlan runs it on
-// every load, after rebuilding the sections from a decoded grid.
-func (p *Prep) Validate() error {
-	if p.Hot == nil {
-		return fmt.Errorf("hotcore: plan missing hot section")
-	}
-	if len(p.Hot.Blocks) > 0 && (p.Hot.TileH <= 0 || p.Hot.TileW <= 0) {
-		return fmt.Errorf("hotcore: hot section tile geometry %dx%d invalid",
-			p.Hot.TileH, p.Hot.TileW)
-	}
-	if len(p.Hot.RowPtr) != len(p.Hot.Blocks) {
-		return fmt.Errorf("hotcore: hot section has %d row-pointer arrays for %d blocks",
-			len(p.Hot.RowPtr), len(p.Hot.Blocks))
-	}
-	coldNNZ := 0
-	switch {
-	case p.Cold != nil:
-		if err := p.Cold.Validate(); err != nil {
-			return fmt.Errorf("hotcore: cold section: %w", err)
-		}
-		coldNNZ = p.Cold.NNZ()
-	case p.ColdCSR != nil:
-		if err := p.ColdCSR.Validate(); err != nil {
-			return fmt.Errorf("hotcore: cold CSR section: %w", err)
-		}
-		coldNNZ = p.ColdCSR.NNZ()
-	}
-	if got := coldNNZ + p.Hot.NNZ(); got != p.Grid.NNZ() {
-		return fmt.Errorf("hotcore: sections hold %d nonzeros, grid has %d", got, p.Grid.NNZ())
-	}
-	for b := range p.Hot.Blocks {
-		blk := &p.Hot.Blocks[b]
-		if len(blk.Cols) != len(blk.Rows) || len(blk.Vals) != len(blk.Rows) {
-			return fmt.Errorf("hotcore: hot block %d ragged: rows=%d cols=%d vals=%d",
-				b, len(blk.Rows), len(blk.Cols), len(blk.Vals))
-		}
-		if p.Hot.CSR {
-			ptr := p.Hot.RowPtr[b]
-			if len(ptr) == 0 || ptr[len(ptr)-1] != int64(len(blk.Vals)) {
-				return fmt.Errorf("hotcore: hot block %d CSR pointers inconsistent", b)
-			}
-		}
-		for i, r := range blk.Rows {
-			if int(r)/p.Hot.TileH != blk.TR || int(blk.Cols[i])/p.Hot.TileW != blk.TC {
-				return fmt.Errorf("hotcore: hot block %d nonzero %d outside tile", b, i)
-			}
-		}
-	}
-	return nil
 }

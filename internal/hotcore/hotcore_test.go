@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/dense"
+	"repro/internal/model"
 	"repro/internal/sparse"
 )
 
@@ -30,6 +31,46 @@ func testMatrix(t testing.TB, seed int64, n, blockN, blockNNZ, bgNNZ int) *spars
 	return m
 }
 
+// sections runs Formats on p and checks that the sections partition p's
+// grid: each in p's format for it, valid, inside its tile, and together
+// holding every nonzero once.
+func sections(t testing.TB, p *Prep) *Sections {
+	t.Helper()
+	s := Formats(p)
+	cold := s.Cold
+	if p.ColdFormat == model.FormatCSR {
+		if s.Cold != nil || s.ColdCSR == nil {
+			t.Fatal("cold section is not CSR")
+		}
+		if err := s.ColdCSR.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		cold = s.ColdCSR.ToCOO()
+	} else if s.ColdCSR != nil || s.Cold == nil {
+		t.Fatal("cold section is not COO")
+	}
+	if err := cold.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Hot.CSR != (p.HotFormat == model.FormatCSR) {
+		t.Fatalf("hot section CSR=%v for format %v", s.Hot.CSR, p.HotFormat)
+	}
+	if got := cold.NNZ() + s.Hot.NNZ(); got != p.Grid.NNZ() {
+		t.Fatalf("sections hold %d nonzeros, grid has %d", got, p.Grid.NNZ())
+	}
+	for b, blk := range s.Hot.Blocks {
+		for i, r := range blk.Rows {
+			if int(r)/p.Grid.TileH != blk.TR || int(blk.Cols[i])/p.Grid.TileW != blk.TC {
+				t.Fatalf("hot block %d nonzero %d outside its tile", b, i)
+			}
+		}
+		if ptr := s.Hot.RowPtr[b]; s.Hot.CSR && ptr[len(ptr)-1] != int64(len(blk.Vals)) {
+			t.Fatalf("hot block %d CSR pointers inconsistent", b)
+		}
+	}
+	return s
+}
+
 // smallArch returns a SPADE-Sextans-like architecture with a tile size that
 // suits the small test matrices.
 func smallArch() arch.Arch {
@@ -45,21 +86,19 @@ func TestPreprocessHotTilesPartitionsMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+	// SPADE-Sextans consumes COO on both sides.
+	if p.HotFormat != model.FormatCOO || p.ColdFormat != model.FormatCOO {
+		t.Fatal("wrong formats for SPADE-Sextans")
 	}
-	if p.Hot.NNZ() == 0 {
+	s := sections(t, p)
+	if s.Hot.NNZ() == 0 {
 		t.Fatal("expected some hot tiles for a matrix with a dense block")
 	}
-	if p.Cold == nil || p.Cold.NNZ() == 0 {
+	if s.Cold.NNZ() == 0 {
 		t.Fatal("expected some cold nonzeros")
 	}
-	if p.Cold.NNZ()+p.Hot.NNZ() != m.NNZ() {
+	if s.Cold.NNZ()+s.Hot.NNZ() != m.NNZ() {
 		t.Fatal("sections do not partition the matrix")
-	}
-	// SPADE-Sextans consumes COO on both sides.
-	if p.ColdCSR != nil || p.Hot.CSR {
-		t.Fatal("wrong formats for SPADE-Sextans")
 	}
 }
 
@@ -71,17 +110,12 @@ func TestPreprocessPIUMACSRFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+	if p.HotFormat != model.FormatCSR || p.ColdFormat != model.FormatCSR {
+		t.Fatal("PIUMA sections must be CSR")
 	}
-	if p.ColdCSR == nil || p.Cold != nil {
-		t.Fatal("PIUMA cold section must be CSR")
-	}
-	if !p.Hot.CSR {
-		t.Fatal("PIUMA hot section must be tiled CSR")
-	}
-	for b, ptr := range p.Hot.RowPtr {
-		if len(ptr) != 64+1 && p.Hot.Blocks[b].TR != p.Grid.NumTR-1 {
+	s := sections(t, p)
+	for b, ptr := range s.Hot.RowPtr {
+		if len(ptr) != 64+1 && s.Hot.Blocks[b].TR != p.Grid.NumTR-1 {
 			t.Fatalf("block %d row pointer length %d", b, len(ptr))
 		}
 	}
@@ -95,17 +129,15 @@ func TestPreprocessStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		if err := p.Validate(); err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
+		sec := sections(t, p)
 		switch s {
 		case StrategyHotOnly:
-			if p.Cold.NNZ() != 0 {
-				t.Fatalf("HotOnly left %d cold nonzeros", p.Cold.NNZ())
+			if sec.Cold.NNZ() != 0 {
+				t.Fatalf("HotOnly left %d cold nonzeros", sec.Cold.NNZ())
 			}
 		case StrategyColdOnly:
-			if p.Hot.NNZ() != 0 {
-				t.Fatalf("ColdOnly assigned %d hot nonzeros", p.Hot.NNZ())
+			if sec.Hot.NNZ() != 0 {
+				t.Fatalf("ColdOnly assigned %d hot nonzeros", sec.Hot.NNZ())
 			}
 		}
 		if p.Partition.Predicted <= 0 {
@@ -154,9 +186,13 @@ func TestTimingBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tm := p.Timing; tm.Scan <= 0 || tm.Partition <= 0 || tm.BaseFormat != 0 || tm.ExtraFormat != 0 {
+		t.Fatalf("plan timing %+v: want the scan and partition stages only", tm)
+	}
+	Formats(p)
 	tm := p.Timing
-	if tm.Total() <= 0 {
-		t.Fatal("no preprocessing time recorded")
+	if tm.BaseFormat <= 0 || tm.ExtraFormat <= 0 {
+		t.Fatalf("Formats recorded %+v", tm)
 	}
 	if tm.Total() != tm.Scan+tm.Partition+tm.BaseFormat+tm.ExtraFormat {
 		t.Fatal("Total() is not the sum of stages")
@@ -188,13 +224,14 @@ func TestFunctionalEquivalence(t *testing.T) {
 
 	// Cold buffer: untiled row-ordered execution.
 	coldBuf := dense.NewMatrix(m.N, a.K)
-	if err := dense.SpMM(p.Cold, din, coldBuf); err != nil {
+	sec := Formats(p)
+	if err := dense.SpMM(sec.Cold, din, coldBuf); err != nil {
 		t.Fatal(err)
 	}
 
 	// Hot buffer: tiled traversal over the hot blocks.
 	hotBuf := dense.NewMatrix(m.N, a.K)
-	for _, b := range p.Hot.Blocks {
+	for _, b := range sec.Hot.Blocks {
 		for i := range b.Vals {
 			r, c, v := b.Rows[i], b.Cols[i], b.Vals[i]
 			in := din.Row(int(c))

@@ -17,9 +17,7 @@ func TestPreprocessOptsSpMV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	sections(t, p)
 	// SpMV (K=1) moves far less dense traffic, so the predicted runtime
 	// must be well below the SpMM plan's for the same matrix.
 	spmm, err := preprocess(m, &a, Options{Strategy: StrategyHotTiles, OpsPerMAC: 2})
@@ -42,9 +40,7 @@ func TestPreprocessOptsSDDMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	sections(t, p)
 	if p.Partition.Predicted <= 0 {
 		t.Fatal("no prediction")
 	}
@@ -83,8 +79,6 @@ func TestPreprocessOptsPIUMAKernels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
-		if err := p.Validate(); err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
+		sections(t, p)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/model"
 	"repro/internal/partition"
 	"repro/internal/tile"
 )
@@ -78,11 +79,11 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // planWire is the wire form of a Prep: the paper's workflow stores the
-// generated formats once (e.g. during GNN training) and reuses them later
-// (inference) without re-running the scan/model/partition pipeline (§VI-B).
-// It holds the tiling grid and the assignment; the per-worker sections are
-// a deterministic function of the two (coldSection, hotSection) and are
-// rebuilt on load, so the stream carries one copy of each nonzero.
+// decision once (e.g. during GNN training) and reuses it later (inference)
+// without re-running the scan/model/partition pipeline (§VI-B). It holds
+// the tiling grid, the assignment and the two section formats; the
+// sections are a deterministic function of these (Formats) and are not
+// stored, so the stream carries one copy of each nonzero.
 type planWire struct {
 	N            int
 	TileH, TileW int
@@ -109,7 +110,7 @@ type planWire struct {
 // plan streams into w through one small buffer; a w that can Grow (a
 // bytes.Buffer) is first grown by the exact encoded size.
 func WritePlan(w io.Writer, p *Prep) error {
-	if p == nil || p.Grid == nil || p.Hot == nil {
+	if p == nil || p.Grid == nil {
 		return fmt.Errorf("hotcore: nil plan")
 	}
 	g := p.Grid
@@ -129,8 +130,8 @@ func WritePlan(w io.Writer, p *Prep) error {
 		Serial:     p.Partition.Serial,
 		Predicted:  p.Partition.Predicted,
 		Totals:     p.Partition.Totals,
-		HotIsCSR:   p.Hot.CSR,
-		ColdIsCSR:  p.ColdCSR != nil,
+		HotIsCSR:   p.HotFormat == model.FormatCSR,
+		ColdIsCSR:  p.ColdFormat == model.FormatCSR,
 	}
 	if gw, ok := w.(interface{ Grow(int) }); ok {
 		gw.Grow(wire.size())
@@ -140,8 +141,7 @@ func WritePlan(w io.Writer, p *Prep) error {
 
 // ReadPlan deserializes a plan written by WritePlan: it bounds every
 // declared count by the bytes left, checks the checksum, validates the
-// grid, rebuilds the hot and cold sections with the calls PreprocessCtx
-// makes, and validates the resulting plan.
+// grid and checks that the assignment covers its tiles.
 func ReadPlan(r io.Reader) (*Prep, error) {
 	wire, err := decodeWire(r)
 	if err != nil {
@@ -166,7 +166,7 @@ func ReadPlan(r io.Reader) (*Prep, error) {
 		return nil, fmt.Errorf("hotcore: stored assignment length %d, grid has %d tiles",
 			len(wire.Hot), len(g.Tiles))
 	}
-	p := &Prep{
+	return &Prep{
 		Grid: g,
 		Partition: partition.Result{
 			Hot:       wire.Hot,
@@ -175,13 +175,17 @@ func ReadPlan(r io.Reader) (*Prep, error) {
 			Predicted: wire.Predicted,
 			Totals:    wire.Totals,
 		},
+		HotFormat:  format(wire.HotIsCSR),
+		ColdFormat: format(wire.ColdIsCSR),
+	}, nil
+}
+
+// format is the sparse format a wire flag names.
+func format(csr bool) model.SparseFormat {
+	if csr {
+		return model.FormatCSR
 	}
-	p.Cold, p.ColdCSR = coldSection(g, wire.Hot, wire.ColdIsCSR)
-	p.Hot = hotSection(g, wire.Hot, wire.HotIsCSR)
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("hotcore: stored plan invalid: %w", err)
-	}
-	return p, nil
+	return model.FormatCOO
 }
 
 // size returns the encoded length of w in bytes.

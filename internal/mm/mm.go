@@ -160,8 +160,10 @@ func Chunks(size int) int { return max(1, min(par.Workers(), size/minChunk)) }
 //     so it stops exactly at the nnz-th entry and numbers its error as a
 //     one-chunk parse would. Lines past the nnz-th entry, garbage
 //     included, are never reported.
-//  4. The windows are closed up in order and the matrix is sorted,
-//     deduplicated and validated. kept is what the sort left in place.
+//  4. The windows are closed up in order and the matrix is sorted and
+//     deduplicated. kept is what the sort left in place. The result needs
+//     no validation pass: every entry was range-checked as it was read,
+//     and the sort and DedupSum leave it row-major without duplicates.
 //
 // With k = 1 the first scan is already exact and nothing moves: that is
 // the serial parse.
@@ -232,9 +234,6 @@ func parse(data []byte, k int) (m *sparse.COO, kept int, err error) {
 	m = &sparse.COO{N: n, Rows: rows[:stored], Cols: cols[:stored], Vals: vals[:stored]}
 	kept = m.SortRowMajor()
 	m.DedupSum()
-	if err := m.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("mm: parsed matrix invalid: %w", err)
-	}
 	return m, kept, nil
 }
 

@@ -306,10 +306,11 @@ func (g *Grid) PanelUniqRowsScratch(tr int, keep func(i int) bool, seen []bool) 
 // Validate checks the grid's structural invariants: geometry consistent
 // with N and the tile size, tiles ordered by (TR, TC) inside the grid,
 // panel starts matching the tiles, spans contiguous and covering, stats
-// consistent, and all nonzeros inside both their tile and the matrix.
-// Slice lengths, tile coordinates and span bounds are checked before any
-// indexing: hotcore.ReadPlan runs this on decoded plan grids and then
-// derives the hot and cold sections from them, so Validate must reject a
+// consistent, and all nonzeros inside both their tile and the matrix and
+// strictly increasing in (row, col) within their tile. Slice lengths, tile
+// coordinates and span bounds are checked before any indexing:
+// hotcore.ReadPlan runs this on decoded plan grids, from which the
+// simulator and the section builders index, so Validate must reject a
 // corrupt stream rather than let it panic there.
 func (g *Grid) Validate() error {
 	if g.N <= 0 || g.N > math.MaxInt32 || g.TileH <= 0 || g.TileW <= 0 {
@@ -351,10 +352,13 @@ func (g *Grid) Validate() error {
 		rlo, rhi := g.PanelRows(t.TR)
 		clo, chi := t.TC*g.TileW, min(t.TC*g.TileW+g.TileW, g.N)
 		for j := t.Start; j < t.End; j++ {
-			if int(g.Rows[j]) < rlo || int(g.Rows[j]) >= rhi ||
-				int(g.Cols[j]) < clo || int(g.Cols[j]) >= chi {
-				return fmt.Errorf("tile: nonzero %d (%d,%d) outside tile (%d,%d)",
-					j, g.Rows[j], g.Cols[j], t.TR, t.TC)
+			r, c := g.Rows[j], g.Cols[j]
+			if int(r) < rlo || int(r) >= rhi || int(c) < clo || int(c) >= chi {
+				return fmt.Errorf("tile: nonzero %d (%d,%d) outside tile (%d,%d)", j, r, c, t.TR, t.TC)
+			}
+			if j > t.Start && (r < g.Rows[j-1] || r == g.Rows[j-1] && c <= g.Cols[j-1]) {
+				return fmt.Errorf("tile: nonzero %d (%d,%d) of tile %d not after (%d,%d)",
+					j, r, c, i, g.Rows[j-1], g.Cols[j-1])
 			}
 		}
 		if t.UniqRows < 1 || t.UniqRows > t.NNZ() || t.UniqCols < 1 || t.UniqCols > t.NNZ() {

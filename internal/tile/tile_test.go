@@ -224,6 +224,40 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		}
 	}
 
+	// Order damage inside a tile: two nonzeros swapped, or one coordinate
+	// repeated, in the first and in the last tile with two nonzeros. The
+	// grid knows no assignment, so a plan's hot and cold tiles are checked
+	// alike.
+	for _, c := range []struct {
+		name    string
+		corrupt func(g *Grid, j int)
+	}{
+		{"out of order", func(g *Grid, j int) {
+			g.Rows[j], g.Rows[j+1] = g.Rows[j+1], g.Rows[j]
+			g.Cols[j], g.Cols[j+1] = g.Cols[j+1], g.Cols[j]
+		}},
+		{"repeated coordinate", func(g *Grid, j int) {
+			g.Rows[j+1], g.Cols[j+1] = g.Rows[j], g.Cols[j]
+		}},
+	} {
+		for _, last := range []bool{false, true} {
+			g5, _ := Partition(m, 5, 5)
+			ti := -1
+			for i := range g5.Tiles {
+				if g5.Tiles[i].NNZ() >= 2 && (ti < 0 || last) {
+					ti = i
+				}
+			}
+			if ti < 0 {
+				t.Fatal("test matrix has no tile with two nonzeros")
+			}
+			c.corrupt(g5, g5.Tiles[ti].Start)
+			if g5.Validate() == nil {
+				t.Errorf("%s in tile %d: corrupt grid validated", c.name, ti)
+			}
+		}
+	}
+
 	// Geometry damage, the shapes a corrupt plan file can decode into.
 	// 7-row tiles leave a 6-row last panel on N=20.
 	for name, corrupt := range map[string]func(g *Grid){

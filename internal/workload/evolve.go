@@ -96,7 +96,7 @@ func ShouldReplan(threshold, drift float64) bool {
 // the matrix incrementally (sparse.ApplyEdits) and the plan lazily: after
 // each batch it re-tiles, carries the stale plan's hot/cold decisions onto
 // the new grid, asks the analytical model what that stale assignment now
-// costs, and re-partitions — cancellably, through PreprocessCtx — only when
+// costs, and re-partitions — cancellably, through hotcore.Decide — only when
 // the predicted runtime has drifted past cfg.Threshold. Each batch ends
 // with one simulated inference run on whatever plan is active, so the
 // result exposes exactly the staleness-vs-re-plan-cost trade-off.
@@ -168,8 +168,8 @@ func EvolveSweep(ctx context.Context, m *sparse.COO, a *arch.Arch, batches [][]s
 }
 
 // sweepStep tiles and estimates one step's matrix, then advances every
-// threshold's run by the step: drift, trigger, optional re-plan, and the
-// post-edit inference.
+// threshold's run by the step: drift, trigger, optional re-plan (a Decide
+// on the step's own grid and estimates), and the post-edit inference.
 func sweepStep(ctx context.Context, cur *sparse.COO, a *arch.Arch, edits []sparse.Edit, thresholds []float64, runs []*EvolveResult, cfg EvolveConfig, step int) error {
 	pcfg := a.Config(cfg.OpsPerMAC)
 	sr := semiring.PlusTimes()
@@ -183,9 +183,7 @@ func sweepStep(ctx context.Context, cur *sparse.COO, a *arch.Arch, edits []spars
 		return err
 	}
 	replan := sync.OnceValues(func() (*hotcore.Prep, error) {
-		return hotcore.PreprocessCtx(ctx, cur, a, hotcore.Options{
-			Strategy: cfg.Strategy, OpsPerMAC: cfg.OpsPerMAC, Seed: cfg.Seed,
-		})
+		return hotcore.Decide(ctx, g, es, pcfg, cfg.Strategy, cfg.Seed)
 	})
 	var units *sim.UnitCache
 	if len(thresholds) > 1 { // a lone threshold has no one to share pools with

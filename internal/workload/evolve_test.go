@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/hotcore"
+	"repro/internal/obs"
 	"repro/internal/sparse"
+	"repro/internal/tile"
 )
 
 // TestShouldReplanMonotone is the trigger property: for any threshold, if
@@ -203,5 +205,55 @@ func TestEvolveCancel(t *testing.T) {
 	cancel()
 	if _, err := Evolve(ctx, m, &a, batches, EvolveConfig{SkipFunctional: true}); err == nil {
 		t.Fatal("canceled context accepted")
+	}
+}
+
+// TestEvolveStepTilesOnce counts the grids and model evaluations of an
+// evolve run that re-plans every step (threshold 0): the initial plan and
+// each step tile and estimate their matrix once, and a step's re-plan
+// decides on that same grid and those same estimates.
+func TestEvolveStepTilesOnce(t *testing.T) {
+	m := testMatrix(t, 31, 512, 64, 3000, 1500)
+	a := smallArch()
+	const steps = 4
+	batches, err := EditStream(32, m, steps, 200, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One estimate pass evaluates both worker types on every tile.
+	cur := m.Clone()
+	wantEstimates := int64(0)
+	for s := 0; s <= steps; s++ {
+		if s > 0 {
+			if err := cur.ApplyEdits(batches[s-1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := tile.Partition(cur, a.TileH, a.TileW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEstimates += 2 * int64(len(g.Tiles))
+	}
+	counters := func() (grids, estimates int64) {
+		c := obs.RegistrySnapshot().Counters
+		return c["tile.grids"], c["model.estimates"]
+	}
+	grids0, est0 := counters()
+	res, err := Evolve(context.Background(), m, &a, batches, EvolveConfig{
+		Threshold: 0, Seed: 42, SkipFunctional: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grids1, est1 := counters()
+	if res.Replans != steps {
+		t.Fatalf("threshold 0 re-planned %d/%d steps", res.Replans, steps)
+	}
+	if got := grids1 - grids0; got != 1+steps {
+		t.Errorf("%d steps built %d grids, want %d", steps, got, 1+steps)
+	}
+	if got := est1 - est0; got != wantEstimates {
+		t.Errorf("%d steps made %d tile estimates, want %d (one pass per grid)", steps, got, wantEstimates)
 	}
 }
