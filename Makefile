@@ -88,13 +88,13 @@ race:
 	$(GO) test -race ./...
 
 # bench runs the perf-trajectory benchmarks (DESIGN.md §12): the zero-alloc
-# engine and waterfill microbenches, the tiler, the analytical model, the
-# preprocessing pipeline, the simulator, the experiment fan-out, and the
-# MatrixMarket parse of the serving benchmark's bodies on one worker and on
-# the pool. A row the committed baseline lacks is skipped by benchdiff until
-# the next baseline records it. Output lands in
-# BENCH_$(BENCH_PR).json (committed as this PR's baseline); diff two baselines with
-# `./bin/benchdiff [-threshold 1.25] BENCH_old.json BENCH_new.json`.
+# engine and waterfill microbenches, the functional kernel, the tiler, the
+# analytical model, the preprocessing pipeline, the simulator, the
+# experiment fan-out, and the MatrixMarket parse of the serving benchmark's
+# bodies on one worker and on the pool. A row the committed baseline lacks
+# is skipped by benchdiff until the next baseline records it. Output lands
+# in BENCH_$(BENCH_PR).json (committed as this PR's baseline); diff two
+# baselines with `./bin/benchdiff [-threshold 1.25] BENCH_old.json BENCH_new.json`.
 BENCH_PR ?= 9
 # Iteration budget per tracked benchmark in `make bench`. The committed
 # baselines are measured on an otherwise idle machine with a few seconds
@@ -103,7 +103,7 @@ BENCHTIME ?= 3s
 TRACKED_BENCH_ROOT = BenchmarkExperimentsFanout|BenchmarkTilePartition|BenchmarkSimulateHeterogeneous|BenchmarkSpMMParallel|BenchmarkPreprocessPipeline
 TRACKED_BENCH_ROOT_FAST = BenchmarkModelEstimateGrid|BenchmarkPartitionHotTiles
 TRACKED_BENCH = $(TRACKED_BENCH_ROOT)|$(TRACKED_BENCH_ROOT_FAST)
-TRACKED_BENCH_SIM_SLOW = BenchmarkEngine|BenchmarkColdPool
+TRACKED_BENCH_SIM_SLOW = BenchmarkEngine|BenchmarkColdPool|BenchmarkExecute
 TRACKED_BENCH_SIM_FAST = BenchmarkWaterfill|BenchmarkRunnerReuse
 TRACKED_BENCH_SIM = $(TRACKED_BENCH_SIM_SLOW)|$(TRACKED_BENCH_SIM_FAST)
 TRACKED_BENCH_WORKLOAD = BenchmarkGNNForward|BenchmarkEvolveReplan|BenchmarkEvolveSweep
@@ -143,8 +143,8 @@ benchsmoke:
 # cold heap) below a few percent of ns/op:
 #   5000  sim micro-benchmarks under ~50µs (waterfill, runner reuse; the
 #         unit-cache row pays a ~5ms first iteration)
-#   200   sim engine and cold-pool runs (~1–2ms) and the two root
-#         benchmarks under ~3ms (model estimate, partition)
+#   200   sim engine, cold-pool and functional-kernel runs (~1–4ms) and
+#         the two root benchmarks under ~3ms (model estimate, partition)
 #   10    workload sweeps (~10–120ms), the eight MatrixMarket parses
 #         (~10–50ms) and the root pipeline (tiling, simulation, SpMM, the
 #         ~30ms preprocessing pipeline and the ~110ms experiment fan-out)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -64,14 +63,15 @@ func (s *server) handleGNN(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.reqTimeout)
 	defer cancel()
-	planBytes, err := s.store.Get(ctx, hash, func(ctx context.Context) ([]byte, error) {
-		return s.buildPlan(ctx, body)
-	})
+	held, err := s.store.Get(ctx, hash, s.buildHeld(body))
 	if err != nil {
 		s.planError(w, r, err)
 		return
 	}
-	resp, err := s.runGNN(ctx, hash, planBytes, layers)
+	if s.gnnHook != nil {
+		s.gnnHook()
+	}
+	resp, err := s.runGNN(ctx, hash, held, layers)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.planError(w, r, err)
@@ -86,23 +86,23 @@ func (s *server) handleGNN(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(resp)
 }
 
-// runGNN deserializes the cached plan and chains the layers over it with
-// deterministic features: the daemon seed fixes the random matrix, so two
-// requests for the same upload and layer count produce identical responses.
-func (s *server) runGNN(ctx context.Context, hash string, planBytes []byte, layers int) (*gnnResponse, error) {
-	plan, err := hottiles.ReadPlan(bytes.NewReader(planBytes))
-	if err != nil {
-		return nil, fmt.Errorf("cached plan corrupt: %w", err)
-	}
-	a := s.cfg.arch
+// runGNN chains the layers over the held plan with deterministic features:
+// the daemon seed fixes the random matrix, so two requests for the same
+// upload and layer count produce identical responses. The plan's unit
+// pools are built by its first request and reused by every later one;
+// they are keyed on the architecture's address, so every request passes
+// the one in the daemon's configuration.
+func (s *server) runGNN(ctx context.Context, hash string, held *heldPlan, layers int) (*gnnResponse, error) {
+	plan, a := held.prep, &s.cfg.arch
 	rng := rand.New(rand.NewSource(s.cfg.seed))
 	features := hottiles.NewDense(plan.Grid.N, a.K)
 	for i := range features.Data {
 		features.Data[i] = rng.Float64()*2 - 1
 	}
-	res, err := hottiles.RunGNNWithPlan(ctx, plan, &a, features, hottiles.GNNConfig{
+	res, err := hottiles.RunGNNWithPlan(ctx, plan, a, features, hottiles.GNNConfig{
 		Layers:    layers,
 		OpsPerMAC: s.cfg.opsPerMAC,
+		Units:     &held.units,
 	})
 	if err != nil {
 		return nil, err

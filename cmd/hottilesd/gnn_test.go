@@ -13,6 +13,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -306,14 +308,11 @@ func TestGNNOutputSHA256MatchesPerFloat(t *testing.T) {
 		t.Fatalf("POST /gnn: %d: %s", resp.StatusCode, body)
 	}
 	g := decodeGNN(t, body)
-	planBytes, ok := s.store.Peek(context.Background(), g.Hash)
+	held, ok := s.store.Peek(context.Background(), g.Hash)
 	if !ok {
 		t.Fatal("plan not cached after /gnn")
 	}
-	plan, err := hottiles.ReadPlan(bytes.NewReader(planBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := held.prep
 	rng := rand.New(rand.NewSource(cfg.seed))
 	features := hottiles.NewDense(plan.Grid.N, cfg.arch.K)
 	for i := range features.Data {
@@ -431,5 +430,140 @@ func TestBuildThenReuseSurvivesOneOffs(t *testing.T) {
 				t.Fatalf("/healthz store %+v: want 1 promotion and one-offs in the window beside main", st)
 			}
 		})
+	}
+}
+
+// gnnBody posts one /gnn request and returns its response body, failing
+// the test on any status but 200.
+func gnnBody(t *testing.T, client *http.Client, url string, upload []byte) []byte {
+	t.Helper()
+	resp := postGNN(t, client, url, upload, "?layers=2")
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("POST /gnn: %d: %s", resp.StatusCode, body)
+	}
+	return body
+}
+
+// TestGNNHitsShareOnePoolBuild: concurrent /gnn requests that hit one held
+// plan return identical responses, and the plan's unit pools are built
+// exactly once — by the first request's first layer — and then hit by
+// every other layer of every request, later requests included. Only the
+// unit cache uses par.Cache on the /gnn path, so its process-wide
+// counters count the pool builds.
+func TestGNNHitsShareOnePoolBuild(t *testing.T) {
+	const requests = 6
+	s, err := newServer(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.mux)
+	defer ts.Close()
+	upload := matrixBytes(t, 15, 512, 4000)
+	resp := postPlan(t, ts.Client(), ts.URL, upload)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	before := obs.Snapshot()
+	bodies := make([][]byte, requests)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bodies[i] = gnnBody(t, ts.Client(), ts.URL, upload)
+		}()
+	}
+	wg.Wait()
+	after := obs.Snapshot()
+	for i := range bodies {
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("request %d returned %s, request 0 %s", i, bodies[i], bodies[0])
+		}
+	}
+	misses := after["par.cache.misses"] - before["par.cache.misses"]
+	hits := after["par.cache.hits"] - before["par.cache.hits"]
+	if misses != 1 || hits != 2*requests-1 {
+		t.Fatalf("%d concurrent 2-layer requests: %d pool builds and %d pool hits, want 1 and %d",
+			requests, misses, hits, 2*requests-1)
+	}
+	before = obs.Snapshot()
+	if again := gnnBody(t, ts.Client(), ts.URL, upload); !bytes.Equal(again, bodies[0]) {
+		t.Fatalf("a later request returned %s, want %s", again, bodies[0])
+	}
+	if d := obs.Snapshot()["par.cache.misses"] - before["par.cache.misses"]; d != 0 {
+		t.Fatalf("a later request built the pools %d more times", d)
+	}
+	if st := s.store.Stats(); st.Builds != 1 {
+		t.Fatalf("store %+v: want the one plan build", st)
+	}
+
+	// The cold pool was built from the grid's row-major view; the held
+	// plan does not keep it, so asking for it builds it again.
+	held, _ := s.store.Peek(context.Background(), s.planHash(upload))
+	if !slices.Contains(held.prep.Partition.Hot, false) {
+		t.Fatal("test plan has no cold tile: its pools never read the row-major view")
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	held.prep.Grid.RowMajor()
+	runtime.ReadMemStats(&m1)
+	if m1.Mallocs-m0.Mallocs < 2 {
+		t.Fatal("the held plan pins its grid's row-major view")
+	}
+}
+
+// TestGNNSurvivesEvictionInFlight evicts a plan from the store while a
+// /gnn request that holds it is between its store hit and its forward
+// pass. The request still completes, with the response a fresh build of
+// the same plan gives.
+func TestGNNSurvivesEvictionInFlight(t *testing.T) {
+	cfg := testConfig()
+	cfg.store.MaxBytes = 8 // every plan overflows its segment: the newest one stays
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.mux)
+	defer ts.Close()
+	c := ts.Client()
+	upload, other := matrixBytes(t, 16, 512, 4000), matrixBytes(t, 17, 512, 4000)
+	plan := func(body []byte) {
+		t.Helper()
+		resp := postPlan(t, c, ts.URL, body)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	plan(upload)
+
+	holding, evicted := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.gnnHook = func() {
+		once.Do(func() {
+			close(holding)
+			<-evicted
+		})
+	}
+	done := make(chan []byte, 1)
+	go func() { done <- gnnBody(t, c, ts.URL, upload) }()
+	<-holding
+	// The /gnn hit promoted the plan to main; a second request for another
+	// plan promotes that one too, and main keeps only its newest entry.
+	plan(other)
+	plan(other)
+	hash := s.planHash(upload)
+	if _, ok := s.store.Peek(context.Background(), hash); ok {
+		t.Fatalf("plan still cached, store %+v", s.store.Stats())
+	}
+	close(evicted)
+	got := <-done
+
+	want := gnnBody(t, c, ts.URL, upload) // rebuilds the evicted plan
+	if !bytes.Equal(got, want) {
+		t.Fatalf("in-flight request over an evicted plan returned %s, a fresh build %s", got, want)
+	}
+	if st := s.store.Stats(); st.Builds != 3 || st.Evictions != 1 {
+		t.Fatalf("store %+v: want 3 builds and the in-flight plan evicted", st)
 	}
 }

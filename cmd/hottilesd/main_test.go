@@ -184,6 +184,45 @@ func TestUploadTooLarge413(t *testing.T) {
 	}
 }
 
+// TestSpilledPlanServesTheSameBytes restarts the daemon over a spill
+// directory: the new process decodes the spilled plan and serves the same
+// /plan bytes and the same /gnn response as the one that built it, with
+// no build.
+func TestSpilledPlanServesTheSameBytes(t *testing.T) {
+	cfg := testConfig()
+	cfg.store.Dir = t.TempDir()
+	upload := matrixBytes(t, 5, 512, 4000)
+	serve := func() (plan, gnn []byte, st planstore.Stats) {
+		s, err := newServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.mux)
+		defer ts.Close()
+		resp := postPlan(t, ts.Client(), ts.URL, upload)
+		plan, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /plan: %d: %s", resp.StatusCode, plan)
+		}
+		return plan, gnnBody(t, ts.Client(), ts.URL, upload), s.store.Stats()
+	}
+	plan, gnn, st := serve()
+	if st.Builds != 1 || st.SpillErrors != 0 {
+		t.Fatalf("first daemon: store %+v, want one build, spilled", st)
+	}
+	again, gnnAgain, st := serve()
+	if st.Builds != 0 || st.DiskHits != 1 {
+		t.Fatalf("restarted daemon: store %+v, want no build and one disk hit", st)
+	}
+	if !bytes.Equal(again, plan) {
+		t.Fatal("the spilled plan is served with different bytes")
+	}
+	if !bytes.Equal(gnnAgain, gnn) {
+		t.Fatalf("/gnn over the spilled plan returned %s, want %s", gnnAgain, gnn)
+	}
+}
+
 // TestPlanHashCoversWireVersion pins the spill-safety rule: the content
 // address covers the plan wire version, so plans cached under another
 // layout are never found, and a chunked upload hashes like a sized one.

@@ -48,7 +48,7 @@ type config struct {
 // server routes the plan API and the PR-5 debug plane on one mux.
 type server struct {
 	cfg   config
-	store *planstore.Store
+	store *planstore.Store[*heldPlan]
 	mux   *http.ServeMux
 	log   *slog.Logger
 	// tl receives every request's spans; post-mortem captures take its
@@ -57,8 +57,10 @@ type server struct {
 
 	// buildHook, when non-nil, runs at the start of every plan build.
 	// Tests use it to hold builds open so admission-control behavior
-	// (queue overflow, coalescing, drain) is deterministic.
-	buildHook func()
+	// (queue overflow, coalescing, drain) is deterministic. gnnHook runs
+	// when a /gnn request holds its plan, before the forward pass; tests
+	// use it to evict the plan under a request in flight.
+	buildHook, gnnHook func()
 }
 
 // serverTimelineEvents sizes the daemon's request timeline ring: enough
@@ -70,7 +72,7 @@ const serverTimelineEvents = 4096
 // plan-API route passes through the observed middleware (request IDs, RED
 // metrics, access log, flight recorder).
 func newServer(cfg config) (*server, error) {
-	store, err := planstore.New(cfg.store)
+	store, err := planstore.New(cfg.store, planCodec)
 	if err != nil {
 		return nil, err
 	}
@@ -85,6 +87,37 @@ func newServer(cfg config) (*server, error) {
 	mux.HandleFunc("GET /healthz", s.observed("healthz", redHealthz, s.handleHealthz))
 	s.mux = mux
 	return s, nil
+}
+
+// heldPlan is what the store holds for one plan: the decoded plan and the
+// simulator unit pools its first /gnn builds. The daemon's architecture,
+// K and semiring are fixed, so the pools depend on the plan alone. Both
+// are immutable once built and shared read-only by every request that
+// hits; a hit decodes nothing and builds nothing.
+type heldPlan struct {
+	prep  *hotcore.Prep
+	units hottiles.UnitCache
+}
+
+// planCodec charges a held plan what its arrays hold (the pools are small
+// beside the grid) and spills it in its wire form.
+var planCodec = planstore.Codec[*heldPlan]{
+	Size: func(h *heldPlan) int64 { return h.prep.HeldBytes() },
+	Encode: func(h *heldPlan) ([]byte, error) {
+		var buf bytes.Buffer
+		buf.Grow(h.prep.WireSize())
+		if err := hotcore.WritePlan(&buf, h.prep); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
+	},
+	Decode: func(b []byte) (*heldPlan, error) {
+		p, err := hotcore.ReadPlan(bytes.NewReader(b))
+		if err != nil {
+			return nil, err
+		}
+		return &heldPlan{prep: p}, nil
+	},
 }
 
 // planHash is the content address of a plan: the plan wire version and
@@ -140,10 +173,9 @@ func (e errBadMatrix) Error() string { return e.err.Error() }
 func (e errBadMatrix) Unwrap() error { return e.err }
 
 // buildPlan runs the full pipeline for one upload: parse the matrix (an
-// mm.parse span on the request's tree), run scan → model → partition →
-// format generation with ctx threaded through the stage boundaries, and
-// serialize the plan to its wire form.
-func (s *server) buildPlan(ctx context.Context, matrix []byte) ([]byte, error) {
+// mm.parse span on the request's tree), then scan → model → partition with
+// ctx threaded through the stage boundaries.
+func (s *server) buildPlan(ctx context.Context, matrix []byte) (*hotcore.Prep, error) {
 	if s.buildHook != nil {
 		s.buildHook()
 	}
@@ -176,17 +208,14 @@ func (s *server) buildPlan(ctx context.Context, matrix []byte) ([]byte, error) {
 		}
 		return nil, errBadMatrix{err}
 	}
-	var buf bytes.Buffer
-	if err := hottiles.WritePlan(&buf, plan); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return plan, nil
 }
 
 // handleBuildPlan is POST /plan: upload a MatrixMarket body, get the binary
 // plan back. Identical in-flight uploads share one pipeline run; overload
 // is refused with 429 and a Retry-After estimate instead of queueing
-// without bound.
+// without bound. The store holds decoded plans, so every reply, hit or
+// miss, streams the plan's encoding into the response.
 func (s *server) handleBuildPlan(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.readUpload(w, r)
 	if !ok {
@@ -196,17 +225,38 @@ func (s *server) handleBuildPlan(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.reqTimeout)
 	defer cancel()
-	plan, err := s.store.Get(ctx, hash, func(ctx context.Context) ([]byte, error) {
-		return s.buildPlan(ctx, body)
-	})
+	held, err := s.store.Get(ctx, hash, s.buildHeld(body))
 	if err != nil {
 		s.planError(w, r, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Plan-Hash", hash)
-	w.Header().Set("Content-Length", strconv.Itoa(len(plan)))
-	w.Write(plan)
+	s.writePlan(w, r, hash, held)
+}
+
+// buildHeld is the store's build for one upload: the plan, with its unit
+// pools left for its first /gnn to fill.
+func (s *server) buildHeld(body []byte) func(context.Context) (*heldPlan, error) {
+	return func(ctx context.Context) (*heldPlan, error) {
+		p, err := s.buildPlan(ctx, body)
+		if err != nil {
+			return nil, err
+		}
+		return &heldPlan{prep: p}, nil
+	}
+}
+
+// writePlan streams a plan's wire form into the response, so the reply
+// holds no copy of the plan beside the held one.
+func (s *server) writePlan(w http.ResponseWriter, r *http.Request, hash string, held *heldPlan) {
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("X-Plan-Hash", hash)
+	h.Set("Content-Length", strconv.Itoa(held.prep.WireSize()))
+	if err := hotcore.WritePlan(w, held.prep); err != nil {
+		// The status line is sent; the client sees a short body.
+		ctx := r.Context()
+		obs.CtxLog(ctx).LogAttrs(ctx, slog.LevelWarn, "httpd.write", slog.String("err", err.Error()))
+	}
 }
 
 // planError maps a pipeline or admission failure onto its status code and
@@ -246,15 +296,12 @@ func (s *server) planError(w http.ResponseWriter, r *http.Request, err error) {
 // It never triggers a build; an unknown hash is 404.
 func (s *server) handleGetPlan(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	plan, ok := s.store.Peek(r.Context(), hash)
+	held, ok := s.store.Peek(r.Context(), hash)
 	if !ok {
 		http.Error(w, "hottilesd: no plan with hash "+hash, http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Plan-Hash", hash)
-	w.Header().Set("Content-Length", strconv.Itoa(len(plan)))
-	w.Write(plan)
+	s.writePlan(w, r, hash, held)
 }
 
 // handleHealthz reports liveness plus the store's counters, so a probe

@@ -87,7 +87,8 @@ type (
 	// UnitCache memoizes built simulator work-unit pools across Simulate
 	// calls that revisit a (plan, architecture) combination — set it as
 	// SimOptions.Units when sweeping (GNN layers and batches do this
-	// internally already).
+	// internally already), or as GNNConfig.Units to keep a plan's pools
+	// across forward passes.
 	UnitCache = sim.UnitCache
 	// Benchmark describes one matrix of the paper's suites (Tables V/VIII).
 	Benchmark = gen.Benchmark

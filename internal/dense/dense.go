@@ -26,11 +26,14 @@ func NewMatrix(n, k int) *Matrix {
 	return &Matrix{N: n, K: k, Data: make([]float64, n*k)}
 }
 
-// NewFilled returns an N×K matrix with every element set to v.
+// NewFilled returns an N×K matrix with every element set to v. A +0 fill
+// is the allocation's own zeroing and costs no second pass.
 func NewFilled(n, k int, v float64) *Matrix {
 	m := NewMatrix(n, k)
-	for i := range m.Data {
-		m.Data[i] = v
+	if math.Float64bits(v) != 0 {
+		for i := range m.Data {
+			m.Data[i] = v
+		}
 	}
 	return m
 }
@@ -180,15 +183,5 @@ func Merge(dst, src *Matrix) error {
 	for i, v := range src.Data {
 		dst.Data[i] += v
 	}
-	return nil
-}
-
-// GMerge combines src into dst with the semiring's additive monoid, for
-// architectures merging gSpMM partial outputs.
-func GMerge(dst, src *Matrix, s semiring.Semiring) error {
-	if dst.N != src.N || dst.K != src.K {
-		return fmt.Errorf("dense: gmerge shape mismatch")
-	}
-	s.AddRow(dst.Data, src.Data)
 	return nil
 }

@@ -162,20 +162,6 @@ func TestMerge(t *testing.T) {
 	if err := Merge(a, NewMatrix(3, 2)); err == nil {
 		t.Fatal("expected shape error")
 	}
-	if err := GMerge(a, NewMatrix(3, 2), semiring.PlusTimes()); err == nil {
-		t.Fatal("expected gmerge shape error")
-	}
-}
-
-func TestGMergeMinPlus(t *testing.T) {
-	a := NewFilled(1, 2, 5)
-	b := NewFilled(1, 2, 3)
-	if err := GMerge(a, b, semiring.MinPlus()); err != nil {
-		t.Fatal(err)
-	}
-	if a.At(0, 0) != 3 || a.At(0, 1) != 3 {
-		t.Fatalf("gmerge min: %v", a.Data)
-	}
 }
 
 func TestCloneAndEqual(t *testing.T) {

@@ -3,7 +3,6 @@ package hotcore
 import (
 	"bytes"
 	"context"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -11,7 +10,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/mm"
 	"repro/internal/par"
-	"repro/internal/tile"
 )
 
 // Allocation budgets of the plan path on the repository benchmark's first
@@ -48,14 +46,6 @@ func measureAllocs(fn func()) (allocs, bytes float64) {
 	}
 	runtime.ReadMemStats(&after)
 	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
-}
-
-// heldBytes is the memory a plan's arrays hold: the grid and the
-// assignment.
-func heldBytes(p *Prep) int {
-	g := p.Grid
-	return cap(g.Tiles)*int(reflect.TypeOf(tile.Tile{}).Size()) + 8*cap(g.PanelStart) +
-		4*cap(g.Rows) + 4*cap(g.Cols) + 8*cap(g.Vals) + cap(p.Partition.Hot)
 }
 
 // TestPlanPathAllocBudget pins the allocations of building, encoding and
@@ -106,7 +96,7 @@ func TestPlanPathAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := heldBytes(back)
+	held := back.HeldBytes()
 	t.Logf("nnz %d, plan %d B, decoded plan holds %d B", p.Grid.NNZ(), len(plan), held)
 	t.Logf("build: %.0f allocs/op, %.0f B/op", buildAllocs, buildBytes)
 	t.Logf("read:  %.0f allocs/op, %.0f B/op", readAllocs, readBytes)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/model"
@@ -91,6 +92,16 @@ type Prep struct {
 	HotFormat, ColdFormat model.SparseFormat
 
 	Timing Timing
+}
+
+// HeldBytes is the memory a plan's arrays hold: the grid's tiles, panel
+// index and tile-ordered nonzeros, and the assignment. A cache of decoded
+// plans charges this against its budget; it is within a few hundred
+// bytes of the plan's wire size.
+func (p *Prep) HeldBytes() int64 {
+	g := p.Grid
+	return int64(cap(g.Tiles))*int64(unsafe.Sizeof(tile.Tile{})) + 8*int64(cap(g.PanelStart)) +
+		4*int64(cap(g.Rows)) + 4*int64(cap(g.Cols)) + 8*int64(cap(g.Vals)) + int64(cap(p.Partition.Hot))
 }
 
 // Sections are a plan's per-worker-type formats, the output of Formats.

@@ -113,8 +113,23 @@ func WritePlan(w io.Writer, p *Prep) error {
 	if p == nil || p.Grid == nil {
 		return fmt.Errorf("hotcore: nil plan")
 	}
+	wire := wireOf(p)
+	if gw, ok := w.(interface{ Grow(int) }); ok {
+		gw.Grow(wire.size())
+	}
+	return wire.encode(w)
+}
+
+// WireSize is the length of p's wire form: the bytes WritePlan writes.
+func (p *Prep) WireSize() int {
+	wire := wireOf(p)
+	return wire.size()
+}
+
+// wireOf lays p out as its wire fields.
+func wireOf(p *Prep) planWire {
 	g := p.Grid
-	wire := planWire{
+	return planWire{
 		N:          g.N,
 		TileH:      g.TileH,
 		TileW:      g.TileW,
@@ -133,10 +148,6 @@ func WritePlan(w io.Writer, p *Prep) error {
 		HotIsCSR:   p.HotFormat == model.FormatCSR,
 		ColdIsCSR:  p.ColdFormat == model.FormatCSR,
 	}
-	if gw, ok := w.(interface{ Grow(int) }); ok {
-		gw.Grow(wire.size())
-	}
-	return wire.encode(w)
 }
 
 // ReadPlan deserializes a plan written by WritePlan: it bounds every

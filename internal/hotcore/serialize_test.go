@@ -108,6 +108,7 @@ func TestReadPlanRejectsCorruptedGrid(t *testing.T) {
 // section shape: gen "pap" at scale 400 on SPADE-Sextans 4-4 (COO cold
 // section) and on PIUMA (CSR sections). A change to the wire layout, to
 // where the format flags come from or to the decision itself moves a hash.
+// WireSize, the Content-Length of a streamed /plan reply, must match.
 // The hashes were recorded on linux/amd64; an architecture that fuses
 // floating-point multiply-adds can round the predictions differently.
 func TestPlanWireBytesPinned(t *testing.T) {
@@ -134,6 +135,9 @@ func TestPlanWireBytesPinned(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.want {
 			t.Errorf("%s: plan sha256 %s, want %s", c.name, got, c.want)
+		}
+		if got := p.WireSize(); got != buf.Len() {
+			t.Errorf("%s: WireSize %d, WritePlan wrote %d bytes", c.name, got, buf.Len())
 		}
 	}
 }

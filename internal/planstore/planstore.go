@@ -1,16 +1,19 @@
 // Package planstore is the content-addressed plan cache behind the
-// hottilesd daemon: a bounded byte store keyed by matrix+config hash, with
+// hottilesd daemon: a bounded store keyed by matrix+config hash, with
 // singleflight build deduplication, admission control (bounded active
 // builds plus a bounded wait queue — overload is refused, not buffered
-// without limit), an in-memory cache over the serialized plans, and an
+// without limit), an in-memory cache of ready-to-use values, and an
 // optional disk spill so plans survive restarts. The memory cache splits
 // its byte budget into two LRU segments, the W-TinyLFU shape: a newly
 // built plan enters a window of 1/8 of the budget and earns a place in the
 // main segment with its second request, so one-off uploads age out of the
-// window without displacing the plans that are reused. It stores opaque
-// bytes on purpose: the daemon serializes plans with hotcore.WritePlan,
-// but nothing here depends on the plan format, so the store is testable
-// without running the pipeline.
+// window without displacing the plans that are reused.
+//
+// The store is generic over its value: the daemon holds decoded plans, so
+// a hit hands back a plan with no decode, and tests hold bytes. A Codec
+// says what a value costs against the budget and how it is written to and
+// read back from the spill; nothing here depends on the plan format, so
+// the store is testable without running the pipeline.
 package planstore
 
 import (
@@ -64,9 +67,9 @@ type Config struct {
 	// is persisted there (write-to-temp, rename) and memory misses check
 	// it before rebuilding. The directory is created if missing.
 	Dir string
-	// MaxBytes bounds the in-memory cache (sum of value lengths): 1/8 of
-	// it is the window that new values enter, the rest the main segment
-	// that a second request promotes them to.
+	// MaxBytes bounds the in-memory cache (the sum of the values'
+	// Codec.Size): 1/8 of it is the window that new values enter, the rest
+	// the main segment that a second request promotes them to.
 	MaxBytes int64
 	// MaxActive bounds concurrently running builds; zero or negative
 	// means one per core (runtime.GOMAXPROCS at New).
@@ -99,18 +102,28 @@ type Stats struct {
 	Evictions    int64 // values dropped from either memory segment
 	Promotions   int64 // window values moved to main by a memory hit
 	SpillErrors  int64 // built values the spill directory failed to persist
-	SpillCorrupt int64 // spill files that failed their checksum and were removed
+	SpillCorrupt int64 // spill files that failed their checksum or decoding and were removed
 	Active       int   // builds running now
 	Queued       int   // builders waiting for a slot now
 	CachedPlans  int   // values in memory, both segments
-	CachedBytes  int64 // sum of value lengths in memory, both segments
+	CachedBytes  int64 // sum of the values' sizes in memory, both segments
 	WindowPlans  int   // of CachedPlans, values in the window
 	WindowBytes  int64 // of CachedBytes, bytes in the window
 }
 
-type flight struct {
+// Codec describes a Store's values: what each costs against the memory
+// budget, and how it crosses the spill. Encode's output goes into the
+// spill file's checksum frame; Decode reads a framed payload back, and a
+// payload it rejects marks the file corrupt.
+type Codec[V any] struct {
+	Size   func(V) int64
+	Encode func(V) ([]byte, error)
+	Decode func([]byte) (V, error)
+}
+
+type flight[V any] struct {
 	done chan struct{}
-	val  []byte
+	val  V
 	err  error
 }
 
@@ -123,18 +136,20 @@ type segment struct {
 	max   int64
 }
 
-type memEntry struct {
-	key string
-	val []byte
-	seg *segment
+type memEntry[V any] struct {
+	key  string
+	val  V
+	size int64
+	seg  *segment
 }
 
 // Store is the content-addressed cache. Create with New.
-type Store struct {
-	cfg Config
+type Store[V any] struct {
+	cfg   Config
+	codec Codec[V]
 
 	mu           sync.Mutex
-	flights      map[string]*flight
+	flights      map[string]*flight[V]
 	mem          map[string]*list.Element // both segments
 	window, main segment
 
@@ -150,9 +165,9 @@ type Store struct {
 	ewmaBuildNS atomic.Int64
 }
 
-// New returns a Store sized by cfg, creating the spill directory when one
-// is configured.
-func New(cfg Config) (*Store, error) {
+// New returns a Store sized by cfg over values described by codec,
+// creating the spill directory when one is configured.
+func New[V any](cfg Config, codec Codec[V]) (*Store[V], error) {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = defaultMaxBytes
 	}
@@ -168,9 +183,10 @@ func New(cfg Config) (*Store, error) {
 		}
 	}
 	win := cfg.MaxBytes / windowShare
-	return &Store{
+	return &Store[V]{
 		cfg:     cfg,
-		flights: map[string]*flight{},
+		codec:   codec,
+		flights: map[string]*flight[V]{},
 		mem:     map[string]*list.Element{},
 		window:  segment{name: "window", lru: list.New(), max: win},
 		main:    segment{name: "main", lru: list.New(), max: cfg.MaxBytes - win},
@@ -178,14 +194,14 @@ func New(cfg Config) (*Store, error) {
 	}, nil
 }
 
-// Get returns the bytes for key, building them at most once per miss:
+// Get returns the value for key, building it at most once per miss:
 // concurrent callers with the same key share one build (followers do not
 // consume queue slots). Build errors are returned to every waiter of that
 // flight but are not cached — the next Get for the key tries again,
 // because unlike par.Cache's deterministic memos a daemon build can fail
 // transiently (timeout, cancellation). A follower whose ctx expires stops
 // waiting without disturbing the build.
-func (s *Store) Get(ctx context.Context, key string, build func(ctx context.Context) ([]byte, error)) ([]byte, error) {
+func (s *Store[V]) Get(ctx context.Context, key string, build func(ctx context.Context) (V, error)) (V, error) {
 	log := obs.CtxLog(ctx)
 	s.mu.Lock()
 	if e, ok := s.mem[key]; ok {
@@ -205,10 +221,11 @@ func (s *Store) Get(ctx context.Context, key string, build func(ctx context.Cont
 		case <-ctx.Done():
 			log.LogAttrs(ctx, slog.LevelWarn, "planstore.join.abandon",
 				slog.String("key", keyShort(key)), slog.String("err", ctx.Err().Error()))
-			return nil, fmt.Errorf("planstore: waiting for in-flight build: %w", ctx.Err())
+			var zero V
+			return zero, fmt.Errorf("planstore: waiting for in-flight build: %w", ctx.Err())
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight[V]{done: make(chan struct{})}
 	s.flights[key] = f
 	s.mu.Unlock()
 
@@ -225,11 +242,11 @@ func (s *Store) Get(ctx context.Context, key string, build func(ctx context.Cont
 	return f.val, f.err
 }
 
-// Peek returns the bytes for key if they are already cached in memory or
-// on disk, without ever building. A hit counts as a request for key like a
+// Peek returns the value for key if it is already cached in memory or on
+// disk, without ever building. A hit counts as a request for key like a
 // Get hit does: it promotes a window entry, and a disk hit enters the main
 // segment. The spill and eviction lines that can cause go to ctx's logger.
-func (s *Store) Peek(ctx context.Context, key string) ([]byte, bool) {
+func (s *Store[V]) Peek(ctx context.Context, key string) (V, bool) {
 	s.mu.Lock()
 	if e, ok := s.mem[key]; ok {
 		val := s.hitLocked(ctx, e)
@@ -243,25 +260,34 @@ func (s *Store) Peek(ctx context.Context, key string) ([]byte, bool) {
 		s.mu.Unlock()
 		return val, true
 	}
-	return nil, false
+	var zero V
+	return zero, false
 }
 
 // runBuild admits the build through the gate, checks disk, and runs it.
 // Its bool reports a value read back from the spill instead of built.
-func (s *Store) runBuild(ctx context.Context, key string, build func(ctx context.Context) ([]byte, error)) ([]byte, bool, error) {
+func (s *Store[V]) runBuild(ctx context.Context, key string, build func(ctx context.Context) (V, error)) (V, bool, error) {
 	log := obs.CtxLog(ctx)
+	var zero V
 	// Disk check happens before admission: reading a spilled plan back is
-	// IO, not preprocessing, and must not be refused under build load.
+	// a file read plus Codec.Decode, not preprocessing, and must not be
+	// refused under build load. Reads are not gated, so after a restart as
+	// many run at once as distinct keys are requested (one per key: the
+	// flight coalesces the rest), each holding its file beside the value
+	// it decodes until the decode returns. The daemon's plans for the
+	// serving benchmark's first class (a 1.98 MB wire form) decode in
+	// 2-3 ms and allocate 4 MB each, file included; eight distinct ones
+	// read back at once took 17-20 ms on a 2-core host.
 	if val, ok := s.readDisk(ctx, key); ok {
 		log.LogAttrs(ctx, slog.LevelDebug, "planstore.hit.disk", slog.String("key", keyShort(key)))
 		return val, true, nil
 	}
 	if err := s.acquire(ctx); err != nil {
-		return nil, false, err
+		return zero, false, err
 	}
 	defer s.release()
 	if err := ctx.Err(); err != nil {
-		return nil, false, fmt.Errorf("planstore: canceled before build: %w", err)
+		return zero, false, fmt.Errorf("planstore: canceled before build: %w", err)
 	}
 	log.LogAttrs(ctx, slog.LevelDebug, "planstore.build.start", slog.String("key", keyShort(key)))
 	t0 := time.Now()
@@ -278,12 +304,12 @@ func (s *Store) runBuild(ctx context.Context, key string, build func(ctx context
 			slog.String("key", keyShort(key)),
 			slog.String("dur", time.Duration(dur).String()),
 			slog.String("err", err.Error()))
-		return nil, false, err
+		return zero, false, err
 	}
 	log.LogAttrs(ctx, slog.LevelInfo, "planstore.build.done",
 		slog.String("key", keyShort(key)),
 		slog.String("dur", time.Duration(dur).String()),
-		slog.Int("bytes", len(val)))
+		slog.Int64("bytes", s.codec.Size(val)))
 	if err := s.writeDisk(key, val); err != nil {
 		s.spillErrs.Add(1)
 		storeSpillErrs.Inc()
@@ -297,7 +323,7 @@ func (s *Store) runBuild(ctx context.Context, key string, build func(ctx context
 // free. Full queue → ErrBusy; canceled wait → ctx error. A wait is a
 // planstore.queue span on the request's tree, carrying the queue depth it
 // joined at; a slot taken at once records nothing.
-func (s *Store) acquire(ctx context.Context) error {
+func (s *Store[V]) acquire(ctx context.Context) error {
 	select {
 	case s.slots <- struct{}{}:
 		storeActive.Set(int64(len(s.slots)))
@@ -327,7 +353,7 @@ func (s *Store) acquire(ctx context.Context) error {
 	}
 }
 
-func (s *Store) release() {
+func (s *Store[V]) release() {
 	<-s.slots
 	storeActive.Set(int64(len(s.slots)))
 }
@@ -335,8 +361,8 @@ func (s *Store) release() {
 // hitLocked serves a memory hit on e and returns its value. A window
 // entry is on its second request, so it is promoted to the front of main;
 // a main entry moves to main's front.
-func (s *Store) hitLocked(ctx context.Context, e *list.Element) []byte {
-	ent := e.Value.(*memEntry)
+func (s *Store[V]) hitLocked(ctx context.Context, e *list.Element) V {
+	ent := e.Value.(*memEntry[V])
 	if ent.seg == &s.main {
 		s.main.lru.MoveToFront(e)
 	} else {
@@ -354,7 +380,7 @@ func (s *Store) hitLocked(ctx context.Context, e *list.Element) []byte {
 // built, into main when it is a repeat request — a value read back from
 // the spill, or a key already resident (a Peek read it from disk while
 // this build ran).
-func (s *Store) putLocked(ctx context.Context, key string, val []byte, repeat bool) {
+func (s *Store[V]) putLocked(ctx context.Context, key string, val V, repeat bool) {
 	if e, ok := s.mem[key]; ok {
 		s.unlinkLocked(e)
 		repeat = true
@@ -363,33 +389,33 @@ func (s *Store) putLocked(ctx context.Context, key string, val []byte, repeat bo
 	if repeat {
 		seg = &s.main
 	}
-	s.linkLocked(ctx, seg, &memEntry{key: key, val: val})
+	s.linkLocked(ctx, seg, &memEntry[V]{key: key, val: val, size: s.codec.Size(val)})
 }
 
 // linkLocked puts ent at the front of seg and evicts from seg's cold end
 // until seg's byte share holds again (the newest value always stays, even
 // when it alone exceeds the share). Eviction lines go to ctx's logger,
 // tagged with the request that caused them.
-func (s *Store) linkLocked(ctx context.Context, seg *segment, ent *memEntry) {
+func (s *Store[V]) linkLocked(ctx context.Context, seg *segment, ent *memEntry[V]) {
 	ent.seg = seg
 	s.mem[ent.key] = seg.lru.PushFront(ent)
-	seg.bytes += int64(len(ent.val))
+	seg.bytes += ent.size
 	for seg.bytes > seg.max && seg.lru.Len() > 1 {
 		old := s.unlinkLocked(seg.lru.Back())
 		delete(s.mem, old.key)
 		s.evictions.Add(1)
 		storeEvictions.Inc()
 		obs.CtxLog(ctx).LogAttrs(ctx, slog.LevelDebug, "planstore.evict",
-			slog.String("key", keyShort(old.key)), slog.Int("bytes", len(old.val)),
+			slog.String("key", keyShort(old.key)), slog.Int64("bytes", old.size),
 			slog.String("segment", seg.name))
 	}
 }
 
 // unlinkLocked removes e from its segment; the caller owns the map entry.
-func (s *Store) unlinkLocked(e *list.Element) *memEntry {
-	ent := e.Value.(*memEntry)
+func (s *Store[V]) unlinkLocked(e *list.Element) *memEntry[V] {
+	ent := e.Value.(*memEntry[V])
 	ent.seg.lru.Remove(e)
-	ent.seg.bytes -= int64(len(ent.val))
+	ent.seg.bytes -= ent.size
 	return ent
 }
 
@@ -403,7 +429,7 @@ func keyShort(key string) string {
 }
 
 // observeBuild folds one build duration into the EWMA (α = 1/4).
-func (s *Store) observeBuild(ns int64) {
+func (s *Store[V]) observeBuild(ns int64) {
 	for {
 		old := s.ewmaBuildNS.Load()
 		next := ns
@@ -420,7 +446,7 @@ func (s *Store) observeBuild(ns int64) {
 // retrying: the recent build cost times the work queued ahead of it,
 // clamped to [1s, 60s] so the header is always sane even before the first
 // build lands.
-func (s *Store) RetryAfter() time.Duration {
+func (s *Store[V]) RetryAfter() time.Duration {
 	ewma := time.Duration(s.ewmaBuildNS.Load())
 	backlog := 1 + int(s.queued.Load())/s.cfg.MaxActive
 	d := ewma * time.Duration(backlog)
@@ -434,7 +460,7 @@ func (s *Store) RetryAfter() time.Duration {
 }
 
 // Stats snapshots the store's counters and occupancy.
-func (s *Store) Stats() Stats {
+func (s *Store[V]) Stats() Stats {
 	s.mu.Lock()
 	winPlans, winBytes := s.window.lru.Len(), s.window.bytes
 	plans, bytes := winPlans+s.main.lru.Len(), winBytes+s.main.bytes
@@ -461,7 +487,7 @@ func (s *Store) Stats() Stats {
 
 // diskPath maps a key onto the spill directory; "" when spill is off or
 // the key would escape the directory.
-func (s *Store) diskPath(key string) string {
+func (s *Store[V]) diskPath(key string) string {
 	if s.cfg.Dir == "" || key == "" {
 		return ""
 	}
@@ -475,9 +501,9 @@ func (s *Store) diskPath(key string) string {
 	return filepath.Join(s.cfg.Dir, key+".plan")
 }
 
-// A spill file frames its value with its own header: spillMagic, then the
-// CRC-32C of the value. The store checks the frame, not the value, so it
-// stays content-agnostic.
+// A spill file frames its value's encoding with its own header: spillMagic,
+// then the CRC-32C of the encoding. The store checks the frame; the
+// codec's Decode checks the payload.
 const (
 	spillMagic     = "HTSP"
 	spillHeaderLen = len(spillMagic) + 4
@@ -485,41 +511,57 @@ const (
 
 var spillTable = crc32.MakeTable(crc32.Castagnoli)
 
-// readDisk returns the value spilled under key. A file whose frame does
-// not check out is a miss: it is removed and counted, and the caller
-// rebuilds the value. The warning goes to ctx's logger.
-func (s *Store) readDisk(ctx context.Context, key string) ([]byte, bool) {
+// readDisk reads the file spilled under key and decodes its payload. A
+// file whose frame does not check out, or whose payload the codec cannot
+// decode, is a miss: it is removed and counted, and the caller rebuilds
+// the value. The warning goes to ctx's logger.
+func (s *Store[V]) readDisk(ctx context.Context, key string) (V, bool) {
+	var zero V
 	path := s.diskPath(key)
 	if path == "" {
-		return nil, false
+		return zero, false
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, false
+		return zero, false
 	}
 	if len(data) < spillHeaderLen || string(data[:len(spillMagic)]) != spillMagic ||
 		binary.LittleEndian.Uint32(data[len(spillMagic):]) != crc32.Checksum(data[spillHeaderLen:], spillTable) {
-		os.Remove(path)
-		s.spillCorrupt.Add(1)
-		storeSpillCorrupt.Inc()
-		obs.CtxLog(ctx).LogAttrs(ctx, slog.LevelWarn, "planstore.spill.corrupt",
-			slog.String("key", keyShort(key)), slog.Int("bytes", len(data)))
-		return nil, false
+		s.dropSpill(ctx, key, path, len(data), "checksum")
+		return zero, false
+	}
+	val, err := s.codec.Decode(data[spillHeaderLen:])
+	if err != nil {
+		s.dropSpill(ctx, key, path, len(data), err.Error())
+		return zero, false
 	}
 	s.diskHits.Add(1)
 	storeDiskHits.Inc()
-	return data[spillHeaderLen:], true
+	return val, true
 }
 
-// writeDisk spills one value in its checksum frame: write to a temp file,
-// fsync, rename, so readers never see a torn file and a crash cannot leave
-// a renamed file whose data never reached the disk. Spill failure is not a
-// build failure: the caller counts and logs it, and the plan is still
-// served from memory.
-func (s *Store) writeDisk(key string, val []byte) error {
+// dropSpill removes a corrupt spill file and counts it.
+func (s *Store[V]) dropSpill(ctx context.Context, key, path string, size int, reason string) {
+	os.Remove(path)
+	s.spillCorrupt.Add(1)
+	storeSpillCorrupt.Inc()
+	obs.CtxLog(ctx).LogAttrs(ctx, slog.LevelWarn, "planstore.spill.corrupt",
+		slog.String("key", keyShort(key)), slog.Int("bytes", size), slog.String("reason", reason))
+}
+
+// writeDisk spills one value's encoding in its checksum frame: write to a
+// temp file, fsync, rename, so readers never see a torn file and a crash
+// cannot leave a renamed file whose data never reached the disk. Spill
+// failure is not a build failure: the caller counts and logs it, and the
+// plan is still served from memory.
+func (s *Store[V]) writeDisk(key string, val V) error {
 	path := s.diskPath(key)
 	if path == "" {
 		return nil
+	}
+	enc, err := s.codec.Encode(val)
+	if err != nil {
+		return err
 	}
 	tmp, err := os.CreateTemp(s.cfg.Dir, "spill-*")
 	if err != nil {
@@ -527,10 +569,10 @@ func (s *Store) writeDisk(key string, val []byte) error {
 	}
 	var hdr [spillHeaderLen]byte
 	copy(hdr[:], spillMagic)
-	binary.LittleEndian.PutUint32(hdr[len(spillMagic):], crc32.Checksum(val, spillTable))
+	binary.LittleEndian.PutUint32(hdr[len(spillMagic):], crc32.Checksum(enc, spillTable))
 	_, err = tmp.Write(hdr[:])
 	if err == nil {
-		_, err = tmp.Write(val)
+		_, err = tmp.Write(enc)
 	}
 	if err == nil {
 		err = tmp.Sync()

@@ -19,10 +19,17 @@ import (
 	"repro/internal/obs"
 )
 
-// newStore builds a test store with a tiny footprint.
-func newStore(t *testing.T, cfg Config) *Store {
+// bytesCodec stores values as their own encoding, charging their length.
+var bytesCodec = Codec[[]byte]{
+	Size:   func(v []byte) int64 { return int64(len(v)) },
+	Encode: func(v []byte) ([]byte, error) { return v, nil },
+	Decode: func(b []byte) ([]byte, error) { return b, nil },
+}
+
+// newStore builds a test store of byte values with a tiny footprint.
+func newStore(t *testing.T, cfg Config) *Store[[]byte] {
 	t.Helper()
-	s, err := New(cfg)
+	s, err := New(cfg, bytesCodec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +374,7 @@ func TestDiskSpillRoundTrip(t *testing.T) {
 
 	// A disk hit is a repeat request by definition: through Get and
 	// through Peek alike it enters main, with no promotion counted.
-	for _, store := range []*Store{s2, s3} {
+	for _, store := range []*Store[[]byte]{s2, s3} {
 		if got, st := segmentOf(store, "abc123"), store.Stats(); got != "main" || st.Promotions != 0 || st.WindowPlans != 0 {
 			t.Errorf("disk hit in %q, stats %+v; want main and no promotion", got, st)
 		}
@@ -410,6 +417,45 @@ func TestCorruptSpillIsRebuilt(t *testing.T) {
 		if got, ok := newStore(t, Config{Dir: dir}).Peek(context.Background(), "abc123"); !ok || !bytes.Equal(got, want) {
 			t.Fatalf("offset %d: the rebuild did not spill a good copy", off)
 		}
+	}
+}
+
+// TestUndecodableSpillIsRebuilt spills a payload whose frame checks out but
+// which the codec refuses to decode: the next Get on a fresh store counts
+// it corrupt, removes the file, rebuilds the value and spills a good copy.
+func TestUndecodableSpillIsRebuilt(t *testing.T) {
+	strict := bytesCodec
+	strict.Decode = func(b []byte) ([]byte, error) {
+		if bytes.HasPrefix(b, []byte("bad")) {
+			return nil, errors.New("undecodable")
+		}
+		return b, nil
+	}
+	dir := t.TempDir()
+	newStrict := func() *Store[[]byte] {
+		s, err := New(Config{Dir: dir}, strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if _, err := newStrict().Get(context.Background(), "abc123", constBuild([]byte("bad plan"))); err != nil {
+		t.Fatal(err)
+	}
+	before := storeSpillCorrupt.Load()
+	s := newStrict()
+	got, err := s.Get(context.Background(), "abc123", constBuild([]byte("good plan")))
+	if err != nil || string(got) != "good plan" {
+		t.Fatalf("Get = %q, %v; want the rebuilt value", got, err)
+	}
+	if st := s.Stats(); st.Builds != 1 || st.DiskHits != 0 || st.SpillCorrupt != 1 {
+		t.Fatalf("stats %+v, want 1 build, 0 disk hits, 1 corrupt spill", st)
+	}
+	if d := storeSpillCorrupt.Load() - before; d != 1 {
+		t.Fatalf("planstore.spill.corrupt rose by %d, want 1", d)
+	}
+	if got, ok := newStrict().Peek(context.Background(), "abc123"); !ok || string(got) != "good plan" {
+		t.Fatalf("the rebuild did not spill a good copy: %q, %v", got, ok)
 	}
 }
 
@@ -489,11 +535,11 @@ func TestDiskPathRejectsHostileKeys(t *testing.T) {
 
 // segmentOf names the segment holding key ("" when it is not in memory)
 // without touching recency, as a Get or Peek would.
-func segmentOf(s *Store, key string) string {
+func segmentOf(s *Store[[]byte], key string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.mem[key]; ok {
-		return e.Value.(*memEntry).seg.name
+		return e.Value.(*memEntry[[]byte]).seg.name
 	}
 	return ""
 }
@@ -503,7 +549,7 @@ func segmentOf(s *Store, key string) string {
 // names, each segment's byte count is the sum of its values, and each
 // segment holds its share of the budget or exactly one entry (the newest
 // always stays).
-func checkSegments(t *testing.T, s *Store) {
+func checkSegments(t *testing.T, s *Store[[]byte]) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -511,7 +557,7 @@ func checkSegments(t *testing.T, s *Store) {
 	for _, seg := range []*segment{&s.window, &s.main} {
 		var bytes int64
 		for e := seg.lru.Front(); e != nil; e = e.Next() {
-			ent := e.Value.(*memEntry)
+			ent := e.Value.(*memEntry[[]byte])
 			if ent.seg != seg || s.mem[ent.key] != e {
 				t.Fatalf("%s: entry %q is out of place", seg.name, ent.key)
 			}

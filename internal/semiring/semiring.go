@@ -76,6 +76,51 @@ func (s *Semiring) MulAddRow(out, in []float64, v float64) {
 	}
 }
 
+// MulAddRun applies a run of nonzeros that share one output row: for each
+// j in order, out[x] = out[x] ⊕ (vals[j] ⊗ din[cols[j]·k + x]), k =
+// len(out). It computes exactly what one MulAddRow per nonzero computes.
+//
+// Plus-times applies four nonzeros per pass over the row, out[x] =
+// (((out[x] + v₁·a[x]) + v₂·b[x]) + v₃·c[x]) + v₄·d[x], so the row is
+// loaded and stored once per four nonzeros instead of once per nonzero.
+// The additions keep their left-to-right order and each product is
+// rounded by its float64 conversion, so no multiply-add fuses and nothing
+// reassociates: the result is bit-identical to the per-nonzero sequence.
+func (s *Semiring) MulAddRun(out, din []float64, cols []int32, vals []float64) {
+	k := len(out)
+	if s.kind != plusTimes {
+		for j, c := range cols {
+			s.MulAddRow(out, din[int(c)*k:], vals[j])
+		}
+		return
+	}
+	j := 0
+	for ; j+4 <= len(cols); j += 4 {
+		a, b := din[int(cols[j])*k:][:k], din[int(cols[j+1])*k:][:k]
+		c, d := din[int(cols[j+2])*k:][:k], din[int(cols[j+3])*k:][:k]
+		v1, v2, v3, v4 := vals[j], vals[j+1], vals[j+2], vals[j+3]
+		for x := range out {
+			out[x] = out[x] + float64(v1*a[x]) + float64(v2*b[x]) + float64(v3*c[x]) + float64(v4*d[x])
+		}
+	}
+	switch len(cols) - j {
+	case 3:
+		a, b, c := din[int(cols[j])*k:][:k], din[int(cols[j+1])*k:][:k], din[int(cols[j+2])*k:][:k]
+		v1, v2, v3 := vals[j], vals[j+1], vals[j+2]
+		for x := range out {
+			out[x] = out[x] + float64(v1*a[x]) + float64(v2*b[x]) + float64(v3*c[x])
+		}
+	case 2:
+		a, b := din[int(cols[j])*k:][:k], din[int(cols[j+1])*k:][:k]
+		v1, v2 := vals[j], vals[j+1]
+		for x := range out {
+			out[x] = out[x] + float64(v1*a[x]) + float64(v2*b[x])
+		}
+	case 1:
+		s.MulAddRow(out, din[int(cols[j])*k:], vals[j])
+	}
+}
+
 // AddRow computes dst[x] = dst[x] ⊕ src[x] for every x: the merge of two
 // partial outputs. src must be at least as long as dst.
 func (s *Semiring) AddRow(dst, src []float64) {

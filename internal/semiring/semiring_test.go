@@ -144,6 +144,48 @@ func testRowKernels(t *testing.T, k int) {
 	}
 }
 
+// TestMulAddRunMatchesRowSequence checks the run kernel of every stock
+// semiring against one MulAddRow per nonzero, bit for bit, for runs of 1 to
+// 9 nonzeros (whole four-nonzero passes and every remainder) at row widths
+// below, at and past the plus-times unroll width, with repeated columns
+// and the non-finite values min-plus and max-plus start from.
+func TestMulAddRunMatchesRowSequence(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, k := range []int{1, 3, 4, 17} {
+		const rows = 6
+		din := make([]float64, rows*k)
+		for i := range din {
+			din[i] = rng.Float64()*4 - 2
+		}
+		din[0] = math.Inf(1)
+		base := make([]float64, k)
+		for i := range base {
+			base[i] = rng.Float64()*4 - 2
+		}
+		for n := 1; n <= 9; n++ {
+			cols := make([]int32, n)
+			vals := make([]float64, n)
+			for j := range cols {
+				cols[j] = int32(rng.Intn(rows))
+				vals[j] = rng.Float64()*4 - 2
+			}
+			for _, s := range []Semiring{PlusTimes(), MinPlus(), MaxPlus(), BoolOrAnd(), Scaled(PlusTimes(), 3)} {
+				want := append([]float64(nil), base...)
+				for j, c := range cols {
+					s.MulAddRow(want, din[int(c)*k:], vals[j])
+				}
+				got := append([]float64(nil), base...)
+				s.MulAddRun(got, din, cols, vals)
+				for x := range got {
+					if math.Float64bits(got[x]) != math.Float64bits(want[x]) {
+						t.Fatalf("%s k=%d run of %d: out[%d] = %v, per-nonzero %v", s.Name, k, n, x, got[x], want[x])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestScaledStaysGeneric pins that Scaled never inherits the plus-times row
 // kernel: the copy is generic, so MulAddRow calls its Mul, and each Mul
 // still burns factor base multiplies.

@@ -130,9 +130,10 @@ func BenchmarkRunnerReuse(b *testing.B) {
 
 // BenchmarkExecute tracks the functional gSpMM: a RunInto with memoized
 // unit pools on a fixed 4096-row power-law grid, so the run is dominated by
-// executeTile and the merge. "plustimes" takes the semiring's inlined row
-// kernel; "generic" computes the same algebra through a hand-built
-// Semiring, two closure calls per multiply-accumulate.
+// execute's row runs and the mixed panels' scratch merges. "plustimes"
+// takes the semiring's inlined run kernel; "generic" computes the same
+// algebra through a hand-built Semiring, two closure calls per
+// multiply-accumulate.
 func BenchmarkExecute(b *testing.B) {
 	a := scaledArch(arch.SpadeSextans(4), 64)
 	m := gen.PowerLaw(rand.New(rand.NewSource(1)), 4096, 16, 2.2)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"sync"
+
 	"repro/internal/arch"
 	"repro/internal/dense"
 	"repro/internal/model"
@@ -156,43 +158,82 @@ func sddmmRange(g *tile.Grid, din *dense.Matrix, out []float64, lo, hi int) {
 	}
 }
 
-// execute performs the functional gSpMM: cold section in untiled row order,
-// hot section in tiled panel order, accumulated into per-pool buffers that
-// are merged with the semiring's additive monoid.
+// execute performs the functional gSpMM into one output buffer: each row
+// accumulates its cold nonzeros (untiled row order) and, separately, its
+// hot nonzeros (tiled panel order), and the two partial sums are combined
+// with the semiring's additive monoid, cold ⊕ hot.
 //
 // The tile loop fans out over the par pool one row panel at a time. Panels
-// are row-disjoint (panel tr covers rows [tr·TileH, (tr+1)·TileH)) and each
-// panel walks its tiles in the serial (TR, TC) order, so every output row —
-// in both buffers — accumulates in exactly the serial floating-point order:
-// the result is bit-identical for any worker count, and the per-element
-// GMerge below is order-independent anyway.
-func execute(g *tile.Grid, hot []bool, din *dense.Matrix, sr semiring.Semiring) (*dense.Matrix, error) {
+// are row-disjoint (panel tr covers rows [tr·TileH, (tr+1)·TileH)), so a
+// panel owns its rows. A panel whose tiles all belong to one pool
+// accumulates straight into its output rows: the other pool's partial sum
+// is the identity, and x ⊕ identity = x. (For plus-times that holds bit
+// for bit: a sum started at +0 is never −0.) A mixed panel accumulates its
+// hot tiles into a per-panel TileH×K scratch and adds that into its rows
+// once its cold tiles are done. Every row therefore sees exactly the
+// additions of a cold buffer, a hot buffer and a merge, in the same order,
+// and the result is bit-identical for any worker count.
+func execute(g *tile.Grid, hot []bool, din *dense.Matrix, sr semiring.Semiring) *dense.Matrix {
 	k := din.K
-	coldBuf := dense.NewFilled(g.N, k, sr.AddIdentity)
-	hotBuf := dense.NewFilled(g.N, k, sr.AddIdentity)
+	out := dense.NewFilled(g.N, k, sr.AddIdentity)
 	par.ForEach(g.NumTR, func(tr int) {
-		for i := g.PanelStart[tr]; i < g.PanelStart[tr+1]; i++ {
-			buf := coldBuf
-			if hot[i] {
-				buf = hotBuf
-			}
-			rows, cols, vals := g.TileNonzeros(i)
-			executeTile(rows, cols, vals, din, buf, sr)
+		lo, hi := g.PanelStart[tr], g.PanelStart[tr+1]
+		if lo == hi {
+			return
 		}
+		mixed := false
+		for _, h := range hot[lo+1 : hi] {
+			if h != hot[lo] {
+				mixed = true
+				break
+			}
+		}
+		if !mixed {
+			for i := lo; i < hi; i++ {
+				executeTile(g, i, din.Data, out.Data, 0, k, sr)
+			}
+			return
+		}
+		rlo, rhi := g.PanelRows(tr)
+		n := (rhi - rlo) * k
+		sp := panelScratch.Get().(*[]float64)
+		if cap(*sp) < n {
+			*sp = make([]float64, n)
+		}
+		scratch := (*sp)[:n]
+		for x := range scratch {
+			scratch[x] = sr.AddIdentity
+		}
+		for i := lo; i < hi; i++ {
+			if hot[i] {
+				executeTile(g, i, din.Data, scratch, rlo, k, sr)
+			} else {
+				executeTile(g, i, din.Data, out.Data, 0, k, sr)
+			}
+		}
+		sr.AddRow(out.Data[rlo*k:rhi*k], scratch)
+		panelScratch.Put(sp)
 	})
-	if err := dense.GMerge(coldBuf, hotBuf, sr); err != nil {
-		return nil, err
-	}
-	return coldBuf, nil
+	return out
 }
 
-// executeTile accumulates one tile's nonzeros into its pool buffer, one
-// K-wide dense row per nonzero through the semiring's row kernel.
-func executeTile(rows, cols []int32, vals []float64, din, buf *dense.Matrix, sr semiring.Semiring) {
-	k := din.K
-	for j := range rows {
-		in := din.Data[int(cols[j])*k : int(cols[j])*k+k]
-		out := buf.Data[int(rows[j])*k : int(rows[j])*k+k]
-		sr.MulAddRow(out, in, vals[j])
+// panelScratch holds the hot partial sums of one mixed panel while its
+// worker runs it.
+var panelScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// executeTile accumulates tile i's nonzeros into buf, whose first row is
+// output row base. The tile's nonzeros are (row, col)-sorted, so each run
+// that shares a row goes to the semiring's run kernel in one call.
+func executeTile(g *tile.Grid, i int, din, buf []float64, base, k int, sr semiring.Semiring) {
+	rows, cols, vals := g.TileNonzeros(i)
+	for j := 0; j < len(rows); {
+		r := rows[j]
+		e := j + 1
+		for e < len(rows) && rows[e] == r {
+			e++
+		}
+		o := (int(r) - base) * k
+		sr.MulAddRun(buf[o:o+k], din, cols[j:e], vals[j:e])
+		j = e
 	}
 }

@@ -31,18 +31,12 @@ func TestExecutePanelParallelBitIdentical(t *testing.T) {
 		{"min-plus", semiring.MinPlus()},
 	} {
 		prev := par.SetWorkers(1)
-		want, err := execute(g, res.Hot, din, s.sr)
+		want := execute(g, res.Hot, din, s.sr)
 		par.SetWorkers(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, w := range []int{1, 2, 3, 8} {
 			par.SetWorkers(w)
-			got, err := execute(g, res.Hot, din, s.sr)
+			got := execute(g, res.Hot, din, s.sr)
 			par.SetWorkers(prev)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if !got.Equal(want) {
 				t.Fatalf("%s: execute with %d workers differs from serial", s.name, w)
 			}

@@ -117,8 +117,8 @@ func TestPartitionReportsLowestOutOfBounds(t *testing.T) {
 
 // TestRowMajorMatchesSort pins the scatter-built row-major view to
 // slices.Sort of the packed keys at 1, 2 and 5 workers, on a matrix large
-// enough to split into five chunks, and checks that every key's tile holds
-// it.
+// enough to split into five chunks, checks that every key's tile holds
+// it, and that a view rebuilt after ReleaseRowMajor is the same.
 func TestRowMajorMatchesSort(t *testing.T) {
 	const n, nnz = 2000, 5*32768 + 100
 	rng := rand.New(rand.NewSource(13))
@@ -143,6 +143,16 @@ func TestRowMajorMatchesSort(t *testing.T) {
 			keys, tileOf := g.RowMajor()
 			if !slices.Equal(keys, want) {
 				t.Fatalf("%d workers: RowMajor differs from the sorted packed keys", w)
+			}
+			// Released, the view is dropped, the slices already handed out
+			// stay intact, and the next call rebuilds an equal view.
+			g.ReleaseRowMajor()
+			if g.rmKeys != nil || g.rmTile != nil {
+				t.Fatalf("%d workers: ReleaseRowMajor kept the view", w)
+			}
+			again, againTile := g.RowMajor()
+			if !slices.Equal(keys, want) || !slices.Equal(again, keys) || !slices.Equal(againTile, tileOf) {
+				t.Fatalf("%d workers: the view rebuilt after a release differs", w)
 			}
 			for j, key := range keys {
 				tl := &g.Tiles[tileOf[j]]

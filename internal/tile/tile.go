@@ -56,12 +56,13 @@ type Grid struct {
 	Cols []int32
 	Vals []float64
 
-	// Lazily built row-major view (RowMajor). Unexported and never
-	// serialized: a grid loaded from a plan (hotcore.ReadPlan) rebuilds it
-	// on demand.
-	rmOnce sync.Once
-	rmKeys []uint64
-	rmTile []int32
+	// Lazily built row-major view (RowMajor), guarded by rmMu. Unexported
+	// and never serialized: a grid loaded from a plan (hotcore.ReadPlan)
+	// rebuilds it on demand, and ReleaseRowMajor drops it.
+	rmMu    sync.Mutex
+	rmBuilt bool
+	rmKeys  []uint64
+	rmTile  []int32
 }
 
 // Partition tiles a row-major matrix m into tileH×tileW tiles.
@@ -216,8 +217,23 @@ func (g *Grid) NNZ() int { return len(g.Vals) }
 // So within each row the columns come out ascending, and the result is
 // exactly the order slices.Sort would give the packed keys.
 func (g *Grid) RowMajor() (keys []uint64, tileOf []int32) {
-	g.rmOnce.Do(g.buildRowMajor)
+	g.rmMu.Lock()
+	defer g.rmMu.Unlock()
+	if !g.rmBuilt {
+		g.buildRowMajor()
+		g.rmBuilt = true
+	}
 	return g.rmKeys, g.rmTile
+}
+
+// ReleaseRowMajor drops the memoized row-major view (12 bytes per
+// nonzero), so a grid kept for long after its last untiled traversal does
+// not keep the view alive; slices a caller already holds stay valid, and
+// the next RowMajor rebuilds it.
+func (g *Grid) ReleaseRowMajor() {
+	g.rmMu.Lock()
+	g.rmBuilt, g.rmKeys, g.rmTile = false, nil, nil
+	g.rmMu.Unlock()
 }
 
 func (g *Grid) buildRowMajor() {

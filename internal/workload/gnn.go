@@ -35,6 +35,12 @@ type GNNConfig struct {
 	// also a "layer<i>" span under the span ctx carries, if any.
 	Timeline *obs.Timeline
 	Label    string
+	// Units, when non-nil, holds the unit pools across calls: a caller
+	// that runs the same plan again (hottilesd keeps one per cached plan)
+	// builds them on the first call only, and the call releases the
+	// grid's row-major view they were built from. Nil builds them once
+	// per call.
+	Units *sim.UnitCache
 }
 
 // GNNResult reports one forward pass.
@@ -103,7 +109,16 @@ func GNNWithPlan(ctx context.Context, plan *hotcore.Prep, a *arch.Arch, features
 	// Every layer simulates the same (grid, assignment, architecture): the
 	// unit cache builds the pools on layer 0 and the remaining layers skip
 	// construction (including the cold pool's cache-model replay) entirely.
-	var units sim.UnitCache
+	units := cfg.Units
+	if units == nil {
+		units = new(sim.UnitCache)
+	} else {
+		// The cold pool is built from the grid's memoized row-major view
+		// (12 bytes per nonzero), and nothing else here reads it. A caller
+		// that keeps the pools keeps the plan long after they are built,
+		// so the view is released rather than held beside them.
+		defer plan.Grid.ReleaseRowMajor()
+	}
 	h := features
 	for layer := 0; layer < cfg.Layers; layer++ {
 		if cerr := ctx.Err(); cerr != nil {
@@ -116,7 +131,7 @@ func GNNWithPlan(ctx context.Context, plan *hotcore.Prep, a *arch.Arch, features
 			SkipFunctional: cfg.SkipFunctional,
 			Timeline:       cfg.Timeline,
 			TimelineLabel:  fmt.Sprintf("%s/layer%d", label, layer),
-			Units:          &units,
+			Units:          units,
 		})
 		sp.End()
 		if err != nil {

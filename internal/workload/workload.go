@@ -15,6 +15,8 @@
 package workload
 
 import (
+	"math"
+
 	"repro/internal/dense"
 	"repro/internal/hotcore"
 	"repro/internal/obs"
@@ -32,12 +34,18 @@ var (
 )
 
 // relu clamps negatives to zero in place — the activation between GNN
-// aggregation layers.
+// aggregation layers. −0 and NaN are not below zero and pass unchanged.
+// The comparison becomes a mask over the value's bits instead of a branch:
+// the sign of a feature is a coin flip, and the mispredicted branch cost
+// more than the loop's loads and stores.
 func relu(m *dense.Matrix) {
-	for i, v := range m.Data {
+	d := m.Data
+	for i, v := range d {
+		var neg uint64
 		if v < 0 {
-			m.Data[i] = 0
+			neg = 1
 		}
+		d[i] = math.Float64frombits(math.Float64bits(v) &^ -neg)
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -300,5 +301,30 @@ func TestRunBatchEmptyAndErrors(t *testing.T) {
 	}
 	if _, err := RunBatch(context.Background(), &a, []Request{{}}, BatchOptions{}); err == nil {
 		t.Fatal("nil matrix accepted")
+	}
+}
+
+// TestReluBitIdentical checks the mask-based relu against the branching
+// definition bit for bit: negatives (−Inf and the smallest subnormal
+// included) become +0, while +0, −0, NaNs of either sign and positives pass
+// unchanged.
+func TestReluBitIdentical(t *testing.T) {
+	negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
+	vals := []float64{0, math.Copysign(0, -1), math.NaN(), negNaN, math.Inf(1), math.Inf(-1),
+		-math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64, -1.5, 2.25, -math.MaxFloat64}
+	rng := rand.New(rand.NewSource(4))
+	for range 64 {
+		vals = append(vals, rng.Float64()*2-1)
+	}
+	m := &dense.Matrix{N: len(vals), K: 1, Data: slices.Clone(vals)}
+	relu(m)
+	for i, v := range vals {
+		want := v
+		if v < 0 {
+			want = 0
+		}
+		if math.Float64bits(m.Data[i]) != math.Float64bits(want) {
+			t.Errorf("relu(%v) = %v (%#x), want %#x", v, m.Data[i], math.Float64bits(m.Data[i]), math.Float64bits(want))
+		}
 	}
 }
