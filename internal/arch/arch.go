@@ -51,15 +51,26 @@ type Arch struct {
 	ChunkRows int
 }
 
-// Config returns the partitioner configuration for this architecture with
-// the given arithmetic-intensity factor (2 = plain SpMM).
+// Config returns the SpMM partitioner configuration for this architecture
+// with the given arithmetic-intensity factor (2 = plain SpMM).
 func (a *Arch) Config(opsPerMAC float64) partition.Config {
+	return a.KernelConfig(opsPerMAC, model.KernelSpMM)
+}
+
+// KernelConfig returns the partitioner configuration for kernel k. It is
+// the one place a kernel's model parameters are decided: SpMV multiplies
+// by a dense vector, so its K is 1 whatever the architecture's K.
+func (a *Arch) KernelConfig(opsPerMAC float64, k model.Kernel) partition.Config {
+	prm := model.Params{K: a.K, OpsPerMAC: opsPerMAC, Kernel: k}
+	if k == model.KernelSpMV {
+		prm.K = 1
+	}
 	return partition.Config{
 		Hot:       &a.Hot,
 		Cold:      &a.Cold,
 		BWBytes:   a.BWBytes,
 		AtomicRMW: a.AtomicRMW,
-		Params:    model.Params{K: a.K, OpsPerMAC: opsPerMAC},
+		Params:    prm,
 	}
 }
 

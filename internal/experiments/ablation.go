@@ -6,12 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/gen"
-	"repro/internal/par"
 	"repro/internal/partition"
-	"repro/internal/reorder"
-	"repro/internal/sim"
-	"repro/internal/sparse"
-	"repro/internal/tile"
 )
 
 // ReorderAblationRow is one matrix's outcome under the three orderings.
@@ -36,68 +31,26 @@ type ReorderAblation struct {
 	AvgClusterSpeedup float64
 }
 
-// Reorder runs the reordering ablation on SPADE-Sextans (scale 4), one
-// concurrent job per benchmark (the reordered matrices are private to each
-// job, so nothing is shared beyond the read-only Env caches).
+// Reorder runs the reordering ablation on SPADE-Sextans (scale 4): HotTiles
+// on each ordering of each benchmark, one cell per (ordering, benchmark).
+// The original column is Fig 10's HotTiles cells; the reordered matrices
+// stay private to their cells (Env.estimates).
 func (e *Env) Reorder() (*ReorderAblation, error) {
 	a := arch.SpadeSextans(4)
-	a.TileH, a.TileW = e.TileSize(), e.TileSize()
-	suite := gen.Benchmarks()
-	rows := make([]ReorderAblationRow, len(suite))
-	if err := par.ForEachErr(len(suite), func(i int) error {
-		b := suite[i]
-		m := e.Matrix(b)
-		run := func(mat *sparse.COO) (float64, float64, error) {
-			g, err := tile.Partition(mat, a.TileH, a.TileW)
-			if err != nil {
-				return 0, 0, err
-			}
-			cfg := a.Config(2)
-			es, err := partition.NewEstimates(g, &cfg)
-			if err != nil {
-				return 0, 0, err
-			}
-			res, err := partition.Run(es, cfg, partition.HotTiles, 0)
-			if err != nil {
-				return 0, 0, err
-			}
-			r, err := sim.Run(g, res.Hot, &a, nil, sim.Options{Serial: res.Serial, SkipFunctional: true})
-			if err != nil {
-				return 0, 0, err
-			}
-			_, frac := res.HotNNZ(g)
-			return r.Time, frac, nil
-		}
-
-		clustered, err := reorder.Apply(m, reorder.BFSCluster(m))
-		if err != nil {
-			return err
-		}
-		shuffled, err := reorder.Apply(m, reorder.Random(m.N, e.Seed))
-		if err != nil {
-			return err
-		}
-
-		row := ReorderAblationRow{Short: b.Short}
-		if row.Original, row.FracOriginal, err = run(m); err != nil {
-			return err
-		}
-		if row.Clustered, row.FracClustered, err = run(clustered); err != nil {
-			return err
-		}
-		if row.Shuffled, row.FracShuffled, err = run(shuffled); err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
-	}); err != nil {
+	g, err := e.grid([]cell{{arch: a}, {arch: a, order: bfsClustered}, {arch: a, order: shuffled}},
+		gen.Benchmarks(), partition.HotTiles)
+	if err != nil {
 		return nil, err
 	}
-	out := &ReorderAblation{Rows: rows}
+	out := &ReorderAblation{}
 	var slow, speed []float64
-	for _, row := range rows {
-		slow = append(slow, row.Shuffled/row.Original)
-		speed = append(speed, row.Original/row.Clustered)
+	for bi, b := range g.suite {
+		o, c, s := g.at(0, bi, 0), g.at(1, bi, 0), g.at(2, bi, 0)
+		out.Rows = append(out.Rows, ReorderAblationRow{Short: b.Short,
+			Original: o.Time, Clustered: c.Time, Shuffled: s.Time,
+			FracOriginal: o.HotFrac, FracClustered: c.HotFrac, FracShuffled: s.HotFrac})
+		slow = append(slow, s.Time/o.Time)
+		speed = append(speed, o.Time/c.Time)
 	}
 	out.AvgShuffleSlowdown = geomean(slow)
 	out.AvgClusterSpeedup = geomean(speed)

@@ -14,9 +14,11 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/gen"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/partition"
+	"repro/internal/reorder"
 	"repro/internal/semiring"
 	"repro/internal/sim"
 	"repro/internal/sparse"
@@ -46,15 +48,15 @@ type Env struct {
 
 	mats  par.Cache[string, *sparse.COO]
 	grids par.Cache[string, *tile.Grid]
-	// ests caches partition.Estimates per (arch name, benchmark, opsPerMAC)
-	// at the Env's tile size; arch names uniquely identify worker model
-	// parameters across the preset architectures, and every strategy of an
-	// (arch, benchmark) cell shares one entry.
-	ests par.Cache[string, *partition.Estimates]
-	runs par.Cache[string, *runOut]
-	// archs canonicalizes the by-value arch copies exec works on into one
+	// ests caches partition.Estimates per (planning model, benchmark,
+	// opsPerMAC, kernel) at the Env's tile size; every strategy and every
+	// simulated arch of one entry shares it.
+	ests par.Cache[runKey, *partition.Estimates]
+	runs par.Cache[runKey, *runOut]
+	// archs canonicalizes the by-value arch copies cells carry into one
 	// stable pointer per distinct configuration (keyed on the gob encoding,
-	// which covers every field), because units is pointer-keyed.
+	// which covers every field), because runKey and units are
+	// pointer-keyed.
 	archs par.Cache[string, *arch.Arch]
 	// units memoizes built simulator unit pools across runs — strategies
 	// that degenerate to the same assignment (HotTiles falling back to
@@ -125,26 +127,134 @@ func (e *Env) Grid(b gen.Benchmark, tileSize int) (*tile.Grid, error) {
 	})
 }
 
-// estimates returns the cached per-tile model estimates for architecture a
-// (already at the Env's tile size) on benchmark b's grid.
-func (e *Env) estimates(a *arch.Arch, b gen.Benchmark, opsPerMAC float64) (*partition.Estimates, error) {
-	key := fmt.Sprintf("%s|%s|%g", a.Name, b.Short, opsPerMAC)
-	return e.ests.Get(key, func() (*partition.Estimates, error) {
-		g, err := e.Grid(b, a.TileH)
+// cell is one plan-and-simulate point of the evaluation: strategy on
+// benchmark bench, planned on plan (nil: on arch) and simulated on arch,
+// at the gSpMM intensity opsPerMAC (0 means plain SpMM's 2) for kernel,
+// over the benchmark's matrix in the given order. Every study is a list
+// of cells.
+type cell struct {
+	arch arch.Arch
+	// plan is a planning model that differs from the simulated arch
+	// (VisLat's perturbed vis_lat); its Name labels it in keys.
+	plan      *arch.Arch
+	bench     gen.Benchmark
+	strategy  partition.Strategy
+	opsPerMAC float64
+	kernel    model.Kernel
+	order     ordering
+}
+
+// ordering is the row and column order a cell runs its matrix in (the
+// reordering ablation); original is the Env's cached matrix.
+type ordering string
+
+const (
+	original     ordering = ""
+	bfsClustered ordering = "BFS"
+	shuffled     ordering = "shuffled"
+)
+
+// runKey is the key exec caches a cell under: the cell with its
+// architectures replaced by their canonical pointers (Env.archPtr), so
+// keys compare whole configurations, never just names, and two
+// configurations that share a name get distinct estimates and runs.
+type runKey struct {
+	sim, plan *arch.Arch
+	bench     string
+	strategy  partition.Strategy
+	opsPerMAC float64
+	kernel    model.Kernel
+	order     ordering
+}
+
+// String is the key's text, which names the run's spans, progress entry
+// and timeline tracks: arch|benchmark|strategy|opsPerMAC (e.g.
+// "SPADE-Sextans 1-1|pap|heur:MinTime Parallel|2"), then the kernel, the
+// ordering and the planning model, each only where it is not the SpMM,
+// original, simulated-arch default.
+func (k runKey) String() string {
+	return fmt.Sprintf("%s|%s|%v|%g", k.sim.Name, k.bench, k.strategy, k.opsPerMAC) + k.suffix()
+}
+
+// suffix is the key text's tail past opsPerMAC.
+func (k runKey) suffix() string {
+	var s string
+	if k.kernel != model.KernelSpMM {
+		s += "|" + k.kernel.String()
+	}
+	if k.order != original {
+		s += "|" + string(k.order)
+	}
+	if k.plan != k.sim {
+		s += "|plan=" + k.plan.Name
+	}
+	return s
+}
+
+// key canonicalizes c's architectures.
+func (e *Env) key(c cell) (runKey, error) {
+	sa, err := e.archPtr(c.arch)
+	if err != nil {
+		return runKey{}, err
+	}
+	plan := sa
+	if c.plan != nil {
+		if plan, err = e.archPtr(*c.plan); err != nil {
+			return runKey{}, err
+		}
+	}
+	if c.opsPerMAC == 0 {
+		c.opsPerMAC = 2
+	}
+	return runKey{sim: sa, plan: plan, bench: c.bench.Short, strategy: c.strategy,
+		opsPerMAC: c.opsPerMAC, kernel: c.kernel, order: c.order}, nil
+}
+
+// estimates returns the per-tile model estimates of k's planning model on
+// benchmark b's grid: cached per (plan, benchmark, opsPerMAC, kernel) and
+// shared by every strategy and simulated arch, under the text of the run
+// key less those two (e.g. "SPADE-Sextans 4-4|pap|2"). A reordered cell's
+// estimates are its own.
+func (e *Env) estimates(k runKey, b gen.Benchmark) (*partition.Estimates, error) {
+	cfg := k.plan.KernelConfig(k.opsPerMAC, k.kernel)
+	if k.order != original {
+		// The permuted matrix and its grid stay private to the run,
+		// outside the matrix, grid, estimate and unit caches: the unit
+		// cache is keyed on the grid pointer and would keep every variant
+		// resident.
+		m := e.Matrix(b)
+		perm := reorder.Random(m.N, e.Seed)
+		if k.order == bfsClustered {
+			perm = reorder.BFSCluster(m)
+		}
+		m, err := reorder.Apply(m, perm)
 		if err != nil {
 			return nil, err
 		}
-		sp := e.trace.Phase("estimate").Start(key)
+		g, err := tile.Partition(m, k.plan.TileH, k.plan.TileW)
+		if err != nil {
+			return nil, err
+		}
+		return partition.NewEstimates(g, &cfg)
+	}
+	ek := runKey{sim: k.plan, plan: k.plan, bench: k.bench, opsPerMAC: k.opsPerMAC, kernel: k.kernel}
+	return e.ests.Get(ek, func() (*partition.Estimates, error) {
+		g, err := e.Grid(b, k.plan.TileH)
+		if err != nil {
+			return nil, err
+		}
+		sp := e.trace.Phase("estimate").Start(fmt.Sprintf("%s|%s|%g%s", k.plan.Name, k.bench, k.opsPerMAC, ek.suffix()))
 		defer sp.End()
-		cfg := a.Config(opsPerMAC)
 		return partition.NewEstimates(g, &cfg)
 	})
 }
 
-// archPtr returns the canonical pointer for an arch value. Two exec calls
-// carrying equal configurations observe the same pointer, so pointer-keyed
-// downstream caches (the unit cache) can hit across them.
+// archPtr returns the canonical pointer for an arch value at the Env's
+// tile size. Two cells carrying equal configurations observe the same
+// pointer, so pointer-keyed caches (the run and unit caches) can hit
+// across them.
 func (e *Env) archPtr(a arch.Arch) (*arch.Arch, error) {
+	a.TileH, a.TileW = e.TileSize(), e.TileSize()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&a); err != nil {
 		return nil, err
@@ -168,26 +278,34 @@ type runOut struct {
 	Sim       *sim.Result      // full simulator statistics
 	Part      partition.Result // the partitioning used
 	Predicted float64          // the model's predicted runtime for this run
+	HotFrac   float64          // the share of nonzeros assigned hot
 }
 
-// exec runs strategy s for benchmark b on architecture a (with the arch's
-// tile size overridden to the Env's) and caches the outcome. opsPerMAC
-// carries the gSpMM intensity (2 = plain SpMM).
-func (e *Env) exec(a arch.Arch, b gen.Benchmark, s partition.Strategy, opsPerMAC float64) (*runOut, error) {
-	a.TileH, a.TileW = e.TileSize(), e.TileSize()
-	key := fmt.Sprintf("%s|%s|%v|%g", a.Name, b.Short, s, opsPerMAC)
-	return e.runs.Get(key, func() (*runOut, error) {
+// exec plans and simulates cell c (with its architectures' tile size
+// overridden to the Env's) and caches the outcome. It is the one
+// plan-and-simulate path of the studies.
+func (e *Env) exec(c cell) (*runOut, error) {
+	k, err := e.key(c)
+	if err != nil {
+		return nil, err
+	}
+	return e.runs.Get(k, func() (*runOut, error) {
+		key := k.String()
 		done := obs.StartProgress("exec " + key)
 		defer done()
 		t0 := time.Now()
 		defer func() { execWallHist.ObserveSince(t0) }()
-		es, err := e.estimates(&a, b, opsPerMAC)
+		es, err := e.estimates(k, c.bench)
 		if err != nil {
 			return nil, err
 		}
+		units := &e.units
+		if k.order != original {
+			units = nil // see estimates
+		}
 		sp := e.trace.Phase("exec").Start(key)
 		defer sp.End()
-		part, err := partition.Run(es, a.Config(opsPerMAC), s, e.Seed)
+		part, err := partition.Run(es, k.plan.KernelConfig(k.opsPerMAC, k.kernel), k.strategy, e.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -195,28 +313,74 @@ func (e *Env) exec(a arch.Arch, b gen.Benchmark, s partition.Strategy, opsPerMAC
 		// The simulator must see the same arithmetic intensity the
 		// partitioner planned for.
 		sr := semiring.PlusTimes()
-		sr.OpsPerMAC = opsPerMAC
-		ap, err := e.archPtr(a)
-		if err != nil {
-			return nil, err
-		}
+		sr.OpsPerMAC = k.opsPerMAC
 		g := es.Grid
 		sim1 := sp.Start("sim")
-		r, err := sim.Run(g, part.Hot, ap, nil, sim.Options{
+		r, err := sim.Run(g, part.Hot, k.sim, nil, sim.Options{
 			Serial:         part.Serial,
+			Kernel:         k.kernel,
 			Semiring:       &sr,
 			SkipFunctional: true,
 			Timeline:       e.timeline,
 			TimelineLabel:  key,
-			Units:          &e.units,
+			Units:          units,
 		})
 		sim1.End()
 		if err != nil {
 			return nil, err
 		}
-		sp.SetAttr("hotNNZ", fmt.Sprint(part.HotNNZ(g)))
-		return &runOut{Time: r.Time, Sim: r, Part: part, Predicted: part.Predicted}, nil
+		hot, frac := part.HotNNZ(g)
+		sp.SetAttr("hotNNZ", fmt.Sprint(hot, frac))
+		return &runOut{Time: r.Time, Sim: r, Part: part, Predicted: part.Predicted, HotFrac: frac}, nil
 	})
+}
+
+// cellGrid is every study's shape: each base cell (complete but for its
+// benchmark and, when strategies are given, its strategy) under each
+// strategy, over a benchmark suite, fanned out once. The cells run
+// concurrently; each writes only its own slot and every projection walks
+// the slots in order, so the results are bit-identical to the serial
+// evaluation.
+type cellGrid struct {
+	bases      []cell
+	strategies []partition.Strategy
+	suite      []gen.Benchmark
+	runs       []*runOut
+}
+
+// grid runs every (base, strategy, benchmark) cell; with no strategies,
+// each base runs its own.
+func (e *Env) grid(bases []cell, suite []gen.Benchmark, strategies ...partition.Strategy) (*cellGrid, error) {
+	rows := bases
+	if len(strategies) > 0 {
+		rows = make([]cell, 0, len(bases)*len(strategies))
+		for _, c := range bases {
+			for _, s := range strategies {
+				c.strategy = s
+				rows = append(rows, c)
+			}
+		}
+	}
+	g := &cellGrid{bases: bases, strategies: strategies, suite: suite, runs: make([]*runOut, len(rows)*len(suite))}
+	if err := par.ForEachErr(len(g.runs), func(i int) error {
+		c := rows[i/len(suite)]
+		c.bench = suite[i%len(suite)]
+		r, err := e.exec(c)
+		if err != nil {
+			return fmt.Errorf("%s/%s/%s: %w", c.arch.Name, c.bench.Short, c.strategy, err)
+		}
+		g.runs[i] = r
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// at returns the run of base ai on benchmark bi under strategy si (0 when
+// the bases carry their own).
+func (g *cellGrid) at(ai, bi, si int) *runOut {
+	return g.runs[(ai*max(len(g.strategies), 1)+si)*len(g.suite)+bi]
 }
 
 // geomean returns the geometric mean of positive values.

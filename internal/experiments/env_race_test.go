@@ -40,7 +40,7 @@ func TestEnvConcurrentCachesSingleflight(t *testing.T) {
 				return
 			}
 			grids[i] = g
-			r, err := e.exec(a, b, partition.ColdOnly, 2)
+			r, err := e.exec(cell{arch: a, bench: b, strategy: partition.ColdOnly})
 			if err != nil {
 				errs[i] = err
 				return

@@ -36,15 +36,15 @@ type Fig17Row struct {
 // Fig17 reproduces the prediction-error figure on SPADE-Sextans (scale 4)
 // and PIUMA: the predicted and simulated times of the strategy grid.
 func (e *Env) Fig17() (*Fig17Result, error) {
-	g, err := e.strategyGrid([]arch.Arch{arch.SpadeSextans(4), arch.PIUMA()}, gen.Benchmarks(),
-		[]partition.Strategy{partition.HotOnly, partition.ColdOnly, partition.HotTiles}, 2)
+	g, err := e.grid([]cell{{arch: arch.SpadeSextans(4)}, {arch: arch.PIUMA()}}, gen.Benchmarks(),
+		partition.HotOnly, partition.ColdOnly, partition.HotTiles)
 	if err != nil {
 		return nil, err
 	}
 	out := &Fig17Result{AvgError: map[partition.Strategy]float64{}}
 	sums := map[partition.Strategy][]float64{}
-	for ai, a := range g.archs {
-		fa := Fig17Arch{ArchName: a.Name}
+	for ai, base := range g.bases {
+		fa := Fig17Arch{ArchName: base.arch.Name}
 		for bi, b := range g.suite {
 			rels := make([]float64, len(g.strategies))
 			for si, s := range g.strategies {

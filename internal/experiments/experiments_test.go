@@ -375,7 +375,7 @@ func TestFig17(t *testing.T) {
 	// error above comes from how the model composes time, not traffic.
 	for _, a := range []arch.Arch{arch.SpadeSextans(4), arch.PIUMA()} {
 		for _, b := range gen.Benchmarks() {
-			r, err := e.exec(a, b, partition.HotOnly, 2)
+			r, err := e.exec(cell{arch: a, bench: b, strategy: partition.HotOnly})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -491,15 +491,15 @@ func TestEnvCaching(t *testing.T) {
 		t.Fatal("grid not cached")
 	}
 	a := arch.SpadeSextans(4)
-	r1, err := e.exec(a, b, partition.HotTiles, 2)
+	r1, err := e.exec(cell{arch: a, bench: b, strategy: partition.HotTiles})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := e.exec(a, b, partition.HotTiles, 2)
+	r2, _ := e.exec(cell{arch: a, bench: b, strategy: partition.HotTiles})
 	if r1 != r2 {
 		t.Fatal("run not cached")
 	}
-	if _, err := e.exec(a, b, partition.Strategy(-1), 2); err == nil {
+	if _, err := e.exec(cell{arch: a, bench: b, strategy: partition.Strategy(-1)}); err == nil {
 		t.Fatal("expected unknown-strategy error")
 	}
 }

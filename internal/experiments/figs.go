@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/gen"
-	"repro/internal/par"
 	"repro/internal/partition"
 )
 
@@ -57,47 +56,11 @@ type StrategyStudy struct {
 // Tables VI and VII.
 var paperStrategies = []partition.Strategy{partition.HotOnly, partition.ColdOnly, partition.IUnaware, partition.HotTiles}
 
-// strategyGrid is the shared shape of most §VIII studies: one cached run
-// per (architecture, benchmark, strategy) cell. The cells run concurrently;
-// each writes only its own slot and every projection walks the slots in
-// order, so the results are bit-identical to the serial evaluation.
-type strategyGrid struct {
-	archs      []arch.Arch
-	suite      []gen.Benchmark
-	strategies []partition.Strategy
-	runs       []*runOut
-}
-
-// strategyGrid runs every (architecture, benchmark, strategy) cell at the
-// given gSpMM intensity.
-func (e *Env) strategyGrid(archs []arch.Arch, suite []gen.Benchmark, strategies []partition.Strategy, opsPerMAC float64) (*strategyGrid, error) {
-	g := &strategyGrid{archs: archs, suite: suite, strategies: strategies,
-		runs: make([]*runOut, len(archs)*len(suite)*len(strategies))}
-	if err := par.ForEachErr(len(g.runs), func(i int) error {
-		a := archs[i/(len(suite)*len(strategies))]
-		b, s := suite[i/len(strategies)%len(suite)], strategies[i%len(strategies)]
-		r, err := e.exec(a, b, s, opsPerMAC)
-		if err != nil {
-			return fmt.Errorf("%s/%s/%s: %w", a.Name, b.Short, s, err)
-		}
-		g.runs[i] = r
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// at returns the run of architecture ai, benchmark bi, strategy si.
-func (g *strategyGrid) at(ai, bi, si int) *runOut {
-	return g.runs[(ai*len(g.suite)+bi)*len(g.strategies)+si]
-}
-
-// study projects architecture ai's cells onto the Figure 4/10/11/15
-// layout: speedups over the worst homogeneous execution per matrix, and
-// HotTiles' geometric-mean speedup over every other strategy.
-func (g *strategyGrid) study(ai int) *StrategyStudy {
-	st := &StrategyStudy{ArchName: g.archs[ai].Name, Strategies: g.strategies}
+// study projects base ai's cells onto the Figure 4/10/11/15 layout:
+// speedups over the worst homogeneous execution per matrix, and HotTiles'
+// geometric-mean speedup over every other strategy.
+func (g *cellGrid) study(ai int) *StrategyStudy {
+	st := &StrategyStudy{ArchName: g.bases[ai].arch.Name, Strategies: g.strategies}
 	ratios := map[partition.Strategy][]float64{}
 	var bestHom []float64
 	for bi, b := range g.suite {
@@ -127,15 +90,15 @@ func (g *strategyGrid) study(ai int) *StrategyStudy {
 	return st
 }
 
-// strategyStudies runs strategies over suite on every architecture, one
+// strategyStudies runs strategies over suite on every base, one
 // StrategyStudy each.
-func (e *Env) strategyStudies(archs []arch.Arch, suite []gen.Benchmark, strategies []partition.Strategy) (StrategyStudies, error) {
-	g, err := e.strategyGrid(archs, suite, strategies, 2)
+func (e *Env) strategyStudies(bases []cell, suite []gen.Benchmark, strategies []partition.Strategy) (StrategyStudies, error) {
+	g, err := e.grid(bases, suite, strategies...)
 	if err != nil {
 		return nil, err
 	}
-	out := make(StrategyStudies, len(archs))
-	for ai := range archs {
+	out := make(StrategyStudies, len(bases))
+	for ai := range bases {
 		out[ai] = g.study(ai)
 	}
 	return out, nil
@@ -143,7 +106,7 @@ func (e *Env) strategyStudies(archs []arch.Arch, suite []gen.Benchmark, strategi
 
 // runStudy is strategyStudies on one architecture.
 func (e *Env) runStudy(a arch.Arch, suite []gen.Benchmark, strategies []partition.Strategy) (*StrategyStudy, error) {
-	sts, err := e.strategyStudies([]arch.Arch{a}, suite, strategies)
+	sts, err := e.strategyStudies([]cell{{arch: a}}, suite, strategies)
 	if err != nil {
 		return nil, err
 	}
@@ -151,10 +114,10 @@ func (e *Env) runStudy(a arch.Arch, suite []gen.Benchmark, strategies []partitio
 }
 
 // spadeScales returns SPADE-Sextans at each Table IV system scale.
-func spadeScales(scales ...int) []arch.Arch {
-	out := make([]arch.Arch, len(scales))
+func spadeScales(scales ...int) []cell {
+	out := make([]cell, len(scales))
 	for i, s := range scales {
-		out[i] = arch.SpadeSextans(s)
+		out[i] = cell{arch: arch.SpadeSextans(s)}
 	}
 	return out
 }
@@ -202,7 +165,7 @@ func (sts StrategyStudies) Render(w io.Writer) {
 // §III-B showing that IMH-unaware partitioning is unimpressive against the
 // best homogeneous baseline.
 func (e *Env) Fig4() (StrategyStudies, error) {
-	return e.strategyStudies([]arch.Arch{arch.SpadeSextans(4), arch.PIUMA()}, gen.Benchmarks(),
+	return e.strategyStudies([]cell{{arch: arch.SpadeSextans(4)}, {arch: arch.PIUMA()}}, gen.Benchmarks(),
 		[]partition.Strategy{partition.HotOnly, partition.ColdOnly, partition.IUnaware})
 }
 
@@ -221,20 +184,17 @@ type Fig5Result struct {
 // Fig5 reproduces the assignment maps of Figure 5 on the pap mimic.
 func (e *Env) Fig5() (*Fig5Result, error) {
 	b, _ := gen.ByShort("pap")
-	a := arch.SpadeSextans(4)
-	iu, err := e.exec(a, b, partition.IUnaware, 2)
+	cg, err := e.grid([]cell{{arch: arch.SpadeSextans(4)}}, []gen.Benchmark{b}, partition.IUnaware, partition.HotTiles)
 	if err != nil {
 		return nil, err
 	}
-	ht, err := e.exec(a, b, partition.HotTiles, 2)
-	if err != nil {
-		return nil, err
-	}
+	iu, ht := cg.at(0, 0, 0), cg.at(0, 0, 1)
 	g, err := e.Grid(b, e.TileSize())
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig5Result{NumTR: g.NumTR, NumTC: g.NumTC}
+	res := &Fig5Result{NumTR: g.NumTR, NumTC: g.NumTC,
+		HotNNZFracIUnaware: iu.HotFrac, HotNNZFracHotTiles: ht.HotFrac}
 	for i, t := range g.Tiles {
 		if iu.Part.Hot[i] {
 			res.HotIUnaware = append(res.HotIUnaware, [2]int{t.TR, t.TC})
@@ -243,8 +203,6 @@ func (e *Env) Fig5() (*Fig5Result, error) {
 			res.HotHotTiles = append(res.HotHotTiles, [2]int{t.TR, t.TC})
 		}
 	}
-	_, res.HotNNZFracIUnaware = iu.Part.HotNNZ(g)
-	_, res.HotNNZFracHotTiles = ht.Part.HotNNZ(g)
 	return res, nil
 }
 
@@ -299,40 +257,30 @@ type Fig13Row struct {
 	HotTiles4, HotOnly8, Cold8 float64
 }
 
-// Fig13 reproduces the iso-resource comparison of Figure 13. The
-// per-benchmark rows are computed concurrently into indexed slots.
+// Fig13 reproduces the iso-resource comparison of Figure 13: three cells
+// per benchmark.
 func (e *Env) Fig13() (*Fig13Result, error) {
-	suite := gen.Benchmarks()
-	rows := make([]Fig13Row, len(suite))
-	if err := par.ForEachErr(len(suite), func(i int) error {
-		b := suite[i]
-		ht4, err := e.exec(arch.SpadeSextans(4), b, partition.HotTiles, 2)
-		if err != nil {
-			return err
-		}
-		hot8, err := e.exec(arch.SpadeSextansSkewed(0, 8), b, partition.HotOnly, 2)
-		if err != nil {
-			return err
-		}
-		cold8, err := e.exec(arch.SpadeSextansSkewed(8, 0), b, partition.ColdOnly, 2)
-		if err != nil {
-			return err
-		}
-		rows[i] = Fig13Row{
-			Short:       b.Short,
-			VsHotOnly8:  hot8.Time / ht4.Time,
-			VsColdOnly8: cold8.Time / ht4.Time,
-			HotTiles4:   ht4.Time,
-			HotOnly8:    hot8.Time,
-			Cold8:       cold8.Time,
-		}
-		return nil
-	}); err != nil {
+	g, err := e.grid([]cell{
+		{arch: arch.SpadeSextans(4), strategy: partition.HotTiles},
+		{arch: arch.SpadeSextansSkewed(0, 8), strategy: partition.HotOnly},
+		{arch: arch.SpadeSextansSkewed(8, 0), strategy: partition.ColdOnly},
+	}, gen.Benchmarks())
+	if err != nil {
 		return nil, err
 	}
-	out := &Fig13Result{Rows: rows}
+	out := &Fig13Result{}
 	var vh, vc []float64
-	for _, row := range rows {
+	for bi, b := range g.suite {
+		ht4, hot8, cold8 := g.at(0, bi, 0).Time, g.at(1, bi, 0).Time, g.at(2, bi, 0).Time
+		row := Fig13Row{
+			Short:       b.Short,
+			VsHotOnly8:  hot8 / ht4,
+			VsColdOnly8: cold8 / ht4,
+			HotTiles4:   ht4,
+			HotOnly8:    hot8,
+			Cold8:       cold8,
+		}
+		out.Rows = append(out.Rows, row)
 		vh = append(vh, row.VsHotOnly8)
 		vc = append(vc, row.VsColdOnly8)
 	}
@@ -372,27 +320,25 @@ type Fig14Row struct {
 // the +PCIe architecture: at low intensity the cold workers absorb almost
 // everything; as intensity grows the enhanced off-die Sextans wins work.
 func (e *Env) Fig14() (*Fig14Result, error) {
-	a := []arch.Arch{arch.SpadeSextansPCIe()}
-	strategies := []partition.Strategy{partition.HotTiles, partition.HotOnly, partition.ColdOnly}
+	intensities := []int{2, 8, 32, 128, 512}
+	bases := make([]cell, len(intensities))
+	for i, ops := range intensities {
+		bases[i] = cell{arch: arch.SpadeSextansPCIe(), opsPerMAC: float64(ops)}
+	}
+	g, err := e.grid(bases, gen.Benchmarks(), partition.HotTiles, partition.HotOnly, partition.ColdOnly)
+	if err != nil {
+		return nil, err
+	}
 	out := &Fig14Result{}
 	var vh, vc, vb []float64
-	for _, ops := range []int{2, 8, 32, 128, 512} {
-		g, err := e.strategyGrid(a, gen.Benchmarks(), strategies, float64(ops))
-		if err != nil {
-			return nil, err
-		}
+	for oi, ops := range intensities {
 		var rh, rc, rb, fracs []float64
-		for bi, b := range g.suite {
-			ht, ho, co := g.at(0, bi, 0), g.at(0, bi, 1).Time, g.at(0, bi, 2).Time
+		for bi := range g.suite {
+			ht, ho, co := g.at(oi, bi, 0), g.at(oi, bi, 1).Time, g.at(oi, bi, 2).Time
 			rh = append(rh, ho/ht.Time)
 			rc = append(rc, co/ht.Time)
 			rb = append(rb, min(ho, co)/ht.Time)
-			tg, err := e.Grid(b, e.TileSize())
-			if err != nil {
-				return nil, err
-			}
-			_, frac := ht.Part.HotNNZ(tg)
-			fracs = append(fracs, frac)
+			fracs = append(fracs, ht.HotFrac)
 		}
 		row := Fig14Row{SIMDOpsPerNNZ: ops, VsHotOnly: geomean(rh), VsColdOnly: geomean(rc),
 			VsBestHom: geomean(rb), HotNNZFrac: mean(fracs)}

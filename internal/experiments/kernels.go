@@ -7,10 +7,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/gen"
 	"repro/internal/model"
-	"repro/internal/par"
 	"repro/internal/partition"
-	"repro/internal/semiring"
-	"repro/internal/sim"
 )
 
 // KernelsRow is one matrix's HotTiles outcome for the three kernels.
@@ -30,61 +27,24 @@ type KernelsStudy struct {
 	AvgSDDMMOverSpMM float64
 }
 
-// Kernels runs the kernel study on SPADE-Sextans (scale 4), one concurrent
-// job per benchmark. The non-SpMM kernels deliberately bypass the Env's
-// estimates cache (its keys do not carry the kernel) and partition directly.
+// Kernels runs the kernel study on SPADE-Sextans (scale 4): HotTiles
+// under each kernel, one cell per (kernel, benchmark). The SpMM column is
+// Fig 10's HotTiles cells.
 func (e *Env) Kernels() (*KernelsStudy, error) {
-	base := arch.SpadeSextans(4)
-	base.TileH, base.TileW = e.TileSize(), e.TileSize()
-	suite := gen.Benchmarks()
-	rows := make([]KernelsRow, len(suite))
-	if err := par.ForEachErr(len(suite), func(i int) error {
-		b := suite[i]
-		g, err := e.Grid(b, base.TileH)
-		if err != nil {
-			return err
-		}
-		row := KernelsRow{Short: b.Short}
-		for _, k := range []model.Kernel{model.KernelSpMM, model.KernelSpMV, model.KernelSDDMM} {
-			cfg := base.Config(2)
-			cfg.Params.Kernel = k
-			if k == model.KernelSpMV {
-				cfg.Params.K = 1
-			}
-			es, err := partition.NewEstimates(g, &cfg)
-			if err != nil {
-				return err
-			}
-			res, err := partition.Run(es, cfg, partition.HotTiles, 0)
-			if err != nil {
-				return err
-			}
-			sr := semiring.PlusTimes()
-			r, err := sim.Run(g, res.Hot, &base, nil, sim.Options{
-				Serial: res.Serial, Kernel: k, Semiring: &sr, SkipFunctional: true,
-			})
-			if err != nil {
-				return err
-			}
-			_, frac := res.HotNNZ(g)
-			switch k {
-			case model.KernelSpMM:
-				row.SpMM, row.FracSpMM = r.Time, frac
-			case model.KernelSpMV:
-				row.SpMV, row.FracSpMV = r.Time, frac
-			case model.KernelSDDMM:
-				row.SDDMM, row.FracSDDMM = r.Time, frac
-			}
-		}
-		rows[i] = row
-		return nil
-	}); err != nil {
+	a := arch.SpadeSextans(4)
+	g, err := e.grid([]cell{{arch: a}, {arch: a, kernel: model.KernelSpMV}, {arch: a, kernel: model.KernelSDDMM}},
+		gen.Benchmarks(), partition.HotTiles)
+	if err != nil {
 		return nil, err
 	}
-	out := &KernelsStudy{Rows: rows}
+	out := &KernelsStudy{}
 	var ratios []float64
-	for _, row := range rows {
-		ratios = append(ratios, row.SDDMM/row.SpMM)
+	for bi, b := range g.suite {
+		spmm, spmv, sddmm := g.at(0, bi, 0), g.at(1, bi, 0), g.at(2, bi, 0)
+		out.Rows = append(out.Rows, KernelsRow{Short: b.Short,
+			SpMM: spmm.Time, SpMV: spmv.Time, SDDMM: sddmm.Time,
+			FracSpMM: spmm.HotFrac, FracSpMV: spmv.HotFrac, FracSDDMM: sddmm.HotFrac})
+		ratios = append(ratios, sddmm.Time/spmm.Time)
 	}
 	out.AvgSDDMMOverSpMM = geomean(ratios)
 	return out, nil

@@ -36,7 +36,7 @@ func (e *Env) Fig12() (*Fig12Result, error) {
 	for _, h := range heuristics {
 		strategies = append(strategies, partition.Forced(h))
 	}
-	g, err := e.strategyGrid(spadeScales(scales...), gen.Benchmarks(), strategies, 2)
+	g, err := e.grid(spadeScales(scales...), gen.Benchmarks(), strategies...)
 	if err != nil {
 		return nil, err
 	}
@@ -102,12 +102,12 @@ func isoName(c int) string { return fmt.Sprintf("%d-%d", c, isoTotal-c) }
 // isoScale runs HotTiles on every iso-scale SPADE-Sextans architecture
 // over the suite. Grid architecture c is c-(isoTotal-c); isoBase is
 // SpadeSextans(4), the baseline Figure 16 and Table IX compare against.
-func (e *Env) isoScale() (*strategyGrid, error) {
-	archs := make([]arch.Arch, isoTotal+1)
-	for c := range archs {
-		archs[c] = arch.SpadeSextansSkewed(c, isoTotal-c)
+func (e *Env) isoScale() (*cellGrid, error) {
+	bases := make([]cell, isoTotal+1)
+	for c := range bases {
+		bases[c] = cell{arch: arch.SpadeSextansSkewed(c, isoTotal-c)}
 	}
-	return e.strategyGrid(archs, gen.Benchmarks(), []partition.Strategy{partition.HotTiles}, 2)
+	return e.grid(bases, gen.Benchmarks(), partition.HotTiles)
 }
 
 // Fig16 reproduces the fixed-architecture exploration scenario of §VIII-B:
@@ -120,7 +120,7 @@ func (e *Env) Fig16() (*Fig16Result, error) {
 	}
 	out := &Fig16Result{}
 	bestP, bestA := 0, 0
-	for c := range g.archs {
+	for c := range g.bases {
 		var pred, act []float64
 		for bi := range g.suite {
 			base, r := g.at(isoBase, bi, 0), g.at(c, bi, 0)

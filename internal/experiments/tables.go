@@ -67,7 +67,7 @@ type TableVIIScale struct {
 // statistics of the strategy grid at system scales 1 and 4.
 func (e *Env) TableVII() (*TableVIIResult, error) {
 	scales := []int{1, 4}
-	g, err := e.strategyGrid(spadeScales(scales...), gen.Benchmarks(), paperStrategies, 2)
+	g, err := e.grid(spadeScales(scales...), gen.Benchmarks(), paperStrategies...)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func (e *Env) TableIX() (*TableIXResult, error) {
 	for bi, b := range g.suite {
 		base := g.at(isoBase, bi, 0)
 		bestPred, bestAct := 0, 0
-		for c := range g.archs {
+		for c := range g.bases {
 			r := g.at(c, bi, 0)
 			if r.Predicted < g.at(bestPred, bi, 0).Predicted {
 				bestPred = c

@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/gen"
-	"repro/internal/par"
 	"repro/internal/partition"
-	"repro/internal/sim"
 )
 
 // VisLatRow is one perturbation's outcome.
@@ -34,68 +33,38 @@ type VisLatSensitivity struct {
 	Rows []VisLatRow
 }
 
-// VisLat runs the sensitivity study on SPADE-Sextans (scale 4).
+// VisLat runs the sensitivity study on SPADE-Sextans (scale 4): HotTiles
+// planned with each perturbed model and simulated on the calibrated one,
+// one cell per (factor, benchmark). The ×1 row is the calibrated
+// baseline, Fig 10's HotTiles cells.
 func (e *Env) VisLat() (*VisLatSensitivity, error) {
 	base := arch.SpadeSextans(4)
-	base.TileH, base.TileW = e.TileSize(), e.TileSize()
-	out := &VisLatSensitivity{}
-
-	// The calibrated baseline: HotTiles' cells of the strategy grid.
-	bg, err := e.strategyGrid([]arch.Arch{base}, gen.Benchmarks(), []partition.Strategy{partition.HotTiles}, 2)
+	factors := []float64{0.25, 0.5, 1, 2, 4}
+	rows := make([]cell, len(factors))
+	for i, f := range factors {
+		plan := base
+		plan.Hot.VisLatPerByte *= f
+		plan.Cold.VisLatPerByte *= f
+		if f != 1 { // ×1 stays the calibrated arch itself, so its cells are Fig 10's
+			plan.Name = fmt.Sprintf("%s vis_lat×%g", base.Name, f)
+		}
+		rows[i] = cell{arch: base, plan: &plan}
+	}
+	g, err := e.grid(rows, gen.Benchmarks(), partition.HotTiles)
 	if err != nil {
 		return nil, err
 	}
-	suite := bg.suite
-
-	// All (factor, benchmark) perturbation cells run concurrently; each job
-	// perturbs its own copy of the architecture (workers are held by value).
-	factors := []float64{0.25, 0.5, 1, 2, 4}
-	type visLatCell struct{ ratio, delta float64 }
-	cells := make([]visLatCell, len(factors)*len(suite))
-	if err := par.ForEachErr(len(cells), func(i int) error {
-		factor, bi := factors[i/len(suite)], i%len(suite)
-		b := suite[bi]
-		a := base
-		a.Hot.VisLatPerByte *= factor
-		a.Cold.VisLatPerByte *= factor
-		g, err := e.Grid(b, a.TileH)
-		if err != nil {
-			return err
-		}
-		cfg := a.Config(2)
-		es, err := partition.NewEstimates(g, &cfg)
-		if err != nil {
-			return err
-		}
-		res, err := partition.Run(es, cfg, partition.HotTiles, 0)
-		if err != nil {
-			return err
-		}
-		// Simulate with the *calibrated* architecture: the perturbation
-		// only affected the planning model.
-		r, err := sim.Run(g, res.Hot, &base, nil, sim.Options{Serial: res.Serial, SkipFunctional: true})
-		if err != nil {
-			return err
-		}
-		bl := bg.at(0, bi, 0)
-		_, frac := res.HotNNZ(g)
-		_, blFrac := bl.Part.HotNNZ(g)
-		cells[i] = visLatCell{ratio: r.Time / bl.Time, delta: math.Abs(frac - blFrac)}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	calibrated := slices.Index(factors, 1)
+	out := &VisLatSensitivity{}
 	for fi, factor := range factors {
-		row := VisLatRow{Factor: factor}
 		var ratios, deltas []float64
-		for bi := range suite {
-			c := cells[fi*len(suite)+bi]
-			ratios = append(ratios, c.ratio)
-			deltas = append(deltas, c.delta)
+		for bi := range g.suite {
+			r, bl := g.at(fi, bi, 0), g.at(calibrated, bi, 0)
+			ratios = append(ratios, r.Time/bl.Time)
+			deltas = append(deltas, math.Abs(r.HotFrac-bl.HotFrac))
 		}
-		row.AvgRuntimeVsBaseline = geomean(ratios)
-		row.AvgHotFracDelta = mean(deltas)
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, VisLatRow{Factor: factor,
+			AvgRuntimeVsBaseline: geomean(ratios), AvgHotFracDelta: mean(deltas)})
 	}
 	return out, nil
 }

@@ -155,11 +155,7 @@ func PreprocessCtx(ctx context.Context, m *sparse.COO, a *arch.Arch, o Options) 
 	if o.OpsPerMAC == 0 {
 		o.OpsPerMAC = 2
 	}
-	cfg := a.Config(o.OpsPerMAC)
-	cfg.Params.Kernel = o.Kernel
-	if o.Kernel == model.KernelSpMV {
-		cfg.Params.K = 1
-	}
+	cfg := a.KernelConfig(o.OpsPerMAC, o.Kernel)
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}

@@ -129,14 +129,16 @@ func BenchmarkRunnerReuse(b *testing.B) {
 }
 
 // BenchmarkExecute tracks the functional gSpMM: a RunInto with memoized
-// unit pools on a fixed 4096-row power-law grid, so the run is dominated by
-// execute's row runs and the mixed panels' scratch merges. "plustimes"
-// takes the semiring's inlined run kernel; "generic" computes the same
-// algebra through a hand-built Semiring, two closure calls per
-// multiply-accumulate.
+// unit pools on the pap mimic at scale 400 (1,000 rows, ~80 nonzeros per
+// row) in 512-wide tiles, so each row of a tile is a run of ~40 nonzeros
+// and the run is dominated by execute's row runs and the mixed panels'
+// scratch merges. "plustimes" takes the semiring's inlined run kernel;
+// "generic" computes the same algebra through a hand-built Semiring, two
+// closure calls per multiply-accumulate.
 func BenchmarkExecute(b *testing.B) {
-	a := scaledArch(arch.SpadeSextans(4), 64)
-	m := gen.PowerLaw(rand.New(rand.NewSource(1)), 4096, 16, 2.2)
+	a := arch.SpadeSextans(4)
+	pap, _ := gen.ByShort("pap")
+	m := pap.Build(1, 400)
 	g, err := tile.Partition(m, a.TileH, a.TileW)
 	if err != nil {
 		b.Fatal(err)

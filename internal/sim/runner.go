@@ -79,10 +79,7 @@ func (r *Runner) RunInto(res *Result, g *tile.Grid, hot []bool, a *arch.Arch, di
 	if opts.Semiring != nil {
 		sr = *opts.Semiring
 	}
-	prm := model.Params{K: a.K, OpsPerMAC: sr.OpsPerMAC, Kernel: opts.Kernel}
-	if opts.Kernel == model.KernelSpMV {
-		prm.K = 1
-	}
+	prm := a.KernelConfig(sr.OpsPerMAC, opts.Kernel).Params
 	if err := prm.Validate(); err != nil {
 		return err
 	}
